@@ -5,15 +5,20 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-pr2 bench-pr3 bench-pr4 bench-pr5 bench-pr6 bench-pr9 bench-pr10 fuzz-smoke chaos-smoke chaos-smoke-tcp soak profile profile-mem check verify
+.PHONY: all build test vet race bench fuzz-smoke chaos-smoke chaos-smoke-tcp soak profile profile-mem check verify
 
 all: check
 
 build:
 	$(GO) build ./...
 
+# The benchmark harness is a module of its own (benchmark/go.mod), which
+# `go test ./...` does not descend into; its -short tests check that it
+# still builds against this tree and agrees with BENCHMARK.json, without
+# launching deployments.
 test:
 	$(GO) test ./...
+	cd benchmark && $(GO) test -short ./...
 
 vet:
 	$(GO) vet ./...
@@ -36,56 +41,9 @@ bench:
 	$(GO) test -run=NONE -bench 'BenchmarkSignedN10' -benchtime=1000x ./internal/brb/
 	$(GO) test -run=NONE -bench 'BenchmarkSettleBatchECDSA' -benchtime=500x ./internal/core/
 
-# PR 2 evidence: mixed-channel dispatch throughput (sharded vs serial
-# baseline), async/chain-batched ack signing, and batched-ack settlement.
-# Regenerates BENCH_PR2.json with numbers measured on this host.
-bench-pr2:
-	sh scripts/bench_pr2.sh BENCH_PR2.json
-
-# PR 3 evidence: striped settlement state (vs the global-lock baseline,
-# Config.StateStripes=1) and settlement-wave CREDIT signing (per-credit
-# ECDSA amortization). Regenerates BENCH_PR3.json.
-bench-pr3:
-	sh scripts/bench_pr3.sh BENCH_PR3.json
-
-# PR 4 evidence: wire bytes per committed payment / per credit at chain
-# cap 32 — chain-by-digest references (CHAINDEF/COMMITREF/CREDITREF) and
-# interned dependency certificates vs the legacy self-contained forms,
-# which remain measured from the same tree as the NACK fallback.
-# Regenerates BENCH_PR4.json.
-bench-pr4:
-	sh scripts/bench_pr4.sh BENCH_PR4.json
-
-# PR 5 evidence: the three concurrency substrates on the unified lane
-# scheduler vs their dedicated-goroutine baselines — sharded-goroutine vs
-# lane dispatch (transport), spawn-per-delivery vs pinned-stripe settle
-# fan-out (core), worker-pool vs lane verify (crypto) — plus the 1-core
-# end-to-end time guards. Regenerates BENCH_PR5.json.
-bench-pr5:
-	sh scripts/bench_pr5.sh BENCH_PR5.json
-
-# PR 6 evidence: settle throughput with the file-backed WAL vs the Nop
-# (scheduler-only) and memory-only baselines, amortized WAL append cost,
-# and recovery-replay time vs log length. Regenerates BENCH_PR6.json.
-bench-pr6:
-	sh scripts/bench_pr6.sh BENCH_PR6.json
-
-# PR 9 evidence: continuation-style commit coordinators vs the goroutine-
-# per-commit baseline, lazy vs eager CHAINDEF wire economics, the tabled
-# COMMITTAB fallback vs legacy COMMITBATCH, and batch-level chain
-# interning (v2 payment batches). The spawn/alloc guards themselves ride
-# `make test`/`make check` (internal/core/pipeline_guard_test.go).
-# Regenerates BENCH_PR9.json.
-bench-pr9:
-	sh scripts/bench_pr9.sh BENCH_PR9.json
-
-# PR 10 evidence: paged account state over the embedded KV store —
-# resident heap per account across population × cache grids (the
-# O(hot-set) claim), hot vs cold-fault settle cost, incremental vs full
-# snapshot, and the paged vs resident restart-time curve.
-# Regenerates BENCH_PR10.json.
-bench-pr10:
-	sh scripts/bench_pr10.sh BENCH_PR10.json
+# End-to-end and per-layer numbers come from the one harness in benchmark/
+# (see benchmark/README.md): `bash benchmark/run.sh --workload tcp4-mem
+# --seed 1 --seconds 26 --trace 0`, `-layers`, `-compare a.jsonl b.jsonl`.
 
 # Short fuzz pass over every wire/record decoder harness — the three
 # generations of chain-ref forms (brb), the credit channel, durable
@@ -98,7 +56,7 @@ fuzz-smoke:
 		$(GO) test -run=NONE -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) ./internal/wal/ || exit 1; done
 	for f in FuzzDecodeKVPage FuzzDecodeKVIndex; do \
 		$(GO) test -run=NONE -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) ./internal/kv/ || exit 1; done
-	for f in FuzzDecodeCreditChannel FuzzDecodeBatch FuzzDecodeDependency FuzzDecodeReplicaImage FuzzDecodeManifest FuzzDecodePaymentChannel; do \
+	for f in FuzzDecodeCreditChannel FuzzDecodeBatch FuzzDecodeDependency FuzzDecodeReplicaImage FuzzDecodeManifest FuzzDecodePaymentChannel FuzzCreditDependencies; do \
 		$(GO) test -run=NONE -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) ./internal/core/ || exit 1; done
 	for f in FuzzDecodeChainDef FuzzDecodeAckCert FuzzDecodeCommitRef FuzzDecodeChainNack FuzzDecodeCommitTab; do \
 		$(GO) test -run=NONE -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) ./internal/brb/ || exit 1; done

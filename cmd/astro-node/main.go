@@ -28,6 +28,15 @@
 // contract allows (see internal/wal). Without -data-dir the replica is
 // memory-only and a crash is permanent (pre-PR-6 behavior).
 //
+// Durability is fail-stop: the node checks the write-ahead log and the
+// account pager for a failed write once after start-up and then every
+// second, and on the first one prints a single
+// "event=durability_lost replica=N cause=wal|pager error=..." line to
+// standard error and exits with status 1 rather than keep serving with
+// nothing reaching the disk. Restart it once the cause (disk full, an
+// oversized record, a failed device) is fixed; it recovers like after a
+// crash.
+//
 // # Paged account state
 //
 // -state-cache N bounds how many accounts the replica holds in memory;
@@ -95,6 +104,70 @@ func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "astro-node:", err)
 		os.Exit(1)
+	}
+}
+
+// startGate holds back the endpoint's handler until the node has
+// registered its protocol channels. transport.NewMux installs its handler
+// at once, and Mux.dispatch discards frames for channels nobody has
+// registered yet — so whatever peers and clients sent while NewReplica was
+// still replaying its log would be lost. With the handler withheld, tcpnet
+// parks those frames and delivers them, in arrival order, on open. Both
+// calls come from run's goroutine, before and after NewReplica.
+type startGate struct {
+	transport.Endpoint
+	h      transport.Handler
+	opened bool
+}
+
+func (g *startGate) SetHandler(h transport.Handler) {
+	g.h = h
+	if g.opened {
+		g.Endpoint.SetHandler(h)
+	}
+}
+
+func (g *startGate) open() {
+	g.opened = true
+	if g.h != nil {
+		g.Endpoint.SetHandler(g.h)
+	}
+}
+
+// durabilityCheckEvery is how often a serving node looks for a failed
+// WAL or pager write.
+const durabilityCheckEvery = time.Second
+
+// durabilityErr reports the replica's first failed durable write, if any.
+func durabilityErr(rep *core.Replica) error {
+	if err := rep.WALErr(); err != nil {
+		return fmt.Errorf("event=durability_lost replica=%d cause=wal error=%q", rep.ID(), err)
+	}
+	if err := rep.PagerErr(); err != nil {
+		return fmt.Errorf("event=durability_lost replica=%d cause=pager error=%q", rep.ID(), err)
+	}
+	return nil
+}
+
+// serve blocks until a shutdown signal (nil) or a durability failure (the
+// error to exit with).
+func serve(rep *core.Replica, sig <-chan os.Signal, every time.Duration) error {
+	check := time.NewTicker(every)
+	defer check.Stop()
+	for {
+		select {
+		case <-sig:
+			fmt.Println("astro-node: shutting down")
+			// Flush and fsync buffered work so a graceful stop loses nothing.
+			rep.Close()
+			return nil
+		case <-check.C:
+			// No Close on this path: flushing through a log that has
+			// already refused a write would only pretend to durability.
+			if err := durabilityErr(rep); err != nil {
+				return err
+			}
+		}
 	}
 }
 
@@ -182,7 +255,8 @@ func run() error {
 		ep = sim.WrapBehavior(ep, b)
 		fmt.Printf("astro-node: Byzantine behavior %q armed\n", b.Name())
 	}
-	mux := transport.NewMux(ep)
+	gate := &startGate{Endpoint: ep}
+	mux := transport.NewMux(gate)
 
 	v := core.AstroII
 	if *version == 1 {
@@ -218,6 +292,10 @@ func run() error {
 		StateCacheAccounts: *stateCache,
 	})
 	if err != nil {
+		return err
+	}
+	gate.open()
+	if err := durabilityErr(rep); err != nil {
 		return err
 	}
 
@@ -265,11 +343,7 @@ func run() error {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
-	fmt.Println("astro-node: shutting down")
-	// Flush and fsync buffered work so a graceful stop loses nothing.
-	rep.Close()
-	return nil
+	return serve(rep, sig, durabilityCheckEvery)
 }
 
 // parsePeers parses "0=host:port,1=host:port,...".

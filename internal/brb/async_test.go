@@ -125,8 +125,11 @@ func TestSignedExplicitVerifier(t *testing.T) {
 	if got := h.waitDeliveries(4, 5*time.Second); got != 4 {
 		t.Fatalf("deliveries = %d, want 4", got)
 	}
+	// All four replicas share ver here, and every signer primes the memo
+	// with its own signature (PrimeReplica), so a lookup may never miss:
+	// consultation shows as lookups, hit or miss.
 	hits, misses := ver.MemoStats()
-	if misses == 0 {
+	if hits+misses == 0 {
 		t.Fatal("explicit verifier was never consulted")
 	}
 	// The origin verified each ack individually, so re-verifying its own

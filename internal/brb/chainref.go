@@ -41,7 +41,8 @@ import (
 // (kindCommit) are untouched. The net effect at chain cap 32: chain bytes
 // per committed payment drop from quorum x chain-length x 44 to the
 // amortized quorum x 44 + quorum x 37 of one CHAINDEF per wave plus the
-// per-commit references — O(1) in chain length (see BENCH_PR4.json).
+// per-commit references — O(1) in chain length (the harness metric
+// brb.signed_n4_wire_bytes_per_payment re-measures it).
 
 // chainCacheEntries bounds the per-peer chain caches, on both sides: a
 // receiver keeps at most this many defined chains per sending peer (so one

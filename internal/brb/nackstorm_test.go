@@ -103,3 +103,61 @@ func TestChainNackNonMemberIgnored(t *testing.T) {
 			base.NacksReceived, st.NacksReceived, base.FullSends, st.FullSends)
 	}
 }
+
+// TestSignedMineBounded: the origin's table of its own broadcasts holds
+// the slots in flight plus the most recent committed ones up to the
+// retention budget — it must not grow with the number of slots ever
+// broadcast. A CHAINNACK about a slot still held is answered with the
+// self-contained resend; one about a retired slot costs nothing. The
+// bursts of 256 are the case a count of slots gets wrong: all 256 commit
+// before the NACKs for the first of them arrive.
+func TestSignedMineBounded(t *testing.T) {
+	h := newHarness(t, protoSigned, 4)
+	origin := h.bcs[0].(*Signed)
+	const (
+		slots  = 10_000
+		burst  = 256 // broadcasts in flight at once
+		retain = 512 // committed slots the budget below holds
+	)
+	payload := make([]byte, 64)
+	origin.retainBytes = retain * len(payload)
+	var last uint64
+	for i := 0; i < slots; i++ {
+		slot, err := origin.Broadcast(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = slot
+		if (i+1)%burst != 0 && i+1 != slots {
+			continue
+		}
+		if got := h.waitDeliveries(4*(i+1), 30*time.Second); got < 4*(i+1) {
+			t.Fatalf("deliveries = %d, want %d", got, 4*(i+1))
+		}
+		origin.mu.Lock()
+		n := len(origin.mine)
+		origin.mu.Unlock()
+		if n > retain {
+			t.Fatalf("after %d slots, all committed: len(mine) = %d, want <= %d", i+1, n, retain)
+		}
+	}
+
+	missing := []types.Digest{types.HashBytes([]byte("claimed-missing"))}
+	base := origin.ChainRefStats()
+	// Slots commit in roughly slot order (out of order only within a
+	// burst), so probe well inside and well outside the held range.
+	late := EncodeChainNack(0, last-retain/2, missing)
+	if err := h.muxes[3].Send(transport.ReplicaNode(0), transport.ChanBRB, late); err != nil {
+		t.Fatal(err)
+	}
+	waitStat(t, "FullSends", base.FullSends+1, func() uint64 { return origin.ChainRefStats().FullSends })
+
+	gone := EncodeChainNack(0, last-2*retain, missing)
+	if err := h.muxes[3].Send(transport.ReplicaNode(0), transport.ChanBRB, gone); err != nil {
+		t.Fatal(err)
+	}
+	waitStat(t, "NacksReceived", base.NacksReceived+2, func() uint64 { return origin.ChainRefStats().NacksReceived })
+	if got := origin.ChainRefStats().FullSends; got != base.FullSends+1 {
+		t.Errorf("NACK for a retired slot triggered %d resends", got-base.FullSends-1)
+	}
+}

@@ -68,9 +68,20 @@ type Signed struct {
 
 	mu      sync.Mutex
 	nextOut uint64
-	mine    map[uint64]*outInstance   // my in-flight broadcasts, by slot
+	mine    map[uint64]*outInstance   // my broadcasts, by slot: uncommitted, or recently committed
 	acked   map[instanceID]*ackRecord // instances I have acknowledged
-	order   *fifo
+	// retiring lists the committed slots of mine, oldest first, and
+	// retiringBytes sums their payloads. A committed slot is kept only to
+	// answer CHAINNACKs, which a receiver sends the moment the commit
+	// reaches it — so it can be asked about for as long as the commit may
+	// still sit in a buffer on its way there. The oldest are dropped once
+	// the kept payloads exceed retainBytes (and chainCacheEntries slots
+	// remain), so payload copies and certificates no longer pile up for
+	// the life of the process.
+	retiring      []uint64
+	retiringBytes int
+	retainBytes   int
+	order         *fifo
 	// committing marks instances with a certificate verification in
 	// flight, so re-delivered commits don't spawn duplicate work.
 	committing map[instanceID]struct{}
@@ -121,6 +132,14 @@ type ackRecord struct {
 	delivered bool
 }
 
+// committedRetainBytes is how much committed payload an origin keeps for
+// CHAINNACK answers. A receiver's NACK trails the commit by whatever was
+// queued ahead of it: kernel socket buffers (a few MiB per direction at
+// Linux's autotuning limits) and the bounded dispatch queues. A count of
+// slots cannot stand in for that — a burst of 256 slots commits as one,
+// and the NACKs for its first slots arrive after all 256 commits.
+const committedRetainBytes = 16 << 20
+
 // Errors specific to the signed protocol.
 var ErrNoKeys = errors.New("brb: signed protocol requires Keys and Registry")
 
@@ -148,6 +167,7 @@ func NewSigned(cfg Config) (*Signed, error) {
 		chainsKnown: types.NewPeerCache[[]ChainEntry](chainCacheEntries),
 		chainsSent:  types.NewPeerCache[struct{}](chainCacheEntries),
 		refsWaiting: make(map[types.Digest][]pendingRef),
+		retainBytes: committedRetainBytes,
 	}
 	s.ackSigner = verifier.NewChainSigner(ver, maxSignBatch, verifier.DefaultChainThreshold, s.signSingleAck, s.signAckChain)
 	// Seed the sign-cost estimate with one probe signature, so the first
@@ -403,6 +423,7 @@ func (s *Signed) signSingleAck(e ChainEntry) {
 	if err != nil {
 		return // entropy failure; withholding an ack is always safe
 	}
+	s.ver.PrimeReplica(s.cfg.Self, e.Digest, sig)
 	w := wire.AcquireWriter(ackSize(sig))
 	appendAck(w, e.Origin, e.Slot, e.Digest, sig)
 	_ = s.cfg.Mux.Send(transport.ReplicaNode(e.Origin), transport.ChanBRB, w.Bytes())
@@ -419,6 +440,7 @@ func (s *Signed) signAckChain(batch []ChainEntry, wave *verifier.Wave) {
 	if err != nil {
 		return
 	}
+	s.ver.PrimeReplica(s.cfg.Self, cd, sig)
 	// Self-prime: cache our own chain before any origin's commit can
 	// reference it. In lazy-CHAINDEF mode this is what makes most
 	// definitions unnecessary — every receiver already holds the chains it
@@ -522,6 +544,14 @@ func (s *Signed) ackVerified(id instanceID, peer types.ReplicaID, digest types.D
 	commit := out.cert.Len() >= s.cfg.quorum()
 	if commit {
 		out.committed = true
+		s.retiring = append(s.retiring, id.slot)
+		s.retiringBytes += len(out.payload)
+		for len(s.retiring) > chainCacheEntries && s.retiringBytes > s.retainBytes {
+			oldest := s.retiring[0]
+			s.retiring = s.retiring[1:]
+			s.retiringBytes -= len(s.mine[oldest].payload)
+			delete(s.mine, oldest)
+		}
 	}
 	payload := out.payload
 	cert := out.cert

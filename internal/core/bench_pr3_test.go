@@ -12,7 +12,7 @@ package core
 //     chain signer, where the credit groups of pending settlement waves
 //     collapse into one signature over a digest chain (cap 32).
 //
-// Regenerate BENCH_PR3.json with `make bench-pr3`.
+// Run with `go test -run=NONE -bench 'BenchmarkStripedSettle|BenchmarkCreditSignPipeline' ./internal/core/`.
 
 import (
 	"sync/atomic"

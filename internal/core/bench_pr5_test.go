@@ -8,7 +8,7 @@ package core
 // On one core the two must hold parity; on multi-core the lanes win by
 // goroutine-churn elimination and stripe→lane cache affinity.
 //
-// Regenerate BENCH_PR5.json with `make bench-pr5`.
+// Run with `go test -run=NONE -bench BenchmarkSettleFanout ./internal/core/`.
 
 import (
 	"testing"

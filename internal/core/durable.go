@@ -18,10 +18,13 @@ import (
 // records everything a replica has externalized an opinion about and must
 // not forget across a crash:
 //
-//   - recEndorse: payments this replica endorsed through the BRB validator
-//     — the memory that makes the double-spend check survive a restart (a
-//     recovering replica never adopts endorsement memory from peers; only
-//     its own log can prove what it promised);
+//   - recEndorse: the not-yet-settled payments of a batch this replica
+//     endorsed through the BRB validator, as 32-byte payment bodies back to
+//     back — the memory that makes the double-spend check survive a
+//     restart (a recovering replica never adopts endorsement memory from
+//     peers; only its own log can prove what it promised). Replay binds
+//     them in the in-flight window (endorse.go) and then drops whatever
+//     the replayed xlogs already answer for;
 //   - recBcast: a broadcast-slot reservation — slot plus batch payload,
 //     fsynced (Barrier) before the first wire message, so a restarted
 //     replica never reuses a slot peers may have acked under a different
@@ -36,7 +39,11 @@ import (
 //
 // Compaction snapshots capture the full image (snapshotVersion below); the
 // identical encoding serves reconfig full-state transfer, so a recovering
-// replica is just a joiner with a prefix.
+// replica is just a joiner with a prefix. Per settled payment the image
+// grows by the xlog entry and the beneficiary's used-dependency mark; its
+// endorsement section holds only the in-flight window, so it — and with
+// it the whole manifest of a paged replica — stays at in-flight size
+// however long the replica has run.
 const (
 	recEndorse   byte = 1
 	recSettle    byte = 2
@@ -57,9 +64,11 @@ const defaultWALSnapshotEvery = 4096
 // sections, whose content lives as per-account records in the KV store
 // the snapshot publishes with — restart replays manifest + log tail and
 // faults accounts lazily, instead of decoding a full-state image.
+// Versions 1 and 2 carried the endorsement section as one (identifier,
+// hash) triple per payment ever endorsed; they are refused, not converted.
 const (
-	snapshotVersion         = 1
-	snapshotVersionManifest = 2
+	snapshotVersion         = 3
+	snapshotVersionManifest = 4
 )
 
 // replicaImage is the decoded full image of a replica's durable state.
@@ -69,7 +78,7 @@ type replicaImage struct {
 	nextSlot uint64
 	pending  map[uint64][]byte
 	accounts []AccountExport
-	endorsed map[types.PaymentID]types.Digest
+	endorsed endorseWindow
 	repDeps  map[types.ClientID][]Dependency
 	manifest bool
 }
@@ -88,7 +97,11 @@ func encodeReplicaImage(img replicaImage) []byte {
 		est += 17 + batchSize(ex.Queue) + 4 + 16*len(ex.UsedDeps)
 	}
 	est += reconfig.StateBodySize(xlogs)
-	est += 4 + 48*len(img.endorsed)
+	nEndorsed := 0
+	for _, ps := range img.endorsed {
+		nEndorsed += len(ps)
+	}
+	est += 4 + types.PaymentWireSize*nEndorsed
 	est += 4
 	for _, ds := range img.repDeps {
 		est += 12
@@ -129,21 +142,16 @@ func encodeReplicaImage(img replicaImage) []byte {
 			}
 		}
 	}
-	w.U32(uint32(len(img.endorsed)))
-	eids := make([]types.PaymentID, 0, len(img.endorsed))
-	for id := range img.endorsed {
-		eids = append(eids, id)
+	w.U32(uint32(nEndorsed))
+	spenders := make([]types.ClientID, 0, len(img.endorsed))
+	for c := range img.endorsed {
+		spenders = append(spenders, c)
 	}
-	slices.SortFunc(eids, func(a, b types.PaymentID) int {
-		if a.Spender != b.Spender {
-			return cmp.Compare(a.Spender, b.Spender)
+	slices.Sort(spenders)
+	for _, c := range spenders {
+		for _, p := range img.endorsed[c] {
+			w.AppendFunc(p.AppendBinary)
 		}
-		return cmp.Compare(a.Seq, b.Seq)
-	})
-	for _, id := range eids {
-		w.U64(uint64(id.Spender))
-		w.U64(uint64(id.Seq))
-		w.Bytes32(img.endorsed[id])
 	}
 	w.U32(uint32(len(img.repDeps)))
 	clients := make([]types.ClientID, 0, len(img.repDeps))
@@ -234,16 +242,12 @@ func decodeReplicaImage(data []byte) (replicaImage, error) {
 		}
 	}
 	ne := r.U32()
-	if r.Err() != nil || !countFits(r, ne, 48) {
+	if r.Err() != nil || !countFits(r, ne, types.PaymentWireSize) {
 		return img, fmt.Errorf("core: snapshot endorsement section corrupt")
 	}
-	img.endorsed = make(map[types.PaymentID]types.Digest, ne)
-	for i := uint32(0); i < ne; i++ {
-		id := types.PaymentID{
-			Spender: types.ClientID(r.U64()),
-			Seq:     types.Seq(r.U64()),
-		}
-		img.endorsed[id] = r.Bytes32()
+	img.endorsed = make(endorseWindow)
+	if err := img.endorsed.read(r.Fixed(int(ne) * types.PaymentWireSize)); err != nil {
+		return img, err
 	}
 	nr := r.U32()
 	if r.Err() != nil || !countFits(r, nr, 12) {
@@ -343,11 +347,11 @@ func (r *Replica) captureMeta() replicaImage {
 	}
 	r.repMu.Unlock()
 	r.endorsedMu.Lock()
-	img.endorsed = maps.Clone(r.endorsed)
-	r.endorsedMu.Unlock()
-	if img.endorsed == nil {
-		img.endorsed = make(map[types.PaymentID]types.Digest)
+	img.endorsed = make(endorseWindow, len(r.endorsed))
+	for c, ps := range r.endorsed {
+		img.endorsed[c] = slices.Clone(ps)
 	}
+	r.endorsedMu.Unlock()
 	return img
 }
 
@@ -385,6 +389,11 @@ func (r *Replica) recover(be wal.Backend) error {
 		return err
 	}
 	if r.recovered {
+		// The image's window and the replayed recEndorse records may reach
+		// below what the replayed settlements have since put in the xlogs.
+		for c := range r.endorsed {
+			r.endorsed.prune(c, r.state.NextSeq(c)-1)
+		}
 		r.restoreProjections()
 	}
 	return nil
@@ -440,19 +449,7 @@ func (r *Replica) installImage(img replicaImage) error {
 func (r *Replica) replayRecord(kind byte, payload []byte) error {
 	switch kind {
 	case recEndorse:
-		rd := wire.NewReader(payload)
-		n := rd.U32()
-		if rd.Err() != nil || !countFits(rd, n, 48) {
-			return fmt.Errorf("core: recEndorse record corrupt")
-		}
-		for i := uint32(0); i < n; i++ {
-			id := types.PaymentID{
-				Spender: types.ClientID(rd.U64()),
-				Seq:     types.Seq(rd.U64()),
-			}
-			r.endorsed[id] = rd.Bytes32()
-		}
-		if err := rd.Finish(); err != nil {
+		if err := r.endorsed.read(payload); err != nil {
 			return fmt.Errorf("core: recEndorse record: %w", err)
 		}
 	case recSettle:
@@ -670,10 +667,14 @@ func (r *Replica) MergeFullSnapshot(snap []byte) error {
 			continue
 		}
 		r.state.ImportAccount(ex)
+		r.endorsedMu.Lock()
+		r.endorsed.prune(ex.Client, types.Seq(len(ex.XLog)))
+		r.endorsedMu.Unlock()
 		settled = append(settled, r.state.drain(ex.Client)...)
 	}
 	if len(settled) > 0 {
 		r.settledTotal.Add(uint64(len(settled)))
+		r.pruneEndorsed(settled)
 	}
 	r.requestCreditRedo()
 	return nil

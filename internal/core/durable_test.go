@@ -46,9 +46,9 @@ func testImage() replicaImage {
 			},
 			{Client: 2, Balance: 130, Stuck: true},
 		},
-		endorsed: map[types.PaymentID]types.Digest{
-			{Spender: 1, Seq: 1}: types.HashPayment(pay(1, 1, 2, 30)),
-			{Spender: 5, Seq: 1}: types.HashPayment(pay(5, 1, 6, 10)),
+		endorsed: endorseWindow{
+			1: {pay(1, 2, 3, 10), pay(1, 4, 2, 1)},
+			5: {pay(5, 1, 6, 10)},
 		},
 		repDeps: map[types.ClientID][]Dependency{7: {dep}},
 	}

@@ -206,7 +206,7 @@ func FuzzDecodeReplicaImage(f *testing.F) {
 	f.Add(encodeReplicaImage(testImage()))
 	f.Add(encodeReplicaImage(replicaImage{
 		pending:  map[uint64][]byte{},
-		endorsed: map[types.PaymentID]types.Digest{},
+		endorsed: endorseWindow{},
 		repDeps:  map[types.ClientID][]Dependency{},
 	}))
 
@@ -290,7 +290,7 @@ func FuzzDecodeManifest(f *testing.F) {
 	f.Add(encodeReplicaImage(replicaImage{
 		manifest: true,
 		pending:  map[uint64][]byte{},
-		endorsed: map[types.PaymentID]types.Digest{},
+		endorsed: endorseWindow{},
 		repDeps:  map[types.ClientID][]Dependency{},
 	}), encodeAccountExport(AccountExport{Client: 1}))
 

@@ -314,25 +314,18 @@ func exportLocked(c types.ClientID, a *account) AccountExport {
 		}
 		sortBatchEntries(ex.Queue)
 	}
-	if len(a.usedDeps) > 0 {
-		ex.UsedDeps = make([]types.PaymentID, 0, len(a.usedDeps))
-		for id := range a.usedDeps {
-			ex.UsedDeps = append(ex.UsedDeps, id)
-		}
-		sortPaymentIDs(ex.UsedDeps)
-	}
+	ex.UsedDeps = a.usedDeps.export()
 	return ex
 }
 
 // accountFromExport materializes the in-memory form of one image.
 func accountFromExport(ex AccountExport) *account {
 	a := &account{
-		balance:  ex.Balance,
-		xlog:     NewXLog(ex.Client),
-		queue:    make(map[types.Seq]BatchEntry, len(ex.Queue)),
-		usedDeps: make(map[types.PaymentID]struct{}, len(ex.UsedDeps)),
-		stuck:    ex.Stuck,
-		client:   ex.Client,
+		balance: ex.Balance,
+		xlog:    NewXLog(ex.Client),
+		queue:   make(map[types.Seq]BatchEntry, len(ex.Queue)),
+		stuck:   ex.Stuck,
+		client:  ex.Client,
 	}
 	for _, p := range ex.XLog {
 		a.xlog.Append(p)
@@ -341,7 +334,7 @@ func accountFromExport(ex AccountExport) *account {
 		a.queue[e.Payment.Seq] = e
 	}
 	for _, id := range ex.UsedDeps {
-		a.usedDeps[id] = struct{}{}
+		a.usedDeps.add(id)
 	}
 	return a
 }

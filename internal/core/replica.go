@@ -44,7 +44,8 @@ import (
 //
 // Lock order: creditMu ≺ repMu ≺ State's stripe locks (stripe locks are
 // leaves; repMu holders may read balances, creditMu completion hands off
-// to repMu after release). endorsedMu is independent and never nested.
+// to repMu after release). endorsedMu holders consult the xlogs, so it
+// too precedes the stripe locks; it never nests with creditMu or repMu.
 type Replica struct {
 	cfg Config
 	bc  brb.Broadcaster
@@ -109,10 +110,11 @@ type Replica struct {
 	creditWaves    *types.LRU[types.Digest, retainedWave]
 	creditRefStats types.RefCounters
 
-	// endorsement memory for the BRB external-validity hook; separate
-	// lock because the hook is called from inside the BRB layer.
+	// endorsement memory for the BRB external-validity hook (the in-flight
+	// window of endorse.go); separate lock because the hook is called from
+	// inside the BRB layer.
 	endorsedMu sync.Mutex
-	endorsed   map[types.PaymentID]types.Digest
+	endorsed   endorseWindow
 
 	// stripeFlows pin each settlement stripe to a lane-affine flow of the
 	// configured scheduler runtime (nil in spawn-baseline mode or with a
@@ -197,7 +199,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 		attachedVal:    make(map[types.PaymentID]types.Amount),
 		creditAccum:    make(map[creditKey][]*creditState),
 		submittedHi:    make(map[types.ClientID]types.Seq),
-		endorsed:       make(map[types.PaymentID]types.Digest),
+		endorsed:       make(endorseWindow),
 		pendingBcast:   make(map[uint64][]byte),
 	}
 	// Dependency certificates are verified by screenDependencies on the
@@ -505,53 +507,72 @@ func (r *Replica) validateBatch(origin types.ReplicaID, _ uint64, payload []byte
 // barrier: the residual window is documented in internal/wal, and its
 // failure mode is liveness, never safety, because recovery refuses to
 // adopt endorsement memory from peers).
+//
+// An identifier at or below the spender's settled length is answered by
+// the xlog; everything above it by the in-flight window. endorsedMu is
+// held throughout, so no prune can run in between: whatever this replica
+// endorsed and the window no longer holds has settled, and is found in
+// the xlog read under the lock.
 func (r *Replica) endorseEntries(origin types.ReplicaID, myShard types.ShardID, entries []BatchEntry) bool {
-	var w *wire.Writer
-	if r.wal != nil {
-		w = wire.NewWriter(4 + len(entries)*(16+32))
-		w.U32(uint32(len(entries)))
-	}
-	r.endorsedMu.Lock()
-	inBatch := make(map[types.PaymentID]types.Digest, len(entries))
 	for _, e := range entries {
 		if r.cfg.RepOf(e.Payment.Spender) != origin {
-			r.endorsedMu.Unlock()
 			return false // origin does not represent this spender
 		}
 		if r.cfg.ShardOf(e.Payment.Spender) != myShard {
-			r.endorsedMu.Unlock()
 			return false // xlog belongs to another shard
 		}
-		h := types.HashPayment(e.Payment)
-		if prev, ok := r.endorsed[e.Payment.ID()]; ok && prev != h {
-			r.endorsedMu.Unlock()
-			return false // conflicting payment for the same identifier
-		}
-		// The endorsement memory alone cannot see a conflict *inside* one
-		// batch (nothing is recorded until every entry checks out), so a
-		// batch equivocating against itself must be refused here — settling
-		// it would strand the second variant behind an unfillable sequence
-		// gap and wedge the origin's per-replica FIFO for every client.
-		if prev, ok := inBatch[e.Payment.ID()]; ok && prev != h {
-			r.endorsedMu.Unlock()
-			return false // batch conflicts with itself
-		}
-		inBatch[e.Payment.ID()] = h
 	}
-	for _, e := range entries {
-		h := types.HashPayment(e.Payment)
-		r.endorsed[e.Payment.ID()] = h
-		if w != nil {
-			w.U64(uint64(e.Payment.Spender))
-			w.U64(uint64(e.Payment.Seq))
-			w.Bytes32(h)
+	var rec []byte // recEndorse payload: the unsettled entries, back to back
+	if r.wal != nil {
+		rec = make([]byte, 0, len(entries)*types.PaymentWireSize)
+	}
+	// Bindings are made entry by entry, so a batch equivocating against
+	// itself meets its own first variant — settling such a batch would
+	// strand the second variant behind an unfillable sequence gap and wedge
+	// the origin's per-replica FIFO for every client. fresh lists what this
+	// batch bound, to be undone if a later entry is refused: nothing stays
+	// recorded unless every entry checks out.
+	var fresh []types.Payment
+	var spender types.ClientID
+	var next types.Seq
+	ok := true
+	r.endorsedMu.Lock()
+	for i, e := range entries {
+		p := e.Payment
+		if i == 0 || p.Spender != spender {
+			spender, next = p.Spender, r.state.NextSeq(p.Spender)
+		}
+		if p.Seq < next {
+			if settled, found := r.state.SettledAt(p.Spender, p.Seq); found {
+				if settled != p {
+					ok = false // conflicts with the settled payment
+					break
+				}
+				continue
+			}
+		}
+		bound, inserted := r.endorsed.bind(p)
+		if bound != p {
+			ok = false // conflicting payment for the same identifier
+			break
+		}
+		if inserted {
+			fresh = append(fresh, p)
+		}
+		if r.wal != nil {
+			rec = p.AppendBinary(rec)
+		}
+	}
+	if !ok {
+		for _, p := range fresh {
+			r.endorsed.release(p)
 		}
 	}
 	r.endorsedMu.Unlock()
-	if w != nil {
-		r.wal.Append(recEndorse, w.Bytes())
+	if ok && len(rec) > 0 {
+		r.wal.Append(recEndorse, rec)
 	}
-	return true
+	return ok
 }
 
 // onPaymentMsg handles the client-facing channel. Rejection paths are
@@ -636,12 +657,7 @@ func (r *Replica) nextUsableSeq(c types.ClientID) types.Seq {
 	}
 	r.repMu.Unlock()
 	r.endorsedMu.Lock()
-	for {
-		if _, inflight := r.endorsed[types.PaymentID{Spender: c, Seq: next}]; !inflight {
-			break
-		}
-		next++
-	}
+	next = r.endorsed.nextFree(c, next)
 	r.endorsedMu.Unlock()
 	return next
 }
@@ -652,8 +668,9 @@ func (r *Replica) nextUsableSeq(c types.ClientID) types.Seq {
 // with one they already endorsed, but the refused batch would occupy a BRB
 // slot that never delivers — and per-origin FIFO would then block every
 // later batch from this representative, wedging unrelated clients. The
-// screen consults the same endorsement memory peers will consult, so a
-// doomed payment is refused locally and instantly instead.
+// screen and submit's reservation consult what peers will consult — the
+// xlog here, the in-flight window there — so a doomed payment is refused
+// locally and instantly instead.
 //
 // A byte-identical resubmission of an already-settled payment (a client
 // retrying a lost confirmation) is answered with a fresh confirmation
@@ -678,19 +695,6 @@ func (r *Replica) preScreenSubmit(p types.Payment) bool {
 		r.edge.futureSeq.Add(1)
 		return false
 	}
-	r.endorsedMu.Lock()
-	h, seen := r.endorsed[p.ID()]
-	r.endorsedMu.Unlock()
-	if seen {
-		// Conflicting: peers would refuse the batch (double-spend
-		// protection) and wedge this origin's FIFO. Identical: it is
-		// already in flight; the confirmation will arrive on settlement.
-		// Either way, do not occupy another slot.
-		if h != types.HashPayment(p) {
-			r.edge.conflicting.Add(1)
-		}
-		return false
-	}
 	return true
 }
 
@@ -698,29 +702,38 @@ func (r *Replica) preScreenSubmit(p types.Payment) bool {
 // dependencies (Astro II, Listing 7) and enforcing the projected-balance
 // rule so a correct representative never wedges a client's xlog.
 //
-// The (identifier, content-hash) binding is reserved in the endorsement
-// memory *here*, before the payment sits in the assembly buffer or the
-// held queue: preScreenSubmit's endorsed-map check alone leaves a window
-// — from acceptance until the broadcast batch comes back for endorsement
-// — in which an equivocating twin would pass the same check and land in
-// the same batch, which peers refuse wholesale (wedging this origin's
-// FIFO for every client). The reservation is in-memory only; the WAL
-// record is written at endorsement time as before, which is consistent
-// across a crash because the unbroadcast buffer dies with the process.
+// The identifier is bound to the payment in the endorsement memory
+// *here*, before the payment sits in the assembly buffer or the held
+// queue: checking at endorsement time alone leaves a window — from
+// acceptance until the broadcast batch comes back for endorsement — in
+// which an equivocating twin would be accepted too and land in the same
+// batch, which peers refuse wholesale (wedging this origin's FIFO for
+// every client). The reservation is in-memory only; the WAL record is
+// written at endorsement time, which is consistent across a crash because
+// the unbroadcast buffer dies with the process.
 func (r *Replica) submit(p types.Payment, sig []byte) {
-	id, h := p.ID(), types.HashPayment(p)
 	r.endorsedMu.Lock()
-	if prev, ok := r.endorsed[id]; ok {
-		r.endorsedMu.Unlock()
-		if prev != h {
+	bound, inserted := r.endorsed.bind(p)
+	if inserted {
+		// The pre-screen saw the identifier unsettled, but its in-flight
+		// twin may have settled and been pruned since: the xlog, read
+		// under the lock that excludes pruning, has the last word.
+		if settled, ok := r.state.SettledAt(p.Spender, p.Seq); ok {
+			r.endorsed.release(p)
+			bound, inserted = settled, false
+		}
+	}
+	r.endorsedMu.Unlock()
+	if !inserted {
+		// Conflicting: peers would refuse the batch (double-spend
+		// protection) and wedge this origin's FIFO. Identical: already in
+		// flight; the confirmation arrives on settlement. Either way, do
+		// not occupy another slot.
+		if bound != p {
 			r.edge.conflicting.Add(1)
 		}
-		// Identical: already in flight; the confirmation arrives on
-		// settlement. Either way, do not occupy another slot.
 		return
 	}
-	r.endorsed[id] = h
-	r.endorsedMu.Unlock()
 
 	r.repMu.Lock()
 	if p.Seq > r.submittedHi[p.Spender] {
@@ -737,9 +750,7 @@ func (r *Replica) submit(p types.Payment, sig []byte) {
 				r.edge.heldOverflow.Add(1)
 				r.repMu.Unlock()
 				r.endorsedMu.Lock()
-				if cur, ok := r.endorsed[id]; ok && cur == h {
-					delete(r.endorsed, id)
-				}
+				r.endorsed.release(p)
 				r.endorsedMu.Unlock()
 				return
 			}
@@ -921,6 +932,7 @@ func (r *Replica) onDeliver(origin types.ReplicaID, slot uint64, payload []byte)
 		r.repMu.Unlock()
 	}
 	settled := r.settleEntries(entries)
+	r.pruneEndorsed(settled)
 	if r.wal != nil {
 		// State first, records second: the snapshot build runs on the same
 		// FIFO flow as these appends, so anything it truncates is already
@@ -940,6 +952,24 @@ func (r *Replica) onDeliver(origin types.ReplicaID, slot uint64, payload []byte)
 	if drain {
 		r.drainBroadcasts()
 	}
+}
+
+// pruneEndorsed drops from the endorsement memory the identifiers these
+// settlements moved into the xlogs.
+func (r *Replica) pruneEndorsed(settled []types.Payment) {
+	if len(settled) == 0 {
+		return
+	}
+	r.endorsedMu.Lock()
+	for i, p := range settled {
+		// One spender's settlements are listed in sequence order: the last
+		// of a run prunes for all of it.
+		if i+1 < len(settled) && settled[i+1].Spender == p.Spender {
+			continue
+		}
+		r.endorsed.prune(p.Spender, p.Seq)
+	}
+	r.endorsedMu.Unlock()
 }
 
 // settleEntries applies a delivered batch to the state, fanning the
@@ -1130,6 +1160,7 @@ func (r *Replica) sendCreditSingle(j creditJob) {
 	if err != nil {
 		return // entropy failure; withholding a CREDIT is always safe
 	}
+	r.cfg.Verifier.PrimeReplica(r.cfg.Self, digest, sig)
 	msg := encodeCredit(creditMsg{Signer: r.cfg.Self, Group: j.group, Sig: sig})
 	_ = r.cfg.Mux.Send(transport.ReplicaNode(j.rep), transport.ChanCredit, msg)
 }
@@ -1153,6 +1184,7 @@ func (r *Replica) sendCreditChain(jobs []creditJob, wave *verifier.Wave) {
 	if err != nil {
 		return
 	}
+	r.cfg.Verifier.PrimeReplica(r.cfg.Self, cd, sig)
 	r.retainCreditWave(cd, retainedWave{chain: chain, sig: sig, jobs: jobs})
 	// Self-prime the chain cache: replicas whose wave boundaries align
 	// sign byte-identical chains, so a reference from an aligned peer

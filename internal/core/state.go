@@ -41,7 +41,7 @@ type account struct {
 	balance  types.Amount
 	xlog     *XLog
 	queue    map[types.Seq]BatchEntry
-	usedDeps map[types.PaymentID]struct{}
+	usedDeps usedDepSet
 	// stuck marks an xlog whose next payment was delivered without
 	// sufficient funds under Astro II semantics: the sequence number can
 	// never advance (paper Listing 9's early return). Only a Byzantine
@@ -113,11 +113,10 @@ func (st *stateStripe) account(c types.ClientID, s *State) *account {
 		}
 	}
 	a = &account{
-		balance:  s.genesis(c),
-		xlog:     NewXLog(c),
-		queue:    make(map[types.Seq]BatchEntry),
-		usedDeps: make(map[types.PaymentID]struct{}),
-		client:   c,
+		balance: s.genesis(c),
+		xlog:    NewXLog(c),
+		queue:   make(map[types.Seq]BatchEntry),
+		client:  c,
 	}
 	st.insertAccount(c, a, s)
 	return a
@@ -479,18 +478,60 @@ func sortBatchEntries(entries []BatchEntry) {
 	})
 }
 
-// sortPaymentIDs orders a used-deps export by (spender, seq) — the
-// canonical encoding order.
-func sortPaymentIDs(ids []types.PaymentID) {
-	slices.SortFunc(ids, func(x, y types.PaymentID) int {
-		if x.Spender != y.Spender {
-			if x.Spender < y.Spender {
-				return -1
-			}
-			return 1
+// usedDepSet is an account's set of materialized dependency credits (paper
+// Listing 9's replay filter): per crediting spender, the sequence numbers
+// already credited, ascending. One spender's credits attach in sequence
+// order in normal operation, so membership and insertion are a compare
+// against the slice tail; anything older falls back to binary search.
+type usedDepSet map[types.ClientID][]types.Seq
+
+// has reports whether the credit of payment id has been materialized.
+func (u usedDepSet) has(id types.PaymentID) bool {
+	seqs := u[id.Spender]
+	if n := len(seqs); n == 0 || id.Seq > seqs[n-1] {
+		return false
+	}
+	_, found := slices.BinarySearch(seqs, id.Seq)
+	return found
+}
+
+// add records the credit of payment id, reporting false when it was
+// already there.
+func (u *usedDepSet) add(id types.PaymentID) bool {
+	if *u == nil {
+		*u = make(usedDepSet)
+	}
+	seqs := (*u)[id.Spender]
+	if n := len(seqs); n == 0 || id.Seq > seqs[n-1] {
+		(*u)[id.Spender] = append(seqs, id.Seq)
+		return true
+	}
+	i, found := slices.BinarySearch(seqs, id.Seq)
+	if !found {
+		(*u)[id.Spender] = slices.Insert(seqs, i, id.Seq)
+	}
+	return !found
+}
+
+// export lists the set by (spender, seq) — the canonical encoding order.
+func (u usedDepSet) export() []types.PaymentID {
+	if len(u) == 0 {
+		return nil
+	}
+	spenders := make([]types.ClientID, 0, len(u))
+	n := 0
+	for c, seqs := range u {
+		spenders = append(spenders, c)
+		n += len(seqs)
+	}
+	slices.Sort(spenders)
+	out := make([]types.PaymentID, 0, n)
+	for _, c := range spenders {
+		for _, seq := range u[c] {
+			out = append(out, types.PaymentID{Spender: c, Seq: seq})
 		}
-		return int(x.Seq) - int(y.Seq)
-	})
+	}
+	return out
 }
 
 // ExportAccounts captures every materialized account — resident and, for
@@ -572,7 +613,7 @@ func (s *State) DepUsed(c types.ClientID, id types.PaymentID) bool {
 	st := s.stripeFor(c)
 	st.mu.Lock()
 	if a, ok := st.accounts[c]; ok {
-		_, used := a.usedDeps[id]
+		used := a.usedDeps.has(id)
 		st.mu.Unlock()
 		return used
 	}
@@ -813,11 +854,9 @@ func (s *State) creditDependencies(c types.ClientID, acct *account, deps []Depen
 			if q.Beneficiary != c {
 				continue
 			}
-			if _, used := acct.usedDeps[q.ID()]; used {
-				continue
+			if acct.usedDeps.add(q.ID()) {
+				acct.balance += q.Amount
 			}
-			acct.usedDeps[q.ID()] = struct{}{}
-			acct.balance += q.Amount
 		}
 	}
 }

@@ -7,7 +7,7 @@ package verifier
 // signature checks fanned out and waited on. Memoization is disabled so
 // every iteration pays full verification.
 //
-// Regenerate BENCH_PR5.json with `make bench-pr5`.
+// Run with `go test -run=NONE -bench BenchmarkVerifyBackend ./internal/crypto/verifier/`.
 
 import (
 	"testing"

@@ -404,6 +404,16 @@ func (v *Verifier) VerifyReplica(reg *crypto.Registry, id types.ReplicaID, diges
 	return v.verifyMemoized(k, func() bool { return reg.VerifySig(id, digest, sig) })
 }
 
+// PrimeReplica records sig as replica id's valid signature over digest
+// without checking it. It is for the signer itself, right after signing:
+// its own ack inside a commit certificate and its own CREDIT inside a
+// dependency certificate then resolve from the memo instead of paying
+// ECDSA for a signature this process produced. The memo key includes the
+// signature bytes, so nothing but that exact signature is vouched for.
+func (v *Verifier) PrimeReplica(id types.ReplicaID, digest types.Digest, sig []byte) {
+	v.memo.put(memoKey(domainReplica, uint64(id), digest, sig), true)
+}
+
 // VerifyReplicaAsync schedules a memoized replica-signature check. The
 // callback, if non-nil, runs exactly once with the result; on a memo hit
 // it runs immediately on the caller.

@@ -68,6 +68,47 @@ func TestVerifyReplicaMemo(t *testing.T) {
 	}
 }
 
+// TestPrimeReplicaVouchesForOneSignature: priming makes exactly the
+// primed (signer, digest, signature) a memo hit. A different signature
+// over the same digest — valid or forged — and the same signature under
+// another signer still go to ECDSA and get their true verdict.
+func TestPrimeReplicaVouchesForOneSignature(t *testing.T) {
+	v := New(2)
+	defer v.Close()
+	d := types.HashBytes([]byte("m"))
+	reg, keys, _ := testRegistry(t, 2, d)
+	sign := func() []byte {
+		sig, err := keys[0].Sign(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sig
+	}
+	own, other := sign(), sign() // ECDSA is randomized: two valid signatures, different bytes
+	forged := append([]byte(nil), own...)
+	forged[len(forged)-1] ^= 0xff
+
+	v.PrimeReplica(0, d, own)
+	if !v.VerifyReplica(reg, 0, d, own) {
+		t.Fatal("primed signature rejected")
+	}
+	if h, m := v.MemoStats(); h != 1 || m != 0 {
+		t.Fatalf("primed signature: hits=%d misses=%d, want 1/0", h, m)
+	}
+	if !v.VerifyReplica(reg, 0, d, other) {
+		t.Fatal("second valid signature rejected")
+	}
+	if v.VerifyReplica(reg, 0, d, forged) {
+		t.Fatal("forged signature over a primed digest accepted")
+	}
+	if v.VerifyReplica(reg, 1, d, own) {
+		t.Fatal("primed signature accepted under another signer")
+	}
+	if h, m := v.MemoStats(); h != 1 || m != 3 {
+		t.Fatalf("unprimed signatures: hits=%d misses=%d, want 1/3", h, m)
+	}
+}
+
 func TestVerifyAsyncCallback(t *testing.T) {
 	v := New(2)
 	defer v.Close()

@@ -29,7 +29,11 @@
 //   - Endorsements and settled batches are appended asynchronously and
 //     reach disk at the next tail sync or Barrier. An endorsement ack may
 //     therefore be on the wire before its record is durable; the window is
-//     one Sync batch. See "Residual windows" below.
+//     one Sync batch. See "Residual windows" below. An endorsement record
+//     lists the endorsed batch's not-yet-settled payments, 32 bytes each;
+//     once a payment settles, the settled-batch record (and later the
+//     snapshot's xlog) is what remembers it, so neither the log nor the
+//     snapshot keeps endorsements for longer than they are in flight.
 //   - Snapshots are written to a temporary file, fsynced, atomically
 //     renamed over the previous snapshot, the directory fsynced, and only
 //     then is the log truncated. A crash between rename and truncate
