@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench fuzz-smoke chaos-smoke chaos-smoke-tcp soak profile profile-mem check verify
+.PHONY: all build test vet race fuzz-smoke chaos-smoke chaos-smoke-tcp soak profile-mem check verify
 
 all: check
 
@@ -34,16 +34,10 @@ race:
 	$(GO) test -race ./internal/sched/... ./internal/types/... ./internal/transport/... ./internal/crypto/... ./internal/brb/... ./internal/core/... ./internal/wal/... ./internal/kv/...
 	$(GO) test -race -run 'Byzantine|Equivocation|Chaos|Partition|Reconfiguration|Auditor|LinkDelay' ./internal/sim/
 
-# Headline benchmarks: parallel certificate verification, signed BRB, and
-# the end-to-end ECDSA settlement path.
-bench:
-	$(GO) test -run=NONE -bench 'BenchmarkVerifyCertificateParallel|BenchmarkVerifyBatchClientSigs' -benchtime=100x ./internal/crypto/
-	$(GO) test -run=NONE -bench 'BenchmarkSignedN10' -benchtime=1000x ./internal/brb/
-	$(GO) test -run=NONE -bench 'BenchmarkSettleBatchECDSA' -benchtime=500x ./internal/core/
-
-# End-to-end and per-layer numbers come from the one harness in benchmark/
-# (see benchmark/README.md): `bash benchmark/run.sh --workload tcp4-mem
-# --seed 1 --seconds 26 --trace 0`, `-layers`, `-compare a.jsonl b.jsonl`.
+# Benchmark numbers, end to end and per layer, come from the one harness
+# in benchmark/ (see benchmark/README.md): `bash benchmark/run.sh
+# --workload tcp4-mem --seed 1 --seconds 26 --trace 0`, `-layers`,
+# `-compare a.jsonl b.jsonl`; `--trace 1` adds the CPU profile.
 
 # Short fuzz pass over every wire/record decoder harness — the three
 # generations of chain-ref forms (brb), the credit channel, durable
@@ -90,14 +84,6 @@ SOAK_DURATION ?= 2m
 SOAK_FLAGS ?=
 soak:
 	$(GO) run ./cmd/astro-soak -duration $(SOAK_DURATION) $(SOAK_FLAGS)
-
-# Mutex-contention profile of the settlement engine: runs the striped
-# settle benchmark with mutex profiling and prints the top contended
-# call paths (artifacts: core.test, mutex.out).
-profile:
-	$(GO) test -run=NONE -bench BenchmarkStripedSettle -benchtime=200000x \
-		-mutexprofile=mutex.out -o core.test ./internal/core/
-	$(GO) tool pprof -top -nodecount=20 core.test mutex.out
 
 # Heap profile of the paged state at scale: runs the 100k-account rows
 # of the bytes/account grid under -memprofile and prints the top

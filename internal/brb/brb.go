@@ -102,24 +102,6 @@ type Config struct {
 	// independently, so it tolerates out-of-order slot delivery; only a
 	// recovering replica should set this.
 	Unordered bool
-
-	// CommitSpawn selects the PR 1–8 goroutine-per-commit coordinators
-	// (Signed only): each inbound commit spawns a goroutine that blocks on
-	// the fanned-out certificate verification. Off — the default — commit
-	// verification is continuation-style: the completion callback re-enters
-	// the FIFO delivery drain on whichever lane finishes the tally, and
-	// steady-state settlement spawns zero goroutines per commit. Kept as
-	// the measured baseline, per the PR 1–5 convention.
-	CommitSpawn bool
-
-	// EagerChainDefs restores the PR 4 behavior of sending every CHAINDEF
-	// ahead of the first COMMITREF that references it (Signed only). Off —
-	// the default — definitions are lazy: references go out immediately and
-	// a chain is defined only when a receiver demands it (CHAINNACK),
-	// saving the definitions receivers never need (each replica already
-	// knows its own chains, and a chain learned from any peer resolves
-	// references from every origin). Kept as the measured baseline.
-	EagerChainDefs bool
 }
 
 // Errors returned by Broadcast.

@@ -20,22 +20,20 @@ import (
 //     chain no valid signature will ever match;
 //   - COMMITREF is a COMMIT whose certificate signatures name their chains
 //     by digest (plus the instance's index in the chain) instead of
-//     carrying them inline. The sender tracks, per destination, which
-//     digests it has already transmitted (an LRU of the same capacity and
-//     policy as the receiver's, so both sides age in lockstep) and emits
-//     the CHAINDEF ahead of the first reference on the same FIFO channel;
-//   - CHAINNACK is the fallback: a receiver that cannot resolve enough
+//     carrying them inline. Definitions are lazy: the sender withholds
+//     the CHAINDEF, because a receiver already holds every chain it signed
+//     itself and every chain any peer's ACKBATCH or CHAINDEF taught it;
+//   - CHAINNACK is the demand: a receiver that cannot resolve enough
 //     references for a quorum — the chain was evicted, or never seen —
-//     names the missing digests, and the origin degrades to the
-//     self-contained legacy COMMITBATCH for that slot (and forgets the
-//     digests were sent, so the next wave re-defines them). Delivery is
-//     therefore never stalled by a cache miss, only detoured through the
-//     PR 3 encoding. The same fallback absorbs transports that do not
-//     keep per-link FIFO (a jittered memnet latency model can deliver a
-//     reference before its definition): a premature reference costs one
-//     NACK round trip, never a lost commit. A Byzantine NACK stream costs
-//     one bounded unicast resend per NACK (the legacy form the peer could
-//     have requested anyway) and evicts nothing from anyone else's cache.
+//     parks the reference and names the missing digests, and the origin
+//     answers with those CHAINDEFs followed by the COMMITREF again on the
+//     same FIFO channel. A NACK naming a digest the commit does not carry
+//     is answered with the self-contained COMMITTAB instead. Delivery is
+//     therefore never stalled by a cache miss, only delayed by one round
+//     trip, and a transport that does not keep per-link FIFO (a jittered
+//     memnet latency model) costs at most another. A Byzantine NACK stream
+//     costs one bounded unicast answer per NACK and evicts nothing from
+//     anyone else's cache.
 //
 // Legacy ACKBATCH/COMMITBATCH remain fully decodable; single-slot commits
 // (kindCommit) are untouched. The net effect at chain cap 32: chain bytes
@@ -61,7 +59,7 @@ const chainCacheEntries = 64
 type ChainRefStats = types.RefStats
 
 // learnChain caches a chain defined by peer under its digest, then
-// re-runs any references parked waiting for it (lazy-CHAINDEF mode).
+// re-runs any references parked waiting for it.
 // Chains longer than maxSignBatch are never produced by an honest drain
 // loop and are not cached (bounding per-entry memory); the commit they
 // arrived in still verifies through its own inline copy.
@@ -81,9 +79,9 @@ func (s *Signed) learnChain(peer types.ReplicaID, digest types.Digest, chain []C
 // recently used (mirroring the sender's touch on every reference). A miss
 // in peer's section falls through to every other peer's: chains are
 // content-addressed (the digest is recomputed from the learned bytes), so
-// whoever defined a chain, it is THE chain — and in lazy-CHAINDEF mode a
-// chain demanded once (or signed by this replica itself) resolves the
-// references every origin sends afterwards.
+// whoever defined a chain, it is THE chain — so a chain demanded once (or
+// signed by this replica itself) resolves the references every origin
+// sends afterwards.
 func (s *Signed) knownChain(peer types.ReplicaID, digest types.Digest) ([]ChainEntry, bool) {
 	s.chainMu.Lock()
 	defer s.chainMu.Unlock()
@@ -94,9 +92,9 @@ func (s *Signed) knownChain(peer types.ReplicaID, digest types.Digest) ([]ChainE
 }
 
 // pendingRef is a COMMITREF parked while its chain definition is in
-// flight (lazy-CHAINDEF mode): the receiver NACKs a missing digest once
-// and parks later references to it instead of NACK-storming, then re-runs
-// them when the definition lands. The slices alias the transport frame —
+// flight: the receiver NACKs a missing digest once and parks later
+// references to it instead of NACK-storming, then re-runs them when the
+// definition lands. The slices alias the transport frame —
 // both endpoints hand each message a private buffer, the same ownership
 // the delivery queue already relies on.
 type pendingRef struct {

@@ -92,96 +92,15 @@ func TestChainRefCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSignedCommitRefOncePerDestination is the wire-amortization
-// acceptance test at the protocol level, under the PR 4 eager-definition
-// baseline: a burst of k broadcasts whose acks batch into chains must
-// commit through COMMITREFs — the chain crossing the wire once per
-// destination (CHAINDEF), not once per slot — with no NACK round trips
-// and no legacy fallback.
-func TestSignedCommitRefOncePerDestination(t *testing.T) {
-	pool := verifier.New(1)
-	defer pool.Close()
-	h := newHarness(t, protoSigned, 4, func(c *Config) {
-		c.Verifier = pool
-		c.EagerChainDefs = true
-	})
-
-	gate := make(chan struct{})
-	entered := make(chan struct{})
-	go pool.Async(func() {
-		close(entered)
-		<-gate
-	})
-	<-entered
-
-	const k = 6
-	for i := 1; i <= k; i++ {
-		if _, err := h.bcs[0].Broadcast([]byte(fmt.Sprintf("m%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, bc := range h.bcs {
-		s := bc.(*Signed)
-		deadline := time.Now().Add(5 * time.Second)
-		for s.ackSigner.Pending() != k {
-			if time.Now().After(deadline) {
-				t.Fatalf("pending acks = %d, want %d", s.ackSigner.Pending(), k)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	close(gate)
-
-	want := 4 * k
-	if got := h.waitDeliveries(want, 15*time.Second); got != want {
-		t.Fatalf("deliveries = %d, want %d", got, want)
-	}
-
-	origin := h.bcs[0].(*Signed)
-	st := origin.ChainRefStats()
-	if st.RefsSent != uint64(4*k) {
-		t.Fatalf("origin sent %d COMMITREFs, want %d (one per slot per destination)", st.RefsSent, 4*k)
-	}
-	// Each acker signs its k pending acks as ONE chain, so at most 4
-	// distinct chains exist; each crosses the wire at most once per
-	// destination — against k x quorum x destinations inline copies in the
-	// legacy encoding.
-	if st.DefsSent == 0 || st.DefsSent > 4*4 {
-		t.Fatalf("origin sent %d CHAINDEFs, want 1..16 (once per chain per destination)", st.DefsSent)
-	}
-	if st.FullSends != 0 || st.NacksReceived != 0 {
-		t.Fatalf("legacy fallback engaged without cache misses: %+v", st)
-	}
-	var hits uint64
-	for _, bc := range h.bcs {
-		rs := bc.(*Signed).ChainRefStats()
-		hits += rs.RefHits
-		if rs.NacksSent != 0 {
-			t.Fatalf("receiver NACKed during the happy path: %+v", rs)
-		}
-	}
-	if hits == 0 {
-		t.Fatal("no reference ever resolved against a chain cache")
-	}
-	// FIFO preserved through the reference path.
-	for r := 0; r < 4; r++ {
-		d := h.deliveriesAt(types.ReplicaID(r))
-		for i, dv := range d {
-			if dv.slot != uint64(i+1) {
-				t.Fatalf("replica %d delivery %d = slot %d", r, i, dv.slot)
-			}
-		}
-	}
-}
-
-// TestSignedLazyChainDefsDeliverAndSave is the same burst under the PR 9
-// lazy default: no definition is sent ahead of a reference, so receivers
-// missing a chain demand it (one NACK, answered with the definitions plus
-// the reference — never the legacy full form), while the origin itself and
-// each acker's own chain resolve without any round trip (ACKBATCH learning
-// and sign-time self-priming). Every delivery still completes in FIFO
-// order, and the deferred-minus-demanded gap is the definition traffic
-// eager mode would have sent for nothing.
+// TestSignedLazyChainDefsDeliverAndSave is the wire-amortization
+// acceptance test at the protocol level: a burst of k broadcasts whose
+// acks batch into chains must commit through COMMITREFs with no definition
+// sent ahead of a reference, so receivers missing a chain demand it (one
+// NACK, answered with the definitions plus the reference — never the
+// self-contained full form), while the origin itself and each acker's own
+// chain resolve without any round trip (ACKBATCH learning and sign-time
+// self-priming). Every delivery still completes in FIFO order, and the
+// deferred-minus-demanded gap is the definition traffic nobody needed.
 func TestSignedLazyChainDefsDeliverAndSave(t *testing.T) {
 	pool := verifier.New(1)
 	defer pool.Close()
@@ -220,16 +139,16 @@ func TestSignedLazyChainDefsDeliverAndSave(t *testing.T) {
 
 	st := h.bcs[0].(*Signed).ChainRefStats()
 	if st.FullSends != 0 {
-		t.Fatalf("lazy mode fell back to the legacy full form: %+v", st)
+		t.Fatalf("fell back to the self-contained full form: %+v", st)
 	}
 	if st.DefsDeferred == 0 {
 		t.Fatalf("no definition was ever deferred: %+v", st)
 	}
 	if st.DefsSent != st.DefsDemanded {
-		t.Fatalf("sent %d defs but %d were demanded — an eager send leaked: %+v", st.DefsSent, st.DefsDemanded, st)
+		t.Fatalf("sent %d defs but %d were demanded — an undemanded send leaked: %+v", st.DefsSent, st.DefsDemanded, st)
 	}
 	if st.DefsDemanded >= st.DefsDeferred {
-		t.Fatalf("lazy mode saved nothing: deferred %d, demanded %d", st.DefsDeferred, st.DefsDemanded)
+		t.Fatalf("lazy definitions saved nothing: deferred %d, demanded %d", st.DefsDeferred, st.DefsDemanded)
 	}
 	// FIFO preserved through parking, NACK answers, and re-sent references.
 	for r := 0; r < 4; r++ {

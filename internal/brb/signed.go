@@ -8,7 +8,6 @@ import (
 
 	"astro/internal/crypto"
 	"astro/internal/crypto/verifier"
-	"astro/internal/sched"
 	"astro/internal/transport"
 	"astro/internal/types"
 	"astro/internal/wire"
@@ -44,19 +43,16 @@ import (
 //   - ack signatures arriving at the origin are checked asynchronously and
 //     re-enter the state machine through a completion callback; a chain
 //     signature is checked once for all the instances it endorses;
-//   - commit certificates verify continuation-style (PR 9): the cheap
-//     prepass runs on a verifier task, the signature checks fan out with
-//     early exit, and the completion callback re-enters the FIFO delivery
-//     drain on whichever lane settles the tally — no goroutine is spawned
-//     per commit. Handing the commit to the verifier blocks the dispatch
-//     goroutine only when the pool queue is full, which is the same
-//     backpressure the old bounded coordinators provided. In the
-//     fast-verify regime (sim HMACs) the whole verification runs
-//     synchronously inline, skipping the continuation overhead. The PR 1–8
-//     goroutine-per-commit coordinators remain selectable as the measured
-//     baseline (Config.CommitSpawn). Chain signatures inside certificates
-//     hit the verifier memo, so a chain of k slots costs one ECDSA across
-//     all k commits carrying it.
+//   - commit certificates verify continuation-style: the cheap prepass
+//     runs on a verifier task, the signature checks fan out with early
+//     exit, and the completion callback re-enters the FIFO delivery drain
+//     on whichever lane settles the tally — no goroutine is spawned per
+//     commit. A saturated pool runs the task on the dispatch goroutine
+//     instead, which is the backpressure that bounds in-flight commits.
+//     In the fast-verify regime (sim HMACs) the whole verification runs
+//     synchronously inline, skipping the continuation overhead. Chain
+//     signatures inside certificates hit the verifier memo, so a chain of
+//     k slots costs one ECDSA across all k commits carrying it.
 //
 // Because verifications may complete out of order, deliveries are staged
 // through the per-origin FIFO under the instance lock and then drained by
@@ -111,7 +107,7 @@ type Signed struct {
 	chainsKnown *types.PeerCache[[]ChainEntry]
 	chainsSent  *types.PeerCache[struct{}]
 	// refsWaiting parks COMMITREFs whose chain definition is in flight
-	// (lazy-CHAINDEF mode): keyed by missing digest, drained by learnChain,
+	// (lazy CHAINDEF): keyed by missing digest, drained by learnChain,
 	// bounded by maxWaitingRefs. Guarded by chainMu.
 	refsWaiting      map[types.Digest][]pendingRef
 	refsWaitingCount int
@@ -314,7 +310,7 @@ func (s *Signed) onMessage(from transport.NodeID, payload []byte) {
 		// NACK fallback re-primes the cache this way, since the legacy
 		// resend carries every chain in full; only group members get a
 		// cache) and the certificate's memoized ChainDigest, so
-		// verifyAckCert does not rehash. Learning runs on the dispatch
+		// ackCertItems does not rehash. Learning runs on the dispatch
 		// goroutine, but only on this legacy/fallback path.
 		member := s.membership(peer)
 		for i := range cert.Sigs {
@@ -442,7 +438,7 @@ func (s *Signed) signAckChain(batch []ChainEntry, wave *verifier.Wave) {
 	}
 	s.ver.PrimeReplica(s.cfg.Self, cd, sig)
 	// Self-prime: cache our own chain before any origin's commit can
-	// reference it. In lazy-CHAINDEF mode this is what makes most
+	// reference it. Under lazy CHAINDEF this is what makes most
 	// definitions unnecessary — every receiver already holds the chains it
 	// signed, so references to them never NACK. The ChainSigner's drain
 	// hands the flush callback ownership of the batch slice, so caching it
@@ -495,7 +491,7 @@ func (s *Signed) handleAck(id instanceID, peer types.ReplicaID, digest types.Dig
 func (s *Signed) handleAckBatch(peer types.ReplicaID, chain []ChainEntry, sig []byte) {
 	// Cache the acker's chain like an unsolicited CHAINDEF (same
 	// membership gate, same content-addressed soundness — the digest is
-	// recomputed from the bytes in hand). In lazy-CHAINDEF mode this is
+	// recomputed from the bytes in hand). Under lazy CHAINDEF this is
 	// the second half of the no-NACK steady state: when every replica
 	// originates traffic, every chain touches every origin, so each
 	// replica learns each acker's chain here before any COMMITREF can
@@ -613,13 +609,11 @@ func (s *Signed) buildRefSigs(id instanceID, digest types.Digest, cert AckCert) 
 // complete. A certificate of only single-slot signatures takes the
 // original crypto.Certificate wire form (kindCommit) — the
 // backward-compatible fallback. Chain signatures take the chain-reference
-// form: the COMMITREF is encoded once (it is destination-independent);
-// chain definitions are withheld by default (lazy CHAINDEF — receivers
-// already know their own chains and any chain learned from any peer, and
-// demand the rest by NACK), or, in the eager baseline
-// (Config.EagerChainDefs), each destination that has not yet seen a
-// referenced chain receives its CHAINDEF ahead of the reference on the
-// same FIFO channel.
+// form: the COMMITREF is encoded once (it is destination-independent) and
+// chain definitions are withheld (lazy CHAINDEF) — receivers already know
+// their own chains and any chain learned from any peer, and demand the
+// rest by NACK (handleChainNack answers with the definition; most never
+// ask).
 func (s *Signed) sendCommit(id instanceID, payload []byte, digest types.Digest, cert AckCert) {
 	if cert.allPlain() {
 		// Single-slot certificates stay on the legacy wire form; they
@@ -639,35 +633,17 @@ func (s *Signed) sendCommit(id instanceID, payload []byte, digest types.Digest, 
 	ref := wire.AcquireWriter(commitRefSize(payload, sigs))
 	appendCommitRef(ref, id.origin, id.slot, payload, sigs)
 	for _, p := range s.cfg.Peers {
-		dest := transport.ReplicaNode(p)
 		for i := range defs {
+			// Record the withheld definition once per (chain, destination).
 			// chainSentTo touches the entry, keeping the sender's sent-set
-			// aging in lockstep with the receiver's cache; the mark lands
-			// only after the Send returns, so any goroutine that observes
-			// it orders its reference behind this definition on the FIFO
-			// channel. After the wave's first commit every destination has
-			// the chain and the loop costs one cache probe per chain.
-			if s.chainSentTo(p, defs[i].digest) {
-				continue
-			}
-			if !s.cfg.EagerChainDefs {
-				// Lazy mode: withhold the definition and record the
-				// deferral once per (chain, destination) — exactly what
-				// the eager baseline would have sent. A receiver that
-				// actually needs the chain demands it (handleChainNack
-				// answers with the definition); most never do.
+			// aging in lockstep with the receiver's cache; after the wave's
+			// first commit the loop costs one cache probe per chain.
+			if !s.chainSentTo(p, defs[i].digest) {
 				s.markChainSent(p, defs[i].digest)
 				s.refStats.DefsDeferred.Add(1)
-				continue
 			}
-			if defs[i].enc == nil {
-				defs[i].enc = EncodeChainDef(defs[i].chain)
-			}
-			_ = s.cfg.Mux.Send(dest, transport.ChanBRB, defs[i].enc)
-			s.refStats.DefsSent.Add(1)
-			s.markChainSent(p, defs[i].digest)
 		}
-		_ = s.cfg.Mux.Send(dest, transport.ChanBRB, ref.Bytes())
+		_ = s.cfg.Mux.Send(transport.ReplicaNode(p), transport.ChanBRB, ref.Bytes())
 		s.refStats.RefsSent.Add(1)
 	}
 	ref.Release()
@@ -723,28 +699,14 @@ func (s *Signed) beginCommit(id instanceID) bool {
 // out with 2f+1 early exit, and the completion callback re-enters the
 // FIFO delivery drain — zero goroutines per commit. The fast-verify
 // regime (cheap sim HMACs) skips the hand-off and runs the whole thing
-// synchronously here; Config.CommitSpawn restores the goroutine-per-
-// commit baseline.
+// synchronously here.
 func (s *Signed) handleCommit(id instanceID, payload []byte, cert crypto.Certificate) {
 	if !s.beginCommit(id) {
 		return
 	}
-	if s.cfg.CommitSpawn {
-		// Baseline: a coordinator goroutine blocks on the fanned-out
-		// checks. Routed through sched.Go so the spawn guard counts it.
-		sched.Go(func() {
-			d := SignedDigest(id.origin, id.slot, payload)
-			err := s.ver.VerifyCertificate(s.cfg.Registry, cert, d, s.cfg.quorum(), s.membership)
-			s.commitVerified(id, d, payload, err == nil)
-		})
-		return
-	}
 	if s.ver.FastVerify() {
-		// Cheap-check regime: inline beats any hand-off. VerifyCertificate
-		// itself finishes serially on this goroutine when checks are cheap
-		// (single worker or a near-resolved prepass); for wider fan-outs
-		// the Detached form below is still the safe default, so gate on
-		// the measured cost alone.
+		// Cheap-check regime: inline beats any hand-off, so gate on the
+		// measured cost alone.
 		d := SignedDigest(id.origin, id.slot, payload)
 		err := s.ver.VerifyCertificateInline(s.cfg.Registry, cert, d, s.cfg.quorum(), s.membership)
 		s.commitVerified(id, d, payload, err == nil)
@@ -773,14 +735,6 @@ func (s *Signed) handleCommit(id instanceID, payload []byte, cert crypto.Certifi
 // chain actually carries this instance's entry.
 func (s *Signed) handleCommitBatch(id instanceID, payload []byte, cert AckCert) {
 	if !s.beginCommit(id) {
-		return
-	}
-	if s.cfg.CommitSpawn {
-		sched.Go(func() {
-			d := SignedDigest(id.origin, id.slot, payload)
-			ok := s.verifyAckCert(id, d, cert)
-			s.commitVerified(id, d, payload, ok)
-		})
 		return
 	}
 	if s.ver.FastVerify() {
@@ -834,7 +788,7 @@ func (s *Signed) handleCommitRef(id instanceID, peer types.ReplicaID, payload []
 		// The carried index locates this instance's entry in O(1): a
 		// reference whose indexed entry names another instance cannot
 		// endorse this one, and is dropped before any verification work.
-		// The entry's digest is bound later, by verifyAckCert, against
+		// The entry's digest is bound later, by ackCertItems, against
 		// the payload hash computed off this dispatch goroutine.
 		if int(rs.Idx) >= len(chain) {
 			continue // reference cannot be valid; treat as no endorsement
@@ -856,20 +810,17 @@ func (s *Signed) handleCommitRef(id instanceID, peer types.ReplicaID, payload []
 		if done {
 			return
 		}
-		if !s.cfg.EagerChainDefs {
-			// Lazy mode: park the reference on its LAST missing digest —
-			// a NACK is answered with definitions in certificate order, so
-			// by the time the last one lands and learnChain re-runs the
-			// parked reference, the earlier ones are already cached and the
-			// re-run resolves outright instead of re-parking per digest.
-			// Only the digest's first waiter NACKs; followers ride the same
-			// answer. A parked reference evicted by the bound falls back to
-			// the NACK round trip, so delivery never depends on buffer
-			// capacity.
-			parked, nack := s.parkRef(missing[len(missing)-1], pendingRef{id: id, peer: peer, payload: payload, sigs: sigs})
-			if parked && !nack {
-				return
-			}
+		// Park the reference on its LAST missing digest — a NACK is
+		// answered with definitions in certificate order, so by the time
+		// the last one lands and learnChain re-runs the parked reference,
+		// the earlier ones are already cached and the re-run resolves
+		// outright instead of re-parking per digest. Only the digest's
+		// first waiter NACKs; followers ride the same answer. A parked
+		// reference evicted by the bound falls back to the NACK round trip,
+		// so delivery never depends on buffer capacity.
+		parked, nack := s.parkRef(missing[len(missing)-1], pendingRef{id: id, peer: peer, payload: payload, sigs: sigs})
+		if parked && !nack {
+			return
 		}
 		w := wire.AcquireWriter(chainNackSize(missing))
 		appendChainNack(w, id.origin, id.slot, missing)
@@ -882,12 +833,12 @@ func (s *Signed) handleCommitRef(id instanceID, peer types.ReplicaID, payload []
 }
 
 // handleChainNack runs at the origin: a destination could not resolve
-// chain references for one of our commits. In lazy-CHAINDEF mode this is
-// the demand path: answer with exactly the CHAINDEFs the receiver named,
+// chain references for one of our commits. This is the demand path of
+// lazy CHAINDEF: answer with exactly the CHAINDEFs the receiver named,
 // followed by the COMMITREF again, on the same FIFO channel. When a named
 // digest is not one of this commit's chains (a stale NACK about an
-// earlier wave, or eager mode) degrade to the self-contained resend after
-// forgetting the digests were sent, so the next wave re-defines them.
+// earlier wave) degrade to the self-contained resend after forgetting the
+// digests were sent, so the next wave re-defines them.
 func (s *Signed) handleChainNack(id instanceID, peer types.ReplicaID, missing []types.Digest) {
 	if id.origin != s.cfg.Self {
 		return // we only resend our own commits
@@ -909,14 +860,14 @@ func (s *Signed) handleChainNack(id instanceID, peer types.ReplicaID, missing []
 	}
 	payload, digest, cert := out.payload, out.digest, out.cert
 	s.mu.Unlock()
-	if !s.cfg.EagerChainDefs && s.answerNackWithDefs(id, peer, payload, digest, cert, missing) {
+	if s.answerNackWithDefs(id, peer, payload, digest, cert, missing) {
 		return
 	}
 	s.forgetChainsSent(peer, missing)
 	s.sendCommitFull(id, payload, cert, peer)
 }
 
-// answerNackWithDefs serves a lazy-mode demand: when every digest the
+// answerNackWithDefs serves a demand: when every digest the
 // receiver named is one of this commit's certificate chains, send those
 // CHAINDEFs and then the COMMITREF again — FIFO ordering guarantees the
 // definitions land first, and learnChain on the receiver re-runs any
@@ -968,46 +919,20 @@ func (s *Signed) answerNackWithDefs(id instanceID, peer types.ReplicaID, payload
 	return true
 }
 
-// verifyAckCert checks that an extended certificate carries a quorum of
-// valid endorsements of (id, d). Like verifier.VerifyCertificate it
-// accepts as soon as quorum valid signatures are confirmed (extra invalid
-// or irrelevant ones are ignored — a quorum of valid endorsements is
-// exactly what the protocol needs); duplicate signers count once.
-func (s *Signed) verifyAckCert(id instanceID, d types.Digest, cert AckCert) bool {
-	need := s.cfg.quorum()
-	items := s.ackCertItems(id, d, cert)
-	if len(items) < need {
-		return false
-	}
-	futures := make([]*verifier.Future, 0, len(items))
-	for _, it := range items {
-		futures = append(futures, s.ver.VerifyReplicaAsync(s.cfg.Registry, it.replica, it.digest, it.sig, nil))
-	}
-	valid := 0
-	for i, f := range futures {
-		if f.Wait() {
-			valid++
-			if valid >= need {
-				return true
-			}
-		}
-		if valid+len(futures)-1-i < need {
-			return false // quorum out of reach; skip the stragglers
-		}
-	}
-	return false
-}
-
-// ackCertItems performs verifyAckCert's cheap serial filtering — dedupe,
-// membership, chain endorsement, chain-digest memoization — returning the
-// (replica, digest, sig) triples left to verify. Shared by the blocking,
-// synchronous, and continuation variants.
+// ackCertItem is one (replica, digest, sig) triple of an extended
+// certificate left to verify after ackCertItems' filtering.
 type ackCertItem struct {
 	replica types.ReplicaID
 	digest  types.Digest
 	sig     []byte
 }
 
+// ackCertItems performs the cheap serial filtering of an extended
+// certificate — dedupe, membership, chain endorsement, chain-digest
+// memoization. A quorum of valid endorsements of (id, d) among the
+// returned items is exactly what the protocol needs: extra invalid or
+// irrelevant signatures are ignored and duplicate signers count once.
+// Shared by the synchronous and continuation variants.
 func (s *Signed) ackCertItems(id instanceID, d types.Digest, cert AckCert) []ackCertItem {
 	seen := make(map[types.ReplicaID]struct{}, len(cert.Sigs))
 	items := make([]ackCertItem, 0, len(cert.Sigs))
@@ -1034,9 +959,10 @@ func (s *Signed) ackCertItems(id instanceID, d types.Digest, cert AckCert) []ack
 	return items
 }
 
-// verifyAckCertSync is verifyAckCert fully on the calling goroutine —
-// serial, memoized, early-exiting — the fast-verify-regime path where
-// cheap checks make any hand-off pure overhead.
+// verifyAckCertSync checks an extended certificate fully on the calling
+// goroutine — serial, memoized, accepting as soon as a quorum is confirmed
+// and rejecting as soon as it is out of reach — the fast-verify-regime
+// path where cheap checks make any hand-off pure overhead.
 func (s *Signed) verifyAckCertSync(id instanceID, d types.Digest, cert AckCert) bool {
 	need := s.cfg.quorum()
 	items := s.ackCertItems(id, d, cert)

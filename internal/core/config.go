@@ -65,36 +65,12 @@ type Config struct {
 	// BatchDelay bounds how long a submitted payment may wait for its
 	// batch to fill. Defaults to 5ms.
 	BatchDelay time.Duration
-	// StateStripes is the number of hash-sharded lock domains the
-	// settlement state is split into: payments touching disjoint stripes
-	// settle concurrently across the scheduler lanes. 0 selects
-	// DefaultStateStripes; 1 keeps the pre-striping single global lock
-	// (the measured contention baseline).
-	StateStripes int
 	// Sched is the lane runtime the settlement stripe fan-out executes
 	// on: each stripe is pinned to a lane-affine flow, so the steady-state
 	// settle path spawns zero goroutines per delivery. Nil selects the
 	// process-wide shared runtime (sched.Default()) — the same lanes
 	// transport dispatch and the verifier run on.
 	Sched *sched.Runtime
-	// SettleSpawn restores the PR 3 behavior of spawning one goroutine
-	// per stripe group per delivered batch, as the measured baseline for
-	// the pinned-stripe lanes (BENCH_PR5).
-	SettleSpawn bool
-	// CommitSpawn restores the goroutine-per-commit BRB coordinators
-	// (PR 1–8), as the measured baseline for the continuation-style
-	// commit path (BENCH_PR9). Off — the default — steady-state
-	// settlement spawns zero goroutines per commit or delivery.
-	CommitSpawn bool
-	// EagerChainDefs restores the PR 4 behavior of defining every chain
-	// ahead of its first reference, on both the BRB commit channel and
-	// the credit channel, as the measured baseline for lazy definitions
-	// (BENCH_PR9): by default a chain crosses the wire only when a
-	// receiver demands it, which skips the definitions receivers never
-	// need — their own chains, chains learned from other peers, and
-	// credit waves whose dependency certificates complete from the other
-	// signers first.
-	EagerChainDefs bool
 
 	// Auth supplies MAC link authentication for Astro I's broadcast.
 	Auth *crypto.LinkAuthenticator
@@ -198,9 +174,6 @@ func (c *Config) normalize() error {
 	}
 	if c.BatchDelay <= 0 {
 		c.BatchDelay = 5 * time.Millisecond
-	}
-	if c.StateStripes <= 0 {
-		c.StateStripes = DefaultStateStripes
 	}
 	if c.Sched == nil {
 		c.Sched = sched.Default()

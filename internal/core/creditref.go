@@ -19,15 +19,15 @@ import (
 //     of one wave share storage and the certificate encoder's
 //     equal-chain test hits its pointer fast path;
 //   - creditWaves: sender side — a bounded buffer of recently signed waves
-//     (chain, signature, jobs), from which a CREDITNACK is answered with a
-//     self-contained legacy CREDITBATCH. A wave evicted before a NACK
-//     arrives is simply not retransmitted: the dependency still forms from
-//     the other >= f+1 signers, which is the fault model's job anyway.
+//     (chain, signature, jobs), from which a CREDITNACK is answered with
+//     the chain's CREDITCHAINDEF and the reference again. A wave evicted
+//     before a NACK arrives is simply not retransmitted: the dependency
+//     still forms from the other >= f+1 signers, which is the fault
+//     model's job anyway.
 //
 // Unlike the BRB side, there is no per-destination sent-set: every wave
 // signs a brand-new chain (the digests of its freshly settled groups), so
-// a chain is never referenced across waves and its CHAINDEF is simply
-// sent ahead of each destination's first (and only) reference.
+// a chain is never referenced across waves.
 //
 // Both structures hang off chainMu; the lock is never held across a
 // transport send or a signature operation.
@@ -38,11 +38,11 @@ import (
 const creditChainCacheEntries = 64
 
 // CreditRefStats counts the credit-channel reference traffic at one
-// replica, for tests and the benchmark harness: CREDITCHAINDEF/CREDITREF/
-// legacy CREDITBATCH sends (NACK retransmits count under FullSends),
-// inbound reference cache hits and misses, and NACK round trips. The
-// shape is shared with the BRB commit path's identical protocol
-// (types.RefStats).
+// replica, for tests and the benchmark harness: CREDITCHAINDEF/CREDITREF
+// sends (FullSends stays zero: no self-contained form is sent on this
+// channel), inbound reference cache hits and misses, and NACK round
+// trips. The shape is shared with the BRB commit path's identical
+// protocol (types.RefStats).
 type CreditRefStats = types.RefStats
 
 // CreditRefStats returns the credit chain-reference counters.
@@ -93,10 +93,8 @@ func (r *Replica) retainCreditWave(digest types.Digest, w retainedWave) {
 }
 
 // handleCreditNack answers a destination that could not resolve a chain
-// reference. In lazy-definition mode (the default) the NACK is the demand
-// path: the chain's CREDITCHAINDEF goes out followed by the reference
-// again, on the same FIFO channel. In eager mode a NACK means eviction,
-// and the answer is the self-contained legacy CREDITBATCH.
+// reference: the chain's CREDITCHAINDEF goes out followed by the reference
+// again, on the same FIFO channel.
 func (r *Replica) handleCreditNack(from transport.NodeID, digest types.Digest) {
 	r.creditRefStats.NacksReceived.Add(1)
 	rep := types.ReplicaID(from)
@@ -115,20 +113,14 @@ func (r *Replica) handleCreditNack(from transport.NodeID, digest types.Digest) {
 	if len(gs) == 0 {
 		return // NACK for a wave that had nothing addressed to the sender
 	}
-	if !r.cfg.EagerChainDefs {
-		def := wire.NewWriter(creditChainDefSize(wave.chain))
-		appendCreditChainDef(def, wave.chain)
-		_ = r.cfg.Mux.Send(from, transport.ChanCredit, def.Bytes())
-		r.creditRefStats.DefsSent.Add(1)
-		r.creditRefStats.DefsDemanded.Add(1)
-		m := creditRefMsg{Signer: r.cfg.Self, ChainDigest: digest, Sig: wave.sig, Groups: gs}
-		ref := wire.NewWriter(creditRefSize(m))
-		appendCreditRef(ref, m)
-		_ = r.cfg.Mux.Send(from, transport.ChanCredit, ref.Bytes())
-		r.creditRefStats.RefsSent.Add(1)
-		return
-	}
-	msg := encodeCreditBatch(creditBatchMsg{Signer: r.cfg.Self, Chain: wave.chain, Sig: wave.sig, Groups: gs})
-	_ = r.cfg.Mux.Send(from, transport.ChanCredit, msg)
-	r.creditRefStats.FullSends.Add(1)
+	def := wire.NewWriter(creditChainDefSize(wave.chain))
+	appendCreditChainDef(def, wave.chain)
+	_ = r.cfg.Mux.Send(from, transport.ChanCredit, def.Bytes())
+	r.creditRefStats.DefsSent.Add(1)
+	r.creditRefStats.DefsDemanded.Add(1)
+	m := creditRefMsg{Signer: r.cfg.Self, ChainDigest: digest, Sig: wave.sig, Groups: gs}
+	ref := wire.NewWriter(creditRefSize(m))
+	appendCreditRef(ref, m)
+	_ = r.cfg.Mux.Send(from, transport.ChanCredit, ref.Bytes())
+	r.creditRefStats.RefsSent.Add(1)
 }

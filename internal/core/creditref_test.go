@@ -253,59 +253,12 @@ func TestCreditRefEvictionNacks(t *testing.T) {
 	}
 }
 
-// TestCreditNackRetransmitsLegacyBatch: under the eager-definition
-// baseline, a signer answering a CREDITNACK must resend the retained
-// wave's groups for that destination as a self-contained legacy
-// CREDITBATCH.
-func TestCreditNackRetransmitsLegacyBatch(t *testing.T) {
-	c := newCluster(t, AstroII, 4, func(types.ClientID) types.Amount { return 0 },
-		func(cfg *Config) { cfg.EagerChainDefs = true })
-	tap, msgs := c.creditTap(t, 9)
-
-	group := []types.Payment{pay(1, 1, 2, 40)}
-	chain := []types.Digest{CreditGroupDigest(group)}
-	cd := CreditChainDigest(chain)
-	sig, err := c.keys[0].Sign(cd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Retain a wave at replica 0 whose single group is addressed to the
-	// tap's "representative", then NACK it from the tap.
-	c.replicas[0].retainCreditWave(cd, retainedWave{chain: chain, sig: sig, jobs: []creditJob{{rep: 9, group: group}}})
-	if err := tap.Send(transport.ReplicaNode(0), transport.ChanCredit, encodeCreditNack(cd)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-msgs:
-		if m[0] != msgCreditBatch {
-			t.Fatalf("kind = %d, want legacy CREDITBATCH", m[0])
-		}
-		got, err := decodeCreditBatch(m[1:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Signer != 0 || len(got.Chain) != 1 || got.Chain[0] != chain[0] || len(got.Groups) != 1 || got.Groups[0].Group[0] != group[0] {
-			t.Fatalf("retransmit mangled: %+v", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no legacy retransmit after CREDITNACK")
-	}
-	// A NACK for an unretained (evicted) wave is silently dropped.
-	if err := tap.Send(transport.ReplicaNode(0), transport.ChanCredit, encodeCreditNack(types.HashBytes([]byte("gone")))); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-msgs:
-		t.Fatalf("unexpected reply to unknown NACK: kind %d", m[0])
-	case <-time.After(200 * time.Millisecond):
-	}
-}
-
-// TestCreditNackAnsweredWithDefAndRef: under the lazy-definition default,
-// a CREDITNACK is the demand path — the signer answers with the chain's
-// CREDITCHAINDEF followed by the CREDITREF for the requester's groups (FIFO
-// keeps them ordered), never the legacy full form, and the demand is
-// counted against the deferred definitions.
+// TestCreditNackAnsweredWithDefAndRef: a CREDITNACK is the demand path —
+// the signer answers with the chain's CREDITCHAINDEF followed by the
+// CREDITREF for the requester's groups (FIFO keeps them ordered), never
+// the self-contained CREDITBATCH, and the demand is counted against the
+// deferred definitions. A NACK for an unretained (evicted) wave is
+// silently dropped.
 func TestCreditNackAnsweredWithDefAndRef(t *testing.T) {
 	c := newCluster(t, AstroII, 4, func(types.ClientID) types.Amount { return 0 })
 	tap, msgs := c.creditTap(t, 9)
@@ -347,17 +300,25 @@ func TestCreditNackAnsweredWithDefAndRef(t *testing.T) {
 	}
 	st := c.replicas[0].CreditRefStats()
 	if st.FullSends != 0 {
-		t.Fatalf("lazy mode fell back to the legacy full form: %+v", st)
+		t.Fatalf("fell back to the self-contained full form: %+v", st)
 	}
 	if st.DefsDemanded != 1 || st.DefsSent != 1 {
 		t.Fatalf("demand not counted: %+v", st)
 	}
+	if err := tap.Send(transport.ReplicaNode(0), transport.ChanCredit, encodeCreditNack(types.HashBytes([]byte("gone")))); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-msgs:
+		t.Fatalf("unexpected reply to unknown NACK: kind %d", m[0])
+	case <-time.After(200 * time.Millisecond):
+	}
 }
 
-// TestCreditRefCompleteCertDropsSilently: under the lazy default, a
-// reference that cannot resolve but whose every group's certificate is
-// already complete must be dropped without a NACK — the chain would only
-// be used to discard the groups, so demanding it wastes the round trip.
+// TestCreditRefCompleteCertDropsSilently: a reference that cannot resolve
+// but whose every group's certificate is already complete must be dropped
+// without a NACK — the chain would only be used to discard the groups, so
+// demanding it wastes the round trip.
 func TestCreditRefCompleteCertDropsSilently(t *testing.T) {
 	gen := func(c types.ClientID) types.Amount {
 		if c == 1 {

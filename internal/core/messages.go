@@ -91,17 +91,18 @@ func encodeSeqResp(c types.ClientID, s types.Seq) []byte {
 // digests — the settlement-wave batching — together with the subset of the
 // wave's groups addressed to the destination representative.
 //
-// The chain-reference forms (PR 4) split the CREDITBATCH in two: the chain
-// itself travels once per destination as a CREDITCHAINDEF (content-
-// addressed — the receiver recomputes the chain digest and caches the
-// chain per sending replica), and the per-wave CREDITREF carries only the
-// 32-byte chain digest, the shared signature, and the destination's groups
-// with their chain indices. A receiver that cannot resolve the digest —
-// evicted, or never seen — answers with a CREDITNACK naming it, and the
-// signer retransmits the wave as a self-contained legacy CREDITBATCH from
-// its bounded retransmit buffer. The chain is thus encoded once per wave
-// (shared scratch) and crosses the wire at most once per destination, and
-// a cache miss degrades to the PR 3 encoding instead of losing the CREDIT.
+// The chain-reference forms split the CREDITBATCH in two, and are what a
+// replica sends (CREDITBATCH is only received): the per-wave CREDITREF
+// carries only the 32-byte chain digest, the shared signature, and the
+// destination's groups with their chain indices; the chain itself travels
+// as a CREDITCHAINDEF (content-addressed — the receiver recomputes the
+// chain digest and caches the chain per sending replica) only on demand.
+// A receiver that cannot resolve the digest — evicted, or never seen —
+// and still needs one of the groups answers with a CREDITNACK naming it,
+// and the signer sends the definition and the reference again from its
+// bounded retransmit buffer. The chain thus crosses the wire at most once
+// per destination, and a cache miss costs a round trip instead of losing
+// the CREDIT.
 const (
 	msgCreditSingle   byte = 1
 	msgCreditBatch    byte = 2
@@ -168,6 +169,8 @@ type creditBatchGroup struct {
 	Group    []types.Payment
 }
 
+// encodeCreditBatch encodes the receive-only CREDITBATCH form: no replica
+// sends it, so only the tests and fuzzers of the receive path call it.
 func encodeCreditBatch(m creditBatchMsg) []byte {
 	n := 1 + 4 + 4 + len(m.Chain)*32 + 4 + len(m.Sig) + 4
 	for _, g := range m.Groups {

@@ -1,10 +1,10 @@
 package core
 
 // Credit-channel NACK hardening: a CREDITNACK storm against a retained
-// wave costs at most one legacy retransmit per NACK, NACKs naming unknown
-// digests cost nothing beyond the counter, and senders outside the key
-// registry never reach the handler at all. Run under -race: the storm
-// hammers the dispatch path of a live replica.
+// wave costs at most one CREDITCHAINDEF plus one CREDITREF per NACK, NACKs
+// naming unknown digests cost nothing beyond the counter, and senders
+// outside the key registry never reach the handler at all. Run under
+// -race: the storm hammers the dispatch path of a live replica.
 
 import (
 	"testing"
@@ -27,8 +27,7 @@ func waitNacks(t *testing.T, r *Replica, want uint64) {
 }
 
 func TestCreditNackStormBoundedWork(t *testing.T) {
-	c := newCluster(t, AstroII, 4, func(types.ClientID) types.Amount { return 0 },
-		func(cfg *Config) { cfg.EagerChainDefs = true })
+	c := newCluster(t, AstroII, 4, func(types.ClientID) types.Amount { return 0 })
 	tap, msgs := c.creditTap(t, 9)
 
 	group := []types.Payment{pay(1, 1, 2, 40)}
@@ -49,28 +48,33 @@ func TestCreditNackStormBoundedWork(t *testing.T) {
 		}
 	}
 	waitNacks(t, c.replicas[0], base.NacksReceived+storm)
-	st := c.replicas[0].CreditRefStats()
-	if resends := st.FullSends - base.FullSends; resends > storm {
-		t.Errorf("amplification: %d retransmits for %d NACKs", resends, storm)
-	}
-	// Every retransmit the storm provoked is the bounded legacy form.
-	drained := 0
+	// Every answer the storm provoked is the bounded pair: the demanded
+	// definition and the reference again.
+	var defs, refs uint64
 	for done := false; !done; {
 		select {
 		case m := <-msgs:
-			if m[0] != msgCreditBatch {
+			switch m[0] {
+			case msgCreditChainDef:
+				defs++
+			case msgCreditRef:
+				refs++
+			default:
 				t.Fatalf("unexpected reply kind %d", m[0])
 			}
-			drained++
 		case <-time.After(200 * time.Millisecond):
 			done = true
 		}
 	}
-	if uint64(drained) != st.FullSends-base.FullSends {
-		t.Errorf("observed %d retransmits, counters say %d", drained, st.FullSends-base.FullSends)
+	if defs > storm || refs > storm {
+		t.Errorf("amplification: %d definitions and %d references for %d NACKs", defs, refs, storm)
+	}
+	st := c.replicas[0].CreditRefStats()
+	if d, r := st.DefsDemanded-base.DefsDemanded, st.RefsSent-base.RefsSent; defs != d || refs != r {
+		t.Errorf("observed %d definitions and %d references, counters say %d and %d", defs, refs, d, r)
 	}
 
-	// Unknown digests: counter moves, no retransmit, no reply.
+	// Unknown digests: counter moves, no answer.
 	pre := c.replicas[0].CreditRefStats()
 	ghost := encodeCreditNack(types.HashBytes([]byte("never-retained")))
 	for i := 0; i < storm; i++ {
@@ -79,8 +83,9 @@ func TestCreditNackStormBoundedWork(t *testing.T) {
 		}
 	}
 	waitNacks(t, c.replicas[0], pre.NacksReceived+storm)
-	if got := c.replicas[0].CreditRefStats().FullSends; got != pre.FullSends {
-		t.Errorf("unknown-digest NACKs triggered %d retransmits", got-pre.FullSends)
+	if got := c.replicas[0].CreditRefStats(); got.DefsSent != pre.DefsSent || got.RefsSent != pre.RefsSent {
+		t.Errorf("unknown-digest NACKs triggered %d definitions and %d references",
+			got.DefsSent-pre.DefsSent, got.RefsSent-pre.RefsSent)
 	}
 	select {
 	case m := <-msgs:
@@ -114,8 +119,8 @@ func TestCreditNackUnregisteredSenderIgnored(t *testing.T) {
 	}
 	time.Sleep(200 * time.Millisecond)
 	st := c.replicas[0].CreditRefStats()
-	if st.NacksReceived != base.NacksReceived || st.FullSends != base.FullSends {
-		t.Errorf("unregistered sender's NACKs processed: nacks %d->%d, fullsends %d->%d",
-			base.NacksReceived, st.NacksReceived, base.FullSends, st.FullSends)
+	if st.NacksReceived != base.NacksReceived || st.RefsSent != base.RefsSent {
+		t.Errorf("unregistered sender's NACKs processed: nacks %d->%d, refs sent %d->%d",
+			base.NacksReceived, st.NacksReceived, base.RefsSent, st.RefsSent)
 	}
 }

@@ -117,8 +117,7 @@ type Replica struct {
 	endorsed   endorseWindow
 
 	// stripeFlows pin each settlement stripe to a lane-affine flow of the
-	// configured scheduler runtime (nil in spawn-baseline mode or with a
-	// single stripe, where fan-out is pointless).
+	// configured scheduler runtime.
 	stripeFlows []*sched.Flow
 
 	// Durability (nil wal disables the whole subsystem; see durable.go).
@@ -217,21 +216,18 @@ func NewReplica(cfg Config) (*Replica, error) {
 	if cfg.StateCacheAccounts > 0 && r.accountStore == nil {
 		return nil, ErrConfigStateCache
 	}
-	r.state = NewStatePaged(cfg.Version, cfg.Genesis, nil, cfg.StateStripes, r.accountStore, cfg.StateCacheAccounts)
+	r.state = NewStatePaged(cfg.Version, cfg.Genesis, nil, DefaultStateStripes, r.accountStore, cfg.StateCacheAccounts)
 
 	// Pin each settlement stripe to a lane-affine flow on the shared
 	// runtime: a stripe's settle tasks execute in FIFO order on one lane
 	// at a time (per-spender FIFO falls out, since a spender maps to one
 	// stripe), with no goroutine spawned per delivery. The round-robin
 	// flow homes spread the stripes across lanes; work-stealing rebalances
-	// when deliveries load stripes unevenly. Config.SettleSpawn keeps the
-	// old spawn-per-delivery fan-out as the measured baseline.
-	if !cfg.SettleSpawn && r.state.Stripes() > 1 {
-		ns := cfg.Sched.KeySpace()
-		r.stripeFlows = make([]*sched.Flow, r.state.Stripes())
-		for i := range r.stripeFlows {
-			r.stripeFlows[i] = cfg.Sched.Flow(ns+uint64(i), stripeFlowQueue)
-		}
+	// when deliveries load stripes unevenly.
+	ns := cfg.Sched.KeySpace()
+	r.stripeFlows = make([]*sched.Flow, r.state.Stripes())
+	for i := range r.stripeFlows {
+		r.stripeFlows[i] = cfg.Sched.Flow(ns+uint64(i), stripeFlowQueue)
 	}
 
 	// Durable state replays before anything can deliver or submit: the
@@ -263,10 +259,6 @@ func NewReplica(cfg Config) (*Replica, error) {
 		// orders payments by client sequence number independently.
 		FirstSlot: r.nextBcastSlot,
 		Unordered: r.recovered,
-		// Pipeline baselines (BENCH_PR9): goroutine-per-commit
-		// coordinators and eager chain definitions, both off by default.
-		CommitSpawn:    cfg.CommitSpawn,
-		EagerChainDefs: cfg.EagerChainDefs,
 	}
 	var err error
 	switch cfg.Version {
@@ -984,10 +976,9 @@ func (r *Replica) pruneEndorsed(settled []types.Payment) {
 // CREDIT groups derived from them must hash identically everywhere for
 // f+1 accumulation to succeed).
 //
-// In the default mode each stripe group is submitted to the stripe's
-// pinned flow — persistent lane workers, zero goroutines spawned per
-// delivery — and the deliverer runs stealable verification work while it
-// waits. Config.SettleSpawn restores the spawn-per-delivery baseline.
+// Each stripe group is submitted to the stripe's pinned flow — persistent
+// lane workers, zero goroutines spawned per delivery — and the deliverer
+// runs stealable verification work while it waits.
 func (r *Replica) settleEntries(entries []BatchEntry) []types.Payment {
 	if len(entries) == 0 {
 		return nil
@@ -999,7 +990,7 @@ func (r *Replica) settleEntries(entries []BatchEntry) []types.Payment {
 		}
 		return settled
 	}
-	if r.state.Stripes() == 1 || len(entries) == 1 {
+	if len(entries) == 1 {
 		return serial()
 	}
 	// Group entry indices by stripe, preserving order within each group.
@@ -1017,52 +1008,29 @@ func (r *Replica) settleEntries(entries []BatchEntry) []types.Payment {
 			results[i] = r.state.ApplyEntry(entries[i])
 		}
 	}
-	if r.stripeFlows == nil {
-		// Spawn-per-delivery baseline (Config.SettleSpawn).
-		var wg sync.WaitGroup
-		var own []int
-		for _, idxs := range groups {
-			if own == nil {
-				own = idxs // the delivery goroutine settles one stripe itself
-				continue
+	// One task per stripe group, on the stripe's flow. The deliverer must
+	// not return before the wave completes (the next delivery's enqueues
+	// define per-spender FIFO), so it waits — draining its own stripe flows
+	// and stealing verifier work meanwhile. Draining its own flows is what
+	// makes the wait safe from ANY calling context: Bracha delivers on a
+	// dispatch lane, and a lane blocked here must be able to finish its own
+	// wave rather than depend on the other lanes being free (stripe tasks
+	// are pure state application — they never block or re-enter).
+	done := make(chan struct{})
+	var pending atomic.Int32
+	pending.Store(int32(len(groups)))
+	flows := make([]*sched.Flow, 0, len(groups))
+	for si, idxs := range groups {
+		idxs := idxs
+		flows = append(flows, r.stripeFlows[si])
+		r.stripeFlows[si].Submit(func() {
+			run(idxs)
+			if pending.Add(-1) == 0 {
+				close(done)
 			}
-			wg.Add(1)
-			idxs := idxs
-			// Routed through sched.Go so the spawn-guard test counts the
-			// baseline's per-delivery goroutines.
-			sched.Go(func() {
-				defer wg.Done()
-				run(idxs)
-			})
-		}
-		run(own)
-		wg.Wait()
-	} else {
-		// Pinned-stripe lanes: one task per stripe group, on the stripe's
-		// flow. The deliverer must not return before the wave completes
-		// (the next delivery's enqueues define per-spender FIFO), so it
-		// waits — draining its own stripe flows and stealing verifier work
-		// meanwhile. Draining its own flows is what makes the wait safe
-		// from ANY calling context: Bracha delivers on a dispatch lane,
-		// and a lane blocked here must be able to finish its own wave
-		// rather than depend on the other lanes being free (stripe tasks
-		// are pure state application — they never block or re-enter).
-		done := make(chan struct{})
-		var pending atomic.Int32
-		pending.Store(int32(len(groups)))
-		flows := make([]*sched.Flow, 0, len(groups))
-		for si, idxs := range groups {
-			idxs := idxs
-			flows = append(flows, r.stripeFlows[si])
-			r.stripeFlows[si].Submit(func() {
-				run(idxs)
-				if pending.Add(-1) == 0 {
-					close(done)
-				}
-			})
-		}
-		r.cfg.Sched.HelpFlows(done, flows)
+		})
 	}
+	r.cfg.Sched.HelpFlows(done, flows)
 	var settled []types.Payment
 	for _, part := range results {
 		settled = append(settled, part...)
@@ -1168,12 +1136,10 @@ func (r *Replica) sendCreditSingle(j creditJob) {
 // sendCreditChain signs a whole settlement wave of credit groups with one
 // signature over the chain of group digests, and sends each destination
 // representative a reference to the chain plus its groups (ChainSigner
-// flush callback). The chain itself is encoded exactly once, into the
-// wave's pooled scratch, and crosses the wire only to destinations that
-// have not seen it (CREDITCHAINDEF ahead of the CREDITREF on the same
-// FIFO channel); the wave is retained so a CREDITNACK — an evicted or
-// never-seen reference — degrades to the self-contained legacy
-// CREDITBATCH instead of losing the CREDIT.
+// flush callback). The chain itself crosses the wire only to a
+// destination that demands it: the wave is retained so a CREDITNACK — an
+// evicted or never-seen reference — is answered with the CREDITCHAINDEF
+// and the CREDITREF again instead of losing the CREDIT.
 func (r *Replica) sendCreditChain(jobs []creditJob, wave *verifier.Wave) {
 	chain := make([]types.Digest, len(jobs))
 	for i, j := range jobs {
@@ -1196,33 +1162,18 @@ func (r *Replica) sendCreditChain(jobs []creditJob, wave *verifier.Wave) {
 	for i, j := range jobs {
 		byRep[j.rep] = append(byRep[j.rep], creditBatchGroup{ChainIdx: uint32(i), Group: j.group})
 	}
-	var def *wire.Writer
-	if r.cfg.EagerChainDefs {
-		def = wave.Scratch(creditChainDefSize(chain))
-		appendCreditChainDef(def, chain)
-	}
 	for rep, gs := range byRep {
-		dest := transport.ReplicaNode(rep)
-		if def != nil {
-			// Eager baseline: every wave's chain is new, so each
-			// destination gets exactly one definition — sent ahead of the
-			// reference on the FIFO channel (no cross-wave sent-set to
-			// consult; see creditref.go).
-			_ = r.cfg.Mux.Send(dest, transport.ChanCredit, def.Bytes())
-			r.creditRefStats.DefsSent.Add(1)
-		} else {
-			// Lazy default: the reference goes out alone. A destination
-			// demands the chain (CREDITNACK) only when it both misses it —
-			// aligned peers resolve it from their own wave — and still
-			// needs a group: once f+1 other signers complete a
-			// certificate, our reference is dropped without any round
-			// trip, and this wave's definition bytes were never spent.
-			r.creditRefStats.DefsDeferred.Add(1)
-		}
+		// The reference goes out alone. A destination demands the chain
+		// (CREDITNACK) only when it both misses it — aligned peers resolve
+		// it from their own wave — and still needs a group: once f+1 other
+		// signers complete a certificate, our reference is dropped without
+		// any round trip, and this wave's definition bytes were never
+		// spent.
+		r.creditRefStats.DefsDeferred.Add(1)
 		m := creditRefMsg{Signer: r.cfg.Self, ChainDigest: cd, Sig: sig, Groups: gs}
 		ref := wave.Scratch(creditRefSize(m))
 		appendCreditRef(ref, m)
-		_ = r.cfg.Mux.Send(dest, transport.ChanCredit, ref.Bytes())
+		_ = r.cfg.Mux.Send(transport.ReplicaNode(rep), transport.ChanCredit, ref.Bytes())
 		r.creditRefStats.RefsSent.Add(1)
 	}
 }
@@ -1279,8 +1230,7 @@ func (r *Replica) onCredit(from transport.NodeID, payload []byte) {
 			return
 		}
 		// Intern the chain (and remember it as defined by this peer, so a
-		// later reference to it — the NACK fallback re-primes the cache
-		// this way — resolves without another round trip).
+		// later reference to it resolves without a round trip).
 		cd := CreditChainDigest(m.Chain)
 		m.Chain = r.learnCreditChain(peer, cd, m.Chain)
 		r.acceptCreditBatch(m, cd)
@@ -1298,16 +1248,15 @@ func (r *Replica) onCredit(from transport.NodeID, payload []byte) {
 		chain, ok := r.knownCreditChain(peer, m.ChainDigest)
 		if !ok {
 			r.creditRefStats.RefMisses.Add(1)
-			// Lazy mode: a reference whose every group's certificate is
-			// already complete (f+1 other signers got there first) carries
-			// nothing we still need — drop it silently instead of
-			// demanding a chain we would only use to discard the groups.
-			// This, not the NACK round trip, is the common lazy case.
-			if !r.cfg.EagerChainDefs && !r.creditRefNeeded(m) {
+			// A reference whose every group's certificate is already
+			// complete (f+1 other signers got there first) carries nothing
+			// we still need — drop it silently instead of demanding a chain
+			// we would only use to discard the groups. This, not the NACK
+			// round trip, is the common case.
+			if !r.creditRefNeeded(m) {
 				return
 			}
-			// Evicted, never seen (lazy), or eager-mode eviction: demand
-			// the chain from the sender.
+			// Evicted or never seen: demand the chain from the sender.
 			_ = r.cfg.Mux.Send(from, transport.ChanCredit, encodeCreditNack(m.ChainDigest))
 			r.creditRefStats.NacksSent.Add(1)
 			return

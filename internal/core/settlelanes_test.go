@@ -3,9 +3,8 @@ package core
 // Ordering-invariant tests for the lane-scheduled settlement fan-out
 // (run under -race by the Makefile's race target): with stripes pinned to
 // sched flows and work-stealing enabled, per-spender FIFO and
-// conservation of money must hold exactly as they did under the
-// spawn-per-delivery baseline, and the two fan-out modes must produce
-// identical state.
+// conservation of money must hold, and the fan-out must produce exactly
+// the state that applying the entries one by one does.
 
 import (
 	"fmt"
@@ -19,9 +18,11 @@ import (
 	"astro/internal/types"
 )
 
+func settleGenesis(types.ClientID) types.Amount { return 1 << 30 }
+
 // newSettleReplica builds a lone Astro I replica for driving
 // settleEntries directly (no broadcast traffic involved).
-func newSettleReplica(t testing.TB, stripes int, spawn bool) *Replica {
+func newSettleReplica(t testing.TB) *Replica {
 	t.Helper()
 	net := memnet.New()
 	t.Cleanup(net.Close)
@@ -29,15 +30,13 @@ func newSettleReplica(t testing.TB, stripes int, spawn bool) *Replica {
 	mux := transport.NewMux(net.Node(transport.ReplicaNode(0)))
 	t.Cleanup(mux.Close)
 	r, err := NewReplica(Config{
-		Version:      AstroI,
-		Self:         0,
-		Replicas:     ids,
-		F:            1,
-		Mux:          mux,
-		Genesis:      func(types.ClientID) types.Amount { return 1 << 30 },
-		StateStripes: stripes,
-		SettleSpawn:  spawn,
-		Auth:         crypto.NewLinkAuthenticator(0, []byte("settle-test")),
+		Version:  AstroI,
+		Self:     0,
+		Replicas: ids,
+		F:        1,
+		Mux:      mux,
+		Genesis:  settleGenesis,
+		Auth:     crypto.NewLinkAuthenticator(0, []byte("settle-test")),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,19 +46,13 @@ func newSettleReplica(t testing.TB, stripes int, spawn bool) *Replica {
 }
 
 // TestSettleLanesMatchesSpawnBaseline feeds identical multi-stripe
-// batches through the pinned-lane fan-out and the spawn-per-delivery
-// baseline and asserts byte-identical results: same settled list (order
-// included — CREDIT group derivation depends on it), same balances, same
-// counters.
+// batches through the pinned-lane fan-out and through the reference —
+// serial State.ApplyEntry in entry order on a fresh State — and asserts
+// identical results: same settled list (order included — CREDIT group
+// derivation depends on it), same balances, same counters.
 func TestSettleLanesMatchesSpawnBaseline(t *testing.T) {
-	lanes := newSettleReplica(t, 8, false)
-	spawn := newSettleReplica(t, 8, true)
-	if lanes.stripeFlows == nil {
-		t.Fatal("default replica did not pin stripes to flows")
-	}
-	if spawn.stripeFlows != nil {
-		t.Fatal("SettleSpawn replica still holds stripe flows")
-	}
+	lanes := newSettleReplica(t)
+	serial := NewState(AstroI, settleGenesis, nil)
 
 	const nClients = 40
 	const batches = 20
@@ -75,25 +68,28 @@ func TestSettleLanesMatchesSpawnBaseline(t *testing.T) {
 			entries = append(entries, BatchEntry{Payment: p})
 		}
 		a := lanes.settleEntries(entries)
-		bb := spawn.settleEntries(entries)
+		var bb []types.Payment
+		for _, e := range entries {
+			bb = append(bb, serial.ApplyEntry(e)...)
+		}
 		if len(a) != len(bb) {
-			t.Fatalf("batch %d: lanes settled %d, spawn settled %d", b, len(a), len(bb))
+			t.Fatalf("batch %d: lanes settled %d, serial settled %d", b, len(a), len(bb))
 		}
 		for i := range a {
 			if a[i] != bb[i] {
-				t.Fatalf("batch %d: settled[%d] diverges: lanes %+v spawn %+v", b, i, a[i], bb[i])
+				t.Fatalf("batch %d: settled[%d] diverges: lanes %+v serial %+v", b, i, a[i], bb[i])
 			}
 		}
 	}
 	for c := 1; c <= nClients; c++ {
 		id := types.ClientID(c)
-		if la, sp := lanes.Balance(id), spawn.Balance(id); la != sp {
-			t.Fatalf("client %d: lanes balance %d, spawn balance %d", c, la, sp)
+		if la, se := lanes.Balance(id), serial.Balance(id); la != se {
+			t.Fatalf("client %d: lanes balance %d, serial balance %d", c, la, se)
 		}
 	}
-	cl, cs := lanes.Counters(), spawn.Counters()
+	cl, cs := lanes.Counters(), serial.Counters()
 	if cl != cs {
-		t.Fatalf("counters diverge: lanes %+v spawn %+v", cl, cs)
+		t.Fatalf("counters diverge: lanes %+v serial %+v", cl, cs)
 	}
 	if cl.Settled != nClients*batches {
 		t.Fatalf("settled = %d, want %d", cl.Settled, nClients*batches)
@@ -107,7 +103,7 @@ func TestSettleLanesMatchesSpawnBaseline(t *testing.T) {
 // flows and get stolen between lanes; per-spender FIFO (xlog seq order),
 // conservation of money, and zero drops must survive.
 func TestSettleLanesPerSpenderFIFOUnderStealing(t *testing.T) {
-	r := newSettleReplica(t, 8, false)
+	r := newSettleReplica(t)
 
 	const (
 		origins    = 6
@@ -183,7 +179,7 @@ func TestSettleLanesPerSpenderFIFOUnderStealing(t *testing.T) {
 	}
 }
 
-// TestSettleLanesSurviveConcurrentCreditResends (PR 9) runs live
+// TestSettleLanesSurviveConcurrentCreditResends runs live
 // settlement traffic — clients paying through the full broadcast +
 // settle + credit pipeline on the lane runtime — while a NACK storm
 // forces replica 0 to answer with lazy CREDITCHAINDEF + CREDITREF

@@ -234,8 +234,8 @@ func (st *stateStripe) lruTouch(a *account) {
 //     never into Replica) while holding one, so callers may acquire them
 //     under their own locks.
 //
-// One stripe (NewStateStriped with stripes <= 1) degrades to exactly the
-// pre-striping global-lock engine and is kept as the measured baseline.
+// One stripe (NewStateStriped with stripes <= 1) degrades to one global
+// lock: the reference the striping tests compare against.
 type State struct {
 	version   Version
 	genesis   func(types.ClientID) types.Amount
@@ -263,8 +263,7 @@ func NewState(version Version, genesis func(types.ClientID) types.Amount, verify
 }
 
 // NewStateStriped is NewState with an explicit stripe count; stripes <= 1
-// selects a single global lock (the pre-striping baseline, kept for
-// contention measurements).
+// selects a single global lock (the striping tests' reference).
 func NewStateStriped(version Version, genesis func(types.ClientID) types.Amount, verifyDep func(Dependency) error, stripes int) *State {
 	if genesis == nil {
 		genesis = func(types.ClientID) types.Amount { return 0 }

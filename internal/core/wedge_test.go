@@ -39,7 +39,10 @@ func TestConflictingResubmissionDoesNotWedgeRepresentative(t *testing.T) {
 		// A different client of the same representative must still settle.
 		c.payAndWait(c.client(5), 2, 5)
 
-		// And the conflicting payment must not have rewritten history.
+		// And the conflicting payment must not have rewritten history
+		// (payAndWait returns on the representative's confirmation; the
+		// other replicas may still be settling).
+		c.waitSettledEverywhere(2, 10*time.Second)
 		for i, r := range c.replicas {
 			log := r.XLogSnapshot(1)
 			if len(log) != 1 || log[0].Beneficiary != 2 || log[0].Amount != 10 {

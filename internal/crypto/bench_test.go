@@ -77,7 +77,7 @@ func BenchmarkVerifyCertificate(b *testing.B) {
 }
 
 // BenchmarkVerifyCertificateParallel compares the serial checker against
-// the worker-pool one on the paper's N=10 configuration (2f+1 = 7
+// the verifier's fanned-out one on the paper's N=10 configuration (2f+1 = 7
 // signatures per commit certificate). Memoization is disabled so both
 // sides pay full ECDSA every iteration; the parallel side's speedup is
 // bounded by min(GOMAXPROCS, 7).
@@ -97,10 +97,12 @@ func BenchmarkVerifyCertificateParallel(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		v := verifier.New(0, verifier.WithMemoSize(0))
 		defer v.Close()
+		done := make(chan bool, 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := v.VerifyCertificate(reg, cert, d, threshold, nil); err != nil {
-				b.Fatal(err)
+			v.VerifyCertificateDetached(reg, cert, d, threshold, nil, func(ok bool) { done <- ok })
+			if !<-done {
+				b.Fatal("valid certificate rejected")
 			}
 		}
 	})
@@ -109,10 +111,12 @@ func BenchmarkVerifyCertificateParallel(b *testing.B) {
 		// the redelivered-commit case.
 		v := verifier.New(0)
 		defer v.Close()
+		done := make(chan bool, 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := v.VerifyCertificate(reg, cert, d, threshold, nil); err != nil {
-				b.Fatal(err)
+			v.VerifyCertificateDetached(reg, cert, d, threshold, nil, func(ok bool) { done <- ok })
+			if !<-done {
+				b.Fatal("valid certificate rejected")
 			}
 		}
 	})

@@ -2,47 +2,18 @@ package verifier
 
 import (
 	"sync"
-	"time"
 
 	"astro/internal/sched"
 )
 
-// executor is the execution backend of a Verifier. Two implementations
-// exist:
+// laneExec is the execution backend of a Verifier: verification and
+// signing run as unkeyed, stealable work on a lane runtime
+// (internal/sched) — by default the process-wide shared runtime, so crypto
+// work rides the same lanes as transport dispatch and settlement fan-out.
 //
-//   - laneExec (the default) runs verification and signing as unkeyed,
-//     stealable work on a lane runtime (internal/sched) — by default the
-//     process-wide shared runtime, so crypto work rides the same lanes as
-//     transport dispatch and settlement fan-out;
-//   - chanExec is the PR 1 dedicated worker pool (its own goroutines and
-//     task channel), kept as the measured baseline for the lane port
-//     (WithWorkerPool) and for callers that want isolation.
-//
-// The helping contract is shared: goroutines blocked on a result
-// (Future.Wait, the certificate coordinator) lend themselves to the
-// backend, so a full queue — or a pool smaller than the wait graph — can
-// never deadlock a waiter on its own unscheduled checks.
-type executor interface {
-	// workers reports the backend's parallelism.
-	workers() int
-	// trySubmit enqueues f without blocking; false means the queue is
-	// full or the backend closed — the caller runs f inline (overload
-	// degrades to the caller's CPU, no verification is ever lost).
-	trySubmit(f func()) bool
-	// submitBlocking enqueues f, blocking until accepted — never running
-	// f on the caller while the backend is open. False means the backend
-	// is closed and the caller must run f inline.
-	submitBlocking(f func()) bool
-	// waitDone helps run queued backend work until done closes.
-	waitDone(done <-chan struct{})
-	// awaitVote returns the next certificate vote, helping run queued
-	// backend work while waiting.
-	awaitVote(votes <-chan certVote) certVote
-	// close stops the backend; queued work still drains.
-	close()
-}
-
-// laneExec runs verifier work as unkeyed tasks on a lane runtime.
+// Goroutines blocked on a result (Future.Wait) lend themselves to the
+// runtime, so a full queue — or a runtime smaller than the wait graph —
+// can never deadlock a waiter on its own unscheduled checks.
 type laneExec struct {
 	rt  *sched.Runtime
 	own bool // Close closes the runtime only if this verifier created it
@@ -55,8 +26,12 @@ func newLaneExec(rt *sched.Runtime, own bool) *laneExec {
 	return &laneExec{rt: rt, own: own}
 }
 
+// workers reports the backend's parallelism.
 func (e *laneExec) workers() int { return e.rt.Lanes() }
 
+// trySubmit enqueues f without blocking; false means the queue is full or
+// the backend closed — the caller runs f inline (overload degrades to the
+// caller's CPU, no verification is ever lost).
 func (e *laneExec) trySubmit(f func()) bool {
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()
@@ -66,6 +41,9 @@ func (e *laneExec) trySubmit(f func()) bool {
 	return e.rt.TrySubmit(f)
 }
 
+// submitBlocking enqueues f, blocking until accepted — never running f on
+// the caller while the backend is open. False means the backend is closed
+// and the caller must run f inline.
 func (e *laneExec) submitBlocking(f func()) bool {
 	e.closeMu.RLock()
 	if e.closed {
@@ -80,47 +58,12 @@ func (e *laneExec) submitBlocking(f func()) bool {
 	return true
 }
 
+// waitDone helps run queued runtime work until done closes.
 func (e *laneExec) waitDone(done <-chan struct{}) {
 	e.rt.Help(done)
 }
 
-// awaitVote interleaves vote receipt with stealing: the coordinator of a
-// fanned-out certificate check runs pending work (its own checks
-// included, wherever they were spilled) instead of idling, and can make
-// progress even when every lane is occupied.
-func (e *laneExec) awaitVote(votes <-chan certVote) certVote {
-	var timer *time.Timer
-	for {
-		select {
-		case vt := <-votes:
-			if timer != nil {
-				timer.Stop()
-			}
-			return vt
-		default:
-		}
-		if e.rt.RunStolen() {
-			continue
-		}
-		if timer == nil {
-			timer = time.NewTimer(helpPoll)
-		} else {
-			timer.Reset(helpPoll)
-		}
-		select {
-		case vt := <-votes:
-			timer.Stop()
-			return vt
-		case <-timer.C:
-		}
-	}
-}
-
-// helpPoll bounds how long a vote waiter sleeps between steal sweeps when
-// nothing is stealable (its own checks are running on lanes or other
-// helpers).
-const helpPoll = 100 * time.Microsecond
-
+// close stops the backend; queued work still drains.
 func (e *laneExec) close() {
 	e.closeMu.Lock()
 	if e.closed {
@@ -131,104 +74,5 @@ func (e *laneExec) close() {
 	e.closeMu.Unlock()
 	if e.own {
 		e.rt.Close()
-	}
-}
-
-// chanExec is the dedicated worker pool: fixed goroutines draining one
-// task channel. Kept verbatim from the pre-lane verifier as the measured
-// baseline (WithWorkerPool) — BENCH_PR5 compares the two backends on the
-// same host.
-type chanExec struct {
-	n     int
-	tasks chan func()
-
-	// closeMu guards closed and the tasks channel against a concurrent
-	// close; submitters hold the read side across their sends.
-	closeMu sync.RWMutex
-	closed  bool
-}
-
-func newChanExec(workers int) *chanExec {
-	e := &chanExec{
-		n:     workers,
-		tasks: make(chan func(), workers*128),
-	}
-	for i := 0; i < workers; i++ {
-		go e.worker()
-	}
-	return e
-}
-
-func (e *chanExec) worker() {
-	for f := range e.tasks {
-		f()
-	}
-}
-
-func (e *chanExec) workers() int { return e.n }
-
-func (e *chanExec) trySubmit(f func()) bool {
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if e.closed {
-		return false
-	}
-	select {
-	case e.tasks <- f:
-		return true
-	default:
-		return false
-	}
-}
-
-func (e *chanExec) submitBlocking(f func()) bool {
-	e.closeMu.RLock()
-	if !e.closed {
-		// Holding the read lock across the send keeps close (which closes
-		// the channel under the write lock) ordered after the enqueue.
-		e.tasks <- f
-		e.closeMu.RUnlock()
-		return true
-	}
-	e.closeMu.RUnlock()
-	return false
-}
-
-func (e *chanExec) waitDone(done <-chan struct{}) {
-	for {
-		select {
-		case <-done:
-			return
-		case t, open := <-e.tasks:
-			if !open {
-				// Pool closed: remaining work runs inline on submitters.
-				<-done
-				return
-			}
-			t()
-		}
-	}
-}
-
-func (e *chanExec) awaitVote(votes <-chan certVote) certVote {
-	for {
-		select {
-		case vt := <-votes:
-			return vt
-		case t, open := <-e.tasks:
-			if !open {
-				return <-votes
-			}
-			t()
-		}
-	}
-}
-
-func (e *chanExec) close() {
-	e.closeMu.Lock()
-	defer e.closeMu.Unlock()
-	if !e.closed {
-		e.closed = true
-		close(e.tasks)
 	}
 }

@@ -12,9 +12,11 @@
 //     batched (VerifyBatch, VerifyClientBatch) entry points, so protocol
 //     layers hand signature checks off and re-enter their state machines
 //     on completion;
-//   - a parallel VerifyCertificate that fans a quorum certificate's
-//     signatures out and early-exits as soon as the threshold is
-//     confirmed or failure is certain;
+//   - certificate verification (VerifyCertificateDetached) that fans a
+//     quorum certificate's signatures out and early-exits as soon as the
+//     threshold is confirmed or failure is certain, and a serial
+//     VerifyCertificateInline for callers that must not leave their
+//     goroutine;
 //   - a bounded memoization cache keyed by (signer, digest, signature), so
 //     re-delivered commits, echoed acks, and an origin re-verifying its
 //     own aggregated certificate never pay ECDSA twice;
@@ -22,15 +24,13 @@
 //     run on the caller — the BRB ack *sign* path hands its ECDSA off
 //     from transport dispatch flows.
 //
-// Execution rides a pluggable backend (see exec.go). The default is the
-// unified lane scheduler (internal/sched): verify/sign tasks are unkeyed,
-// stealable work on the same lanes that run transport dispatch and
-// settlement fan-out, and goroutines blocked on a Future lend themselves
-// to the lanes while they wait. The PR 1 dedicated worker pool survives
-// behind WithWorkerPool as the measured baseline and as an isolation
-// knob. A single worker degrades gracefully: calls run serially but the
-// memo cache still applies, so single-core hosts pay at most a hash per
-// duplicate check.
+// Execution rides the unified lane scheduler (internal/sched; see
+// exec.go): verify/sign tasks are unkeyed, stealable work on the same
+// lanes that run transport dispatch and settlement fan-out, and goroutines
+// blocked on a Future lend themselves to the lanes while they wait. A
+// single worker degrades gracefully: calls run serially but the memo cache
+// still applies, so single-core hosts pay at most a hash per duplicate
+// check.
 //
 // Verifiers are safe for concurrent use. A process-wide shared verifier
 // is available through Default; it executes on the shared lane runtime
@@ -42,7 +42,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,10 +52,9 @@ import (
 )
 
 // Verifier is a batch verifier with a bounded memo cache, executing on a
-// pluggable backend: lane runtime by default, dedicated worker pool as
-// the measured baseline (see exec.go).
+// lane runtime (see exec.go).
 type Verifier struct {
-	ex   executor
+	ex   *laneExec
 	memo *memoCache
 
 	hits   atomic.Uint64
@@ -124,9 +122,8 @@ const DefaultMemoSize = 8192
 type Option func(*options)
 
 type options struct {
-	memoSize   int
-	workerPool bool
-	runtime    *sched.Runtime
+	memoSize int
+	runtime  *sched.Runtime
 }
 
 // WithMemoSize sets the memo-cache capacity. Zero disables memoization
@@ -135,45 +132,29 @@ func WithMemoSize(n int) Option {
 	return func(o *options) { o.memoSize = n }
 }
 
-// WithWorkerPool selects the dedicated worker-pool backend (the PR 1–4
-// substrate: its own goroutines and task channel) instead of lanes. Kept
-// as the measured baseline for the lane scheduler and for callers that
-// want crypto isolated from dispatch.
-func WithWorkerPool() Option {
-	return func(o *options) { o.workerPool = true }
-}
-
 // WithRuntime runs the verifier's work on an existing lane runtime
 // instead of creating a private one; the runtime is shared, so Close does
-// not stop it. Overrides the worker count and WithWorkerPool.
+// not stop it. Overrides the worker count.
 func WithRuntime(rt *sched.Runtime) Option {
 	return func(o *options) { o.runtime = rt }
 }
 
 // New creates a verifier backed by the given number of workers; workers
 // <= 0 sizes to the host (GOMAXPROCS, with the lane runtime's floor of
-// two). The default backend is a private lane runtime with exactly that
-// many lanes — a 1-worker verifier is fully serial, which wedge-style
-// fixtures rely on.
+// two). Without WithRuntime the backend is a private lane runtime with
+// exactly that many lanes — a 1-worker verifier is fully serial, which
+// wedge-style fixtures rely on.
 func New(workers int, opts ...Option) *Verifier {
 	o := options{memoSize: DefaultMemoSize}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	var ex executor
-	switch {
-	case o.runtime != nil:
-		ex = newLaneExec(o.runtime, false)
-	case o.workerPool:
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		ex = newChanExec(workers)
-	default:
-		ex = newLaneExec(sched.New(workers), true)
+	rt, own := o.runtime, false
+	if rt == nil {
+		rt, own = sched.New(workers), true
 	}
 	return &Verifier{
-		ex:   ex,
+		ex:   newLaneExec(rt, own),
 		memo: newMemoCache(o.memoSize),
 	}
 }
@@ -247,8 +228,8 @@ func (v *Verifier) Async(f func()) {
 
 // TryAsync schedules f on the pool when a slot is free and otherwise runs
 // it inline on the caller. It is the submission form for continuations
-// that may already be executing on a pool worker (the PR 9 commit
-// coordinators): a blocking enqueue from a worker can deadlock a full
+// that may already be executing on a pool worker (the BRB commit
+// verification): a blocking enqueue from a worker can deadlock a full
 // queue against itself, while the inline fallback degrades overload to
 // the caller's CPU — the documented backpressure — and can never wedge.
 func (v *Verifier) TryAsync(f func()) {
@@ -257,28 +238,9 @@ func (v *Verifier) TryAsync(f func()) {
 
 // Future resolves to the result of an asynchronous verification.
 type Future struct {
-	ex   executor
+	ex   *laneExec
 	done chan struct{}
 	ok   bool
-}
-
-// futureTrue and futureFalse are shared pre-resolved futures for memo
-// hits: immutable after init, so handing the same instance to every
-// caller is safe and costs nothing per hit.
-var futureTrue, futureFalse *Future
-
-func init() {
-	futureTrue = &Future{done: make(chan struct{}), ok: true}
-	close(futureTrue.done)
-	futureFalse = &Future{done: make(chan struct{}), ok: false}
-	close(futureFalse.done)
-}
-
-func resolvedFuture(ok bool) *Future {
-	if ok {
-		return futureTrue
-	}
-	return futureFalse
 }
 
 // Wait blocks until the verification completes and reports its result.
@@ -286,10 +248,6 @@ func resolvedFuture(ok bool) *Future {
 // worker (running queued, stealable work), so waiting on a future from
 // inside a backend callback cannot deadlock.
 func (f *Future) Wait() bool {
-	if f.ex == nil {
-		<-f.done
-		return f.ok
-	}
 	f.ex.waitDone(f.done)
 	return f.ok
 }
@@ -362,29 +320,8 @@ func (v *Verifier) verifyMemoized(k memoKeyT, check func() bool) bool {
 	return ok
 }
 
-// verifyMemoizedAsync is verifyMemoized on the pool: memo hits resolve
-// immediately on the caller, misses are scheduled.
-func (v *Verifier) verifyMemoizedAsync(k memoKeyT, check func() bool, cb func(bool)) *Future {
-	if ok, hit := v.memoLookup(k); hit {
-		if cb != nil {
-			cb(ok)
-		}
-		return resolvedFuture(ok)
-	}
-	f := &Future{ex: v.ex, done: make(chan struct{})}
-	v.submit(func() {
-		ok := v.timedCheck(check)
-		v.memo.put(k, ok)
-		f.ok = ok
-		close(f.done)
-		if cb != nil {
-			cb(ok)
-		}
-	})
-	return f
-}
-
-// verifyMemoizedDetached is verifyMemoizedAsync without the future.
+// verifyMemoizedDetached is verifyMemoized on the pool: memo hits call
+// back immediately on the caller, misses are scheduled.
 func (v *Verifier) verifyMemoizedDetached(k memoKeyT, check func() bool, cb func(bool)) {
 	if ok, hit := v.memoLookup(k); hit {
 		cb(ok)
@@ -414,16 +351,9 @@ func (v *Verifier) PrimeReplica(id types.ReplicaID, digest types.Digest, sig []b
 	v.memo.put(memoKey(domainReplica, uint64(id), digest, sig), true)
 }
 
-// VerifyReplicaAsync schedules a memoized replica-signature check. The
-// callback, if non-nil, runs exactly once with the result; on a memo hit
-// it runs immediately on the caller.
-func (v *Verifier) VerifyReplicaAsync(reg *crypto.Registry, id types.ReplicaID, digest types.Digest, sig []byte, cb func(bool)) *Future {
-	k := memoKey(domainReplica, uint64(id), digest, sig)
-	return v.verifyMemoizedAsync(k, func() bool { return reg.VerifySig(id, digest, sig) }, cb)
-}
-
-// VerifyReplicaDetached is VerifyReplicaAsync for callers that only want
-// the callback; no future is allocated.
+// VerifyReplicaDetached schedules a memoized replica-signature check. The
+// callback runs exactly once with the result; on a memo hit it runs
+// immediately on the caller.
 func (v *Verifier) VerifyReplicaDetached(reg *crypto.Registry, id types.ReplicaID, digest types.Digest, sig []byte, cb func(bool)) {
 	k := memoKey(domainReplica, uint64(id), digest, sig)
 	v.verifyMemoizedDetached(k, func() bool { return reg.VerifySig(id, digest, sig) }, cb)
@@ -486,13 +416,6 @@ func (v *Verifier) VerifyClientBatch(keys *crypto.ClientKeys, sigs []ClientSig) 
 		checks[i] = func() bool { return v.VerifyClient(keys, s.Client, s.Digest, s.Sig) }
 	}
 	return v.VerifyBatch(checks)
-}
-
-// certVote is one signature verdict of a parallel certificate check.
-type certVote struct {
-	replica types.ReplicaID
-	ok      bool
-	skipped bool
 }
 
 // certPrepassResult carries the cheap serial phase of certificate
@@ -574,12 +497,23 @@ func (v *Verifier) certSerial(pending []crypto.PartialSig, verify func(crypto.Pa
 	return fmt.Errorf("%w: %d valid of %d needed", crypto.ErrCertTooSmall, valid, threshold)
 }
 
-// VerifyCertificateInline is VerifyCertificate restricted to the calling
-// goroutine: serial, memoized, with the same early exits and acceptance
-// semantics, and — crucially — no blocking on the pool. It is the variant
-// safe to call while holding a lock that pool callbacks may themselves
-// acquire (the payment engine verifies dependency certificates under its
-// state lock; see core.VerifyDependency).
+// VerifyCertificateInline checks that cert carries at least threshold
+// valid signatures over digest, on the calling goroutine: serial,
+// memoized, early-exiting as soon as the threshold is confirmed or failure
+// is certain, and — crucially — never blocking on the pool. It is the
+// variant safe to call while holding a lock that pool callbacks may
+// themselves acquire (the payment engine verifies dependency certificates
+// under its state lock; see core.VerifyDependency). Signature verdicts
+// are memoized, so an origin re-verifying the certificate it aggregated
+// from individually-verified acks pays no ECDSA at all.
+//
+// Semantics match crypto.VerifyCertificate with one deliberate relaxation:
+// once threshold valid signatures are confirmed the certificate is
+// accepted without examining the rest, so a certificate carrying a quorum
+// of valid signatures plus extra invalid ones may be accepted where the
+// serial checker reports ErrCertBadSig. A quorum of valid signatures is
+// exactly the endorsement the protocol needs, so the relaxation is safe —
+// and it is what makes early exit possible.
 func (v *Verifier) VerifyCertificateInline(reg *crypto.Registry, cert crypto.Certificate, digest types.Digest, threshold int, membership func(types.ReplicaID) bool) error {
 	pp, err := v.certPrepass(reg, cert, digest, threshold, membership)
 	if err != nil || pp.decided {
@@ -592,87 +526,6 @@ func (v *Verifier) VerifyCertificateInline(reg *crypto.Registry, cert crypto.Cer
 		return ok
 	}
 	return v.certSerial(pp.pending, verify, pp.valid, pp.invalid, pp.badReplica, pp.maxInvalid, threshold)
-}
-
-// VerifyCertificate checks that cert carries at least threshold valid
-// signatures over digest, fanning the signature checks across the pool
-// and early-exiting as soon as the threshold is confirmed or failure is
-// certain. Signature verdicts are memoized, so an origin re-verifying the
-// certificate it aggregated from individually-verified acks pays no ECDSA
-// at all.
-//
-// Semantics match crypto.VerifyCertificate with one deliberate relaxation:
-// once threshold valid signatures are confirmed the certificate is
-// accepted without examining the rest, so a certificate carrying a quorum
-// of valid signatures plus extra invalid ones may be accepted where the
-// serial checker reports ErrCertBadSig. A quorum of valid signatures is
-// exactly the endorsement the protocol needs, so the relaxation is safe —
-// and it is what makes early exit possible.
-func (v *Verifier) VerifyCertificate(reg *crypto.Registry, cert crypto.Certificate, digest types.Digest, threshold int, membership func(types.ReplicaID) bool) error {
-	pp, err := v.certPrepass(reg, cert, digest, threshold, membership)
-	if err != nil || pp.decided {
-		return err
-	}
-	valid, invalid := pp.valid, pp.invalid
-	badReplica := pp.badReplica
-	maxInvalid := pp.maxInvalid
-	pending := pp.pending
-
-	verify := func(ps crypto.PartialSig) bool {
-		k := memoKey(domainReplica, uint64(ps.Replica), digest, ps.Sig)
-		ok := v.timedCheck(func() bool { return reg.VerifySig(ps.Replica, digest, ps.Sig) })
-		v.memo.put(k, ok)
-		return ok
-	}
-
-	// Serial fast path: a single worker (or a near-resolved certificate)
-	// gains nothing from fan-out, so skip the scheduling overhead.
-	if v.ex.workers() == 1 || len(pending) <= 2 {
-		return v.certSerial(pending, verify, valid, invalid, badReplica, maxInvalid, threshold)
-	}
-
-	// Fan out. The votes channel is buffered to len(pending) so stragglers
-	// that finish after an early exit never block; the stop flag lets them
-	// skip the ECDSA work entirely.
-	votes := make(chan certVote, len(pending))
-	var stop atomic.Bool
-	for _, ps := range pending {
-		ps := ps
-		v.submit(func() {
-			if stop.Load() {
-				votes <- certVote{skipped: true}
-				return
-			}
-			votes <- certVote{replica: ps.Replica, ok: verify(ps)}
-		})
-	}
-	outstanding := len(pending)
-	for outstanding > 0 {
-		// awaitVote helps the backend while waiting, so a full queue
-		// cannot stall the coordinator behind its own unscheduled checks.
-		vt := v.ex.awaitVote(votes)
-		outstanding--
-		if vt.skipped {
-			continue
-		}
-		if vt.ok {
-			valid++
-			if valid >= threshold {
-				stop.Store(true)
-				return nil
-			}
-		} else {
-			invalid++
-			badReplica = vt.replica
-			if invalid > maxInvalid {
-				stop.Store(true)
-				return fmt.Errorf("%w: replica %d", crypto.ErrCertBadSig, badReplica)
-			}
-		}
-	}
-	// Fully drained without reaching the threshold; by the counting above
-	// this implies invalid > maxInvalid was hit, but keep a safe fallback.
-	return fmt.Errorf("%w: %d valid of %d needed", crypto.ErrCertTooSmall, valid, threshold)
 }
 
 // CertTally is the atomic completion state of a continuation-style
@@ -723,7 +576,8 @@ func (t *CertTally) Vote(ok bool) {
 // lets a queued check skip its ECDSA once the outcome is known.
 func (t *CertTally) Done() bool { return t.done.Load() }
 
-// VerifyCertificateDetached is the continuation form of VerifyCertificate:
+// VerifyCertificateDetached is the continuation form of
+// VerifyCertificateInline, fanning the signature checks across the pool:
 // cb(true) iff the certificate carries threshold valid signatures, with
 // the same memoization, early exit, and acceptance relaxation. The
 // callback runs exactly once — inline on the caller when the prepass or

@@ -117,15 +117,16 @@ func TestVerifyAsyncCallback(t *testing.T) {
 	sig, _ := keys[0].Sign(d)
 
 	res := make(chan bool, 1)
-	f := v.VerifyReplicaAsync(reg, 0, d, sig, func(ok bool) { res <- ok })
+	check := func() bool { return v.VerifyReplica(reg, 0, d, sig) }
+	f := v.VerifyAsync(check, func(ok bool) { res <- ok })
 	if !f.Wait() {
 		t.Fatal("future resolved false for valid signature")
 	}
 	if !<-res {
 		t.Fatal("callback got false for valid signature")
 	}
-	// Memo hit path resolves immediately and still fires the callback.
-	f = v.VerifyReplicaAsync(reg, 0, d, sig, func(ok bool) { res <- ok })
+	// The memo hit path still resolves the future and fires the callback.
+	f = v.VerifyAsync(check, func(ok bool) { res <- ok })
 	if !f.Wait() || !<-res {
 		t.Fatal("memoized async verify failed")
 	}
@@ -177,6 +178,26 @@ func TestVerifyClientBatch(t *testing.T) {
 	}
 }
 
+// checkCert runs one certificate check through both entry points:
+// VerifyCertificateInline on v must return want (nil, or an error matching
+// it), and VerifyCertificateDetached — which reports the verdict only —
+// must agree. The continuation form runs on a memo-less verifier, so it
+// fans every signature out instead of answering from the verdicts Inline
+// just cached.
+func checkCert(t *testing.T, v *Verifier, what string, reg *crypto.Registry, cert crypto.Certificate, d types.Digest, threshold int, membership func(types.ReplicaID) bool, want error) {
+	t.Helper()
+	if err := v.VerifyCertificateInline(reg, cert, d, threshold, membership); !errors.Is(err, want) {
+		t.Fatalf("%s: inline got %v, want %v", what, err, want)
+	}
+	fan := New(v.Workers(), WithMemoSize(0))
+	defer fan.Close()
+	done := make(chan bool, 1)
+	fan.VerifyCertificateDetached(reg, cert, d, threshold, membership, func(ok bool) { done <- ok })
+	if ok := <-done; ok != (want == nil) {
+		t.Fatalf("%s: detached verdict %v, want %v", what, ok, want == nil)
+	}
+}
+
 func TestVerifyCertificateParallel(t *testing.T) {
 	v := New(4)
 	defer v.Close()
@@ -184,16 +205,10 @@ func TestVerifyCertificateParallel(t *testing.T) {
 	reg, _, cert := testRegistry(t, 10, d)
 	threshold := 7 // 2f+1 at n=10
 
-	if err := v.VerifyCertificate(reg, cert, d, threshold, nil); err != nil {
-		t.Fatalf("valid certificate rejected: %v", err)
-	}
-	if err := v.VerifyCertificate(reg, cert, d, len(cert.Sigs)+1, nil); !errors.Is(err, crypto.ErrCertTooSmall) {
-		t.Fatalf("oversized threshold: got %v, want ErrCertTooSmall", err)
-	}
+	checkCert(t, v, "valid certificate", reg, cert, d, threshold, nil, nil)
+	checkCert(t, v, "oversized threshold", reg, cert, d, len(cert.Sigs)+1, nil, crypto.ErrCertTooSmall)
 	wrong := types.HashBytes([]byte("other"))
-	if err := v.VerifyCertificate(reg, cert, wrong, threshold, nil); !errors.Is(err, crypto.ErrCertBadSig) {
-		t.Fatalf("wrong digest: got %v, want ErrCertBadSig", err)
-	}
+	checkCert(t, v, "wrong digest", reg, cert, wrong, threshold, nil, crypto.ErrCertBadSig)
 }
 
 func TestVerifyCertificateForgedEarlyExit(t *testing.T) {
@@ -215,13 +230,11 @@ func TestVerifyCertificateForgedEarlyExit(t *testing.T) {
 		}
 		cert.Add(crypto.PartialSig{Replica: types.ReplicaID(i), Sig: sig})
 	}
-	if err := v.VerifyCertificate(reg, cert, d, 7, nil); !errors.Is(err, crypto.ErrCertBadSig) {
-		t.Fatalf("forged certificate: got %v, want ErrCertBadSig", err)
-	}
+	checkCert(t, v, "forged certificate", reg, cert, d, 7, nil, crypto.ErrCertBadSig)
 	// And the verdict is memoized: a redelivery fails from cache without
 	// re-running ECDSA on the forged signature.
 	h0, _ := v.MemoStats()
-	if err := v.VerifyCertificate(reg, cert, d, 7, nil); !errors.Is(err, crypto.ErrCertBadSig) {
+	if err := v.VerifyCertificateInline(reg, cert, d, 7, nil); !errors.Is(err, crypto.ErrCertBadSig) {
 		t.Fatalf("redelivered forged certificate: got %v, want ErrCertBadSig", err)
 	}
 	h1, _ := v.MemoStats()
@@ -247,16 +260,12 @@ func TestVerifyCertificateQuorumSemantics(t *testing.T) {
 	extra := crypto.MustGenerateKeyPair()
 	reg.Add(99, extra.Public())
 	forged.Add(crypto.PartialSig{Replica: 99, Sig: []byte("garbage")})
-	if err := v.VerifyCertificate(reg, forged, d, 7, nil); err != nil {
-		t.Fatalf("quorum of valid sigs + extra garbage: got %v, want nil", err)
-	}
+	checkCert(t, v, "quorum of valid sigs + extra garbage", reg, forged, d, 7, nil, nil)
 
 	unknown := crypto.Certificate{}
 	sig, _ := keys[0].Sign(d)
 	unknown.Add(crypto.PartialSig{Replica: 1000, Sig: sig})
-	if err := v.VerifyCertificate(reg, unknown, d, 1, nil); !errors.Is(err, crypto.ErrCertUnknownKey) {
-		t.Fatalf("unknown signer: got %v, want ErrCertUnknownKey", err)
-	}
+	checkCert(t, v, "unknown signer", reg, unknown, d, 1, nil, crypto.ErrCertUnknownKey)
 }
 
 func TestVerifyCertificateMembership(t *testing.T) {
@@ -265,12 +274,8 @@ func TestVerifyCertificateMembership(t *testing.T) {
 	d := types.HashBytes([]byte("batch"))
 	reg, _, cert := testRegistry(t, 6, d)
 	inShard := func(r types.ReplicaID) bool { return r < 3 }
-	if err := v.VerifyCertificate(reg, cert, d, 3, inShard); err != nil {
-		t.Fatalf("membership-filtered certificate rejected: %v", err)
-	}
-	if err := v.VerifyCertificate(reg, cert, d, 4, inShard); !errors.Is(err, crypto.ErrCertTooSmall) {
-		t.Fatalf("threshold above membership: got %v, want ErrCertTooSmall", err)
-	}
+	checkCert(t, v, "membership-filtered certificate", reg, cert, d, 3, inShard, nil)
+	checkCert(t, v, "threshold above membership", reg, cert, d, 4, inShard, crypto.ErrCertTooSmall)
 }
 
 func TestConcurrentUse(t *testing.T) {
@@ -297,10 +302,17 @@ func TestConcurrentUse(t *testing.T) {
 				if v.VerifyReplica(reg, 0, d, bad) {
 					errs <- "bad sig accepted"
 				}
-				if err := v.VerifyCertificate(reg, cert, d, 7, nil); err != nil {
+				if err := v.VerifyCertificateInline(reg, cert, d, 7, nil); err != nil {
 					errs <- "valid cert rejected: " + err.Error()
 				}
-				f := v.VerifyReplicaAsync(reg, types.ReplicaID(i%10), d, cert.Sigs[i%10].Sig, nil)
+				done := make(chan bool, 1)
+				v.VerifyCertificateDetached(reg, cert, d, 7, nil, func(ok bool) { done <- ok })
+				if !<-done {
+					errs <- "valid cert rejected by the continuation form"
+				}
+				f := v.VerifyAsync(func() bool {
+					return v.VerifyReplica(reg, types.ReplicaID(i%10), d, cert.Sigs[i%10].Sig)
+				}, nil)
 				if !f.Wait() {
 					errs <- "async valid sig rejected"
 				}

@@ -74,8 +74,8 @@
 //
 // # Continuation discipline
 //
-// PR 9 replaced the last per-message goroutines (the BRB commit
-// coordinators) with completion continuations: a verification request
+// No hot path spawns a goroutine per message; BRB commit verification
+// uses completion continuations instead: a verification request
 // carries a callback that fires exactly once when the tally settles.
 // Continuations run in one of three places — inline on the submitter
 // (memo hit, fast-verify regime, or a tally already decided), on the
@@ -100,10 +100,10 @@
 //     inline-completion-free (the *Detached verifier entry points may
 //     complete inline on the caller; see their comments).
 //
-// The spawn counter (Go/Spawns in this package) is the other half of the
-// discipline: every deliberate hot-path goroutine spawn routes through
-// sched.Go, so the guard suite can assert "zero goroutines per settled
-// payment" as a number instead of a code-review claim.
+// The other half of the discipline is that the hot-path packages (core,
+// brb, crypto/verifier, transport) contain no go statement at all — a
+// static guard test in core asserts it — so "zero goroutines per settled
+// payment" is a property of the source, not a code-review claim.
 //
 // # Locking internals
 //

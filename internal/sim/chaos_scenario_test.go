@@ -142,17 +142,8 @@ func TestKillRestartUnderPartition(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	var donor types.ReplicaID
-	for _, d := range c.ReplicaIDs() {
-		if d != victim && d != isolated {
-			donor = d
-			break
-		}
-	}
-	for _, id := range []types.ReplicaID{victim, isolated} {
-		if err := c.AntiEntropy(id, donor); err != nil {
-			t.Fatalf("anti-entropy %d: %v", id, err)
-		}
+	if err := c.CatchUpAll(); err != nil {
+		t.Fatal(err)
 	}
 	waitConverged(t, c, 10*time.Second)
 	assertSafety(t, c)

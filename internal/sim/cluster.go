@@ -50,10 +50,6 @@ type AstroOpts struct {
 	// Bandwidth is the per-node egress capacity in bytes/sec; 0 selects
 	// the paper's ~30 MiB/s, negative disables the bandwidth model.
 	Bandwidth float64
-	// StateStripes is the settlement-state stripe count per replica
-	// (core.Config.StateStripes): 0 selects the default, 1 the
-	// global-lock baseline kept for contention measurements.
-	StateStripes int
 	// RealCrypto uses real ECDSA signatures instead of the simulated
 	// constant-time authenticators. The simulation shares one host CPU
 	// across all replicas, whereas the paper gave every replica its own
@@ -232,7 +228,6 @@ func NewAstroCluster(opts AstroOpts) (*AstroCluster, error) {
 				Genesis:      genesis,
 				BatchSize:    opts.BatchSize,
 				BatchDelay:   opts.BatchDelay,
-				StateStripes: opts.StateStripes,
 				Sched:        rt,
 				Auth:         crypto.NewLinkAuthenticator(id, master),
 				Keys:         keys[id],
@@ -451,6 +446,46 @@ func (c *AstroCluster) AntiEntropy(id, donor types.ReplicaID) error {
 		return fmt.Errorf("sim: unknown replica %d", donor)
 	}
 	return rep.MergeFullSnapshot(d.FullSnapshot())
+}
+
+// CatchUpAll is the operator's catch-up after an outage, standing in for
+// the retransmission the broadcast layer does not have (ROADMAP item 2):
+// every live replica merges every other live replica's full snapshot,
+// repeated until a round leaves every xlog length unchanged. One-way
+// AntiEntropy pulls are not enough after a partition — the donor may
+// itself be behind, and a replica that was cut off can hold settled
+// entries nobody else has.
+func (c *AstroCluster) CatchUpAll() error {
+	c.stateMu.RLock()
+	var live []*core.Replica
+	for id, rep := range c.Replicas {
+		if !c.Net.Crashed(transport.ReplicaNode(id)) {
+			live = append(live, rep)
+		}
+	}
+	c.stateMu.RUnlock()
+	// Merges only ever adopt longer xlogs, so the total is monotone and an
+	// unchanged total means no xlog grew.
+	for before := -1; ; {
+		after := 0
+		for _, rep := range live {
+			for _, donor := range live {
+				if donor == rep {
+					continue
+				}
+				if err := rep.MergeFullSnapshot(donor.FullSnapshot()); err != nil {
+					return fmt.Errorf("sim: catch-up of replica %d from %d: %w", rep.ID(), donor.ID(), err)
+				}
+			}
+			for _, xlog := range rep.StateSnapshot() {
+				after += len(xlog)
+			}
+		}
+		if after == before {
+			return nil
+		}
+		before = after
+	}
 }
 
 // Client returns (creating on first use) the client with the given id.

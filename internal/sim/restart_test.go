@@ -169,17 +169,10 @@ func TestKillRestartMidLoad(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Final anti-entropy from a healthy peer closes the window for
-	// deliveries committed between the kill and the restart-time fetch.
-	var donor types.ReplicaID
-	for id := range c.Replicas {
-		if id != victim {
-			donor = id
-			break
-		}
-	}
-	if err := c.AntiEntropy(victim, donor); err != nil {
-		t.Fatalf("anti-entropy: %v", err)
+	// A final catch-up closes the window for deliveries committed between
+	// the kill and the restart-time fetch.
+	if err := c.CatchUpAll(); err != nil {
+		t.Fatal(err)
 	}
 
 	waitConverged(t, c, 10*time.Second)

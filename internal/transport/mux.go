@@ -56,8 +56,7 @@ type Mux struct {
 	rt *sched.Runtime
 	ns uint64 // flow-key namespace; distinct per mux on a shared runtime
 
-	qsize  int
-	serial bool
+	qsize int
 
 	mu       sync.RWMutex
 	handlers map[Channel]Handler
@@ -81,14 +80,6 @@ func WithQueueSize(n int) MuxOption {
 			m.qsize = n
 		}
 	}
-}
-
-// WithSerialDispatch routes every channel through one shared flow — the
-// pre-sharding behavior, where all handlers of an endpoint execute
-// sequentially. It exists as a measured baseline for lane dispatch and as
-// a debugging aid; production deployments use the sharded default.
-func WithSerialDispatch() MuxOption {
-	return func(m *Mux) { m.serial = true }
 }
 
 // WithRuntime selects the lane runtime dispatch runs on. The default is
@@ -173,12 +164,8 @@ func (m *Mux) Register(ch Channel, h Handler, opts ...RegisterOption) {
 }
 
 // flowForLocked returns (creating if needed) the flow owned by channel ch.
-// In serial mode every channel resolves to the one shared flow. Callers
-// hold m.mu.
+// Callers hold m.mu.
 func (m *Mux) flowForLocked(ch Channel) *sched.Flow {
-	if m.serial {
-		ch = 0 // all channels share the flow keyed by the zero channel
-	}
 	if fl, ok := m.flows[ch]; ok {
 		return fl
 	}
@@ -189,9 +176,8 @@ func (m *Mux) flowForLocked(ch Channel) *sched.Flow {
 }
 
 // DispatchGoroutines reports how many serialization domains the mux
-// dispatches over — one per distinct flow (tests assert sharding and
-// serialization). The name survives from the era when each domain was a
-// dedicated goroutine; flows are now multiplexed onto the shared lanes.
+// dispatches over — one per distinct flow, multiplexed onto the shared
+// lanes (tests assert sharding and serialization).
 func (m *Mux) DispatchGoroutines() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

@@ -271,49 +271,6 @@ func TestMuxCloseWithInflight(t *testing.T) {
 	recv.Close() // idempotent
 }
 
-// TestMuxSerialDispatchBaseline checks the measured baseline mode: every
-// channel shares one dispatch goroutine, restoring cross-channel
-// head-of-line blocking (and the old whole-endpoint serialization).
-func TestMuxSerialDispatchBaseline(t *testing.T) {
-	net := memnet.New()
-	defer net.Close()
-	a := transport.NewMux(net.Node(1))
-	defer a.Close()
-	b := transport.NewMux(net.Node(2), transport.WithSerialDispatch())
-	defer b.Close()
-
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 1)
-	b.Register(transport.ChanBRB, func(transport.NodeID, []byte) {
-		entered <- struct{}{}
-		<-gate
-	})
-	pay := make(chan struct{}, 1)
-	b.Register(transport.ChanPayment, func(transport.NodeID, []byte) { pay <- struct{}{} })
-	if n := b.DispatchGoroutines(); n != 1 {
-		t.Fatalf("DispatchGoroutines = %d, want 1 in serial mode", n)
-	}
-
-	if err := a.Send(2, transport.ChanBRB, []byte("stall")); err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-	if err := a.Send(2, transport.ChanPayment, []byte("submit")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-pay:
-		t.Fatal("serial mode delivered across a wedged channel — not serialized")
-	case <-time.After(100 * time.Millisecond):
-	}
-	close(gate)
-	select {
-	case <-pay:
-	case <-time.After(2 * time.Second):
-		t.Fatal("payment never delivered after the wedge lifted")
-	}
-}
-
 // waitGroupTimeout waits for wg with a deadline.
 func waitGroupTimeout(wg *sync.WaitGroup, d time.Duration) bool {
 	done := make(chan struct{})

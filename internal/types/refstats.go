@@ -16,11 +16,12 @@ type RefStats struct {
 	RefHits, RefMisses uint64
 	// NacksSent / NacksReceived count the fallback round trips.
 	NacksSent, NacksReceived uint64
-	// DefsDeferred counts chain definitions withheld by the lazy-CHAINDEF
-	// mode (PR 9): a reference was sent where the eager mode would also
-	// have sent the definition. DefsDemanded counts definitions later sent
-	// because a NACK demanded them; Deferred − Demanded is the definition
-	// traffic the receivers never needed.
+	// DefsDeferred counts chain definitions withheld (lazy CHAINDEF): the
+	// first reference to a chain went to a destination without its
+	// definition. DefsDemanded counts definitions later sent because a
+	// NACK demanded them — the only definitions sent, so it equals
+	// DefsSent; Deferred − Demanded is the definition traffic the
+	// receivers never needed.
 	DefsDeferred, DefsDemanded uint64
 }
 
