@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race fuzz-smoke chaos-smoke chaos-smoke-tcp soak profile-mem check verify
+.PHONY: all build test vet race fuzz-smoke chaos-smoke chaos-smoke-tcp soak profile-mem bench-compare check verify
 
 all: check
 
@@ -38,6 +38,17 @@ race:
 # in benchmark/ (see benchmark/README.md): `bash benchmark/run.sh
 # --workload tcp4-mem --seed 1 --seconds 26 --trace 0`, `-layers`,
 # `-compare a.jsonl b.jsonl`; `--trace 1` adds the CPU profile.
+
+# A performance claim is ten alternating pairs of PARENT's committed tree
+# against this checkout (bench_compare.sh): seeds 1..PAIRS, every workload
+# in WORKLOADS, rows in .bench_build/compare/{parent,change}.jsonl, judged
+# by the harness's -compare; exits 1 if any metric is worse than its bound.
+# About 100 s a pair and workload. Run nothing else meanwhile.
+PARENT ?= HEAD~1
+PAIRS ?= 10
+WORKLOADS ?= tcp4-mem
+bench-compare:
+	PARENT='$(PARENT)' PAIRS='$(PAIRS)' WORKLOADS='$(WORKLOADS)' bash bench_compare.sh
 
 # Short fuzz pass over every wire/record decoder harness — the three
 # generations of chain-ref forms (brb), the credit channel, durable

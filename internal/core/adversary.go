@@ -97,23 +97,21 @@ func EncodeSubmit(p types.Payment, sig []byte) []byte {
 	return encodeSubmit(p, sig)
 }
 
-// EncodeConfirm builds a confirmation frame — hostile when reflected *at*
-// a replica (clients are the only legitimate receivers).
-func EncodeConfirm(id types.PaymentID) []byte {
-	return encodeConfirm(id)
+// EncodeConfirm builds a confirmation frame for a run of count payments
+// starting at first — hostile when reflected *at* a replica (clients are
+// the only legitimate receivers), or when the run is one no representative
+// would send (count 0, another spender, a length past any buffer).
+func EncodeConfirm(first types.PaymentID, count uint32) []byte {
+	return encodeConfirm(confirmRun{Spender: first.Spender, First: first.Seq, Count: count})
 }
 
-// DecodeConfirm parses a confirmation frame (kind byte included). The
-// hostile-client harness seeds real settled history before attacking it
-// and uses this to learn when the seed payment confirmed.
-func DecodeConfirm(frame []byte) (types.PaymentID, bool) {
-	if len(frame) != 17 || frame[0] != msgConfirm {
-		return types.PaymentID{}, false
-	}
-	return types.PaymentID{
-		Spender: types.ClientID(be64(frame[1:9])),
-		Seq:     types.Seq(be64(frame[9:17])),
-	}, true
+// DecodeConfirm parses a confirmation frame (kind byte included) into the
+// first payment of its run and the run's length. The hostile-client
+// harness seeds real settled history before attacking it and uses this to
+// learn when the seed payment confirmed.
+func DecodeConfirm(frame []byte) (first types.PaymentID, count uint32, ok bool) {
+	run, ok := decodeConfirm(frame)
+	return types.PaymentID{Spender: run.Spender, Seq: run.First}, run.Count, ok
 }
 
 // EncodeSeqReq builds a next-sequence query for an arbitrary client

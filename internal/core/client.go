@@ -46,7 +46,7 @@ func NewClient(id types.ClientID, repOf func(types.ClientID) types.ReplicaID, mu
 		rep:      repOf(id),
 		mux:      mux,
 		nextSeq:  1,
-		confirms: make(chan types.PaymentID, 1<<12),
+		confirms: make(chan types.PaymentID, maxConfirmRun),
 		balances: make(chan types.Amount, 8),
 		seqs:     make(chan types.Seq, 8),
 		stats:    make(chan EdgeStats, 8),
@@ -178,18 +178,21 @@ func (c *Client) onMessage(from transport.NodeID, payload []byte) {
 	}
 	switch payload[0] {
 	case msgConfirm:
-		if len(payload) != 17 {
+		// One frame per settled batch: a run of this client's consecutive
+		// sequence numbers. No representative sends a run longer than the
+		// buffer, so a longer one is hostile and costs nothing to refuse.
+		run, ok := decodeConfirm(payload)
+		if !ok || run.Spender != c.id || run.Count > maxConfirmRun {
 			return
 		}
-		var id types.PaymentID
-		id.Spender = types.ClientID(be64(payload[1:9]))
-		id.Seq = types.Seq(be64(payload[9:17]))
-		if id.Spender != c.id {
-			return
-		}
-		select {
-		case c.confirms <- id:
-		default: // confirmation buffer full: drop oldest semantics not needed; drop new
+		for i := types.Seq(0); i < types.Seq(run.Count); i++ {
+			select {
+			case c.confirms <- types.PaymentID{Spender: c.id, Seq: run.First + i}:
+			default:
+				// Buffer full: drop the rest of the run too, so what the
+				// reader sees of it stays an in-order prefix.
+				return
+			}
 		}
 	case msgBalanceResp:
 		if len(payload) != 17 {

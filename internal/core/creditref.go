@@ -18,12 +18,16 @@ import (
 //     yields the same canonical []types.Digest backing, so the k DepSigs
 //     of one wave share storage and the certificate encoder's
 //     equal-chain test hits its pointer fast path;
-//   - creditWaves: sender side — a bounded buffer of recently signed waves
-//     (chain, signature, jobs), from which a CREDITNACK is answered with
-//     the chain's CREDITCHAINDEF and the reference again. A wave evicted
-//     before a NACK arrives is simply not retransmitted: the dependency
-//     still forms from the other >= f+1 signers, which is the fault
-//     model's job anyway.
+//   - creditWaves: sender side — the recently signed waves (chain,
+//     signature, jobs), oldest retired first, from which a CREDITNACK is
+//     answered with the chain's CREDITCHAINDEF and the reference again.
+//     Definitions are lazy, so every reference from a signer whose wave
+//     boundaries differ from the receiver's needs that answer: a wave
+//     retired before its NACK arrives is a signature the beneficiary never
+//     gets, and when it happens at enough signers the certificate never
+//     forms and the credit is lost. Retention is therefore sized by what a
+//     NACK can trail its reference by (creditWaveRetainBytes), not by a
+//     count of waves.
 //
 // Unlike the BRB side, there is no per-destination sent-set: every wave
 // signs a brand-new chain (the digests of its freshly settled groups), so
@@ -32,10 +36,19 @@ import (
 // Both structures hang off chainMu; the lock is never held across a
 // transport send or a signature operation.
 
-// creditChainCacheEntries bounds the per-peer credit chain caches and the
-// retransmit buffer. At the creditChainCap chain length this is ~64 KiB
-// per peer of digests plus one wave's jobs per retained entry.
+// creditChainCacheEntries bounds the per-peer credit chain caches, and is
+// the number of signed waves always retained whatever their size. At the
+// creditChainCap chain length this is ~64 KiB per peer of digests.
 const creditChainCacheEntries = 64
+
+// creditWaveRetainBytes is how much signed-wave content a replica keeps for
+// CREDITNACK answers beyond the newest creditChainCacheEntries waves. The
+// argument is brb's committedRetainBytes: a NACK trails its CREDITREF by
+// whatever was queued ahead of either — kernel socket buffers and the
+// bounded dispatch queues — and that is a byte quantity. A saturated
+// replica signs several hundred waves a second, so a count of 64 retired a
+// wave ~160 ms after signing it, inside the loaded p99.
+const creditWaveRetainBytes = 16 << 20
 
 // CreditRefStats counts the credit-channel reference traffic at one
 // replica, for tests and the benchmark harness: CREDITCHAINDEF/CREDITREF
@@ -55,6 +68,43 @@ type retainedWave struct {
 	chain []types.Digest
 	sig   []byte
 	jobs  []creditJob
+}
+
+// size is what the wave holds in memory, to the byte of its wire content.
+func (w retainedWave) size() int {
+	n := 32*len(w.chain) + len(w.sig)
+	for _, j := range w.jobs {
+		n += len(j.group) * types.PaymentWireSize
+	}
+	return n
+}
+
+// waveBuffer is the sender-side retransmit buffer: signed waves by chain
+// digest, retired oldest first once they exceed creditWaveRetainBytes
+// while more than creditChainCacheEntries remain.
+type waveBuffer struct {
+	waves map[types.Digest]retainedWave
+	order []types.Digest // oldest first
+	bytes int
+}
+
+func newWaveBuffer() *waveBuffer {
+	return &waveBuffer{waves: make(map[types.Digest]retainedWave)}
+}
+
+func (b *waveBuffer) put(digest types.Digest, w retainedWave) {
+	if _, ok := b.waves[digest]; ok {
+		return // same digest, same chain: already answerable
+	}
+	b.waves[digest] = w
+	b.order = append(b.order, digest)
+	b.bytes += w.size()
+	for len(b.order) > creditChainCacheEntries && b.bytes > creditWaveRetainBytes {
+		oldest := b.order[0]
+		b.order = b.order[1:]
+		b.bytes -= b.waves[oldest].size()
+		delete(b.waves, oldest)
+	}
 }
 
 // learnCreditChain caches (and interns) a chain defined by peer, returning
@@ -88,7 +138,7 @@ func (r *Replica) knownCreditChain(peer types.ReplicaID, digest types.Digest) ([
 // retainCreditWave buffers a signed wave for NACK retransmission.
 func (r *Replica) retainCreditWave(digest types.Digest, w retainedWave) {
 	r.chainMu.Lock()
-	r.creditWaves.Put(digest, w)
+	r.creditWaves.put(digest, w)
 	r.chainMu.Unlock()
 }
 
@@ -99,10 +149,12 @@ func (r *Replica) handleCreditNack(from transport.NodeID, digest types.Digest) {
 	r.creditRefStats.NacksReceived.Add(1)
 	rep := types.ReplicaID(from)
 	r.chainMu.Lock()
-	wave, ok := r.creditWaves.Get(digest)
+	wave, ok := r.creditWaves.waves[digest]
 	r.chainMu.Unlock()
 	if !ok {
-		return // evicted; the >= f+1 other signers carry the dependency
+		// Never signed here, or retired: nothing to answer with. For a real
+		// wave this costs the beneficiary this replica's signature.
+		return
 	}
 	var gs []creditBatchGroup
 	for i, j := range wave.jobs {

@@ -315,6 +315,126 @@ func TestCreditNackAnsweredWithDefAndRef(t *testing.T) {
 	}
 }
 
+// TestCreditNackTrailingByHundredsOfWaves: definitions are lazy, so a
+// signer whose chain the destination cannot resolve must still hold the
+// wave when the NACK comes — however many waves it has signed meanwhile.
+// Two signers with differently cut waves (neither chain resolves the
+// other's reference) each sign 500 more waves before the destination's
+// credit channel lets their references through; both NACKs must be
+// answered with CREDITCHAINDEF + CREDITREF and the f+1 certificate must
+// complete. With retention counted in waves (64) both answers were gone
+// and the credit was lost for good.
+func TestCreditNackTrailingByHundredsOfWaves(t *testing.T) {
+	c := newCluster(t, AstroII, 4, func(cl types.ClientID) types.Amount {
+		if cl == 1 {
+			return 100
+		}
+		return 0
+	})
+	repBob := c.replicas[int(c.repOf(2))]
+	bobGroup := []types.Payment{pay(1, 1, 2, 40)}
+
+	var refs [][]byte
+	for _, signer := range []int{0, 1} {
+		// Job i of a wave signs chain entry i; the padding group differs
+		// per signer, so the two chains do.
+		jobs := []creditJob{
+			{rep: 3, group: []types.Payment{pay(5, types.Seq(signer+1), 7, 1)}},
+			{rep: c.repOf(2), group: bobGroup},
+		}
+		chain := []types.Digest{CreditGroupDigest(jobs[0].group), CreditGroupDigest(jobs[1].group)}
+		_, ref := c.creditRefFrom(t, signer, chain, []creditBatchGroup{{ChainIdx: 1, Group: bobGroup}})
+		m, err := decodeCreditRef(ref[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := c.replicas[signer]
+		r.retainCreditWave(m.ChainDigest, retainedWave{chain: chain, sig: m.Sig, jobs: jobs})
+		for i := 0; i < 500; i++ {
+			later := []types.Digest{types.HashBytes([]byte{byte(signer), byte(i), byte(i >> 8)})}
+			r.retainCreditWave(CreditChainDigest(later), retainedWave{chain: later, sig: m.Sig})
+		}
+		refs = append(refs, ref)
+	}
+	for signer, ref := range refs {
+		if err := c.replicas[signer].cfg.Mux.Send(transport.ReplicaNode(c.repOf(2)), transport.ChanCredit, ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for repBob.Balance(2) != 40 {
+		if time.Now().After(deadline) {
+			t.Fatalf("certificate never completed after late NACKs; balance = %d, receiver %+v, signer 0 %+v",
+				repBob.Balance(2), repBob.CreditRefStats(), c.replicas[0].CreditRefStats())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if st := repBob.CreditRefStats(); st.NacksSent != 2 {
+		t.Fatalf("receiver stats = %+v, want one NACK per signer", st)
+	}
+	for _, signer := range []int{0, 1} {
+		if st := c.replicas[signer].CreditRefStats(); st.DefsDemanded != 1 || st.RefsSent != 1 {
+			t.Fatalf("signer %d stats = %+v, want the demanded definition and the reference again", signer, st)
+		}
+	}
+}
+
+// TestCreditWaveRetentionIsAByteBudget: over 10 000 signed waves the
+// buffer never holds more than creditWaveRetainBytes, never fewer than
+// creditChainCacheEntries waves, retires oldest first, and its byte count
+// is exactly the sum of what it holds.
+func TestCreditWaveRetentionIsAByteBudget(t *testing.T) {
+	// A full wave: creditChainCap groups of 8 payments, ~9 KiB — 10 000 of
+	// them are several budgets' worth.
+	w := retainedWave{chain: make([]types.Digest, creditChainCap), sig: make([]byte, 72)}
+	for i := 0; i < creditChainCap; i++ {
+		w.jobs = append(w.jobs, creditJob{rep: 1, group: make([]types.Payment, 8)})
+	}
+	key := func(i int) types.Digest { return types.HashBytes([]byte{byte(i), byte(i >> 8), byte(i >> 16)}) }
+
+	b := newWaveBuffer()
+	const waves = 10000
+	if waves*w.size() < 4*creditWaveRetainBytes {
+		t.Fatalf("test waves too small to exercise the budget: %d B each", w.size())
+	}
+	for i := 0; i < waves; i++ {
+		b.put(key(i), w)
+		if b.bytes > creditWaveRetainBytes {
+			t.Fatalf("after %d waves: %d B retained, budget %d", i+1, b.bytes, creditWaveRetainBytes)
+		}
+		if want := min(i+1, creditChainCacheEntries); len(b.order) < want {
+			t.Fatalf("after %d waves: only %d retained", i+1, len(b.order))
+		}
+	}
+	if len(b.order) != len(b.waves) || b.bytes != len(b.order)*w.size() {
+		t.Fatalf("accounting drifted: %d ordered, %d mapped, %d B", len(b.order), len(b.waves), b.bytes)
+	}
+	if kept := creditWaveRetainBytes / w.size(); len(b.order) != kept {
+		t.Fatalf("%d waves retained, budget holds %d", len(b.order), kept)
+	}
+	for i, d := range b.order {
+		if d != key(waves-len(b.order)+i) {
+			t.Fatalf("retained wave %d is not among the newest", i)
+		}
+	}
+	b.put(key(waves-1), w) // a repeated digest is not counted twice
+	if b.bytes != len(b.order)*w.size() {
+		t.Fatal("repeated wave counted twice")
+	}
+
+	// Waves too large for the budget: the newest creditChainCacheEntries
+	// are kept regardless.
+	big := retainedWave{jobs: []creditJob{{group: make([]types.Payment, creditWaveRetainBytes/types.PaymentWireSize/8)}}}
+	b = newWaveBuffer()
+	for i := 0; i < 3*creditChainCacheEntries; i++ {
+		b.put(key(i), big)
+	}
+	if len(b.order) != creditChainCacheEntries {
+		t.Fatalf("%d oversized waves retained, want %d", len(b.order), creditChainCacheEntries)
+	}
+}
+
 // TestCreditRefCompleteCertDropsSilently: a reference that cannot resolve
 // but whose every group's certificate is already complete must be dropped
 // without a NACK — the chain would only be used to discard the groups, so

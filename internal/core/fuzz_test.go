@@ -230,16 +230,23 @@ func FuzzDecodeReplicaImage(f *testing.F) {
 // spoofed submits, replayed settled submissions, sequence-race probes
 // (Seq 0, far-future Seq), and replica-bound control frames reflected
 // back. Invariant: no panic on arbitrary bytes, decoded submits respect
-// the submit frame grammar, and the stats snapshot round-trips.
+// the submit frame grammar, a decoded confirmation run names real
+// payments, and runs and the stats snapshot round-trip.
 func FuzzDecodePaymentChannel(f *testing.F) {
 	honest := types.Payment{Spender: 7, Seq: 3, Beneficiary: 9, Amount: 25}
 	f.Add(EncodeSubmit(honest, nil))
-	f.Add(EncodeSubmit(honest, []byte("forged-signature")))                                       // forged client sig
+	f.Add(EncodeSubmit(honest, []byte("forged-signature")))                                      // forged client sig
 	f.Add(EncodeSubmit(types.Payment{Spender: 8, Seq: 1, Beneficiary: 7, Amount: 1}, nil))       // spoofed spender
 	f.Add(EncodeSubmit(types.Payment{Spender: 7, Seq: 0, Beneficiary: 9, Amount: 1}, nil))       // Seq 0 race
 	f.Add(EncodeSubmit(types.Payment{Spender: 7, Seq: 1 << 40, Beneficiary: 9, Amount: 1}, nil)) // far-future Seq
 	f.Add(EncodeSubmit(types.Payment{Spender: 7, Seq: 3, Beneficiary: 4, Amount: 999}, nil))     // equivocating resubmit
-	f.Add(EncodeConfirm(honest.ID()))                                                            // reflected confirm
+	f.Add(EncodeConfirm(honest.ID(), 1))                                                         // reflected confirm, run of 1
+	f.Add(EncodeConfirm(honest.ID(), 70))                                                        // a saturated batch's run
+	f.Add(EncodeConfirm(honest.ID(), maxConfirmRun))                                             // the longest a client expands
+	f.Add(EncodeConfirm(honest.ID(), 0))                                                         // empty run
+	f.Add(EncodeConfirm(honest.ID(), 1<<32-1))                                                   // run past any buffer
+	f.Add(EncodeConfirm(types.PaymentID{Spender: 7, Seq: 1<<64 - 2}, 3))                         // last seq wraps
+	f.Add(EncodeConfirm(honest.ID(), 1)[:17])                                                    // the retired 17-byte form
 	f.Add(EncodeSeqReq(7))
 	f.Add(EncodeBalanceReq(7))
 	f.Add(EncodeStatsReq())
@@ -260,6 +267,15 @@ func FuzzDecodePaymentChannel(f *testing.F) {
 				// the submit encoding being canonical.
 				if again := encodeSubmit(p, sig); string(again[1:]) != string(body) {
 					t.Fatal("submit round-trip diverged")
+				}
+			}
+		case msgConfirm:
+			if run, ok := decodeConfirm(data); ok {
+				if run.Count == 0 || run.First == 0 || run.First+types.Seq(run.Count-1) < run.First {
+					t.Fatalf("decoded a run that names no payments: %+v", run)
+				}
+				if again := encodeConfirm(run); string(again) != string(data) {
+					t.Fatal("confirm round-trip diverged")
 				}
 			}
 		case msgStatsResp:

@@ -8,9 +8,23 @@ import (
 )
 
 // Message kinds on the payment channel (client <-> representative).
+//
+//	kind            direction       body after the kind byte
+//	msgSubmit       client -> rep   payment (PaymentWireSize) + signature chunk
+//	msgConfirm      rep -> client   spender u64, first seq u64, count u32: a run
+//	                                of count consecutive settled payments
+//	msgBalanceReq   client -> rep   client u64
+//	msgBalanceResp  rep -> client   client u64, balance u64
+//	msgSeqReq       client -> rep   client u64
+//	msgSeqResp      rep -> client   client u64, next usable seq u64
+//	msgStatsReq/msgStatsResp        edge-rejection counters (edge.go)
+//
+// A confirmation is always a run: one settled batch owes one client one
+// frame, whatever the number of its payments in the batch, and a single
+// payment (an idle deployment, a settled-replay answer) is a run of 1.
 const (
 	msgSubmit      byte = 1 // client -> representative: a new payment
-	msgConfirm     byte = 2 // representative -> client: payment settled
+	msgConfirm     byte = 2 // representative -> client: a run of settled payments
 	msgBalanceReq  byte = 3 // client -> representative: balance query
 	msgBalanceResp byte = 4 // representative -> client: balance answer
 	msgSeqReq      byte = 5 // client -> representative: next sequence query
@@ -47,12 +61,45 @@ func decodeSubmit(payload []byte) (types.Payment, []byte, bool) {
 	return p, sig, true
 }
 
-func encodeConfirm(id types.PaymentID) []byte {
-	w := wire.NewWriter(17)
+// confirmRun is the body of a msgConfirm frame: Count payments of Spender
+// with consecutive sequence numbers from First settled.
+type confirmRun struct {
+	Spender types.ClientID
+	First   types.Seq
+	Count   uint32
+}
+
+// maxConfirmRun is the longest run a representative sends and the depth of
+// a client's confirmation buffer: a client refuses anything longer unread,
+// so the two must be one number.
+const maxConfirmRun = 1 << 12
+
+// confirmFrameSize is the one length a msgConfirm frame has, kind included.
+const confirmFrameSize = 1 + 8 + 8 + 4
+
+func encodeConfirm(run confirmRun) []byte {
+	w := wire.NewWriter(confirmFrameSize)
 	w.U8(msgConfirm)
-	w.U64(uint64(id.Spender))
-	w.U64(uint64(id.Seq))
+	w.U64(uint64(run.Spender))
+	w.U64(uint64(run.First))
+	w.U32(run.Count)
 	return w.Bytes()
+}
+
+// decodeConfirm parses a whole msgConfirm frame. It accepts only runs that
+// name real payments: at least one, sequence numbers from 1, and a last
+// sequence number that does not wrap. How long a run a receiver is willing
+// to expand is the receiver's bound, not the grammar's.
+func decodeConfirm(frame []byte) (confirmRun, bool) {
+	if len(frame) != confirmFrameSize || frame[0] != msgConfirm {
+		return confirmRun{}, false
+	}
+	r := wire.NewReader(frame[1:])
+	run := confirmRun{Spender: types.ClientID(r.U64()), First: types.Seq(r.U64()), Count: r.U32()}
+	if run.Count == 0 || run.First == 0 || run.First+types.Seq(run.Count-1) < run.First {
+		return confirmRun{}, false
+	}
+	return run, true
 }
 
 func encodeBalanceReq(c types.ClientID) []byte {

@@ -107,7 +107,7 @@ type Replica struct {
 	// answering CREDITNACKs.
 	chainMu        sync.Mutex
 	creditChains   *types.PeerCache[[]types.Digest]
-	creditWaves    *types.LRU[types.Digest, retainedWave]
+	creditWaves    *waveBuffer
 	creditRefStats types.RefCounters
 
 	// endorsement memory for the BRB external-validity hook (the in-flight
@@ -279,7 +279,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 	cfg.Mux.Register(transport.ChanLocal, r.onLocal, transport.SerializeWith(transport.ChanPayment))
 	if cfg.Version == AstroII {
 		r.creditChains = types.NewPeerCache[[]types.Digest](creditChainCacheEntries)
-		r.creditWaves = types.NewLRU[types.Digest, retainedWave](creditChainCacheEntries)
+		r.creditWaves = newWaveBuffer()
 		r.creditSigner = verifier.NewChainSigner(cfg.Verifier, creditChainCap, verifier.DefaultChainThreshold, r.sendCreditSingle, r.sendCreditChain)
 		// Seed the sign-cost estimate so the first loaded wave already
 		// knows whether chain batching pays off with these keys.
@@ -675,7 +675,7 @@ func (r *Replica) preScreenSubmit(p types.Payment) bool {
 	if settled, ok := r.state.SettledAt(p.Spender, p.Seq); ok {
 		if settled == p {
 			r.edge.settledReplay.Add(1)
-			_ = r.cfg.Mux.Send(transport.ClientNode(p.Spender), transport.ChanPayment, encodeConfirm(p.ID()))
+			_ = r.cfg.Mux.Send(transport.ClientNode(p.Spender), transport.ChanPayment, encodeConfirm(confirmRun{Spender: p.Spender, First: p.Seq, Count: 1}))
 		} else {
 			r.edge.conflicting.Add(1)
 		}
@@ -1047,7 +1047,13 @@ func (r *Replica) postSettle(settled []types.Payment) {
 	}
 	r.settledTotal.Add(uint64(len(settled)))
 
-	var confirms []types.Payment
+	// What this wave owes each own client, as runs of consecutive sequence
+	// numbers in the order they first appear. Xlogs are gap-free, so one
+	// spender's settlements in a wave are one stretch and a wave costs one
+	// frame per client, however its payments interleave with the others';
+	// a gap, or a run at maxConfirmRun, starts a second one.
+	var confirms []confirmRun
+	var lastRun map[types.ClientID]int // spender -> index of its newest run
 	var groups map[types.ReplicaID][]types.Payment
 	retry := make(map[types.ClientID]struct{})
 	if r.cfg.Version == AstroII {
@@ -1056,7 +1062,15 @@ func (r *Replica) postSettle(settled []types.Payment) {
 	r.repMu.Lock()
 	for _, p := range settled {
 		if r.cfg.RepOf(p.Spender) == r.cfg.Self {
-			confirms = append(confirms, p)
+			if i, ok := lastRun[p.Spender]; ok && confirms[i].First+types.Seq(confirms[i].Count) == p.Seq && confirms[i].Count < maxConfirmRun {
+				confirms[i].Count++
+			} else {
+				if lastRun == nil {
+					lastRun = make(map[types.ClientID]int)
+				}
+				lastRun[p.Spender] = len(confirms)
+				confirms = append(confirms, confirmRun{Spender: p.Spender, First: p.Seq, Count: 1})
+			}
 			if r.cfg.Version == AstroII {
 				// Clamped, not plain subtraction: Amount is unsigned, and a
 				// restarted replica can settle a payment whose in-flight
@@ -1094,9 +1108,9 @@ func (r *Replica) postSettle(settled []types.Payment) {
 	}
 	r.retryPendingLocked(retry) // releases repMu
 
-	for _, p := range confirms {
-		r.confirmedTotal.Add(1)
-		_ = r.cfg.Mux.Send(transport.ClientNode(p.Spender), transport.ChanPayment, encodeConfirm(p.ID()))
+	for _, run := range confirms {
+		r.confirmedTotal.Add(uint64(run.Count))
+		_ = r.cfg.Mux.Send(transport.ClientNode(run.Spender), transport.ChanPayment, encodeConfirm(run))
 	}
 
 	// Astro II: queue one CREDIT per beneficiary-representative group —

@@ -83,10 +83,15 @@ func NewHostileClient(id types.ClientID, rep, wrongRep types.ReplicaID, mux *tra
 }
 
 func (h *HostileClient) onMessage(_ transport.NodeID, payload []byte) {
-	if id, ok := core.DecodeConfirm(payload); ok && id.Spender == h.id {
+	first, count, ok := core.DecodeConfirm(payload)
+	if !ok || first.Spender != h.id {
+		return
+	}
+	for i := uint32(0); i < count; i++ {
 		select {
-		case h.confirms <- id:
+		case h.confirms <- types.PaymentID{Spender: h.id, Seq: first.Seq + types.Seq(i)}:
 		default:
+			return // buffer full: the rest of the run is not needed either
 		}
 	}
 }
@@ -207,7 +212,7 @@ func (h *HostileClient) CreditStorm(settled types.Payment) {
 // confirmation aimed *at* a replica) — both counted as malformed.
 func (h *HostileClient) Junk() {
 	h.send(h.repNode(), transport.ChanPayment, []byte{0xee, 0x01, 0xfe})
-	h.send(h.repNode(), transport.ChanPayment, core.EncodeConfirm(types.PaymentID{Spender: h.id, Seq: 1}))
+	h.send(h.repNode(), transport.ChanPayment, core.EncodeConfirm(types.PaymentID{Spender: h.id, Seq: 1}, 1))
 }
 
 // Storm drives the full attack mix against the settled seed payment

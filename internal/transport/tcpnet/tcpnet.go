@@ -4,13 +4,24 @@
 // sender's NodeID so a single inbound connection can relay for any peer.
 //
 // Outbound connections are established lazily and re-dialed with backoff on
-// failure. Like memnet, inbound messages are delivered from a single
-// reader goroutine per endpoint; protocols layered through transport.Mux
-// then fan out to one dispatch goroutine per channel (see the Mux
-// concurrency contract).
+// failure; every Send is one synchronous, deadline-bounded write of one
+// frame, and its error is the caller's. Inbound, each connection has one
+// read loop that parses frames out of a buffered reader — a burst of small
+// frames costs one read(2), not two per frame — and checks every frame
+// against maxFrame before allocating for it. A peer without a configured
+// address (a client that dialed in) is answered over the connection it
+// last dialed: the read loop records that route on the first frame it sees
+// from a sender id, not on every frame.
+//
+// Like memnet, inbound messages are delivered from a single dispatch
+// goroutine per endpoint, fed by the read loops through a bounded inbox (a
+// full inbox blocks the readers, and TCP pushes back on the senders);
+// protocols layered through transport.Mux then fan out to one dispatch
+// goroutine per channel (see the Mux concurrency contract).
 package tcpnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -74,6 +85,8 @@ type Endpoint struct {
 	// by the pre-handler parking bounds (observable in tests and ops).
 	jitter    atomic.Uint64
 	parkDrops atomic.Uint64
+	// routeGen counts closed connections; see readLoop and learnRoute.
+	routeGen atomic.Uint64
 
 	mu    sync.Mutex
 	conns map[transport.NodeID]*peerConn
@@ -285,9 +298,15 @@ func (e *Endpoint) readLoop(conn net.Conn, ownConn bool) {
 	if ownConn {
 		defer conn.Close()
 	}
-	var hdr [8]byte
+	br := bufio.NewReader(conn)
+	var (
+		learned  bool
+		lastFrom transport.NodeID
+		lastGen  uint64
+		hdr      [8]byte
+	)
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
 		}
 		total := binary.BigEndian.Uint32(hdr[0:4])
@@ -296,12 +315,19 @@ func (e *Endpoint) readLoop(conn net.Conn, ownConn bool) {
 		}
 		from := transport.NodeID(binary.BigEndian.Uint32(hdr[4:8]))
 		payload := make([]byte, total-4)
-		if _, err := io.ReadFull(conn, payload); err != nil {
+		if _, err := io.ReadFull(br, payload); err != nil {
 			return
 		}
 		// Learn a return route: replies to a peer with no configured
-		// address (e.g. a client that dialed in) reuse its connection.
-		e.learnRoute(from, conn)
+		// address (e.g. a client that dialed in) reuse its connection. The
+		// first frame from a sender id takes the route, later ones leave
+		// it alone; once some connection has closed (routeGen moved) the
+		// route may have gone with it, so offer this one for an empty route.
+		gen := e.routeGen.Load()
+		if take := !learned || from != lastFrom; take || gen != lastGen {
+			e.learnRoute(from, conn, take)
+		}
+		learned, lastFrom, lastGen = true, from, gen
 		select {
 		case e.inbox <- inMsg{from: from, payload: payload}:
 		case <-e.done:
@@ -489,10 +515,14 @@ func (e *Endpoint) peer(to transport.NodeID) *peerConn {
 }
 
 // learnRoute records an inbound connection as the way to reach a peer
-// without a configured address. The most recent connection wins: a peer
-// that reconnects (e.g. a client process restarting) supersedes its dead
-// predecessor.
-func (e *Endpoint) learnRoute(from transport.NodeID, conn net.Conn) {
+// without a configured address. A read loop takes the route on the first
+// frame it sees from the peer, so the most recent connection wins: a peer
+// that reconnects (e.g. a client process restarting) supersedes its
+// predecessor, and later frames on the older connection, should it still
+// be alive, do not take the route back. Without take, only an empty route
+// is filled: if the newer connection dies first, the older one's next frame
+// restores it.
+func (e *Endpoint) learnRoute(from transport.NodeID, conn net.Conn, take bool) {
 	if _, configured := e.cfg.Peers[from]; configured {
 		return
 	}
@@ -504,12 +534,16 @@ func (e *Endpoint) learnRoute(from transport.NodeID, conn net.Conn) {
 	}
 	e.mu.Unlock()
 	pc.mu.Lock()
-	pc.conn = conn
+	if take || pc.conn == nil {
+		pc.conn = conn
+	}
 	pc.mu.Unlock()
 }
 
-// evictRoutes clears learned routes that point at a now-closed connection.
+// evictRoutes clears learned routes that point at a now-closed connection,
+// then moves routeGen so the surviving read loops re-offer theirs.
 func (e *Endpoint) evictRoutes(conn net.Conn) {
+	defer e.routeGen.Add(1)
 	e.mu.Lock()
 	var pcs []*peerConn
 	for id, pc := range e.conns {

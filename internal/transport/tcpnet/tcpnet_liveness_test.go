@@ -179,14 +179,15 @@ func TestTCPWriteDeadlineUnblocksStalledPeer(t *testing.T) {
 // TestTCPLearnedRouteSupersession: a peer with no configured address is
 // reachable through its inbound connection; when it reconnects (client
 // process restart), the NEWEST connection wins, including while the old
-// one is still open.
+// one is still open — and still sending.
 func TestTCPLearnedRouteSupersession(t *testing.T) {
 	srv, err := New(Config{Self: 1, Listen: "127.0.0.1:0", Peers: map[transport.NodeID]string{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	srv.SetHandler(func(transport.NodeID, []byte) {})
+	seen := make(chan string, 16)
+	srv.SetHandler(func(_ transport.NodeID, p []byte) { seen <- string(p) })
 	addr := srv.Addr().String()
 	const clientID = transport.ClientNodeBase + 7
 
@@ -236,6 +237,29 @@ func TestTCPLearnedRouteSupersession(t *testing.T) {
 	}
 	if !waitReply(ch2, "reply-2") {
 		t.Fatal("reconnected client never took over the learned route")
+	}
+
+	// The most recent *connection* wins, not the most recent frame: a read
+	// loop learns a route on the first frame it sees from a sender, so the
+	// superseded client, still alive and still sending on its old
+	// connection, does not take the route back.
+	if err := c1.Send(1, []byte("hello-1-again")); err != nil {
+		t.Fatal(err)
+	}
+	for m := ""; m != "hello-1-again"; {
+		select {
+		case m = <-seen:
+		case <-time.After(5 * time.Second):
+			t.Fatal("frame on the superseded connection never arrived")
+		}
+	}
+	if !waitReply(ch2, "reply-2b") {
+		t.Fatal("a frame on the superseded connection took the route back")
+	}
+	for len(ch1) > 0 { // "reply-2"s from before c2 connected may sit here
+		if m := <-ch1; m == "reply-2b" {
+			t.Fatalf("superseded client still received %q", m)
+		}
 	}
 
 	// After the superseded client dies, the route must stay with c2 (the
@@ -303,7 +327,7 @@ func TestTCPParkedFramesBoundedPerPeer(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = b.Close() })
 
-	// Flood from a: well past the per-peer cap.
+	// Flood from a: 512 frames past the per-peer cap.
 	for i := 0; i < maxParkedPerPeer+512; i++ {
 		if err := a.Send(3, []byte("flood")); err != nil {
 			t.Fatalf("flood send: %v", err)
@@ -313,13 +337,17 @@ func TestTCPParkedFramesBoundedPerPeer(t *testing.T) {
 	if err := b.Send(3, []byte("honest")); err != nil {
 		t.Fatal(err)
 	}
-	// Let everything reach c's dispatch goroutine pre-handler.
+	// Let the whole flood reach c's dispatch goroutine pre-handler: every
+	// frame past the cap must have been counted as shed. Installing the
+	// handler at the first drop would leave the rest of the flood in the
+	// socket, to be delivered live ahead of "honest" and miscounted below
+	// as parked.
 	deadline := time.Now().Add(5 * time.Second)
-	for c.ParkDrops() == 0 && time.Now().Before(deadline) {
+	for c.ParkDrops() < 512 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if c.ParkDrops() == 0 {
-		t.Fatal("per-peer parking cap never engaged")
+	if drops := c.ParkDrops(); drops != 512 {
+		t.Fatalf("per-peer parking cap shed %d frames of the flood, want 512", drops)
 	}
 
 	got := make(chan string, maxParked+1024)
@@ -362,5 +390,84 @@ func TestTCPRedialPauseJittered(t *testing.T) {
 	}
 	if len(seen) < 32 {
 		t.Fatalf("pauses not jittered: only %d distinct values in 64 draws", len(seen))
+	}
+}
+
+// The converse of the last step above: when the *newer* connection of a
+// client id closes while the older one is alive, the route is empty (no
+// frame is in flight to re-learn it from), and the older connection's
+// next frame restores it — a read loop re-offers its connection for an
+// empty route after any connection has closed.
+func TestTCPLearnedRouteRestoredByOlderConnection(t *testing.T) {
+	srv, err := New(Config{Self: 1, Listen: "127.0.0.1:0", Peers: map[transport.NodeID]string{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	seen := make(chan string, 16)
+	srv.SetHandler(func(_ transport.NodeID, p []byte) { seen <- string(p) })
+	const clientID = transport.ClientNodeBase + 7
+	newClient := func() (*Endpoint, chan string) {
+		c, err := New(Config{Self: clientID, Peers: map[transport.NodeID]string{1: srv.Addr().String()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		ch := make(chan string, 16)
+		c.SetHandler(func(_ transport.NodeID, p []byte) { ch <- string(p) })
+		return c, ch
+	}
+	sendAndWait := func(c *Endpoint, msg string) {
+		t.Helper()
+		if err := c.Send(1, []byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+		for m := ""; m != msg; {
+			select {
+			case m = <-seen:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%q never arrived", msg)
+			}
+		}
+	}
+
+	older, olderCh := newClient()
+	sendAndWait(older, "older-1")
+	newer, newerCh := newClient()
+	sendAndWait(newer, "newer-1")
+	if err := srv.Send(clientID, []byte("to-newer")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-newerCh:
+		if m != "to-newer" {
+			t.Fatalf("newer connection read %q", m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the newer connection never took the route")
+	}
+
+	// The newer connection dies; with nothing arriving, the route is lost.
+	_ = newer.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Send(clientID, []byte("nobody")) == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("route survived its connection")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// One frame on the older connection, and the client is reachable again.
+	sendAndWait(older, "older-2")
+	if err := srv.Send(clientID, []byte("to-older")); err != nil {
+		t.Fatalf("route not restored by the surviving connection: %v", err)
+	}
+	select {
+	case m := <-olderCh:
+		if m != "to-older" {
+			t.Fatalf("older connection read %q", m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("reply never reached the surviving connection")
 	}
 }
