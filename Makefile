@@ -50,9 +50,9 @@ WORKLOADS ?= tcp4-mem
 bench-compare:
 	PARENT='$(PARENT)' PAIRS='$(PAIRS)' WORKLOADS='$(WORKLOADS)' bash bench_compare.sh
 
-# Short fuzz pass over every wire/record decoder harness — the three
-# generations of chain-ref forms (brb), the credit channel, durable
-# snapshot, and manifest images (core), the WAL frame scanner (wal), and
+# Short fuzz pass over every wire/record decoder harness — the commit and
+# chain-reference forms (brb), the credit channel, batches, dependencies,
+# durable snapshot, and manifest images (core), the WAL frame scanner (wal), and
 # the KV record/index parsers that recovery trusts (kv). ~10s per
 # fuzzer; CI-smoke depth, not a soak.
 FUZZTIME ?= 10s
@@ -63,7 +63,7 @@ fuzz-smoke:
 		$(GO) test -run=NONE -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) ./internal/kv/ || exit 1; done
 	for f in FuzzDecodeCreditChannel FuzzDecodeBatch FuzzDecodeDependency FuzzDecodeReplicaImage FuzzDecodeManifest FuzzDecodePaymentChannel FuzzCreditDependencies; do \
 		$(GO) test -run=NONE -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) ./internal/core/ || exit 1; done
-	for f in FuzzDecodeChainDef FuzzDecodeAckCert FuzzDecodeCommitRef FuzzDecodeChainNack FuzzDecodeCommitTab; do \
+	for f in FuzzDecodeChainDef FuzzDecodeCommitRef FuzzDecodeChainNack FuzzDecodeCommitTab; do \
 		$(GO) test -run=NONE -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) ./internal/brb/ || exit 1; done
 	$(GO) test -run=NONE -fuzz="^FuzzDecodeReconfigChannel$$" -fuzztime=$(FUZZTIME) ./internal/reconfig/
 

@@ -7,23 +7,23 @@ import (
 	"astro/internal/wire"
 )
 
-// Batch-level ack signing (the hash-chain amortization of ROADMAP's
-// "Batch-level signing" item): a replica that has several acks pending
-// while an earlier ECDSA is in flight signs them all at once. The single
+// Batch-level ack signing: a replica that has several acks pending while
+// an earlier ECDSA is in flight signs them all at once. The single
 // signature covers a *chain* — the ordered list of (origin, slot, ack
 // digest) entries — so one signing operation endorses many BRB instances,
 // possibly across different origins. Each origin receives the full chain
 // and extracts the entries addressed to it; the signature only verifies
-// against the whole chain, so the chain rides along inside commit
-// certificates (AckSig.Chain) and every verifier recomputes the same chain
-// digest. The verifier memo then collapses the cost on the receiving side
-// too: a chain of k slots costs one ECDSA verification for all k commits
-// it appears in.
+// against the whole chain, so commit certificates name the chain
+// (AckSig.Chain) and every verifier recomputes the same chain digest. The
+// verifier memo then collapses the cost on the receiving side too: a
+// chain of k slots costs one ECDSA verification for all k commits it
+// appears in.
 //
-// Single pending acks keep the original one-slot wire form (kindAck, and
-// plain crypto.Certificate commits), so batching is purely an under-load
-// optimization and the protocol remains wire-compatible with peers that
-// never batch.
+// A lone pending ack keeps the single-slot form (kindAck): under light
+// load every ack is signed alone, and a plain signature verifies with
+// nothing else in hand, where a length-1 chain named by digest would be
+// known only to its signer and its origin and cost every other replica a
+// CHAINNACK round trip per commit.
 //
 // The queue/drain/adaptive-threshold scheduling that feeds these chains
 // is generalized as verifier.ChainSigner (shared with the payment layer's
@@ -54,9 +54,17 @@ type AckSig struct {
 	ChainDigest types.Digest
 }
 
+// chainDigest returns the memoized chain digest, hashing the chain when a
+// caller built the signature without it.
+func (a *AckSig) chainDigest() types.Digest {
+	if a.ChainDigest == (types.Digest{}) {
+		return AckChainDigest(a.Chain)
+	}
+	return a.ChainDigest
+}
+
 // AckCert is a quorum of ack signatures for one instance, possibly mixing
-// single-slot and chain signatures. It generalizes crypto.Certificate,
-// which remains the wire form when every signature is single-slot.
+// single-slot and chain signatures.
 type AckCert struct {
 	Sigs []AckSig
 }
@@ -64,25 +72,14 @@ type AckCert struct {
 // Len returns the number of signatures gathered.
 func (c AckCert) Len() int { return len(c.Sigs) }
 
-// has reports whether the certificate already carries a signature by r.
-func (c AckCert) has(r types.ReplicaID) bool {
+// Has reports whether the certificate already carries a signature by r.
+func (c AckCert) Has(r types.ReplicaID) bool {
 	for _, s := range c.Sigs {
 		if s.Replica == r {
 			return true
 		}
 	}
 	return false
-}
-
-// allPlain reports whether every signature is single-slot, i.e. the
-// certificate can be downgraded to the legacy crypto.Certificate wire form.
-func (c AckCert) allPlain() bool {
-	for _, s := range c.Sigs {
-		if s.Chain != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // maxAckChain bounds decoded chain lengths (defense against hostile
@@ -181,67 +178,5 @@ func EncodeAckBatch(chain []ChainEntry, sig []byte) []byte {
 	return w.Bytes()
 }
 
-// ackCertSize is the exact encoded size of an extended certificate.
-func ackCertSize(cert AckCert) int {
-	n := 4
-	for _, s := range cert.Sigs {
-		n += 4 + 4 + len(s.Sig) + 4 + len(s.Chain)*chainEntrySize
-	}
-	return n
-}
-
-func appendAckCert(w *wire.Writer, cert AckCert) {
-	w.U32(uint32(len(cert.Sigs)))
-	for _, s := range cert.Sigs {
-		w.U32(uint32(s.Replica))
-		w.Chunk(s.Sig)
-		appendChain(w, s.Chain)
-	}
-}
-
 // maxAckCertSigs mirrors crypto's decoded-certificate bound.
 const maxAckCertSigs = 4096
-
-func decodeAckCert(r *wire.Reader) (AckCert, error) {
-	var cert AckCert
-	n := r.U32()
-	if err := r.Err(); err != nil {
-		return cert, err
-	}
-	if n > maxAckCertSigs {
-		return cert, fmt.Errorf("brb: ack cert of %d signatures exceeds cap", n)
-	}
-	cert.Sigs = make([]AckSig, 0, n)
-	for i := uint32(0); i < n; i++ {
-		id := types.ReplicaID(r.U32())
-		sig := r.Chunk()
-		if err := r.Err(); err != nil {
-			return AckCert{}, err
-		}
-		chain, err := decodeChain(r)
-		if err != nil {
-			return AckCert{}, err
-		}
-		cert.Sigs = append(cert.Sigs, AckSig{Replica: id, Sig: sig, Chain: chain})
-	}
-	return cert, nil
-}
-
-// commitBatchSize is the exact size of a COMMITBATCH message.
-func commitBatchSize(payload []byte, cert AckCert) int {
-	return headerSize + 4 + len(payload) + ackCertSize(cert)
-}
-
-func appendCommitBatch(w *wire.Writer, origin types.ReplicaID, slot uint64, payload []byte, cert AckCert) {
-	appendHeader(w, kindCommitBatch, origin, slot)
-	w.Chunk(payload)
-	appendAckCert(w, cert)
-}
-
-// EncodeCommitBatch encodes a COMMIT carrying an extended (chain-capable)
-// certificate. Exported for tests.
-func EncodeCommitBatch(origin types.ReplicaID, slot uint64, payload []byte, cert AckCert) []byte {
-	w := wire.NewWriter(commitBatchSize(payload, cert))
-	appendCommitBatch(w, origin, slot, payload, cert)
-	return w.Bytes()
-}

@@ -2,7 +2,7 @@ package brb
 
 // Tests for batch-level ack signing: the pool-side signer (no ECDSA on a
 // dispatch goroutine, chains amortizing one signature over many
-// instances), the chain/extended-certificate codecs, and the commit
+// instances), the chain and tabled-commit codecs, and the commit
 // verification rules for chain signatures.
 
 import (
@@ -52,21 +52,25 @@ func TestAckChainCodecRoundTrip(t *testing.T) {
 	cert := AckCert{Sigs: []AckSig{
 		{Replica: 1, Sig: []byte("s1")},               // single-slot
 		{Replica: 2, Sig: []byte("s2"), Chain: chain}, // chain-signed
+		{Replica: 3, Sig: []byte("s3"), Chain: chain}, // same chain: one table entry
 	}}
-	w := wire.NewWriter(ackCertSize(cert))
-	appendAckCert(w, cert)
-	if w.Len() != ackCertSize(cert) {
-		t.Fatalf("cert size %d, want exact %d", w.Len(), ackCertSize(cert))
+	payload := []byte("payload")
+	commit := EncodeCommitTab(3, 17, payload, cert)
+	if table, _ := commitChainTable(cert); len(table) != 1 || len(commit) != commitTabSize(payload, table, cert) {
+		t.Fatalf("commit size %d with a table of %d chains", len(commit), len(table))
 	}
-	rc := wire.NewReader(w.Bytes())
-	back, err := decodeAckCert(rc)
+	rc := wire.NewReader(commit[headerSize:])
+	if string(rc.Chunk()) != string(payload) {
+		t.Fatal("commit payload mangled")
+	}
+	back, _, digests, err := decodeCommitTab(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Sigs) != 2 || back.Sigs[0].Chain != nil || len(back.Sigs[1].Chain) != 2 {
+	if len(back.Sigs) != 3 || back.Sigs[0].Chain != nil || len(back.Sigs[1].Chain) != 2 || &back.Sigs[1].Chain[0] != &back.Sigs[2].Chain[0] {
 		t.Fatalf("cert round trip: %+v", back)
 	}
-	if AckChainDigest(chain) != AckChainDigest(back.Sigs[1].Chain) {
+	if len(digests) != 1 || digests[0] != AckChainDigest(chain) || back.Sigs[1].ChainDigest != digests[0] {
 		t.Fatal("chain digest changed across codec round trip")
 	}
 }
@@ -293,7 +297,7 @@ func chainCommitFor(t *testing.T, h *harness, origin types.ReplicaID, slot uint6
 		}
 		cert.Sigs = append(cert.Sigs, AckSig{Replica: r, Sig: sig, Chain: chain})
 	}
-	return EncodeCommitBatch(origin, slot, payload, cert)
+	return EncodeCommitTab(origin, slot, payload, cert)
 }
 
 // TestSignedCommitBatchDelivers: a commit whose quorum consists of chain
@@ -371,7 +375,7 @@ func TestSignedCommitBatchDuplicateSignersDontCount(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cert.Sigs = append(cert.Sigs, AckSig{Replica: 0, Sig: sig, Chain: chain})
 	}
-	commit := EncodeCommitBatch(3, 1, payload, cert)
+	commit := EncodeCommitTab(3, 1, payload, cert)
 	if err := h.muxes[3].Send(transport.ReplicaNode(0), transport.ChanBRB, commit); err != nil {
 		t.Fatal(err)
 	}

@@ -16,16 +16,14 @@ import (
 // Exported message-kind bytes (first byte of every ChanBRB frame), for
 // behaviors that dispatch on frame kind.
 const (
-	KindPrepare     = kindPrepare
-	KindEcho        = kindEcho
-	KindReady       = kindReady
-	KindAck         = kindAck
-	KindCommit      = kindCommit
-	KindAckBatch    = kindAckBatch
-	KindCommitBatch = kindCommitBatch
-	KindChainDef    = kindChainDef
-	KindCommitRef   = kindCommitRef
-	KindChainNack   = kindChainNack
+	KindPrepare   = kindPrepare
+	KindEcho      = kindEcho
+	KindReady     = kindReady
+	KindAck       = kindAck
+	KindAckBatch  = kindAckBatch
+	KindChainDef  = kindChainDef
+	KindCommitRef = kindCommitRef
+	KindChainNack = kindChainNack
 )
 
 // FrameKind returns a frame's message-kind byte (0 for an empty frame).
@@ -36,11 +34,11 @@ func FrameKind(frame []byte) byte {
 	return frame[0]
 }
 
-// IsCommitKind reports whether kind carries a commit certificate in any
-// of its three wire forms — the frames a commit-withholding adversary
-// suppresses.
+// IsCommitKind reports whether kind carries a commit certificate — the
+// COMMITREF and the COMMITTAB resend, the frames a commit-withholding
+// adversary suppresses.
 func IsCommitKind(kind byte) bool {
-	return kind == kindCommit || kind == kindCommitBatch || kind == kindCommitRef
+	return kind == kindCommitRef || kind == kindCommitTab
 }
 
 // DecodePrepare parses a PREPARE frame (kind byte included) into its
@@ -75,6 +73,22 @@ func DecodeAck(frame []byte) (origin types.ReplicaID, slot uint64, digest types.
 		return 0, 0, types.Digest{}, nil, false
 	}
 	return origin, slot, digest, sig, true
+}
+
+// DecodeAckBatch parses an ACKBATCH frame (kind byte included) into the
+// chain its one signature covers and the signature, which aliases the
+// frame. Like an ACK, the frame does not name the acking replica.
+func DecodeAckBatch(frame []byte) (chain []ChainEntry, sig []byte, ok bool) {
+	r := wire.NewReader(frame)
+	if r.U8() != kindAckBatch {
+		return nil, nil, false
+	}
+	chain, err := decodeChain(r)
+	sig = r.Chunk()
+	if err != nil || r.Finish() != nil || len(chain) == 0 {
+		return nil, nil, false
+	}
+	return chain, sig, true
 }
 
 // ForgeAck produces the ACK frame a colluding replica emits to endorse an

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"astro/internal/crypto"
 	"astro/internal/crypto/verifier"
 	"astro/internal/transport"
 	"astro/internal/types"
@@ -16,15 +15,15 @@ import (
 func signCommitFor(t *testing.T, h *harness, origin types.ReplicaID, slot uint64, payload []byte) []byte {
 	t.Helper()
 	d := SignedDigest(origin, slot, payload)
-	var cert crypto.Certificate
+	var cert AckCert
 	for _, r := range []types.ReplicaID{0, 1, 2} {
 		sig, err := h.keys[r].Sign(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cert.Add(crypto.PartialSig{Replica: r, Sig: sig})
+		cert.Sigs = append(cert.Sigs, AckSig{Replica: r, Sig: sig})
 	}
-	return EncodeCommit(origin, slot, payload, cert)
+	return EncodeCommitTab(origin, slot, payload, cert)
 }
 
 // TestSignedDeliveryOrderOutOfOrderVerify is the regression test for the
@@ -70,11 +69,11 @@ func TestSignedCommitRetryAfterBadCertificate(t *testing.T) {
 	payload := []byte("eventually")
 
 	// Certificate of garbage signatures: structurally fine, cryptographically not.
-	var bad crypto.Certificate
+	var bad AckCert
 	for _, r := range []types.ReplicaID{0, 1, 2} {
-		bad.Add(crypto.PartialSig{Replica: r, Sig: []byte("garbage")})
+		bad.Sigs = append(bad.Sigs, AckSig{Replica: r, Sig: []byte("garbage")})
 	}
-	badCommit := EncodeCommit(3, 1, payload, bad)
+	badCommit := EncodeCommitTab(3, 1, payload, bad)
 	if err := h.muxes[3].Send(transport.ReplicaNode(0), transport.ChanBRB, badCommit); err != nil {
 		t.Fatal(err)
 	}

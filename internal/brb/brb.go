@@ -128,30 +128,39 @@ type instanceID struct {
 	slot   uint64
 }
 
-// Message kinds on ChanBRB.
+// Message kinds on ChanBRB. Bracha uses PREPARE, ECHO and READY; Signed
+// uses PREPARE and everything from ACK on. Kind bytes are the values
+// below; 5 and 7 are retired.
+//
+//	kind        direction            body after the kind byte
+//	PREPARE     origin -> all        origin u32, slot u64, payload chunk
+//	ECHO        all -> all           origin u32, slot u64, payload chunk
+//	READY       all -> all           origin u32, slot u64, payload chunk
+//	ACK         replica -> origin    origin u32, slot u64, ack digest, sig chunk
+//	ACKBATCH    replica -> origins   chain, sig chunk: one signature over the
+//	                                 chain, sent to every origin it names
+//	CHAINDEF    origin -> replica    chain, answering a CHAINNACK
+//	COMMITREF   origin -> all        origin, slot, payload chunk, certificate
+//	                                 whose chain signatures name their chain
+//	                                 by digest
+//	CHAINNACK   replica -> origin    origin, slot, the chain digests a
+//	                                 COMMITREF named that the replica lacks
+//	COMMITTAB   origin -> replica    origin, slot, payload chunk, chain table,
+//	                                 certificate naming chains by table index
+//
+// A commit goes out as a COMMITREF; a COMMITTAB is the self-contained
+// resend for a CHAINNACK the origin cannot answer with definitions. A
+// certificate of single-slot signatures is the same COMMITREF with no
+// chain named (see ackchain.go, chainref.go, committab.go).
 const (
-	kindPrepare byte = 1
-	kindEcho    byte = 2
-	kindReady   byte = 3
-	kindAck     byte = 4
-	kindCommit  byte = 5
-	// Batch-level ack signing (Signed only): one signature over a hash
-	// chain of pending instances, and commits whose certificates carry
-	// such chain signatures. See ackchain.go.
-	kindAckBatch    byte = 6
-	kindCommitBatch byte = 7
-	// Chain-by-digest references (Signed only): a chain transmitted once
-	// per destination (CHAINDEF), commits whose certificates reference it
-	// by digest (COMMITREF), and the cache-miss fallback (CHAINNACK). See
-	// chainref.go.
+	kindPrepare   byte = 1
+	kindEcho      byte = 2
+	kindReady     byte = 3
+	kindAck       byte = 4
+	kindAckBatch  byte = 6
 	kindChainDef  byte = 8
 	kindCommitRef byte = 9
 	kindChainNack byte = 10
-	// Tabled commit (Signed only): a COMMITBATCH whose certificate interns
-	// its chains in one message-level table, each signature naming its
-	// chain by index — the PR 9 self-contained form that never repeats a
-	// chain inside a message. Legacy kindCommitBatch stays decodable. See
-	// committab.go.
 	kindCommitTab byte = 11
 )
 
@@ -208,24 +217,6 @@ func appendAck(w *wire.Writer, origin types.ReplicaID, slot uint64, digest types
 func EncodeAck(origin types.ReplicaID, slot uint64, digest types.Digest, sig []byte) []byte {
 	w := wire.NewWriter(ackSize(sig))
 	appendAck(w, origin, slot, digest, sig)
-	return w.Bytes()
-}
-
-// commitSize is the exact size of a COMMIT message.
-func commitSize(payload []byte, cert crypto.Certificate) int {
-	return headerSize + 4 + len(payload) + crypto.CertificateSize(cert)
-}
-
-func appendCommit(w *wire.Writer, origin types.ReplicaID, slot uint64, payload []byte, cert crypto.Certificate) {
-	appendHeader(w, kindCommit, origin, slot)
-	w.Chunk(payload)
-	crypto.EncodeCertificate(w, cert)
-}
-
-// EncodeCommit encodes a COMMIT message (Signed). Exported for tests.
-func EncodeCommit(origin types.ReplicaID, slot uint64, payload []byte, cert crypto.Certificate) []byte {
-	w := wire.NewWriter(commitSize(payload, cert))
-	appendCommit(w, origin, slot, payload, cert)
 	return w.Bytes()
 }
 

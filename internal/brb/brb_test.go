@@ -345,11 +345,12 @@ func TestSignedRejectsForgedCommit(t *testing.T) {
 	h := newHarness(t, protoSigned, 4)
 	// A Byzantine node crafts a COMMIT with a garbage certificate.
 	evil := transport.NewMux(h.net.Node(transport.ReplicaNode(50)))
-	var cert crypto.Certificate
-	cert.Add(crypto.PartialSig{Replica: 0, Sig: []byte("junk")})
-	cert.Add(crypto.PartialSig{Replica: 1, Sig: []byte("junk")})
-	cert.Add(crypto.PartialSig{Replica: 2, Sig: []byte("junk")})
-	msg := EncodeCommit(0, 1, []byte("stolen"), cert)
+	cert := AckCert{Sigs: []AckSig{
+		{Replica: 0, Sig: []byte("junk")},
+		{Replica: 1, Sig: []byte("junk")},
+		{Replica: 2, Sig: []byte("junk")},
+	}}
+	msg := EncodeCommitTab(0, 1, []byte("stolen"), cert)
 	for i := 0; i < 4; i++ {
 		_ = evil.Send(transport.ReplicaNode(types.ReplicaID(i)), transport.ChanBRB, msg)
 	}

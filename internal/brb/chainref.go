@@ -7,12 +7,11 @@ import (
 	"astro/internal/wire"
 )
 
-// Chain-by-digest references (the wire-level counterpart of the PR 2/3
-// signing amortization): a chain of k batch-signed acks appears in the
-// certificate of every one of the k commits it endorses, so the legacy
-// COMMITBATCH form re-transmits each signer's full chain — 44 bytes per
-// slot per signer — once per SLOT. The reference protocol transmits a
-// chain to each destination at most once:
+// Chain-by-digest references: a chain of k batch-signed acks endorses k
+// commits, and a certificate carrying its chains inline would re-transmit
+// each signer's full chain — 44 bytes per slot per signer — once per SLOT.
+// The reference protocol transmits a chain to each destination at most
+// once:
 //
 //   - CHAINDEF carries the chain itself, content-addressed: the receiver
 //     recomputes AckChainDigest and stores the chain in a bounded per-peer
@@ -35,12 +34,11 @@ import (
 //     costs one bounded unicast answer per NACK and evicts nothing from
 //     anyone else's cache.
 //
-// Legacy ACKBATCH/COMMITBATCH remain fully decodable; single-slot commits
-// (kindCommit) are untouched. The net effect at chain cap 32: chain bytes
-// per committed payment drop from quorum x chain-length x 44 to the
-// amortized quorum x 44 + quorum x 37 of one CHAINDEF per wave plus the
-// per-commit references — O(1) in chain length (the harness metric
-// brb.signed_n4_wire_bytes_per_payment re-measures it).
+// At chain cap 32, chain bytes per committed payment are the amortized
+// quorum x 44 + quorum x 37 of one CHAINDEF per wave plus the per-commit
+// references, against quorum x chain-length x 44 inline — O(1) in chain
+// length (the harness metric brb.signed_n4_wire_bytes_per_payment
+// measures it).
 
 // chainCacheEntries bounds the per-peer chain caches, on both sides: a
 // receiver keeps at most this many defined chains per sending peer (so one
@@ -51,10 +49,10 @@ import (
 const chainCacheEntries = 64
 
 // ChainRefStats counts the chain-reference protocol's traffic at one
-// replica, for tests and the benchmark harness: CHAINDEF/COMMITREF/
-// self-contained commit sends (single-slot all-plain certificates and
-// NACK-triggered resends both count under FullSends), inbound reference
-// cache hits and misses, and NACK round trips. The shape is shared with
+// replica, for tests and the benchmark harness: COMMITREF sends, the
+// definitions NACKs demanded, self-contained COMMITTAB resends
+// (FullSends), inbound reference cache hits and misses, and NACK round
+// trips. The shape is shared with
 // the credit channel's identical protocol (types.RefStats).
 type ChainRefStats = types.RefStats
 

@@ -1,7 +1,7 @@
 package brb
 
 // Tests for chain-by-digest references: the CHAINDEF/COMMITREF/CHAINNACK
-// codecs, the once-per-destination chain transmission, the NACK -> legacy
+// codecs, the once-per-destination chain transmission, the NACK -> COMMITTAB
 // retransmit fallback (never-seen and evicted chains), and the rejection
 // of forged references.
 
@@ -144,9 +144,6 @@ func TestSignedLazyChainDefsDeliverAndSave(t *testing.T) {
 	if st.DefsDeferred == 0 {
 		t.Fatalf("no definition was ever deferred: %+v", st)
 	}
-	if st.DefsSent != st.DefsDemanded {
-		t.Fatalf("sent %d defs but %d were demanded — an undemanded send leaked: %+v", st.DefsSent, st.DefsDemanded, st)
-	}
 	if st.DefsDemanded >= st.DefsDeferred {
 		t.Fatalf("lazy definitions saved nothing: deferred %d, demanded %d", st.DefsDeferred, st.DefsDemanded)
 	}
@@ -283,8 +280,8 @@ func (fx *refFixture) expectDelivery(t *testing.T, slot uint64, payload string) 
 
 // TestCommitRefUnknownChainNacksAndRecovers: a COMMITREF naming a chain
 // the receiver has never seen must trigger a CHAINNACK naming the digest,
-// the legacy COMMITBATCH retransmit must deliver AND re-prime the chain
-// cache — so the next COMMITREF over the same chain resolves with no
+// the self-contained COMMITTAB retransmit must deliver AND re-prime the
+// chain cache — so the next COMMITREF over the same chain resolves with no
 // further round trip.
 func TestCommitRefUnknownChainNacksAndRecovers(t *testing.T) {
 	fx := newRefFixture(t)
@@ -307,9 +304,9 @@ func TestCommitRefUnknownChainNacksAndRecovers(t *testing.T) {
 	default:
 	}
 
-	// The origin's fallback: the self-contained legacy form. It delivers
-	// and re-primes the cache with the inline chain.
-	if err := fx.origin.Send(transport.ReplicaNode(1), transport.ChanBRB, EncodeCommitBatch(0, 1, p1, cert)); err != nil {
+	// The origin's fallback: the self-contained COMMITTAB. It delivers and
+	// re-primes the cache with the tabled chain.
+	if err := fx.origin.Send(transport.ReplicaNode(1), transport.ChanBRB, EncodeCommitTab(0, 1, p1, cert)); err != nil {
 		t.Fatal(err)
 	}
 	fx.expectDelivery(t, 1, string(p1))
@@ -342,12 +339,12 @@ func TestCommitRefEvictionDegradesToFull(t *testing.T) {
 		}
 	}
 	// chainB's definition evicted chainA (capacity 1): the reference to
-	// chainA must NACK, and the legacy resend must still deliver.
+	// chainA must NACK, and the COMMITTAB resend must still deliver.
 	if err := fx.origin.Send(transport.ReplicaNode(1), transport.ChanBRB, EncodeCommitRef(0, 1, p1, refSigsFor(certA, 0))); err != nil {
 		t.Fatal(err)
 	}
 	fx.expectNack(t, 1, AckChainDigest(chainA))
-	if err := fx.origin.Send(transport.ReplicaNode(1), transport.ChanBRB, EncodeCommitBatch(0, 1, p1, certA)); err != nil {
+	if err := fx.origin.Send(transport.ReplicaNode(1), transport.ChanBRB, EncodeCommitTab(0, 1, p1, certA)); err != nil {
 		t.Fatal(err)
 	}
 	fx.expectDelivery(t, 1, string(p1))

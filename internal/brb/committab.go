@@ -1,32 +1,29 @@
 package brb
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"astro/internal/types"
 	"astro/internal/wire"
 )
 
-// Tabled commit encoding (PR 9): the self-contained successor of the
-// legacy COMMITBATCH. The legacy form writes each signature's chain
-// inline, so a certificate whose signers share a chain — or a message
-// that must stay self-contained, like the NACK fallback resend — repeats
-// identical chains. The tabled form interns every distinct chain once in
-// a message-level table and has each signature name its chain by index:
+// Tabled commit encoding: the self-contained commit form, which the origin
+// sends when a CHAINNACK names a chain it cannot define (see chainref.go).
+// Every distinct chain of the certificate is interned once in a
+// message-level table and each signature names its chain by index:
 //
 //	kind origin slot | payload | U32 ntab (chain)* | U32 nsigs
 //	    (replica sig idx)*
 //
 // where idx is an index into the table or noChainTabIdx for a single-slot
-// signature. The receiver hashes each table entry exactly once (feeding
-// both the chain cache and the certificate's memoized ChainDigest) and
-// the decoded signatures share the table's chain slices, so downstream
-// pointer-equality fast paths keep working. The same table shape scales
-// to the batch level on the payment channel (core's CREDITBATCH and the
-// v2 payment-batch encoding intern across a whole wave's certificates).
-//
-// Legacy kindCommitBatch remains fully decodable as the
-// fallback/baseline, per the PR 1–5 convention.
+// signature; a certificate of single-slot signatures has an empty table.
+// The table holds exactly the chains the signatures name, sorted by chain
+// digest, so a certificate has one encoding and the decoder refuses any
+// other. The receiver hashes each table entry exactly once (feeding both
+// the chain cache and the certificate's memoized ChainDigest) and the
+// decoded signatures share the table's chain slices.
 
 // noChainTabIdx marks a single-slot signature in the tabled encoding.
 const noChainTabIdx = ^uint32(0)
@@ -45,15 +42,26 @@ func commitTabSize(payload []byte, table [][]ChainEntry, cert AckCert) int {
 	return n
 }
 
-// commitChainTable collects the distinct chains of a certificate, in
-// first-appearance order, keyed by ChainDigest (computing it if the
-// caller has not). It returns the table and each signature's index into
-// it (noChainTabIdx for single-slot signatures). The stack-backed sizing
-// mirrors core's dependency-certificate interning: quorum certificates
-// rarely name more than a handful of chains.
-func commitChainTable(cert AckCert) (table [][]ChainEntry, digests []types.Digest, idxs []uint32) {
+func compareDigests(a, b types.Digest) int { return bytes.Compare(a[:], b[:]) }
+
+// commitChainTable collects the distinct chains of a certificate sorted by
+// chain digest, and each signature's index into the table (noChainTabIdx
+// for single-slot signatures). The stack-backed digest list keeps the
+// common case — a quorum naming a handful of chains — allocation-free.
+func commitChainTable(cert AckCert) (table [][]ChainEntry, idxs []uint32) {
 	var stack [8]types.Digest
-	digests = stack[:0]
+	digests := stack[:0]
+	for i := range cert.Sigs {
+		a := &cert.Sigs[i]
+		if a.Chain == nil {
+			continue
+		}
+		cd := a.chainDigest()
+		if j, found := slices.BinarySearchFunc(digests, cd, compareDigests); !found {
+			digests = slices.Insert(digests, j, cd)
+			table = slices.Insert(table, j, a.Chain)
+		}
+	}
 	idxs = make([]uint32, len(cert.Sigs))
 	for i := range cert.Sigs {
 		a := &cert.Sigs[i]
@@ -61,25 +69,10 @@ func commitChainTable(cert AckCert) (table [][]ChainEntry, digests []types.Diges
 			idxs[i] = noChainTabIdx
 			continue
 		}
-		cd := a.ChainDigest
-		if cd == (types.Digest{}) {
-			cd = AckChainDigest(a.Chain)
-		}
-		found := false
-		for j, d := range digests {
-			if d == cd {
-				idxs[i] = uint32(j)
-				found = true
-				break
-			}
-		}
-		if !found {
-			idxs[i] = uint32(len(table))
-			table = append(table, a.Chain)
-			digests = append(digests, cd)
-		}
+		j, _ := slices.BinarySearchFunc(digests, a.chainDigest(), compareDigests)
+		idxs[i] = uint32(j)
 	}
-	return table, digests, idxs
+	return table, idxs
 }
 
 func appendCommitTab(w *wire.Writer, origin types.ReplicaID, slot uint64, payload []byte, table [][]ChainEntry, cert AckCert, idxs []uint32) {
@@ -100,7 +93,7 @@ func appendCommitTab(w *wire.Writer, origin types.ReplicaID, slot uint64, payloa
 // EncodeCommitTab encodes a COMMIT carrying a chain-tabled certificate.
 // Exported for tests and the wire-cost benchmarks.
 func EncodeCommitTab(origin types.ReplicaID, slot uint64, payload []byte, cert AckCert) []byte {
-	table, _, idxs := commitChainTable(cert)
+	table, idxs := commitChainTable(cert)
 	w := wire.NewWriter(commitTabSize(payload, table, cert))
 	appendCommitTab(w, origin, slot, payload, table, cert, idxs)
 	return w.Bytes()
@@ -132,8 +125,12 @@ func decodeCommitTab(r *wire.Reader) (AckCert, [][]ChainEntry, []types.Digest, e
 		if len(chain) == 0 || len(chain) > maxSignBatch {
 			return AckCert{}, nil, nil, fmt.Errorf("brb: tabled chain of %d outside [1,%d]", len(chain), maxSignBatch)
 		}
+		cd := AckChainDigest(chain)
+		if i > 0 && compareDigests(digests[i-1], cd) >= 0 {
+			return AckCert{}, nil, nil, fmt.Errorf("brb: commit chain table not sorted by digest")
+		}
 		table = append(table, chain)
-		digests = append(digests, AckChainDigest(chain))
+		digests = append(digests, cd)
 	}
 	ns := r.U32()
 	if err := r.Err(); err != nil {
@@ -143,6 +140,7 @@ func decodeCommitTab(r *wire.Reader) (AckCert, [][]ChainEntry, []types.Digest, e
 		return AckCert{}, nil, nil, fmt.Errorf("brb: tabled cert of %d signatures exceeds cap", ns)
 	}
 	cert := AckCert{Sigs: make([]AckSig, 0, ns)}
+	named := make([]bool, len(table))
 	for i := uint32(0); i < ns; i++ {
 		id := types.ReplicaID(r.U32())
 		sig := r.Chunk()
@@ -157,8 +155,12 @@ func decodeCommitTab(r *wire.Reader) (AckCert, [][]ChainEntry, []types.Digest, e
 			}
 			a.Chain = table[idx]
 			a.ChainDigest = digests[idx]
+			named[idx] = true
 		}
 		cert.Sigs = append(cert.Sigs, a)
+	}
+	if slices.Contains(named, false) {
+		return AckCert{}, nil, nil, fmt.Errorf("brb: commit chain table entry no signature names")
 	}
 	if err := r.Finish(); err != nil {
 		return AckCert{}, nil, nil, err

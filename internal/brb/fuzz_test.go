@@ -41,34 +41,6 @@ func FuzzDecodeChainDef(f *testing.F) {
 	})
 }
 
-// FuzzDecodeAckCert exercises the legacy self-contained certificate
-// decoder: per-signature chain contexts of arbitrary shape must never
-// panic and must respect the signature and chain caps.
-func FuzzDecodeAckCert(f *testing.F) {
-	cert := AckCert{Sigs: []AckSig{
-		{Replica: 1, Sig: []byte("plain-sig")},
-		{Replica: 2, Sig: []byte("chain-sig"), Chain: fuzzChain()},
-	}}
-	w := wire.NewWriter(ackCertSize(cert))
-	appendAckCert(w, cert)
-	f.Add(w.Bytes())
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		cert, err := decodeAckCert(wire.NewReader(data))
-		if err != nil {
-			return
-		}
-		if len(cert.Sigs) > maxAckCertSigs {
-			t.Fatalf("accepted %d signatures over cap", len(cert.Sigs))
-		}
-		for _, s := range cert.Sigs {
-			if len(s.Chain) > maxAckChain {
-				t.Fatalf("accepted chain of %d over cap", len(s.Chain))
-			}
-		}
-	})
-}
-
 // FuzzDecodeCommitRef exercises the interned-reference certificate form:
 // mixed plain and by-digest signatures, including unknown reference
 // modes.
@@ -130,29 +102,36 @@ func FuzzDecodeChainNack(f *testing.F) {
 	})
 }
 
-// FuzzDecodeCommitTab exercises the tabled (PR 9) commit form: a
-// message-level chain table with signatures naming their chain by index.
-// Decoded signatures must share the table's chain backing, and every
-// bound — table size, per-chain length, signature count, index range —
-// must hold on whatever decodes.
+// commitTabCert slices a COMMITTAB frame down to what decodeCommitTab
+// reads: everything after the header and the one-byte payload chunk.
+func commitTabCert(origin types.ReplicaID, slot uint64, cert AckCert) []byte {
+	return EncodeCommitTab(origin, slot, []byte("p"), cert)[headerSize+4+1:]
+}
+
+// FuzzDecodeCommitTab exercises the tabled commit form: a message-level
+// chain table with signatures naming their chain by index. Decoded
+// signatures must share the table's chain backing, every bound — table
+// size, per-chain length, signature count, index range — must hold on
+// whatever decodes, and whatever decodes must re-encode to exactly the
+// input: a certificate has one encoding.
 func FuzzDecodeCommitTab(f *testing.F) {
-	cert := AckCert{Sigs: []AckSig{
+	other := []ChainEntry{{Origin: 1, Slot: 2, Digest: types.Digest{0x03}}}
+	f.Add(commitTabCert(1, 4, AckCert{Sigs: []AckSig{
 		{Replica: 1, Sig: []byte("plain-sig")},
 		{Replica: 2, Sig: []byte("chain-sig"), Chain: fuzzChain()},
 		{Replica: 3, Sig: []byte("chain-sig-2"), Chain: fuzzChain()},
-	}}
-	// Canonical seed: full frame minus header and the payload chunk
-	// (U32 length + 1 payload byte), which onMessage consumes first.
-	f.Add(EncodeCommitTab(1, 4, []byte("p"), cert)[headerSize+4+1:])
+		{Replica: 0, Sig: []byte("chain-sig-3"), Chain: other},
+	}}))
+	// Single-slot signatures only: the empty table.
+	f.Add(commitTabCert(1, 4, AckCert{Sigs: []AckSig{
+		{Replica: 1, Sig: []byte("plain-1")},
+		{Replica: 2, Sig: []byte("plain-2")},
+	}}))
 
 	// Adversarial seeds. A signature naming an index past the table:
 	w := wire.NewWriter(128)
 	w.U32(1)
-	for _, e := range fuzzChain() {
-		w.U32(uint32(e.Origin))
-		w.U64(e.Slot)
-		w.Bytes32(e.Digest)
-	}
+	appendChain(w, fuzzChain())
 	w.U32(1)
 	w.U32(2)
 	w.Chunk([]byte("sig"))
@@ -167,6 +146,45 @@ func FuzzDecodeCommitTab(f *testing.F) {
 	w = wire.NewWriter(8)
 	w.U32(maxCommitTabChains + 1)
 	f.Add(w.Bytes())
+
+	// Inputs that must be refused: a table out of digest order, a table
+	// entry no signature names, and the retired certificate form that
+	// carried each signature's chain inline.
+	lo, hi := fuzzChain(), other
+	if compareDigests(AckChainDigest(lo), AckChainDigest(hi)) > 0 {
+		lo, hi = hi, lo
+	}
+	unsorted := wire.NewWriter(256)
+	unsorted.U32(2)
+	appendChain(unsorted, hi)
+	appendChain(unsorted, lo)
+	unsorted.U32(2)
+	for i := uint32(0); i < 2; i++ {
+		unsorted.U32(i)
+		unsorted.Chunk([]byte("sig"))
+		unsorted.U32(i)
+	}
+	unnamed := wire.NewWriter(128)
+	unnamed.U32(1)
+	appendChain(unnamed, fuzzChain())
+	unnamed.U32(1)
+	unnamed.U32(1)
+	unnamed.Chunk([]byte("plain-sig"))
+	unnamed.U32(noChainTabIdx)
+	inline := wire.NewWriter(256)
+	inline.U32(2)
+	inline.U32(1)
+	inline.Chunk([]byte("plain-sig"))
+	appendChain(inline, nil)
+	inline.U32(2)
+	inline.Chunk([]byte("chain-sig"))
+	appendChain(inline, fuzzChain())
+	for name, data := range map[string][]byte{"unsorted table": unsorted.Bytes(), "unnamed table entry": unnamed.Bytes(), "inline-chain certificate": inline.Bytes()} {
+		if _, _, _, err := decodeCommitTab(wire.NewReader(data)); err == nil {
+			f.Fatalf("%s decoded as a COMMITTAB", name)
+		}
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cert, table, digests, err := decodeCommitTab(wire.NewReader(data))
@@ -198,6 +216,9 @@ func FuzzDecodeCommitTab(f *testing.F) {
 			if !shared {
 				t.Fatal("decoded signature chain does not share table backing")
 			}
+		}
+		if !bytes.Equal(commitTabCert(1, 4, cert), data) {
+			t.Fatal("decoded certificate does not re-encode to input")
 		}
 	})
 }

@@ -1,7 +1,7 @@
 package brb
 
 // NACK-path hardening: a CHAINNACK storm must cost the origin bounded
-// work — exactly one legacy resend per NACK, nothing superlinear — and
+// work — at most one COMMITTAB resend per NACK, nothing superlinear — and
 // NACKs from outside the group must be ignored entirely (no resend, no
 // sent-set churn, no counter movement). Run under -race: the storm
 // hammers the dispatch goroutine while the origin's own protocol runs.

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"astro/internal/crypto"
 	"astro/internal/crypto/verifier"
 	"astro/internal/transport"
 	"astro/internal/types"
@@ -43,12 +42,13 @@ import (
 //   - ack signatures arriving at the origin are checked asynchronously and
 //     re-enter the state machine through a completion callback; a chain
 //     signature is checked once for all the instances it endorses;
-//   - commit certificates verify continuation-style: the cheap prepass
-//     runs on a verifier task, the signature checks fan out with early
-//     exit, and the completion callback re-enters the FIFO delivery drain
-//     on whichever lane settles the tally — no goroutine is spawned per
-//     commit. A saturated pool runs the task on the dispatch goroutine
-//     instead, which is the backpressure that bounds in-flight commits.
+//   - commit certificates verify continuation-style: the payload hash and
+//     the certificate filtering run on a verifier task, the signature
+//     checks fan out with early exit, and the completion callback
+//     re-enters the FIFO delivery drain on whichever lane settles the
+//     tally — no goroutine is spawned per commit. A saturated pool runs
+//     the task on the dispatch goroutine instead, which is the
+//     backpressure that bounds in-flight commits.
 //     In the fast-verify regime (sim HMACs) the whole verification runs
 //     synchronously inline, skipping the continuation overhead. Chain
 //     signatures inside certificates hit the verifier memo, so a chain of
@@ -292,37 +292,6 @@ func (s *Signed) onMessage(from transport.NodeID, payload []byte) {
 			return
 		}
 		s.handleAck(id, peer, digest, sig)
-	case kindCommit:
-		body := r.Chunk()
-		cert, err := crypto.DecodeCertificate(r)
-		if err != nil || r.Err() != nil {
-			return
-		}
-		s.handleCommit(id, body, cert)
-	case kindCommitBatch:
-		body := r.Chunk()
-		cert, err := decodeAckCert(r)
-		if err != nil || r.Err() != nil {
-			return
-		}
-		// Hash each inline chain once: the digest feeds both the chain
-		// cache (a later COMMITREF from this peer may reference it — the
-		// NACK fallback re-primes the cache this way, since the legacy
-		// resend carries every chain in full; only group members get a
-		// cache) and the certificate's memoized ChainDigest, so
-		// ackCertItems does not rehash. Learning runs on the dispatch
-		// goroutine, but only on this legacy/fallback path.
-		member := s.membership(peer)
-		for i := range cert.Sigs {
-			if cert.Sigs[i].Chain == nil {
-				continue
-			}
-			cert.Sigs[i].ChainDigest = AckChainDigest(cert.Sigs[i].Chain)
-			if member {
-				s.learnChain(peer, cert.Sigs[i].ChainDigest, cert.Sigs[i].Chain)
-			}
-		}
-		s.handleCommitBatch(id, body, cert)
 	case kindCommitTab:
 		body := r.Chunk()
 		if r.Err() != nil {
@@ -335,14 +304,14 @@ func (s *Signed) onMessage(from transport.NodeID, payload []byte) {
 		// The table is hashed once by the decoder; feed it to the chain
 		// cache (membership-gated, like CHAINDEF) so later COMMITREFs
 		// referencing these chains resolve, and so any references parked
-		// waiting on one of them drain now — the tabled form doubles as
-		// the lazy mode's self-contained fallback resend.
+		// waiting on one of them drain now — the tabled form is the lazy
+		// mode's self-contained fallback resend.
 		if s.membership(peer) {
 			for i := range table {
 				s.learnChain(peer, digests[i], table[i])
 			}
 		}
-		s.handleCommitBatch(id, body, cert)
+		s.handleCommit(id, body, cert)
 	case kindCommitRef:
 		body := r.Chunk()
 		if r.Err() != nil {
@@ -507,7 +476,7 @@ func (s *Signed) handleAckBatch(peer types.ReplicaID, chain []ChainEntry, sig []
 			continue
 		}
 		out := s.mine[e.Slot]
-		if out == nil || out.committed || e.Digest != out.digest || out.cert.has(peer) {
+		if out == nil || out.committed || e.Digest != out.digest || out.cert.Has(peer) {
 			continue
 		}
 		relevant = append(relevant, e)
@@ -532,7 +501,7 @@ func (s *Signed) handleAckBatch(peer types.ReplicaID, chain []ChainEntry, sig []
 func (s *Signed) ackVerified(id instanceID, peer types.ReplicaID, digest types.Digest, sig []byte, chain []ChainEntry, chainDigest types.Digest) {
 	s.mu.Lock()
 	out := s.mine[id.slot]
-	if out == nil || out.committed || digest != out.digest || out.cert.has(peer) {
+	if out == nil || out.committed || digest != out.digest || out.cert.Has(peer) {
 		s.mu.Unlock()
 		return
 	}
@@ -570,9 +539,10 @@ type defChain struct {
 // the distinct chains it names. Every chain signature records this
 // instance's index in its chain, so receivers locate the entry in O(1)
 // (the digest binding is still confirmed against the payload hash during
-// verification). ok is false when a chain does not carry this instance's
-// entry — the defensive case the reference form cannot express, which
-// handleAckBatch's filtering should make unreachable.
+// verification); a single-slot signature stays plain. ok is false when a
+// chain does not carry this instance's entry — the defensive case the
+// reference form cannot express, which handleAckBatch's filtering should
+// make unreachable.
 func (s *Signed) buildRefSigs(id instanceID, digest types.Digest, cert AckCert) (sigs []refSig, defs []defChain, ok bool) {
 	sigs = make([]refSig, 0, len(cert.Sigs))
 	for _, a := range cert.Sigs {
@@ -606,21 +576,13 @@ func (s *Signed) buildRefSigs(id instanceID, digest types.Digest, cert AckCert) 
 }
 
 // sendCommit broadcasts the commit for an instance whose quorum is
-// complete. A certificate of only single-slot signatures takes the
-// original crypto.Certificate wire form (kindCommit) — the
-// backward-compatible fallback. Chain signatures take the chain-reference
-// form: the COMMITREF is encoded once (it is destination-independent) and
-// chain definitions are withheld (lazy CHAINDEF) — receivers already know
+// complete as a COMMITREF, encoded once (it is destination-independent).
+// Chain definitions are withheld (lazy CHAINDEF) — receivers already know
 // their own chains and any chain learned from any peer, and demand the
 // rest by NACK (handleChainNack answers with the definition; most never
-// ask).
+// ask). A certificate of single-slot signatures names no chain and never
+// draws a NACK.
 func (s *Signed) sendCommit(id instanceID, payload []byte, digest types.Digest, cert AckCert) {
-	if cert.allPlain() {
-		// Single-slot certificates stay on the legacy wire form; they
-		// count under FullSends (self-contained sends) in the stats.
-		s.sendCommitFull(id, payload, cert, s.cfg.Peers...)
-		return
-	}
 	sigs, defs, ok := s.buildRefSigs(id, digest, cert)
 	if !ok {
 		// A chain that does not endorse this instance never enters the
@@ -649,26 +611,13 @@ func (s *Signed) sendCommit(id instanceID, payload []byte, digest types.Digest, 
 	ref.Release()
 }
 
-// sendCommitFull sends the self-contained legacy encoding of a commit to
-// the given destinations — the NACK fallback, and the defensive path for
+// sendCommitFull sends the self-contained COMMITTAB of a commit to the
+// given destinations — the NACK fallback, and the defensive path for
 // certificates the reference form cannot express.
 func (s *Signed) sendCommitFull(id instanceID, payload []byte, cert AckCert, dests ...types.ReplicaID) {
-	var w *wire.Writer
-	if cert.allPlain() {
-		var legacy crypto.Certificate
-		for _, a := range cert.Sigs {
-			legacy.Add(crypto.PartialSig{Replica: a.Replica, Sig: a.Sig})
-		}
-		w = wire.AcquireWriter(commitSize(payload, legacy))
-		appendCommit(w, id.origin, id.slot, payload, legacy)
-	} else {
-		// Chain-carrying certificates take the tabled form: each distinct
-		// chain crosses the wire once per message, however many signatures
-		// name it. The legacy inline COMMITBATCH stays decodable.
-		table, _, idxs := commitChainTable(cert)
-		w = wire.AcquireWriter(commitTabSize(payload, table, cert))
-		appendCommitTab(w, id.origin, id.slot, payload, table, cert, idxs)
-	}
+	table, idxs := commitChainTable(cert)
+	w := wire.AcquireWriter(commitTabSize(payload, table, cert))
+	appendCommitTab(w, id.origin, id.slot, payload, table, cert, idxs)
 	for _, p := range dests {
 		_ = s.cfg.Mux.Send(transport.ReplicaNode(p), transport.ChanBRB, w.Bytes())
 		s.refStats.FullSends.Add(1)
@@ -693,23 +642,22 @@ func (s *Signed) beginCommit(id instanceID) bool {
 }
 
 // handleCommit performs the cheap duplicate checks inline, then verifies
-// the certificate continuation-style: the digest hash and prepass run on
-// a verifier task (handed off with Async, whose blocking-when-full is the
-// backpressure that bounds in-flight commits), the signature checks fan
-// out with 2f+1 early exit, and the completion callback re-enters the
-// FIFO delivery drain — zero goroutines per commit. The fast-verify
-// regime (cheap sim HMACs) skips the hand-off and runs the whole thing
-// synchronously here.
-func (s *Signed) handleCommit(id instanceID, payload []byte, cert crypto.Certificate) {
+// the certificate continuation-style: the digest hash runs on a verifier
+// task, the signature checks fan out with 2f+1 early exit, and the
+// completion callback re-enters the FIFO delivery drain — zero goroutines
+// per commit. The fast-verify regime (cheap sim HMACs) skips the hand-off
+// and runs the whole thing synchronously here. Chain signatures verify
+// against their chain digest (once, memoized, for all the commits a chain
+// covers) and count toward the quorum only if the chain actually carries
+// this instance's entry.
+func (s *Signed) handleCommit(id instanceID, payload []byte, cert AckCert) {
 	if !s.beginCommit(id) {
 		return
 	}
 	if s.ver.FastVerify() {
-		// Cheap-check regime: inline beats any hand-off, so gate on the
-		// measured cost alone.
 		d := SignedDigest(id.origin, id.slot, payload)
-		err := s.ver.VerifyCertificateInline(s.cfg.Registry, cert, d, s.cfg.quorum(), s.membership)
-		s.commitVerified(id, d, payload, err == nil)
+		ok := s.verifyAckCertSync(id, d, cert)
+		s.commitVerified(id, d, payload, ok)
 		return
 	}
 	s.ver.TryAsync(func() {
@@ -723,28 +671,6 @@ func (s *Signed) handleCommit(id instanceID, payload []byte, cert crypto.Certifi
 		// way commitVerified only takes s.mu and drains deliveries — it
 		// never waits on the verifier, per the continuation discipline.
 		d := SignedDigest(id.origin, id.slot, payload)
-		s.ver.VerifyCertificateDetached(s.cfg.Registry, cert, d, s.cfg.quorum(), s.membership, func(ok bool) {
-			s.commitVerified(id, d, payload, ok)
-		})
-	})
-}
-
-// handleCommitBatch is handleCommit for extended certificates: chain
-// signatures verify against their chain digest (once, memoized, for all
-// the commits a chain covers) and count toward the quorum only if the
-// chain actually carries this instance's entry.
-func (s *Signed) handleCommitBatch(id instanceID, payload []byte, cert AckCert) {
-	if !s.beginCommit(id) {
-		return
-	}
-	if s.ver.FastVerify() {
-		d := SignedDigest(id.origin, id.slot, payload)
-		ok := s.verifyAckCertSync(id, d, cert)
-		s.commitVerified(id, d, payload, ok)
-		return
-	}
-	s.ver.TryAsync(func() {
-		d := SignedDigest(id.origin, id.slot, payload)
 		s.verifyAckCertDetached(id, d, cert, func(ok bool) {
 			s.commitVerified(id, d, payload, ok)
 		})
@@ -752,11 +678,11 @@ func (s *Signed) handleCommitBatch(id instanceID, payload []byte, cert AckCert) 
 }
 
 // handleCommitRef resolves a chain-referencing commit against the per-peer
-// chain cache and, when enough references resolve for a quorum, proceeds
-// exactly like a COMMITBATCH. When resolution leaves the quorum out of
-// reach — an evicted or never-seen chain — it NACKs the missing digests
-// back to the sender, which degrades to the self-contained legacy form for
-// this slot; the reference protocol can delay a delivery by one round
+// chain cache and, when enough references resolve for a quorum, verifies
+// it like any commit. When resolution leaves the quorum out of reach — an
+// evicted or never-seen chain — it NACKs the missing digests back to the
+// sender, which answers with the definitions or the self-contained
+// COMMITTAB; the reference protocol can delay a delivery by one round
 // trip, never prevent it.
 func (s *Signed) handleCommitRef(id instanceID, peer types.ReplicaID, payload []byte, sigs []refSig) {
 	cert := AckCert{Sigs: make([]AckSig, 0, len(sigs))}
@@ -829,7 +755,7 @@ func (s *Signed) handleCommitRef(id instanceID, peer types.ReplicaID, payload []
 		s.refStats.NacksSent.Add(1)
 		return
 	}
-	s.handleCommitBatch(id, payload, cert)
+	s.handleCommit(id, payload, cert)
 }
 
 // handleChainNack runs at the origin: a destination could not resolve
@@ -907,7 +833,6 @@ func (s *Signed) answerNackWithDefs(id instanceID, peer types.ReplicaID, payload
 			defs[i].enc = EncodeChainDef(defs[i].chain)
 		}
 		_ = s.cfg.Mux.Send(dest, transport.ChanBRB, defs[i].enc)
-		s.refStats.DefsSent.Add(1)
 		s.refStats.DefsDemanded.Add(1)
 		s.markChainSent(peer, defs[i].digest)
 	}
@@ -919,19 +844,19 @@ func (s *Signed) answerNackWithDefs(id instanceID, peer types.ReplicaID, payload
 	return true
 }
 
-// ackCertItem is one (replica, digest, sig) triple of an extended
-// certificate left to verify after ackCertItems' filtering.
+// ackCertItem is one (replica, digest, sig) triple of a certificate left
+// to verify after ackCertItems' filtering.
 type ackCertItem struct {
 	replica types.ReplicaID
 	digest  types.Digest
 	sig     []byte
 }
 
-// ackCertItems performs the cheap serial filtering of an extended
-// certificate — dedupe, membership, chain endorsement, chain-digest
-// memoization. A quorum of valid endorsements of (id, d) among the
-// returned items is exactly what the protocol needs: extra invalid or
-// irrelevant signatures are ignored and duplicate signers count once.
+// ackCertItems performs the cheap serial filtering of a certificate —
+// dedupe, membership, chain endorsement, chain-digest memoization. A
+// quorum of valid endorsements of (id, d) among the returned items is
+// exactly what the protocol needs: extra invalid or irrelevant signatures
+// are ignored and duplicate signers count once.
 // Shared by the synchronous and continuation variants.
 func (s *Signed) ackCertItems(id instanceID, d types.Digest, cert AckCert) []ackCertItem {
 	seen := make(map[types.ReplicaID]struct{}, len(cert.Sigs))
@@ -948,10 +873,7 @@ func (s *Signed) ackCertItems(id instanceID, d types.Digest, cert AckCert) []ack
 			if !chainContains(a.Chain, id, d) {
 				continue // chain does not endorse this instance
 			}
-			dg = a.ChainDigest
-			if dg == (types.Digest{}) {
-				dg = AckChainDigest(a.Chain)
-			}
+			dg = a.chainDigest()
 		}
 		seen[a.Replica] = struct{}{}
 		items = append(items, ackCertItem{replica: a.Replica, digest: dg, sig: a.Sig})
@@ -959,10 +881,10 @@ func (s *Signed) ackCertItems(id instanceID, d types.Digest, cert AckCert) []ack
 	return items
 }
 
-// verifyAckCertSync checks an extended certificate fully on the calling
-// goroutine — serial, memoized, accepting as soon as a quorum is confirmed
-// and rejecting as soon as it is out of reach — the fast-verify-regime
-// path where cheap checks make any hand-off pure overhead.
+// verifyAckCertSync checks a certificate fully on the calling goroutine —
+// serial, memoized, accepting as soon as a quorum is confirmed and
+// rejecting as soon as it is out of reach — the fast-verify-regime path
+// where cheap checks make any hand-off pure overhead.
 func (s *Signed) verifyAckCertSync(id instanceID, d types.Digest, cert AckCert) bool {
 	need := s.cfg.quorum()
 	items := s.ackCertItems(id, d, cert)

@@ -4,18 +4,14 @@ import (
 	"testing"
 	"time"
 
-	"astro/internal/crypto"
 	"astro/internal/transport"
 	"astro/internal/types"
 )
 
-// certOf builds a certificate from alternating (replica, sig) pairs.
-func certOf(r1 types.ReplicaID, s1 []byte, r2 types.ReplicaID, s2 []byte, r3 types.ReplicaID, s3 []byte) crypto.Certificate {
-	var c crypto.Certificate
-	c.Add(crypto.PartialSig{Replica: r1, Sig: s1})
-	c.Add(crypto.PartialSig{Replica: r2, Sig: s2})
-	c.Add(crypto.PartialSig{Replica: r3, Sig: s3})
-	return c
+// certOf builds a certificate of single-slot signatures from alternating
+// (replica, sig) pairs.
+func certOf(r1 types.ReplicaID, s1 []byte, r2 types.ReplicaID, s2 []byte, r3 types.ReplicaID, s3 []byte) AckCert {
+	return AckCert{Sigs: []AckSig{{Replica: r1, Sig: s1}, {Replica: r2, Sig: s2}, {Replica: r3, Sig: s3}}}
 }
 
 // TestBrachaTotalityPartialPrepare: a Byzantine origin sends PREPARE to
@@ -104,7 +100,7 @@ func TestSignedNoTotality(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c = certOf(3, sig3, 0, sig0, 1, sig1)
-	commit := EncodeCommit(3, 1, payload, c)
+	commit := EncodeCommitTab(3, 1, payload, c)
 	if err := h.muxes[3].Send(transport.ReplicaNode(0), transport.ChanBRB, commit); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import "astro/internal/types"
 // frame), for behaviors that dispatch on frame kind.
 const (
 	CreditKindSingle   = msgCreditSingle
-	CreditKindBatch    = msgCreditBatch
 	CreditKindChainDef = msgCreditChainDef
 	CreditKindRef      = msgCreditRef
 	CreditKindNack     = msgCreditNack
@@ -32,9 +31,8 @@ func CreditFrameKind(frame []byte) byte {
 // CREDITCHAINDEF or CREDITREF frame with its chain digests perturbed by
 // salt — the credit-channel half of the forged chain-reference attack. A
 // corrupted definition caches a chain no wave signature matches; a
-// corrupted reference names a chain the receiver does not know, forcing
-// the CREDITNACK → legacy CREDITBATCH fallback. Other kinds return
-// (nil, false).
+// corrupted reference names a chain the receiver does not know, forcing a
+// CREDITNACK the signer cannot answer. Other kinds return (nil, false).
 func CorruptCreditRefs(frame []byte, salt byte) ([]byte, bool) {
 	if salt == 0 {
 		salt = 0xa5

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"astro/internal/brb"
-	"astro/internal/crypto"
 	"astro/internal/transport"
 	"astro/internal/types"
 )
@@ -53,7 +52,7 @@ func TestPartialPaymentsAttackBlocked(t *testing.T) {
 	// Build a valid 2f+1 certificate with keys the adversary could have
 	// gathered, and COMMIT only to Bob's representative.
 	var cert = c.certFor(t, d, 0, 1, 3)
-	commit := brb.EncodeCommit(origin, 1, batch, cert)
+	commit := brb.EncodeCommitTab(origin, 1, batch, cert)
 	_ = c.replicas[int(origin)].cfg.Mux.Send(transport.ReplicaNode(c.repOf(2)), transport.ChanBRB, commit)
 
 	// Bob's representative settles Alice's payment (it delivered), but
@@ -94,15 +93,16 @@ func TestPartialPaymentsAttackBlocked(t *testing.T) {
 	}
 }
 
-// certFor builds a certificate over d signed by the given replicas.
-func (c *cluster) certFor(t *testing.T, d types.Digest, ids ...int) (cert crypto.Certificate) {
+// certFor builds a certificate of single-slot signatures over d by the
+// given replicas.
+func (c *cluster) certFor(t *testing.T, d types.Digest, ids ...int) (cert brb.AckCert) {
 	t.Helper()
 	for _, id := range ids {
 		sig, err := c.keys[id].Sign(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cert.Add(crypto.PartialSig{Replica: types.ReplicaID(id), Sig: sig})
+		cert.Sigs = append(cert.Sigs, brb.AckSig{Replica: types.ReplicaID(id), Sig: sig})
 	}
 	return cert
 }

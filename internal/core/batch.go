@@ -37,74 +37,27 @@ func PaymentDigest(p types.Payment) types.Digest {
 // maxBatch bounds decoded batch sizes.
 const maxBatch = 1 << 16
 
-// batchV2Marker introduces the v2 batch form (PR 9): a batch-wide chain
-// table ahead of the entries, with dependency certificates referencing it
-// by index (depCertBatchRef) — each distinct chain encoded once per BATCH
-// rather than once per certificate. The marker is unambiguous: a v1
-// encoding starts with its entry count, which maxBatch keeps far below
-// this value.
-const batchV2Marker = ^uint32(0)
+// A batch's wire form is the chain table of its dependency certificates
+// (deps.go; empty when none carries a chain), then the entry count and
+// the entries, each dependency indexing into the table — every distinct
+// chain is encoded once per batch.
 
-// batchChainTable collects the distinct chains across every dependency
-// certificate of a batch, in first-appearance order. Empty when no
-// certificate carries a chain — the batch then takes the v1 form.
-func batchChainTable(entries []BatchEntry) [][]types.Digest {
-	var table [][]types.Digest
+// batchTable collects the distinct chains of a batch's dependencies.
+func batchTable(entries []BatchEntry) chainTable {
+	var t chainTable
 	for _, e := range entries {
 		for _, d := range e.Deps {
-			for _, ps := range d.Cert.Sigs {
-				if ps.Chain == nil {
-					continue
-				}
-				dup := false
-				for _, ch := range table {
-					if sameChain(ch, ps.Chain) {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					table = append(table, ps.Chain)
-				}
-			}
+			t.add(d.Cert)
 		}
 	}
-	return table
+	return t
 }
 
-// batchChainIdx resolves a chain against the batch table. The interning
-// cache hands every holder of one chain the same backing slice, so this is
-// almost always a pointer compare per probe.
-func batchChainIdx(table [][]types.Digest, chain []types.Digest) uint32 {
-	for i, ch := range table {
-		if sameChain(ch, chain) {
-			return uint32(i)
-		}
-	}
-	// Unreachable: the table was built from these certificates.
-	return noChainIdx
-}
-
-// batchSize returns the exact encoded size of a batch, for exact-capacity
-// preallocation: one undersized guess doubles the hot path's allocations.
-// The size is of the same form appendBatch emits (v2 when any certificate
-// carries a chain).
-func batchSize(entries []BatchEntry) int {
-	table := batchChainTable(entries)
-	if !batchV2Eligible(table) {
-		return batchSizeV1(entries)
-	}
-	return batchSizeV2(entries, table)
-}
-
-// batchV2Eligible reports whether a chain table selects the v2 form: at
-// least one chain to intern, and few enough to satisfy the decoder's cap.
-func batchV2Eligible(table [][]types.Digest) bool {
-	return len(table) > 0 && len(table) <= maxDepSigs
-}
-
-func batchSizeV1(entries []BatchEntry) int {
-	n := 4
+// batchSize returns the exact encoded size of a batch with table t, for
+// exact-capacity preallocation: one undersized guess doubles the hot
+// path's allocations.
+func batchSize(entries []BatchEntry, t chainTable) int {
+	n := t.size() + 4
 	for _, e := range entries {
 		n += types.PaymentWireSize + 4 + len(e.Sig) + 4
 		for _, d := range e.Deps {
@@ -114,80 +67,25 @@ func batchSizeV1(entries []BatchEntry) int {
 	return n
 }
 
-func batchSizeV2(entries []BatchEntry, table [][]types.Digest) int {
-	n := 4 + 4 + 4 // marker, entry count, table length
-	for _, ch := range table {
-		n += wire.DigestListSize(len(ch))
-	}
-	for _, e := range entries {
-		n += types.PaymentWireSize + 4 + len(e.Sig) + 4
-		for _, d := range e.Deps {
-			n += dependencySizeBatchRef(d)
-		}
-	}
-	return n
-}
-
-// appendBatch writes the broadcast payload for a batch into w: the v2
-// form when any dependency certificate carries a chain, the v1 form
-// otherwise (and as the measured baseline via appendBatchV1).
-func appendBatch(w *wire.Writer, entries []BatchEntry) {
-	table := batchChainTable(entries)
-	if !batchV2Eligible(table) {
-		appendBatchV1(w, entries)
-		return
-	}
-	appendBatchV2(w, entries, table)
-}
-
-func appendBatchV1(w *wire.Writer, entries []BatchEntry) {
+// appendBatch writes a batch with table t (batchTable(entries)) into w.
+func appendBatch(w *wire.Writer, entries []BatchEntry, t chainTable) {
+	t.append(w)
 	w.U32(uint32(len(entries)))
 	for _, e := range entries {
 		w.AppendFunc(e.Payment.AppendBinary)
 		w.Chunk(e.Sig)
 		w.U32(uint32(len(e.Deps)))
 		for _, d := range e.Deps {
-			encodeDependency(w, d)
-		}
-	}
-}
-
-func appendBatchV2(w *wire.Writer, entries []BatchEntry, table [][]types.Digest) {
-	w.U32(batchV2Marker)
-	w.U32(uint32(len(entries)))
-	w.U32(uint32(len(table)))
-	for _, ch := range table {
-		appendDigestChain(w, ch)
-	}
-	for _, e := range entries {
-		w.AppendFunc(e.Payment.AppendBinary)
-		w.Chunk(e.Sig)
-		w.U32(uint32(len(e.Deps)))
-		for _, d := range e.Deps {
-			encodeDependencyBatchRef(w, d, table)
+			appendDependency(w, d, t)
 		}
 	}
 }
 
 // EncodeBatch produces the broadcast payload for a batch.
 func EncodeBatch(entries []BatchEntry) []byte {
-	table := batchChainTable(entries)
-	if !batchV2Eligible(table) {
-		w := wire.NewWriter(batchSizeV1(entries))
-		appendBatchV1(w, entries)
-		return w.Bytes()
-	}
-	w := wire.NewWriter(batchSizeV2(entries, table))
-	appendBatchV2(w, entries, table)
-	return w.Bytes()
-}
-
-// EncodeBatchV1 produces the legacy (pre-interning) broadcast payload —
-// the measured baseline for the wire-cost comparison, and what older
-// producers emit. Exported for tests and benchmarks.
-func EncodeBatchV1(entries []BatchEntry) []byte {
-	w := wire.NewWriter(batchSizeV1(entries))
-	appendBatchV1(w, entries)
+	t := batchTable(entries)
+	w := wire.NewWriter(batchSize(entries, t))
+	appendBatch(w, entries, t)
 	return w.Bytes()
 }
 
@@ -206,35 +104,16 @@ func DecodeBatch(payload []byte) ([]BatchEntry, error) {
 
 // readBatchEntries consumes one batch encoding (appendBatch) from the
 // middle of a larger stream — the WAL snapshot embeds per-account queues
-// this way. Both forms are self-contained: the v2 marker (and its chain
-// table) is read here, so a mid-stream batch never depends on outer
-// context.
+// this way. The encoding is self-contained: its chain table is read here,
+// so a mid-stream batch never depends on outer context.
 func readBatchEntries(r *wire.Reader) ([]BatchEntry, error) {
+	t, err := readChainTable(r)
+	if err != nil {
+		return nil, err
+	}
 	n := r.U32()
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	var table [][]types.Digest
-	if n == batchV2Marker {
-		n = r.U32()
-		nt := r.U32()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if nt == 0 || nt > maxDepSigs {
-			return nil, fmt.Errorf("batch: chain table of %d outside [1,%d]", nt, maxDepSigs)
-		}
-		table = make([][]types.Digest, nt)
-		for i := range table {
-			chain, err := decodeDigestChain(r)
-			if err != nil {
-				return nil, err
-			}
-			if len(chain) == 0 {
-				return nil, fmt.Errorf("batch: empty chain in table")
-			}
-			table[i] = chain
-		}
 	}
 	if n > maxBatch {
 		return nil, fmt.Errorf("batch: %d entries exceeds cap", n)
@@ -260,13 +139,16 @@ func readBatchEntries(r *wire.Reader) ([]BatchEntry, error) {
 			return nil, fmt.Errorf("batch: %d deps exceeds cap", nd)
 		}
 		for j := uint32(0); j < nd; j++ {
-			d, err := decodeDependency(r, table)
+			d, err := decodeDependency(r, t)
 			if err != nil {
 				return nil, err
 			}
 			e.Deps = append(e.Deps, d)
 		}
 		entries = append(entries, e)
+	}
+	if err := t.finish(); err != nil {
+		return nil, err
 	}
 	return entries, nil
 }

@@ -1,8 +1,8 @@
 package core
 
-// Tests for settlement-wave CREDIT signing: the CREDITBATCH wire kind, the
-// chain-capable dependency certificates it accumulates into, and the
-// rejection of forged chains.
+// Tests for settlement-wave CREDIT signing: chain-signed CREDITREFs from
+// signers whose waves differ, the chain-capable dependency certificates
+// they accumulate into, and the rejection of forged chains.
 
 import (
 	"testing"
@@ -11,30 +11,17 @@ import (
 	"astro/internal/crypto"
 	"astro/internal/transport"
 	"astro/internal/types"
+	"astro/internal/wire"
 )
 
-// chainFor signs a chain of group digests with the given replicas' harness
-// keys and returns per-signer CREDITBATCH payloads carrying the groups.
-func (c *cluster) creditBatchFrom(t *testing.T, signer int, chain []types.Digest, groups []creditBatchGroup) []byte {
-	t.Helper()
-	sig, err := c.keys[signer].Sign(CreditChainDigest(chain))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return encodeCreditBatch(creditBatchMsg{
-		Signer: types.ReplicaID(signer),
-		Chain:  chain,
-		Sig:    sig,
-		Groups: groups,
-	})
-}
-
-// TestCreditBatchFormsDependency: two signers (f+1 for n=4) deliver the
-// same credit group inside chain-signed CREDITBATCHes; the beneficiary's
-// representative must assemble a dependency certificate from the chain
-// signatures, and the beneficiary must be able to spend the funds — which
-// exercises VerifyDependency's chain path end to end (attachment,
-// screening at every replica, settlement).
+// TestCreditBatchFormsDependency: two signers (f+1 for n=4) whose
+// settlement waves were cut differently credit the same group, each with a
+// CREDITCHAINDEF and a CREDITREF to its own chain; the beneficiary's
+// representative must assemble a dependency certificate naming two
+// distinct chains, and the beneficiary must be able to spend the funds —
+// which carries both chains in the batch's table and exercises
+// VerifyDependency's chain path end to end (attachment, screening at
+// every replica, settlement).
 func TestCreditBatchFormsDependency(t *testing.T) {
 	gen := func(c types.ClientID) types.Amount {
 		if c == 1 {
@@ -45,25 +32,37 @@ func TestCreditBatchFormsDependency(t *testing.T) {
 	c := newCluster(t, AstroII, 4, gen)
 	repBob := c.replicas[int(c.repOf(2))] // client 2 -> replica 2
 
-	// A settlement wave of two groups; Bob's group sits at chain index 1.
+	// Bob's group sits at chain index 1 of each signer's wave, behind a
+	// group that differs per signer.
 	bobGroup := []types.Payment{pay(1, 1, 2, 40)}
-	otherGroup := []types.Payment{pay(5, 1, 6, 7)}
-	chain := []types.Digest{CreditGroupDigest(otherGroup), CreditGroupDigest(bobGroup)}
-	groups := []creditBatchGroup{{ChainIdx: 1, Group: bobGroup}}
-
+	groups := []creditRefGroup{{ChainIdx: 1, Group: bobGroup}}
 	for _, signer := range []int{0, 1} {
-		msg := c.creditBatchFrom(t, signer, chain, groups)
-		if err := c.replicas[signer].cfg.Mux.Send(transport.ReplicaNode(c.repOf(2)), transport.ChanCredit, msg); err != nil {
-			t.Fatal(err)
+		other := []types.Payment{pay(5, types.Seq(signer+1), 6, 7)}
+		chain := []types.Digest{CreditGroupDigest(other), CreditGroupDigest(bobGroup)}
+		def, ref := c.creditRefFrom(t, signer, chain, groups)
+		for _, msg := range [][]byte{def, ref} {
+			if err := c.replicas[signer].cfg.Mux.Send(transport.ReplicaNode(c.repOf(2)), transport.ChanCredit, msg); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
 	for repBob.Balance(2) != 40 {
 		if time.Now().After(deadline) {
-			t.Fatalf("dependency never formed from CREDITBATCH; balance = %d", repBob.Balance(2))
+			t.Fatalf("dependency never formed from two waves; balance = %d", repBob.Balance(2))
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+	repBob.repMu.Lock()
+	deps := repBob.repDeps[2]
+	repBob.repMu.Unlock()
+	var table chainTable
+	for _, d := range deps {
+		table.add(d.Cert)
+	}
+	if len(deps) != 1 || len(table) != 2 {
+		t.Fatalf("held %d dependencies naming %d chains, want one naming two", len(deps), len(table))
 	}
 
 	// Bob spends through the chain-signed dependency: the attached
@@ -79,9 +78,11 @@ func TestCreditBatchFormsDependency(t *testing.T) {
 	}
 }
 
-// TestCreditBatchRejectsForgeries: a CREDITBATCH whose group does not
-// match the digest at its claimed chain index — or whose signature does
-// not cover the chain — must not contribute to a dependency certificate.
+// TestCreditBatchRejectsForgeries: a CREDITREF whose group does not match
+// the digest at its claimed chain index — or whose signature does not
+// cover the chain — must not contribute to a dependency certificate, and
+// neither does a frame of the retired kind that carried the chain inline,
+// however valid its signature.
 func TestCreditBatchRejectsForgeries(t *testing.T) {
 	gen := func(c types.ClientID) types.Amount { return 0 }
 	c := newCluster(t, AstroII, 4, gen)
@@ -94,7 +95,7 @@ func TestCreditBatchRejectsForgeries(t *testing.T) {
 	// Forgery 1: chain signed correctly, but the claimed index holds a
 	// different group's digest.
 	chain1 := []types.Digest{wrong, good}
-	msg1 := c.creditBatchFrom(t, 0, chain1, []creditBatchGroup{{ChainIdx: 0, Group: bobGroup}})
+	def1, ref1 := c.creditRefFrom(t, 0, chain1, []creditRefGroup{{ChainIdx: 0, Group: bobGroup}})
 	// Forgery 2: index and digest match, but the signature covers some
 	// other chain.
 	chain2 := []types.Digest{good}
@@ -102,16 +103,37 @@ func TestCreditBatchRejectsForgeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg2 := encodeCreditBatch(creditBatchMsg{Signer: 1, Chain: chain2, Sig: sig, Groups: []creditBatchGroup{{ChainIdx: 0, Group: bobGroup}}})
+	ref2 := encodeCreditRef(creditRefMsg{Signer: 1, ChainDigest: CreditChainDigest(chain2), Sig: sig, Groups: []creditRefGroup{{ChainIdx: 0, Group: bobGroup}}})
 
-	for signer, msg := range map[int][]byte{0: msg1, 1: msg2} {
-		if err := c.replicas[signer].cfg.Mux.Send(transport.ReplicaNode(c.repOf(2)), transport.ChanCredit, msg); err != nil {
+	for signer, msgs := range map[int][][]byte{0: {def1, ref1}, 1: {encodeCreditChainDef(chain2), ref2}} {
+		for _, msg := range msgs {
+			if err := c.replicas[signer].cfg.Mux.Send(transport.ReplicaNode(c.repOf(2)), transport.ChanCredit, msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The retired kind 2, validly signed by signers 2 and 3: kind, signer,
+	// chain, signature, then (chain index, group) per group.
+	for _, signer := range []int{2, 3} {
+		sig, err := c.keys[signer].Sign(CreditChainDigest(chain2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := wire.NewWriter(256)
+		w.U8(2)
+		w.U32(uint32(signer))
+		wire.AppendDigestList(w, chain2)
+		w.Chunk(sig)
+		w.U32(1)
+		w.U32(0)
+		appendPaymentGroup(w, bobGroup)
+		if err := c.replicas[signer].cfg.Mux.Send(transport.ReplicaNode(c.repOf(2)), transport.ChanCredit, w.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	time.Sleep(200 * time.Millisecond)
 	if bal := repBob.Balance(2); bal != 0 {
-		t.Fatalf("forged CREDITBATCH credited %d", bal)
+		t.Fatalf("forged credits credited %d", bal)
 	}
 }
 
@@ -171,8 +193,7 @@ func TestVerifyDependencyChainSigs(t *testing.T) {
 }
 
 // TestBatchCodecChainCertRoundTrip: batch entries carrying dependencies
-// with chain signatures survive the wire (extended certificate form), and
-// plain certificates keep the legacy form.
+// with mixed single-group and chain signatures survive the wire.
 func TestBatchCodecChainCertRoundTrip(t *testing.T) {
 	chain := []types.Digest{types.HashBytes([]byte("g1")), types.HashBytes([]byte("g2"))}
 	entries := []BatchEntry{
@@ -203,7 +224,7 @@ func TestBatchCodecChainCertRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCreditCodecRoundTrip covers both credit wire kinds.
+// TestCreditCodecRoundTrip covers the single-group CREDIT.
 func TestCreditCodecRoundTrip(t *testing.T) {
 	single := creditMsg{Signer: 3, Group: []types.Payment{pay(1, 1, 2, 10), pay(4, 2, 2, 5)}, Sig: []byte("sig")}
 	enc := encodeCredit(single)
@@ -216,37 +237,5 @@ func TestCreditCodecRoundTrip(t *testing.T) {
 	}
 	if gotS.Signer != 3 || len(gotS.Group) != 2 || gotS.Group[1] != single.Group[1] || string(gotS.Sig) != "sig" {
 		t.Fatalf("single round trip mangled: %+v", gotS)
-	}
-
-	batch := creditBatchMsg{
-		Signer: 2,
-		Chain:  []types.Digest{types.HashBytes([]byte("a")), types.HashBytes([]byte("b"))},
-		Sig:    []byte("chain-sig"),
-		Groups: []creditBatchGroup{
-			{ChainIdx: 1, Group: []types.Payment{pay(7, 3, 8, 2)}},
-		},
-	}
-	encB := encodeCreditBatch(batch)
-	if encB[0] != msgCreditBatch {
-		t.Fatal("batch kind byte wrong")
-	}
-	gotB, err := decodeCreditBatch(encB[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotB.Signer != 2 || len(gotB.Chain) != 2 || gotB.Chain[1] != batch.Chain[1] {
-		t.Fatalf("batch header mangled: %+v", gotB)
-	}
-	if len(gotB.Groups) != 1 || gotB.Groups[0].ChainIdx != 1 || gotB.Groups[0].Group[0] != batch.Groups[0].Group[0] {
-		t.Fatalf("batch groups mangled: %+v", gotB.Groups)
-	}
-
-	// Garbage and out-of-range indices are rejected.
-	if _, err := decodeCreditBatch([]byte{0xFF, 0xFF}); err == nil {
-		t.Fatal("garbage batch accepted")
-	}
-	oob := creditBatchMsg{Signer: 2, Chain: batch.Chain, Sig: batch.Sig, Groups: []creditBatchGroup{{ChainIdx: 7, Group: batch.Groups[0].Group}}}
-	if _, err := decodeCreditBatch(encodeCreditBatch(oob)[1:]); err == nil {
-		t.Fatal("out-of-range chain index accepted")
 	}
 }

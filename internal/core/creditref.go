@@ -6,18 +6,17 @@ import (
 	"astro/internal/wire"
 )
 
-// Chain-by-digest references on the credit channel (PR 4; the payment-side
-// twin of brb's chainref.go — see the protocol prose there and on the
+// Chain-by-digest references on the credit channel (the payment-side twin
+// of brb's chainref.go — see the protocol prose there and on the
 // msgCredit* kinds). This file keeps the replica's reference state:
 //
 //   - creditChains: receiver side — per sending replica, a bounded LRU of
 //     the chains that replica has defined, keyed by the locally recomputed
 //     CreditChainDigest. Per-peer bounding means no replica can evict
 //     another's definitions; the cache doubles as the chain *interning*
-//     table — every CREDITBATCH or resolved CREDITREF from one signer
-//     yields the same canonical []types.Digest backing, so the k DepSigs
-//     of one wave share storage and the certificate encoder's
-//     equal-chain test hits its pointer fast path;
+//     table — every resolved CREDITREF from one signer yields the same
+//     canonical []types.Digest backing, so the k DepSigs of one wave share
+//     storage and the chain table's comparison hits its pointer fast path;
 //   - creditWaves: sender side — the recently signed waves (chain,
 //     signature, jobs), oldest retired first, from which a CREDITNACK is
 //     answered with the chain's CREDITCHAINDEF and the reference again.
@@ -156,10 +155,10 @@ func (r *Replica) handleCreditNack(from transport.NodeID, digest types.Digest) {
 		// wave this costs the beneficiary this replica's signature.
 		return
 	}
-	var gs []creditBatchGroup
+	var gs []creditRefGroup
 	for i, j := range wave.jobs {
 		if j.rep == rep {
-			gs = append(gs, creditBatchGroup{ChainIdx: uint32(i), Group: j.group})
+			gs = append(gs, creditRefGroup{ChainIdx: uint32(i), Group: j.group})
 		}
 	}
 	if len(gs) == 0 {
@@ -168,7 +167,6 @@ func (r *Replica) handleCreditNack(from transport.NodeID, digest types.Digest) {
 	def := wire.NewWriter(creditChainDefSize(wave.chain))
 	appendCreditChainDef(def, wave.chain)
 	_ = r.cfg.Mux.Send(from, transport.ChanCredit, def.Bytes())
-	r.creditRefStats.DefsSent.Add(1)
 	r.creditRefStats.DefsDemanded.Add(1)
 	m := creditRefMsg{Signer: r.cfg.Self, ChainDigest: digest, Sig: wave.sig, Groups: gs}
 	ref := wire.NewWriter(creditRefSize(m))

@@ -2,8 +2,8 @@ package core
 
 // Tests for credit-channel chain-by-digest references: the
 // CREDITCHAINDEF/CREDITREF/CREDITNACK codecs, dependency formation through
-// references, the NACK -> legacy CREDITBATCH retransmit (never-seen and
-// evicted chains), and the interned dependency-certificate wire form.
+// references, the NACK demand path (never-seen and evicted chains), and
+// the chain-table dependency-certificate wire form.
 
 import (
 	"testing"
@@ -34,7 +34,7 @@ func TestCreditRefCodecRoundTrip(t *testing.T) {
 		Signer:      3,
 		ChainDigest: CreditChainDigest(chain),
 		Sig:         []byte("chain-sig"),
-		Groups:      []creditBatchGroup{{ChainIdx: 1, Group: []types.Payment{pay(7, 3, 8, 2)}}},
+		Groups:      []creditRefGroup{{ChainIdx: 1, Group: []types.Payment{pay(7, 3, 8, 2)}}},
 	}
 	enc := encodeCreditRef(m)
 	if enc[0] != msgCreditRef || len(enc) != creditRefSize(m) {
@@ -51,7 +51,7 @@ func TestCreditRefCodecRoundTrip(t *testing.T) {
 		t.Fatalf("ref groups mangled: %+v", got.Groups)
 	}
 	oob := m
-	oob.Groups = []creditBatchGroup{{ChainIdx: creditChainCap, Group: m.Groups[0].Group}}
+	oob.Groups = []creditRefGroup{{ChainIdx: creditChainCap, Group: m.Groups[0].Group}}
 	if _, err := decodeCreditRef(encodeCreditRef(oob)[1:]); err == nil {
 		t.Fatal("over-cap chain index accepted")
 	}
@@ -68,7 +68,7 @@ func TestCreditRefCodecRoundTrip(t *testing.T) {
 
 // creditRefFrom signs a chain and returns the (CHAINDEF, CREDITREF) pair a
 // signer would emit for the given groups.
-func (c *cluster) creditRefFrom(t *testing.T, signer int, chain []types.Digest, groups []creditBatchGroup) (def, ref []byte) {
+func (c *cluster) creditRefFrom(t *testing.T, signer int, chain []types.Digest, groups []creditRefGroup) (def, ref []byte) {
 	t.Helper()
 	sig, err := c.keys[signer].Sign(CreditChainDigest(chain))
 	if err != nil {
@@ -83,10 +83,10 @@ func (c *cluster) creditRefFrom(t *testing.T, signer int, chain []types.Digest, 
 }
 
 // TestCreditRefFormsDependency: the reference pair (CHAINDEF, then
-// CREDITREF naming it) from f+1 signers must form a dependency exactly
-// like the legacy CREDITBATCH — and the beneficiary must be able to spend
-// through it, which round-trips the interned certificate form through a
-// broadcast batch and every replica's screening.
+// CREDITREF naming it) from f+1 signers must form a dependency — and the
+// beneficiary must be able to spend through it, which round-trips the
+// certificate through a broadcast batch's chain table and every replica's
+// screening.
 func TestCreditRefFormsDependency(t *testing.T) {
 	gen := func(c types.ClientID) types.Amount {
 		if c == 1 {
@@ -100,7 +100,7 @@ func TestCreditRefFormsDependency(t *testing.T) {
 	bobGroup := []types.Payment{pay(1, 1, 2, 40)}
 	otherGroup := []types.Payment{pay(5, 1, 6, 7)}
 	chain := []types.Digest{CreditGroupDigest(otherGroup), CreditGroupDigest(bobGroup)}
-	groups := []creditBatchGroup{{ChainIdx: 1, Group: bobGroup}}
+	groups := []creditRefGroup{{ChainIdx: 1, Group: bobGroup}}
 
 	for _, signer := range []int{0, 1} {
 		def, ref := c.creditRefFrom(t, signer, chain, groups)
@@ -122,9 +122,9 @@ func TestCreditRefFormsDependency(t *testing.T) {
 		t.Fatalf("receiver stats = %+v, want 2 resolved references and no NACK", st)
 	}
 
-	// Bob spends through the chain-signed dependency: the attached
-	// certificate travels in the interned wire form (both signers signed
-	// the same chain — one table entry) and must verify at every screen.
+	// Bob spends through the chain-signed dependency: both signers signed
+	// the same chain, so the batch's table holds it once, and the
+	// certificate must verify at every screen.
 	bob := c.client(2)
 	c.payAndWait(bob, 3, 25)
 	c.waitSettledEverywhere(1, 5*time.Second)
@@ -161,7 +161,7 @@ func TestCreditRefUnknownChainNacks(t *testing.T) {
 
 	bobGroup := []types.Payment{pay(1, 1, 2, 40)}
 	chain := []types.Digest{CreditGroupDigest(bobGroup)}
-	_, ref := c.creditRefFrom(t, 0, chain, []creditBatchGroup{{ChainIdx: 0, Group: bobGroup}})
+	_, ref := c.creditRefFrom(t, 0, chain, []creditRefGroup{{ChainIdx: 0, Group: bobGroup}})
 
 	if err := tap.Send(transport.ReplicaNode(2), transport.ChanCredit, ref); err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestCreditChannelDropsUnknownSenders(t *testing.T) {
 
 	bobGroup := []types.Payment{pay(1, 1, 2, 40)}
 	chain := []types.Digest{CreditGroupDigest(bobGroup)}
-	_, ref := c.creditRefFrom(t, 0, chain, []creditBatchGroup{{ChainIdx: 0, Group: bobGroup}})
+	_, ref := c.creditRefFrom(t, 0, chain, []creditRefGroup{{ChainIdx: 0, Group: bobGroup}})
 	for _, msg := range [][]byte{encodeCreditChainDef(chain), ref} {
 		if err := mux.Send(transport.ReplicaNode(2), transport.ChanCredit, msg); err != nil {
 			t.Fatal(err)
@@ -230,7 +230,7 @@ func TestCreditRefEvictionNacks(t *testing.T) {
 	bobGroup := []types.Payment{pay(1, 1, 2, 40)}
 	chainA := []types.Digest{CreditGroupDigest(bobGroup)}
 	chainB := []types.Digest{types.HashBytes([]byte("other"))}
-	_, ref := c.creditRefFrom(t, 0, chainA, []creditBatchGroup{{ChainIdx: 0, Group: bobGroup}})
+	_, ref := c.creditRefFrom(t, 0, chainA, []creditRefGroup{{ChainIdx: 0, Group: bobGroup}})
 
 	for _, chain := range [][]types.Digest{chainA, chainB} {
 		if err := tap.Send(transport.ReplicaNode(2), transport.ChanCredit, encodeCreditChainDef(chain)); err != nil {
@@ -255,9 +255,8 @@ func TestCreditRefEvictionNacks(t *testing.T) {
 
 // TestCreditNackAnsweredWithDefAndRef: a CREDITNACK is the demand path —
 // the signer answers with the chain's CREDITCHAINDEF followed by the
-// CREDITREF for the requester's groups (FIFO keeps them ordered), never
-// the self-contained CREDITBATCH, and the demand is counted against the
-// deferred definitions. A NACK for an unretained (evicted) wave is
+// CREDITREF for the requester's groups (FIFO keeps them ordered), and the
+// demand is counted against the deferred definitions. A NACK for an unretained (evicted) wave is
 // silently dropped.
 func TestCreditNackAnsweredWithDefAndRef(t *testing.T) {
 	c := newCluster(t, AstroII, 4, func(types.ClientID) types.Amount { return 0 })
@@ -302,7 +301,7 @@ func TestCreditNackAnsweredWithDefAndRef(t *testing.T) {
 	if st.FullSends != 0 {
 		t.Fatalf("fell back to the self-contained full form: %+v", st)
 	}
-	if st.DefsDemanded != 1 || st.DefsSent != 1 {
+	if st.DefsDemanded != 1 {
 		t.Fatalf("demand not counted: %+v", st)
 	}
 	if err := tap.Send(transport.ReplicaNode(0), transport.ChanCredit, encodeCreditNack(types.HashBytes([]byte("gone")))); err != nil {
@@ -343,7 +342,7 @@ func TestCreditNackTrailingByHundredsOfWaves(t *testing.T) {
 			{rep: c.repOf(2), group: bobGroup},
 		}
 		chain := []types.Digest{CreditGroupDigest(jobs[0].group), CreditGroupDigest(jobs[1].group)}
-		_, ref := c.creditRefFrom(t, signer, chain, []creditBatchGroup{{ChainIdx: 1, Group: bobGroup}})
+		_, ref := c.creditRefFrom(t, signer, chain, []creditRefGroup{{ChainIdx: 1, Group: bobGroup}})
 		m, err := decodeCreditRef(ref[1:])
 		if err != nil {
 			t.Fatal(err)
@@ -451,18 +450,16 @@ func TestCreditRefCompleteCertDropsSilently(t *testing.T) {
 
 	bobGroup := []types.Payment{pay(1, 1, 2, 40)}
 	chain := []types.Digest{CreditGroupDigest(bobGroup)}
-	groups := []creditBatchGroup{{ChainIdx: 0, Group: bobGroup}}
+	groups := []creditRefGroup{{ChainIdx: 0, Group: bobGroup}}
 
-	// Form the dependency from f+1 signers through the self-contained
-	// legacy batches (which also prime only those peers' cache sections).
+	// Form the dependency from f+1 signers through definitions and
+	// references (which prime only those peers' cache sections).
 	for _, signer := range []int{0, 1} {
-		sig, err := c.keys[signer].Sign(CreditChainDigest(chain))
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg := encodeCreditBatch(creditBatchMsg{Signer: types.ReplicaID(signer), Chain: chain, Sig: sig, Groups: groups})
-		if err := c.replicas[signer].cfg.Mux.Send(transport.ReplicaNode(c.repOf(2)), transport.ChanCredit, msg); err != nil {
-			t.Fatal(err)
+		def, ref := c.creditRefFrom(t, signer, chain, groups)
+		for _, msg := range [][]byte{def, ref} {
+			if err := c.replicas[signer].cfg.Mux.Send(transport.ReplicaNode(c.repOf(2)), transport.ChanCredit, msg); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -477,7 +474,7 @@ func TestCreditRefCompleteCertDropsSilently(t *testing.T) {
 	// the receiver) carrying only the completed group: silent drop.
 	tap, msgs := c.creditTap(t, 9)
 	lateChain := []types.Digest{types.HashBytes([]byte("padding")), CreditGroupDigest(bobGroup)}
-	_, ref := c.creditRefFrom(t, 2, lateChain, []creditBatchGroup{{ChainIdx: 1, Group: bobGroup}})
+	_, ref := c.creditRefFrom(t, 2, lateChain, []creditRefGroup{{ChainIdx: 1, Group: bobGroup}})
 	pre := repBob.CreditRefStats()
 	if err := tap.Send(transport.ReplicaNode(c.repOf(2)), transport.ChanCredit, ref); err != nil {
 		t.Fatal(err)
@@ -499,10 +496,11 @@ func TestCreditRefCompleteCertDropsSilently(t *testing.T) {
 	}
 }
 
-// TestDepCertInterning: the interned certificate form stores each distinct
-// chain once — k signers over one chain cost one table entry — while the
-// round trip preserves every signature's chain content (shared backing on
-// decode) and plain signatures stay chain-less.
+// TestDepCertInterning: a dependency stored on its own writes each
+// distinct chain once in its table — k signers over one chain cost one
+// table entry — and the round trip preserves every signature's chain
+// content (shared backing on decode) while single-group signatures stay
+// chain-less.
 func TestDepCertInterning(t *testing.T) {
 	chainShared := []types.Digest{types.HashBytes([]byte("g1")), types.HashBytes([]byte("g2"))}
 	chainOther := []types.Digest{types.HashBytes([]byte("g3"))}
@@ -516,27 +514,22 @@ func TestDepCertInterning(t *testing.T) {
 		}},
 	}
 
-	w := wire.NewWriter(dependencySize(d))
-	encodeDependency(w, d)
-	if w.Len() != dependencySize(d) {
-		t.Fatalf("encoded %d bytes, size function says %d", w.Len(), dependencySize(d))
+	w := wire.NewWriter(dependencyRecordSize(d))
+	appendDependencyRecord(w, d)
+	if w.Len() != dependencyRecordSize(d) {
+		t.Fatalf("encoded %d bytes, size function says %d", w.Len(), dependencyRecordSize(d))
 	}
-	// The two copies of chainShared must be encoded once: the certificate
-	// section carries exactly table(2 digests + 1 digest) + 4 sig records,
-	// strictly less than the extended form's per-signature inline chains.
-	certBytes := w.Len() - (4 + len(d.Group)*types.PaymentWireSize + 1)
-	interned := 4 + wire.DigestListSize(2) + wire.DigestListSize(1) +
-		4 + 4*(4+4+2+4)
-	extended := 4 + 4*(4+4+2) + 2*wire.DigestListSize(2) + wire.DigestListSize(1) + wire.DigestListSize(0)
-	if certBytes != interned {
-		t.Fatalf("interned cert = %d bytes, want %d", certBytes, interned)
-	}
-	if certBytes >= extended {
-		t.Fatalf("interned cert (%d B) not smaller than extended (%d B)", certBytes, extended)
+	// The two copies of chainShared are encoded once: table(2 digests + 1
+	// digest), the group, then 4 signature records.
+	want := 4 + wire.DigestListSize(2) + wire.DigestListSize(1) +
+		4 + len(d.Group)*types.PaymentWireSize + 4 + 4*(4+4+2+4)
+	if w.Len() != want {
+		t.Fatalf("record = %d bytes, want %d", w.Len(), want)
 	}
 
-	back, err := decodeDependency(wire.NewReader(w.Bytes()), nil)
-	if err != nil {
+	r := wire.NewReader(w.Bytes())
+	back, err := readDependencyRecord(r)
+	if err != nil || r.Finish() != nil {
 		t.Fatal(err)
 	}
 	sigs := back.Cert.Sigs
@@ -550,27 +543,5 @@ func TestDepCertInterning(t *testing.T) {
 	// backing array.
 	if &sigs[0].Chain[0] != &sigs[1].Chain[0] {
 		t.Fatal("decoded shared chains do not alias one table entry")
-	}
-
-	// The extended form still decodes (legacy producers).
-	lw := wire.NewWriter(256)
-	lw.U32(uint32(len(d.Group)))
-	for _, p := range d.Group {
-		lw.AppendFunc(p.AppendBinary)
-	}
-	lw.U8(depCertExtended)
-	lw.U32(2)
-	lw.U32(0)
-	lw.Chunk([]byte("s0"))
-	appendDigestChain(lw, chainShared)
-	lw.U32(3)
-	lw.Chunk([]byte("s3"))
-	appendDigestChain(lw, nil)
-	legacy, err := decodeDependency(wire.NewReader(lw.Bytes()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy.Cert.Sigs) != 2 || len(legacy.Cert.Sigs[0].Chain) != 2 || legacy.Cert.Sigs[1].Chain != nil {
-		t.Fatalf("extended form no longer decodes: %+v", legacy.Cert.Sigs)
 	}
 }

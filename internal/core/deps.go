@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -66,10 +67,7 @@ type DepSig struct {
 }
 
 // DepCert is a set of CREDIT signatures for one group, possibly mixing
-// single-group and chain signatures. It generalizes crypto.Certificate;
-// an all-single-group certificate keeps a certificate-shaped compact
-// encoding (no per-signature chain field) behind the depCertPlain kind
-// byte.
+// single-group and chain signatures.
 type DepCert struct {
 	Sigs []DepSig
 }
@@ -85,17 +83,6 @@ func (c DepCert) Has(r types.ReplicaID) bool {
 		}
 	}
 	return false
-}
-
-// allPlain reports whether every signature is single-group, i.e. the
-// certificate can take the legacy crypto.Certificate wire form.
-func (c DepCert) allPlain() bool {
-	for _, s := range c.Sigs {
-		if s.Chain != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // Dependency is a credit group together with a certificate of at least
@@ -195,101 +182,127 @@ func VerifyDependency(
 	return fmt.Errorf("dependency: %w: %d valid of %d needed", crypto.ErrCertTooSmall, valid, need)
 }
 
-// Dependency wire form: the group, then a certificate-kind byte selecting
-// the compact all-plain encoding (crypto.Certificate's shape: no chain
-// fields), the extended per-signature chain form, or — PR 4 — the
-// interned form, which factors the certificate's distinct chains into a
-// table encoded once and has each signature reference its chain by table
-// index. Settlement waves are deterministic per delivery (postSettle
-// enqueues groups in representative order over replica-deterministic
-// settle results), so when replicas' wave boundaries align the k signers
-// of a certificate sign byte-identical chains and the table holds ONE
-// chain where the extended form repeated it k times. PR 9 lifts the table
-// one level further: inside a v2 batch (batch.go) the table is
-// batch-wide, and batch-ref certificates index into it — the many
-// dependencies of one settlement wave attached across a batch's entries
-// then share ONE copy of each chain per batch, not one per certificate.
-// The kind bytes are wire revisions (PR 3 introduced the byte, PR 4 the
-// interned kind, PR 9 the batch-ref kind) — every node of a deployment
-// must run a build that understands them; the older forms remain
-// decodable.
-const (
-	depCertPlain    byte = 0
-	depCertExtended byte = 1
-	depCertInterned byte = 2
-	depCertBatchRef byte = 3
-)
+// Dependency wire form: the group, the signature count, then one
+// (replica, sig, chain index) record per signature. The index points into
+// a chain table written ahead of the dependency, or is noChainIdx for a
+// single-group signature. Inside a batch the table is the batch's
+// (batch.go), so the many dependencies of one settlement wave attached
+// across a batch's entries share one copy of each chain; a dependency
+// stored on its own (recDep, the snapshot's dependency section) writes a
+// table of its own first. Settlement waves are deterministic per delivery
+// (postSettle enqueues groups in representative order over
+// replica-deterministic settle results), so when replicas' wave
+// boundaries align the signers of a certificate sign byte-identical
+// chains and the table holds one chain for all of them.
 
-// noChainIdx marks a single-group (chain-less) signature in the interned
-// certificate form.
+// noChainIdx marks a single-group (chain-less) signature.
 const noChainIdx = ^uint32(0)
 
-// sameChain reports chain equality with a pointer fast path: the chain
-// interning cache (creditref.go) hands every DepSig of one signer the same
-// backing slice, so most table hits compare one address.
-func sameChain(a, b []types.Digest) bool {
-	if len(a) != len(b) {
-		return false
+// compareChains orders chains by their digests, lexicographically, with a
+// fast path for the shared backing the chain interning cache
+// (creditref.go) hands every DepSig of one chain.
+func compareChains(a, b []types.Digest) int {
+	if len(a) == len(b) && len(a) > 0 && &a[0] == &b[0] {
+		return 0
 	}
-	if len(a) > 0 && &a[0] == &b[0] {
-		return true
-	}
-	return slices.Equal(a, b)
+	return slices.CompareFunc(a, b, func(x, y types.Digest) int { return bytes.Compare(x[:], y[:]) })
 }
 
-// depChainTable collects the certificate's distinct chains, and each
-// signature's index into the table (noChainIdx for plain signatures).
-// Certificates are small (f+1-ish signatures, chains interned to shared
-// backings), so the dedup scan is a handful of pointer compares.
-func depChainTable(c DepCert) (table [][]types.Digest, idx []uint32) {
-	idx = make([]uint32, len(c.Sigs))
-	for i, ps := range c.Sigs {
-		if ps.Chain == nil {
-			idx[i] = noChainIdx
-			continue
-		}
-		found := -1
-		for t, ch := range table {
-			if sameChain(ch, ps.Chain) {
-				found = t
-				break
-			}
-		}
-		if found < 0 {
-			found = len(table)
-			table = append(table, ps.Chain)
-		}
-		idx[i] = uint32(found)
-	}
-	return table, idx
-}
+// chainTable is the distinct chains of a set of dependency certificates,
+// sorted by compareChains: each chain has one place in it, so the table —
+// and with it every encoding that carries one — has one canonical form,
+// which decoders check by comparing neighbours.
+type chainTable [][]types.Digest
 
-// depChainTableBytes is the sizing-pass companion of depChainTable: the
-// encoded size of the distinct-chain table, computed without allocating
-// the per-signature index slice (exact-capacity encoding is two-pass
-// everywhere in this package — see batchSize — so the dedup scan runs in
-// both passes; this keeps the sizing pass allocation-free for up to eight
-// distinct chains).
-func depChainTableBytes(c DepCert) (n int) {
-	var stack [8][]types.Digest
-	table := stack[:0]
+// add inserts the certificate's chains that are not in the table yet.
+func (t *chainTable) add(c DepCert) {
 	for _, ps := range c.Sigs {
 		if ps.Chain == nil {
 			continue
 		}
-		dup := false
-		for _, ch := range table {
-			if sameChain(ch, ps.Chain) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			table = append(table, ps.Chain)
-			n += wire.DigestListSize(len(ps.Chain))
+		if i, found := slices.BinarySearchFunc(*t, ps.Chain, compareChains); !found {
+			*t = slices.Insert(*t, i, ps.Chain)
 		}
 	}
+}
+
+// index returns a signature's chain index (noChainIdx for a single-group
+// signature). The chain must be in the table.
+func (t chainTable) index(ps DepSig) uint32 {
+	if ps.Chain == nil {
+		return noChainIdx
+	}
+	i, _ := slices.BinarySearchFunc(t, ps.Chain, compareChains)
+	return uint32(i)
+}
+
+// size is the table's encoded size.
+func (t chainTable) size() int {
+	n := 4
+	for _, ch := range t {
+		n += wire.DigestListSize(len(ch))
+	}
 	return n
+}
+
+func (t chainTable) append(w *wire.Writer) {
+	w.U32(uint32(len(t)))
+	for _, ch := range t {
+		wire.AppendDigestList(w, ch)
+	}
+}
+
+// readTable is a chain table being decoded together with the dependencies
+// that index into it; named records which entries a signature named, since
+// the canonical encoding holds no others.
+type readTable struct {
+	chains chainTable
+	named  []bool
+}
+
+func readChainTable(r *wire.Reader) (readTable, error) {
+	n := r.U32()
+	if err := r.Err(); err != nil {
+		return readTable{}, err
+	}
+	if !countFits(r, n, wire.DigestListSize(1)) {
+		return readTable{}, fmt.Errorf("dependency: chain table of %d overruns its encoding", n)
+	}
+	t := readTable{chains: make(chainTable, n), named: make([]bool, n)}
+	for i := range t.chains {
+		chain, err := decodeDigestChain(r)
+		if err != nil {
+			return readTable{}, err
+		}
+		if len(chain) == 0 {
+			return readTable{}, fmt.Errorf("dependency: empty chain in table")
+		}
+		if i > 0 && compareChains(t.chains[i-1], chain) >= 0 {
+			return readTable{}, fmt.Errorf("dependency: chain table not sorted")
+		}
+		t.chains[i] = chain
+	}
+	return t, nil
+}
+
+// chain resolves a signature's chain index, marking the entry named.
+func (t readTable) chain(ci uint32) ([]types.Digest, error) {
+	if ci == noChainIdx {
+		return nil, nil
+	}
+	if int(ci) >= len(t.chains) {
+		return nil, fmt.Errorf("dependency: chain index %d out of table range %d", ci, len(t.chains))
+	}
+	t.named[ci] = true
+	return t.chains[ci], nil
+}
+
+// finish checks that every table entry was named.
+func (t readTable) finish() error {
+	if slices.Contains(t.named, false) {
+		return fmt.Errorf("dependency: chain table entry no signature names")
+	}
+	return nil
 }
 
 // maxDepSigs bounds decoded certificate sizes (mirrors crypto's
@@ -301,139 +314,36 @@ const maxDepSigs = 4096
 // input); far above any settlement wave the credit signer accumulates.
 const maxCreditChain = 1024
 
-// dependencySize returns the exact encoded size of a dependency.
+// dependencySize returns the encoded size of a dependency, its table
+// excluded.
 func dependencySize(d Dependency) int {
-	n := 4 + len(d.Group)*types.PaymentWireSize + 1
-	if d.Cert.allPlain() {
-		n += 4
-		for _, ps := range d.Cert.Sigs {
-			n += 8 + len(ps.Sig)
-		}
-		return n
-	}
-	n += 4 + depChainTableBytes(d.Cert)
-	n += 4
+	n := 4 + len(d.Group)*types.PaymentWireSize + 4
 	for _, ps := range d.Cert.Sigs {
 		n += 4 + 4 + len(ps.Sig) + 4
 	}
 	return n
 }
 
-// encodeDependency appends the dependency's wire form.
-func encodeDependency(w *wire.Writer, d Dependency) {
-	w.U32(uint32(len(d.Group)))
-	for _, p := range d.Group {
-		w.AppendFunc(p.AppendBinary)
-	}
-	if d.Cert.allPlain() {
-		w.U8(depCertPlain)
-		w.U32(uint32(len(d.Cert.Sigs)))
-		for _, ps := range d.Cert.Sigs {
-			w.U32(uint32(ps.Replica))
-			w.Chunk(ps.Sig)
-		}
-		return
-	}
-	table, idx := depChainTable(d.Cert)
-	w.U8(depCertInterned)
-	w.U32(uint32(len(table)))
-	for _, ch := range table {
-		appendDigestChain(w, ch)
-	}
-	w.U32(uint32(len(d.Cert.Sigs)))
-	for i, ps := range d.Cert.Sigs {
-		w.U32(uint32(ps.Replica))
-		w.Chunk(ps.Sig)
-		w.U32(idx[i])
-	}
-}
-
-// dependencySizeBatchRef is dependencySize for the batch-ref form: chains
-// live in the surrounding batch's table, so a chained certificate costs
-// one index per signature and nothing per chain.
-func dependencySizeBatchRef(d Dependency) int {
-	n := 4 + len(d.Group)*types.PaymentWireSize + 1
-	if d.Cert.allPlain() {
-		n += 4
-		for _, ps := range d.Cert.Sigs {
-			n += 8 + len(ps.Sig)
-		}
-		return n
-	}
-	n += 4
-	for _, ps := range d.Cert.Sigs {
-		n += 4 + 4 + len(ps.Sig) + 4
-	}
-	return n
-}
-
-// encodeDependencyBatchRef appends the dependency inside a v2 batch:
-// all-plain certificates keep the compact plain form, chained ones take
-// the batch-ref kind with indices into the batch's table.
-func encodeDependencyBatchRef(w *wire.Writer, d Dependency, table [][]types.Digest) {
-	w.U32(uint32(len(d.Group)))
-	for _, p := range d.Group {
-		w.AppendFunc(p.AppendBinary)
-	}
-	if d.Cert.allPlain() {
-		w.U8(depCertPlain)
-		w.U32(uint32(len(d.Cert.Sigs)))
-		for _, ps := range d.Cert.Sigs {
-			w.U32(uint32(ps.Replica))
-			w.Chunk(ps.Sig)
-		}
-		return
-	}
-	w.U8(depCertBatchRef)
+// appendDependency appends the dependency, its chains indexed into t.
+func appendDependency(w *wire.Writer, d Dependency, t chainTable) {
+	appendPaymentGroup(w, d.Group)
 	w.U32(uint32(len(d.Cert.Sigs)))
 	for _, ps := range d.Cert.Sigs {
 		w.U32(uint32(ps.Replica))
 		w.Chunk(ps.Sig)
-		if ps.Chain == nil {
-			w.U32(noChainIdx)
-		} else {
-			w.U32(batchChainIdx(table, ps.Chain))
-		}
+		w.U32(t.index(ps))
 	}
 }
 
-// appendDigestChain and decodeDigestChain are the credit-side digest-list
-// codec: the shared wire layout with the credit chain-length cap applied.
-func appendDigestChain(w *wire.Writer, chain []types.Digest) {
-	wire.AppendDigestList(w, chain)
-}
-
-func decodeDigestChain(r *wire.Reader) ([]types.Digest, error) {
-	return wire.ReadDigestList[types.Digest](r, maxCreditChain)
-}
-
-// maxGroup bounds decoded group sizes (defense against hostile input).
-const maxGroup = 1 << 16
-
-// decodeDependency parses one dependency. table is the surrounding v2
-// batch's chain table for batch-ref certificates; nil outside a v2 batch
-// (standalone dependency records, v1 batches), where the batch-ref kind is
-// rejected — it has nothing to reference.
-func decodeDependency(r *wire.Reader, table [][]types.Digest) (Dependency, error) {
+// decodeDependency parses one dependency whose chains index into t.
+// Decoded signatures naming one table entry share its slice.
+func decodeDependency(r *wire.Reader, t readTable) (Dependency, error) {
 	var d Dependency
-	n := r.U32()
-	if err := r.Err(); err != nil {
+	group, err := decodePaymentGroup(r)
+	if err != nil {
 		return d, err
 	}
-	if n == 0 || n > maxGroup {
-		return d, fmt.Errorf("dependency: bad group size %d", n)
-	}
-	d.Group = make([]types.Payment, n)
-	for i := range d.Group {
-		raw := r.Fixed(types.PaymentWireSize)
-		if err := r.Err(); err != nil {
-			return d, err
-		}
-		if err := d.Group[i].UnmarshalBinary(raw); err != nil {
-			return d, err
-		}
-	}
-	kind := r.U8()
+	d.Group = group
 	ns := r.U32()
 	if err := r.Err(); err != nil {
 		return d, err
@@ -441,94 +351,61 @@ func decodeDependency(r *wire.Reader, table [][]types.Digest) (Dependency, error
 	if ns > maxDepSigs {
 		return d, fmt.Errorf("dependency: cert of %d signatures exceeds cap", ns)
 	}
-	switch kind {
-	case depCertPlain:
-		d.Cert.Sigs = make([]DepSig, 0, ns)
-		for i := uint32(0); i < ns; i++ {
-			id := types.ReplicaID(r.U32())
-			sig := r.Chunk()
-			if err := r.Err(); err != nil {
-				return d, err
-			}
-			d.Cert.Sigs = append(d.Cert.Sigs, DepSig{Replica: id, Sig: sig})
-		}
-	case depCertExtended:
-		d.Cert.Sigs = make([]DepSig, 0, ns)
-		for i := uint32(0); i < ns; i++ {
-			id := types.ReplicaID(r.U32())
-			sig := r.Chunk()
-			if err := r.Err(); err != nil {
-				return d, err
-			}
-			chain, err := decodeDigestChain(r)
-			if err != nil {
-				return d, err
-			}
-			d.Cert.Sigs = append(d.Cert.Sigs, DepSig{Replica: id, Sig: sig, Chain: chain})
-		}
-	case depCertInterned:
-		// ns is the chain-table length here (bounded above); the signature
-		// count follows the table. Decoded signatures referencing one
-		// table entry share its slice, so the interning survives the round
-		// trip in memory too.
-		ownTable := make([][]types.Digest, ns)
-		for i := range ownTable {
-			chain, err := decodeDigestChain(r)
-			if err != nil {
-				return d, err
-			}
-			if len(chain) == 0 {
-				return d, fmt.Errorf("dependency: empty chain in table")
-			}
-			ownTable[i] = chain
-		}
-		nSigs := r.U32()
-		if err := r.Err(); err != nil {
-			return d, err
-		}
-		if nSigs > maxDepSigs {
-			return d, fmt.Errorf("dependency: cert of %d signatures exceeds cap", nSigs)
-		}
-		if err := decodeDepSigsIndexed(r, &d.Cert, nSigs, ownTable); err != nil {
-			return d, err
-		}
-	case depCertBatchRef:
-		// ns is the signature count (like plain/extended); the chains live
-		// in the surrounding batch's table, decoded once for every
-		// certificate of the batch.
-		if table == nil {
-			return d, fmt.Errorf("dependency: batch-ref certificate outside a v2 batch")
-		}
-		if err := decodeDepSigsIndexed(r, &d.Cert, ns, table); err != nil {
-			return d, err
-		}
-	default:
-		return d, fmt.Errorf("dependency: unknown cert kind %d", kind)
-	}
-	return d, nil
-}
-
-// decodeDepSigsIndexed reads n (replica, sig, chain-index) records into
-// cert, resolving indices against table — the shared tail of the interned
-// and batch-ref certificate forms. Decoded signatures referencing one
-// table entry share its slice.
-func decodeDepSigsIndexed(r *wire.Reader, cert *DepCert, n uint32, table [][]types.Digest) error {
-	cert.Sigs = make([]DepSig, 0, n)
-	for i := uint32(0); i < n; i++ {
+	d.Cert.Sigs = make([]DepSig, 0, ns)
+	for i := uint32(0); i < ns; i++ {
 		id := types.ReplicaID(r.U32())
 		sig := r.Chunk()
 		ci := r.U32()
 		if err := r.Err(); err != nil {
-			return err
+			return d, err
 		}
-		var chain []types.Digest
-		if ci != noChainIdx {
-			if int(ci) >= len(table) {
-				return fmt.Errorf("dependency: chain index %d out of table range %d", ci, len(table))
-			}
-			chain = table[ci]
+		chain, err := t.chain(ci)
+		if err != nil {
+			return d, err
 		}
-		cert.Sigs = append(cert.Sigs, DepSig{Replica: id, Sig: sig, Chain: chain})
+		d.Cert.Sigs = append(d.Cert.Sigs, DepSig{Replica: id, Sig: sig, Chain: chain})
 	}
-	return nil
+	return d, nil
 }
+
+// dependencyRecordTable is the chain table a dependency stored on its own
+// writes ahead of it.
+func dependencyRecordTable(d Dependency) chainTable {
+	var t chainTable
+	t.add(d.Cert)
+	return t
+}
+
+// dependencyRecordSize is the encoded size of a dependency stored on its
+// own: its table, then the dependency.
+func dependencyRecordSize(d Dependency) int {
+	return dependencyRecordTable(d).size() + dependencySize(d)
+}
+
+func appendDependencyRecord(w *wire.Writer, d Dependency) {
+	t := dependencyRecordTable(d)
+	t.append(w)
+	appendDependency(w, d, t)
+}
+
+// readDependencyRecord parses a dependency stored on its own.
+func readDependencyRecord(r *wire.Reader) (Dependency, error) {
+	t, err := readChainTable(r)
+	if err != nil {
+		return Dependency{}, err
+	}
+	d, err := decodeDependency(r, t)
+	if err != nil {
+		return Dependency{}, err
+	}
+	return d, t.finish()
+}
+
+// decodeDigestChain is the credit-side digest-list decoder: the shared
+// wire layout with the credit chain-length cap applied.
+func decodeDigestChain(r *wire.Reader) ([]types.Digest, error) {
+	return wire.ReadDigestList[types.Digest](r, maxCreditChain)
+}
+
+// maxGroup bounds decoded group sizes (defense against hostile input).
+const maxGroup = 1 << 16

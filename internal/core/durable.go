@@ -60,15 +60,15 @@ const defaultWALSnapshotEvery = 4096
 
 // snapshotVersion is the full-image format version (both WAL snapshots and
 // reconfig kindStateFull transfers). snapshotVersionManifest marks the
-// PR 10 incremental form: the same image minus the xlog and account
-// sections, whose content lives as per-account records in the KV store
-// the snapshot publishes with — restart replays manifest + log tail and
-// faults accounts lazily, instead of decoding a full-state image.
-// Versions 1 and 2 carried the endorsement section as one (identifier,
-// hash) triple per payment ever endorsed; they are refused, not converted.
+// incremental form: the same image minus the xlog and account sections,
+// whose content lives as per-account records in the KV store the snapshot
+// publishes with — restart replays manifest + log tail and faults
+// accounts lazily, instead of decoding a full-state image. Versions 1 to
+// 4 hold endorsement, batch or dependency encodings this build does not
+// read; they are refused, not converted.
 const (
-	snapshotVersion         = 3
-	snapshotVersionManifest = 4
+	snapshotVersion         = 5
+	snapshotVersionManifest = 6
 )
 
 // replicaImage is the decoded full image of a replica's durable state.
@@ -94,7 +94,7 @@ func encodeReplicaImage(img replicaImage) []byte {
 	}
 	for _, ex := range img.accounts {
 		xlogs[ex.Client] = ex.XLog
-		est += 17 + batchSize(ex.Queue) + 4 + 16*len(ex.UsedDeps)
+		est += 17 + batchSize(ex.Queue, batchTable(ex.Queue)) + 4 + 16*len(ex.UsedDeps)
 	}
 	est += reconfig.StateBodySize(xlogs)
 	nEndorsed := 0
@@ -106,7 +106,7 @@ func encodeReplicaImage(img replicaImage) []byte {
 	for _, ds := range img.repDeps {
 		est += 12
 		for _, d := range ds {
-			est += dependencySize(d)
+			est += dependencyRecordSize(d)
 		}
 	}
 
@@ -134,7 +134,7 @@ func encodeReplicaImage(img replicaImage) []byte {
 			w.U64(uint64(ex.Client))
 			w.U64(uint64(ex.Balance))
 			w.Bool(ex.Stuck)
-			appendBatch(w, ex.Queue)
+			appendBatch(w, ex.Queue, batchTable(ex.Queue))
 			w.U32(uint32(len(ex.UsedDeps)))
 			for _, id := range ex.UsedDeps {
 				w.U64(uint64(id.Spender))
@@ -164,7 +164,7 @@ func encodeReplicaImage(img replicaImage) []byte {
 		w.U64(uint64(c))
 		w.U32(uint32(len(ds)))
 		for _, d := range ds {
-			encodeDependency(w, d)
+			appendDependencyRecord(w, d)
 		}
 	}
 	return w.Bytes()
@@ -262,7 +262,7 @@ func decodeReplicaImage(data []byte) (replicaImage, error) {
 		}
 		ds := make([]Dependency, 0, nd)
 		for j := uint32(0); j < nd; j++ {
-			d, err := decodeDependency(r, nil)
+			d, err := readDependencyRecord(r)
 			if err != nil {
 				return img, fmt.Errorf("core: snapshot dependency: %w", err)
 			}
@@ -470,7 +470,7 @@ func (r *Replica) replayRecord(kind byte, payload []byte) error {
 		}
 	case recDep:
 		rd := wire.NewReader(payload)
-		d, err := decodeDependency(rd, nil)
+		d, err := readDependencyRecord(rd)
 		if err != nil {
 			return fmt.Errorf("core: recDep record: %w", err)
 		}

@@ -2,15 +2,18 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"astro/internal/transport"
 	"astro/internal/types"
 	"astro/internal/wal"
+	"astro/internal/wire"
 )
 
 // testImage builds a populated replicaImage exercising every section of
@@ -102,9 +105,57 @@ func TestReplicaImageDecodeRejectsCorruption(t *testing.T) {
 		t.Error("trailing garbage accepted")
 	}
 	bad := bytes.Clone(enc)
-	bad[0] = snapshotVersion + 1
+	bad[0] = snapshotVersionManifest + 1
 	if _, err := decodeReplicaImage(bad); err == nil {
 		t.Error("wrong version accepted")
+	}
+}
+
+// TestRetiredFormatsRefused: images and records written before the batch
+// and dependency encodings became one are refused loudly — a snapshot of
+// the previous full or manifest version and a version-1 account record
+// each fail with an error naming the version, and a recSettle holding a
+// batch in the retired entry-count-first form fails replay instead of
+// being read as some other batch.
+func TestRetiredFormatsRefused(t *testing.T) {
+	img := testImage()
+	manifest := testImage()
+	manifest.manifest = true
+	manifest.accounts = nil
+	for _, c := range []struct {
+		data    []byte
+		version byte
+	}{
+		{encodeReplicaImage(img), 3},
+		{encodeReplicaImage(manifest), 4},
+	} {
+		old := bytes.Clone(c.data)
+		old[0] = c.version
+		_, err := decodeReplicaImage(old)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", c.version)) {
+			t.Errorf("version-%d snapshot: err = %v, want a refusal naming the version", c.version, err)
+		}
+	}
+	rec := encodeAccountExport(img.accounts[0])
+	rec[0] = 1
+	if _, err := decodeAccountExport(rec); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version-1 account record: err = %v, want a refusal naming the version", err)
+	}
+
+	// The retired form: entry count, then (payment, signature, deps) per
+	// entry, with no chain table ahead of it.
+	w := wire.NewWriter(64)
+	w.U32(1)
+	w.AppendFunc(types.Payment{Spender: 1, Seq: 1, Beneficiary: 2, Amount: 10}.AppendBinary)
+	w.Chunk(nil)
+	w.U32(0)
+	c := newCluster(t, AstroII, 4, genesis100)
+	r := c.replicas[0]
+	if err := r.replayRecord(recSettle, w.Bytes()); err == nil {
+		t.Fatal("recSettle in the retired batch form replayed")
+	}
+	if got := r.state.NextSeq(1); got != 1 {
+		t.Fatalf("a refused recSettle settled payments: next seq of client 1 = %d", got)
 	}
 }
 

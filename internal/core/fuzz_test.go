@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -27,25 +28,29 @@ func fuzzDependency() Dependency {
 }
 
 // FuzzDecodeCreditChannel drives the full credit-channel payload decoder
-// set — every wire generation: the legacy single-group CREDIT, the
-// chain-signed CREDITBATCH, the interned CHAINDEF/REF/NACK forms, and the
+// set: the single-group CREDIT, the CHAINDEF/REF/NACK forms, and the
 // restart-time CREDITREDO. Invariant: no panic on arbitrary bytes, and
 // the seeds (canonical encodings of each kind) must decode.
 func FuzzDecodeCreditChannel(f *testing.F) {
 	group := fuzzGroup()
 	f.Add(encodeCredit(creditMsg{Signer: 1, Group: group, Sig: []byte("sig")}))
-	f.Add(encodeCreditBatch(creditBatchMsg{
-		Signer: 2,
-		Chain:  []types.Digest{CreditGroupDigest(group)},
-		Sig:    []byte("chain-sig"),
-		Groups: []creditBatchGroup{{ChainIdx: 0, Group: group}},
-	}))
+	// The retired kind 2, which carried the signed chain inline: no decoder
+	// reads it (TestCreditBatchRejectsForgeries sends it to a replica).
+	retired := wire.NewWriter(256)
+	retired.U8(2)
+	retired.U32(2)
+	wire.AppendDigestList(retired, []types.Digest{CreditGroupDigest(group)})
+	retired.Chunk([]byte("chain-sig"))
+	retired.U32(1)
+	retired.U32(0)
+	appendPaymentGroup(retired, group)
+	f.Add(retired.Bytes())
 	f.Add(encodeCreditChainDef([]types.Digest{{0x11}, {0x22}}))
 	f.Add(encodeCreditRef(creditRefMsg{
 		Signer:      3,
 		ChainDigest: types.Digest{0x33},
 		Sig:         []byte("ref-sig"),
-		Groups:      []creditBatchGroup{{ChainIdx: 1, Group: group}},
+		Groups:      []creditRefGroup{{ChainIdx: 1, Group: group}},
 	}))
 	f.Add(encodeCreditNack(types.Digest{0x44}))
 	f.Add(encodeCreditRedo([][]types.Payment{group, group[:1]}))
@@ -57,7 +62,7 @@ func FuzzDecodeCreditChannel(f *testing.F) {
 		Signer:      3,
 		ChainDigest: types.Digest{0x33},
 		Sig:         []byte("ref-sig"),
-		Groups:      []creditBatchGroup{{ChainIdx: 1, Group: group}},
+		Groups:      []creditRefGroup{{ChainIdx: 1, Group: group}},
 	})
 	if c, ok := CorruptCreditRefs(def, 0x5a); ok {
 		f.Add(c)
@@ -81,7 +86,7 @@ func FuzzDecodeCreditChannel(f *testing.F) {
 		Signer:      0,
 		ChainDigest: CreditChainDigest(lazyChain),
 		Sig:         []byte("wave-sig"),
-		Groups:      []creditBatchGroup{{ChainIdx: uint32(len(lazyChain)), Group: group}},
+		Groups:      []creditRefGroup{{ChainIdx: uint32(len(lazyChain)), Group: group}},
 	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -96,8 +101,6 @@ func FuzzDecodeCreditChannel(f *testing.F) {
 					t.Fatalf("accepted group size %d", len(m.Group))
 				}
 			}
-		case msgCreditBatch:
-			decodeCreditBatch(body)
 		case msgCreditChainDef:
 			decodeCreditChainDef(body)
 		case msgCreditRef:
@@ -120,8 +123,8 @@ func FuzzDecodeCreditChannel(f *testing.F) {
 }
 
 // FuzzDecodeBatch feeds arbitrary bytes to the broadcast-payload decoder.
-// A batch that decodes must re-encode and decode to the same entries —
-// the batch encoding is canonical, and settlement replay depends on it.
+// A batch that decodes must re-encode to exactly the input — the batch
+// encoding is canonical, and settlement replay depends on it.
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add(EncodeBatch([]BatchEntry{
 		{Payment: types.Payment{Spender: 1, Seq: 1, Beneficiary: 2, Amount: 7}},
@@ -129,71 +132,97 @@ func FuzzDecodeBatch(f *testing.F) {
 			Sig: []byte("client-sig"), Deps: []Dependency{fuzzDependency()}},
 	}))
 	f.Add(EncodeBatch(nil))
-	// PR 9 seeds: the same chained entries in both wire generations —
-	// EncodeBatch takes the v2 (batch-wide chain table) form as soon as a
-	// certificate carries a chain; the v1 form must stay decodable.
-	shared := []BatchEntry{
+	other := fuzzDependency()
+	other.Cert.Sigs = append(other.Cert.Sigs, DepSig{Replica: 3, Sig: []byte("sig-3"), Chain: []types.Digest{{0x00, 0x07}}})
+	f.Add(EncodeBatch([]BatchEntry{
 		{Payment: types.Payment{Spender: 1, Seq: 2, Beneficiary: 2, Amount: 3},
-			Deps: []Dependency{fuzzDependency(), fuzzDependency()}},
+			Deps: []Dependency{fuzzDependency(), other}},
+	}))
+
+	// Inputs that must be refused: the retired forms — entry count first
+	// with no table, and the marker-introduced table — and tables out of
+	// order or holding a chain no signature names.
+	noTable := wire.NewWriter(64)
+	noTable.U32(1)
+	noTable.AppendFunc(types.Payment{Spender: 1, Seq: 2, Beneficiary: 2, Amount: 3}.AppendBinary)
+	noTable.Chunk(nil)
+	noTable.U32(0)
+	marker := wire.NewWriter(12)
+	marker.U32(^uint32(0))
+	marker.U32(0)
+	marker.U32(0)
+	hi, lo := []types.Digest{{0x09}}, []types.Digest{{0x01}}
+	unsorted := wire.NewWriter(128)
+	unsorted.U32(2)
+	wire.AppendDigestList(unsorted, hi)
+	wire.AppendDigestList(unsorted, lo)
+	unsorted.U32(0)
+	unnamed := wire.NewWriter(64)
+	unnamed.U32(1)
+	wire.AppendDigestList(unnamed, lo)
+	unnamed.U32(0)
+	for name, data := range map[string][]byte{"table-less batch": noTable.Bytes(), "marker batch": marker.Bytes(), "unsorted table": unsorted.Bytes(), "unnamed table entry": unnamed.Bytes()} {
+		if _, err := DecodeBatch(data); err == nil {
+			f.Fatalf("%s decoded", name)
+		}
+		f.Add(data)
 	}
-	f.Add(EncodeBatch(shared))
-	f.Add(EncodeBatchV1(shared))
-	// Adversarial: a v2 marker with an empty chain table, and one whose
-	// table count is past the cap.
-	w := wire.NewWriter(12)
-	w.U32(batchV2Marker)
-	w.U32(0)
-	w.U32(0)
-	f.Add(w.Bytes())
-	w = wire.NewWriter(12)
-	w.U32(batchV2Marker)
-	w.U32(0)
-	w.U32(maxDepSigs + 1)
-	f.Add(w.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, err := DecodeBatch(data)
 		if err != nil {
 			return
 		}
-		again, err := DecodeBatch(EncodeBatch(entries))
-		if err != nil {
-			t.Fatalf("re-encoded batch does not decode: %v", err)
-		}
-		if !reflect.DeepEqual(entries, again) {
-			t.Fatal("batch round-trip diverged")
+		if !bytes.Equal(EncodeBatch(entries), data) {
+			t.Fatal("decoded batch does not re-encode to input")
 		}
 	})
 }
 
-// FuzzDecodeDependency exercises the dependency-certificate decoder,
-// covering both signature shapes (plain and chain-context).
+// FuzzDecodeDependency exercises the decoder of a dependency stored on its
+// own (recDep, the snapshot's dependency section): its chain table, then
+// the dependency. Whatever decodes must re-encode to exactly the input.
 func FuzzDecodeDependency(f *testing.F) {
 	d := fuzzDependency()
-	w := wire.NewWriter(dependencySize(d))
-	encodeDependency(w, d)
+	w := wire.NewWriter(dependencyRecordSize(d))
+	appendDependencyRecord(w, d)
 	f.Add(w.Bytes())
-	// PR 9 adversarial seed: the batch-ref certificate form, which is
-	// only meaningful inside a v2 batch — standalone decoding (WAL
-	// records, this harness) must reject it without panicking.
-	var table [][]types.Digest
-	for _, ps := range d.Cert.Sigs {
-		if ps.Chain != nil {
-			table = append(table, ps.Chain)
+
+	// The retired forms must be refused: the group first, then a kind byte
+	// selecting single-group signatures only (0) or a chain carried inline
+	// by each signature (1).
+	for kind := byte(0); kind <= 1; kind++ {
+		old := wire.NewWriter(256)
+		appendPaymentGroup(old, d.Group)
+		old.U8(kind)
+		old.U32(uint32(len(d.Cert.Sigs)))
+		for _, ps := range d.Cert.Sigs {
+			old.U32(uint32(ps.Replica))
+			old.Chunk(ps.Sig)
+			if kind == 1 {
+				wire.AppendDigestList(old, ps.Chain)
+			}
 		}
+		r := wire.NewReader(old.Bytes())
+		if _, err := readDependencyRecord(r); err == nil && r.Finish() == nil {
+			f.Fatalf("retired kind-%d dependency decoded", kind)
+		}
+		f.Add(old.Bytes())
 	}
-	w = wire.NewWriter(dependencySizeBatchRef(d))
-	encodeDependencyBatchRef(w, d, table)
-	f.Add(w.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := wire.NewReader(data)
-		dep, err := decodeDependency(r, nil)
-		if err != nil {
+		dep, err := readDependencyRecord(r)
+		if err != nil || r.Finish() != nil {
 			return
 		}
 		if len(dep.Group) == 0 || len(dep.Group) > maxGroup {
 			t.Fatalf("accepted group size %d", len(dep.Group))
+		}
+		w := wire.NewWriter(dependencyRecordSize(dep))
+		appendDependencyRecord(w, dep)
+		if !bytes.Equal(w.Bytes(), data) {
+			t.Fatal("decoded dependency does not re-encode to input")
 		}
 	})
 }

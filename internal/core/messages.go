@@ -132,27 +132,37 @@ func encodeSeqResp(c types.ClientID, s types.Seq) []byte {
 	return w.Bytes()
 }
 
-// Message kinds on the credit channel (replica -> beneficiary's
-// representative). A single-group CREDIT keeps the one-signature-per-group
-// form; a CREDITBATCH carries one signature over a hash chain of group
-// digests — the settlement-wave batching — together with the subset of the
-// wave's groups addressed to the destination representative.
+// Message kinds on the credit channel (transport.ChanCredit). Kind 2 is
+// retired.
 //
-// The chain-reference forms split the CREDITBATCH in two, and are what a
-// replica sends (CREDITBATCH is only received): the per-wave CREDITREF
-// carries only the 32-byte chain digest, the shared signature, and the
-// destination's groups with their chain indices; the chain itself travels
-// as a CREDITCHAINDEF (content-addressed — the receiver recomputes the
-// chain digest and caches the chain per sending replica) only on demand.
-// A receiver that cannot resolve the digest — evicted, or never seen —
-// and still needs one of the groups answers with a CREDITNACK naming it,
-// and the signer sends the definition and the reference again from its
-// bounded retransmit buffer. The chain thus crosses the wire at most once
-// per destination, and a cache miss costs a round trip instead of losing
-// the CREDIT.
+//	kind            direction             body after the kind byte
+//	CREDIT          signer -> rep         signer u32, group, sig chunk: one
+//	                                      signature over the group's digest
+//	CREDITCHAINDEF  signer -> rep         chain of group digests, answering
+//	                                      a CREDITNACK
+//	CREDITREF       signer -> rep         signer u32, chain digest, sig chunk,
+//	                                      then (chain index, group) for each
+//	                                      group of the wave addressed to rep
+//	CREDITNACK      rep -> signer         the chain digest rep cannot resolve
+//	CREDITREDO      restarted rep ->      groups to re-sign
+//	                own-shard signers
+//	CREDITRESCAN    restarted rep ->      nothing: rescan the xlogs for rep
+//	                foreign-shard signers
+//
+// A settling replica signs a lone credit group as a CREDIT, and a whole
+// settlement wave with one signature over the chain of its group digests,
+// sending each destination representative a CREDITREF: the chain digest,
+// the shared signature, and the destination's groups with their chain
+// indices. The chain itself travels as a CREDITCHAINDEF (content-addressed
+// — the receiver recomputes the chain digest and caches the chain per
+// sending replica) only on demand. A receiver that cannot resolve the
+// digest — evicted, or never seen — and still needs one of the groups
+// answers with a CREDITNACK naming it, and the signer sends the
+// definition and the reference again from its bounded retransmit buffer.
+// The chain thus crosses the wire at most once per destination, and a
+// cache miss costs a round trip instead of losing the CREDIT.
 const (
 	msgCreditSingle   byte = 1
-	msgCreditBatch    byte = 2
 	msgCreditChainDef byte = 3
 	msgCreditRef      byte = 4
 	msgCreditNack     byte = 5
@@ -195,89 +205,6 @@ func decodeCredit(payload []byte) (creditMsg, error) {
 	return m, nil
 }
 
-// creditBatchMsg is one signer's CREDITBATCH: the full chain of group
-// digests its signature covers, and the wave's groups whose beneficiaries
-// this destination represents, each with its index into the chain. The
-// receiver recomputes each group's digest, matches it against the chain,
-// and verifies the one signature against CreditChainDigest(Chain) — so a
-// wave crediting k groups costs the signer one ECDSA, and (through the
-// verifier memo) the receiver one ECDSA per signer.
-type creditBatchMsg struct {
-	Signer types.ReplicaID
-	Chain  []types.Digest
-	Sig    []byte
-	Groups []creditBatchGroup
-}
-
-// creditBatchGroup is one credit group of a CREDITBATCH with its position
-// in the signed chain.
-type creditBatchGroup struct {
-	ChainIdx uint32
-	Group    []types.Payment
-}
-
-// encodeCreditBatch encodes the receive-only CREDITBATCH form: no replica
-// sends it, so only the tests and fuzzers of the receive path call it.
-func encodeCreditBatch(m creditBatchMsg) []byte {
-	n := 1 + 4 + 4 + len(m.Chain)*32 + 4 + len(m.Sig) + 4
-	for _, g := range m.Groups {
-		n += 4 + 4 + len(g.Group)*types.PaymentWireSize
-	}
-	w := wire.NewWriter(n)
-	w.U8(msgCreditBatch)
-	w.U32(uint32(m.Signer))
-	appendDigestChain(w, m.Chain)
-	w.Chunk(m.Sig)
-	w.U32(uint32(len(m.Groups)))
-	for _, g := range m.Groups {
-		w.U32(g.ChainIdx)
-		appendPaymentGroup(w, g.Group)
-	}
-	return w.Bytes()
-}
-
-// decodeCreditBatch parses a CREDITBATCH payload after its kind byte.
-func decodeCreditBatch(payload []byte) (creditBatchMsg, error) {
-	var m creditBatchMsg
-	r := wire.NewReader(payload)
-	m.Signer = types.ReplicaID(r.U32())
-	chain, err := decodeDigestChain(r)
-	if err != nil {
-		return m, err
-	}
-	if len(chain) == 0 {
-		return m, fmt.Errorf("credit batch: empty chain")
-	}
-	m.Chain = chain
-	m.Sig = r.Chunk()
-	ng := r.U32()
-	if err := r.Err(); err != nil {
-		return m, err
-	}
-	if ng == 0 || ng > uint32(len(chain)) {
-		return m, fmt.Errorf("credit batch: bad group count %d", ng)
-	}
-	m.Groups = make([]creditBatchGroup, 0, ng)
-	for i := uint32(0); i < ng; i++ {
-		idx := r.U32()
-		if err := r.Err(); err != nil {
-			return m, err
-		}
-		if idx >= uint32(len(chain)) {
-			return m, fmt.Errorf("credit batch: chain index %d out of range", idx)
-		}
-		group, err := decodePaymentGroup(r)
-		if err != nil {
-			return m, err
-		}
-		m.Groups = append(m.Groups, creditBatchGroup{ChainIdx: idx, Group: group})
-	}
-	if err := r.Finish(); err != nil {
-		return m, err
-	}
-	return m, nil
-}
-
 // creditChainDefSize is the exact size of a CREDITCHAINDEF message.
 func creditChainDefSize(chain []types.Digest) int {
 	return 1 + wire.DigestListSize(len(chain))
@@ -313,13 +240,25 @@ func decodeCreditChainDef(payload []byte) ([]types.Digest, error) {
 	return chain, nil
 }
 
-// creditRefMsg is the chain-referencing form of a CREDITBATCH: same
-// signer, signature, and groups, but the chain is named by digest.
+// creditRefMsg is one signer's CREDITREF: the digest of the chain of group
+// digests its signature covers, and the wave's groups whose beneficiaries
+// this destination represents, each with its index into the chain. The
+// receiver resolves the chain, recomputes each group's digest, matches it
+// against the chain, and verifies the one signature against the chain
+// digest — so a wave crediting k groups costs the signer one ECDSA, and
+// (through the verifier memo) the receiver one ECDSA per signer.
 type creditRefMsg struct {
 	Signer      types.ReplicaID
 	ChainDigest types.Digest
 	Sig         []byte
-	Groups      []creditBatchGroup
+	Groups      []creditRefGroup
+}
+
+// creditRefGroup is one credit group of a CREDITREF with its position in
+// the signed chain.
+type creditRefGroup struct {
+	ChainIdx uint32
+	Group    []types.Payment
 }
 
 func creditRefSize(m creditRefMsg) int {
@@ -364,7 +303,7 @@ func decodeCreditRef(payload []byte) (creditRefMsg, error) {
 	if ng == 0 || ng > creditChainCap {
 		return m, fmt.Errorf("credit ref: bad group count %d", ng)
 	}
-	m.Groups = make([]creditBatchGroup, 0, ng)
+	m.Groups = make([]creditRefGroup, 0, ng)
 	for i := uint32(0); i < ng; i++ {
 		idx := r.U32()
 		if err := r.Err(); err != nil {
@@ -377,7 +316,7 @@ func decodeCreditRef(payload []byte) (creditRefMsg, error) {
 		if err != nil {
 			return m, err
 		}
-		m.Groups = append(m.Groups, creditBatchGroup{ChainIdx: idx, Group: group})
+		m.Groups = append(m.Groups, creditRefGroup{ChainIdx: idx, Group: group})
 	}
 	if err := r.Finish(); err != nil {
 		return m, err

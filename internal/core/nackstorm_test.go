@@ -83,9 +83,9 @@ func TestCreditNackStormBoundedWork(t *testing.T) {
 		}
 	}
 	waitNacks(t, c.replicas[0], pre.NacksReceived+storm)
-	if got := c.replicas[0].CreditRefStats(); got.DefsSent != pre.DefsSent || got.RefsSent != pre.RefsSent {
+	if got := c.replicas[0].CreditRefStats(); got.DefsDemanded != pre.DefsDemanded || got.RefsSent != pre.RefsSent {
 		t.Errorf("unknown-digest NACKs triggered %d definitions and %d references",
-			got.DefsSent-pre.DefsSent, got.RefsSent-pre.RefsSent)
+			got.DefsDemanded-pre.DefsDemanded, got.RefsSent-pre.RefsSent)
 	}
 	select {
 	case m := <-msgs:

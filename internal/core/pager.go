@@ -38,8 +38,10 @@ import (
 	"astro/internal/wire"
 )
 
-// accountRecVersion is the per-account KV record format version.
-const accountRecVersion = 1
+// accountRecVersion is the per-account KV record format version. Version 1
+// holds a queue in a batch encoding this build does not read; it is
+// refused, not converted.
+const accountRecVersion = 2
 
 // accountKeyPrefix namespaces account records inside the shared store
 // (the WAL backend keeps its manifest in the same store under a
@@ -85,8 +87,9 @@ func beU64(b []byte) uint64 {
 // snapshot flushes. Queue and UsedDeps are expected in the canonical
 // order ExportAccounts produces.
 func encodeAccountExport(ex AccountExport) []byte {
+	table := batchTable(ex.Queue)
 	est := 1 + 8 + 8 + 1 + 4 + len(ex.XLog)*types.PaymentWireSize +
-		batchSize(ex.Queue) + 4 + 16*len(ex.UsedDeps)
+		batchSize(ex.Queue, table) + 4 + 16*len(ex.UsedDeps)
 	w := wire.NewWriter(est)
 	w.U8(accountRecVersion)
 	w.U64(uint64(ex.Client))
@@ -96,7 +99,7 @@ func encodeAccountExport(ex AccountExport) []byte {
 	for _, p := range ex.XLog {
 		w.AppendFunc(p.AppendBinary)
 	}
-	appendBatch(w, ex.Queue)
+	appendBatch(w, ex.Queue, table)
 	w.U32(uint32(len(ex.UsedDeps)))
 	for _, id := range ex.UsedDeps {
 		w.U64(uint64(id.Spender))

@@ -297,7 +297,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 
 // creditChainCap caps how many credit groups one signature covers; same
 // rationale as the BRB ack-chain cap — the amortization gain is hyperbolic
-// while the wire cost per CREDITBATCH is linear in the chain.
+// while the wire cost of a chain definition is linear in the chain.
 const creditChainCap = 32
 
 // ID returns the replica's identity.
@@ -1172,9 +1172,9 @@ func (r *Replica) sendCreditChain(jobs []creditJob, wave *verifier.Wave) {
 	// the content-addressed any-peer probe) without any definition
 	// crossing the wire.
 	r.learnCreditChain(r.cfg.Self, cd, chain)
-	byRep := make(map[types.ReplicaID][]creditBatchGroup)
+	byRep := make(map[types.ReplicaID][]creditRefGroup)
 	for i, j := range jobs {
-		byRep[j.rep] = append(byRep[j.rep], creditBatchGroup{ChainIdx: uint32(i), Group: j.group})
+		byRep[j.rep] = append(byRep[j.rep], creditRefGroup{ChainIdx: uint32(i), Group: j.group})
 	}
 	for rep, gs := range byRep {
 		// The reference goes out alone. A destination demands the chain
@@ -1193,10 +1193,9 @@ func (r *Replica) sendCreditChain(jobs []creditJob, wave *verifier.Wave) {
 }
 
 // onCredit routes the credit channel (paper Listing 10): single-group
-// CREDITs, chain-signed CREDITBATCHes, and the chain-reference forms all
-// accumulate into dependency certificates for this replica's clients —
-// f+1 distinct signed approvals from the spender's shard form a
-// transferable dependency.
+// CREDITs and chain-signed CREDITREFs both accumulate into dependency
+// certificates for this replica's clients — f+1 distinct signed approvals
+// from the spender's shard form a transferable dependency.
 func (r *Replica) onCredit(from transport.NodeID, payload []byte) {
 	if len(payload) == 0 {
 		return
@@ -1238,16 +1237,6 @@ func (r *Replica) onCredit(from transport.NodeID, payload []byte) {
 				r.creditVerified(cs, m.Signer, m.Sig, nil)
 			}
 		})
-	case msgCreditBatch:
-		m, err := decodeCreditBatch(payload[1:])
-		if err != nil {
-			return
-		}
-		// Intern the chain (and remember it as defined by this peer, so a
-		// later reference to it resolves without a round trip).
-		cd := CreditChainDigest(m.Chain)
-		m.Chain = r.learnCreditChain(peer, cd, m.Chain)
-		r.acceptCreditBatch(m, cd)
 	case msgCreditChainDef:
 		chain, err := decodeCreditChainDef(payload[1:])
 		if err != nil {
@@ -1279,7 +1268,7 @@ func (r *Replica) onCredit(from transport.NodeID, payload []byte) {
 		// The cache is keyed by the locally recomputed digest, so the
 		// resolved chain is guaranteed to hash to m.ChainDigest — the
 		// signature check below needs no rehash.
-		r.acceptCreditBatch(creditBatchMsg{Signer: m.Signer, Chain: chain, Sig: m.Sig, Groups: m.Groups}, m.ChainDigest)
+		r.acceptCreditRef(m, chain)
 	case msgCreditNack:
 		missing, err := decodeCreditNack(payload[1:])
 		if err != nil {
@@ -1326,7 +1315,7 @@ func (r *Replica) onCredit(from transport.NodeID, payload []byte) {
 
 // creditRefNeeded reports whether any group of an unresolvable reference
 // still has an open certificate — only then is the chain worth demanding.
-// Groups outside the signer's shard are never needed (acceptCreditBatch
+// Groups outside the signer's shard are never needed (acceptCreditRef
 // would drop them after resolution anyway).
 func (r *Replica) creditRefNeeded(m creditRefMsg) bool {
 	for _, g := range m.Groups {
@@ -1359,22 +1348,21 @@ func (r *Replica) redoGroupVouchable(requester types.ReplicaID, group []types.Pa
 	return true
 }
 
-// acceptCreditBatch resolves a chain-signed wave's groups against the
-// chain and accumulates the endorsed ones: a group whose recomputed digest
-// does not sit at its claimed chain index is not endorsed by the signature
-// and is dropped. cd is CreditChainDigest(m.Chain), already computed by
-// every caller.
-func (r *Replica) acceptCreditBatch(m creditBatchMsg, cd types.Digest) {
+// acceptCreditRef resolves a chain-signed wave's groups against its
+// resolved chain and accumulates the endorsed ones: a group whose
+// recomputed digest does not sit at its claimed chain index is not
+// endorsed by the signature and is dropped.
+func (r *Replica) acceptCreditRef(m creditRefMsg, chain []types.Digest) {
 	var accepted []*creditState
 	for _, g := range m.Groups {
-		if int(g.ChainIdx) >= len(m.Chain) {
-			continue // reference form bounds indices only by the cap
+		if int(g.ChainIdx) >= len(chain) {
+			continue // the decoder bounds indices only by the cap
 		}
 		if !r.creditGroupInShard(m.Signer, g.Group) {
 			continue
 		}
 		cs := r.lookupCreditState(g.Group)
-		if cs == nil || cs.digest != m.Chain[g.ChainIdx] {
+		if cs == nil || cs.digest != chain[g.ChainIdx] {
 			continue
 		}
 		accepted = append(accepted, cs)
@@ -1385,12 +1373,12 @@ func (r *Replica) acceptCreditBatch(m creditBatchMsg, cd types.Digest) {
 	// One ECDSA over the chain digest covers every accepted group; the
 	// verifier memo collapses re-deliveries and — at this replica — the
 	// same chain arriving for other groups.
-	r.cfg.Verifier.VerifyReplicaDetached(r.cfg.Registry, m.Signer, cd, m.Sig, func(valid bool) {
+	r.cfg.Verifier.VerifyReplicaDetached(r.cfg.Registry, m.Signer, m.ChainDigest, m.Sig, func(valid bool) {
 		if !valid {
 			return
 		}
 		for _, cs := range accepted {
-			r.creditVerified(cs, m.Signer, m.Sig, m.Chain)
+			r.creditVerified(cs, m.Signer, m.Sig, chain)
 		}
 	})
 }
@@ -1478,8 +1466,8 @@ func (r *Replica) creditVerified(cs *creditState, signer types.ReplicaID, sig []
 		// beneficiaries' only durable claim to the funds. Replay re-adds
 		// it to the attachable set; restoreProjections strips it again if
 		// a recovered reservation already carries it.
-		w := wire.NewWriter(dependencySize(dep))
-		encodeDependency(w, dep)
+		w := wire.NewWriter(dependencyRecordSize(dep))
+		appendDependencyRecord(w, dep)
 		r.wal.Append(recDep, w.Bytes())
 	}
 	// New funds may unblock held submissions.

@@ -298,8 +298,7 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 
 func TestBatchV2ChainInterning(t *testing.T) {
 	// Two payments whose certificates cite the same two-signer chain: the
-	// PR 9 batch form hoists it into a batch-wide table, so it is encoded
-	// once per batch instead of once per certificate.
+	// batch's chain table holds it once, however many certificates cite it.
 	chain := []types.Digest{types.HashBytes([]byte("g1")), types.HashBytes([]byte("g2"))}
 	dep := func() Dependency {
 		return Dependency{
@@ -316,48 +315,40 @@ func TestBatchV2ChainInterning(t *testing.T) {
 		{Payment: pay(4, 2, 5, 20), Deps: []Dependency{dep()}},
 	}
 
-	v2 := EncodeBatch(entries)
-	v1 := EncodeBatchV1(entries)
-	if wire.NewReader(v2).U32() != batchV2Marker {
-		t.Fatal("shared chains did not select the v2 form")
+	data := EncodeBatch(entries)
+	if n := wire.NewReader(data).U32(); n != 1 {
+		t.Fatalf("chain table of %d entries, want the shared chain once", n)
 	}
-	if len(v2) >= len(v1) {
-		t.Errorf("v2 form (%d bytes) not smaller than v1 (%d bytes)", len(v2), len(v1))
+	got, err := DecodeBatch(data)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
 	}
-
-	for name, data := range map[string][]byte{"v2": v2, "v1": v1} {
-		got, err := DecodeBatch(data)
-		if err != nil {
-			t.Fatalf("%s decode: %v", name, err)
-		}
-		if !reflect.DeepEqual(got, entries) {
-			t.Fatalf("%s round trip mismatch", name)
-		}
+	if !reflect.DeepEqual(got, entries) {
+		t.Fatal("round trip mismatch")
 	}
 
 	// The decoder hands every certificate citing table entry i the same
 	// backing slice — the interning the table exists to transport.
-	got, _ := DecodeBatch(v2)
 	a := got[0].Deps[0].Cert.Sigs[1].Chain
 	b := got[1].Deps[0].Cert.Sigs[2].Chain
 	if len(a) == 0 || &a[0] != &b[0] {
 		t.Error("decoded certificates do not share the table's chain backing")
 	}
 
-	// Chain-free batches must stay on the v1 wire: nothing to intern.
+	// A chain-free batch carries an empty table: nothing to intern.
 	plain := EncodeBatch([]BatchEntry{{Payment: pay(1, 1, 2, 3)}})
-	if wire.NewReader(plain).U32() == batchV2Marker {
-		t.Error("chain-free batch took the v2 form")
+	if n := wire.NewReader(plain).U32(); n != 0 {
+		t.Errorf("chain-free batch has a table of %d", n)
 	}
 }
 
 func TestBatchV2RejectsMalformed(t *testing.T) {
 	w := wire.NewWriter(16)
-	w.U32(batchV2Marker)
+	w.U32(1) // one table entry ...
+	w.U32(0) // ... of no digests
 	w.U32(0) // entries
-	w.U32(0) // empty chain table: v2 with nothing interned is malformed
 	if _, err := DecodeBatch(w.Bytes()); err == nil {
-		t.Error("empty chain table accepted")
+		t.Error("empty chain in the table accepted")
 	}
 
 	// A certificate citing a table index past the end must be rejected.

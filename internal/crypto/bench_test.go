@@ -76,52 +76,6 @@ func BenchmarkVerifyCertificate(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyCertificateParallel compares the serial checker against
-// the verifier's fanned-out one on the paper's N=10 configuration (2f+1 = 7
-// signatures per commit certificate). Memoization is disabled so both
-// sides pay full ECDSA every iteration; the parallel side's speedup is
-// bounded by min(GOMAXPROCS, 7).
-func BenchmarkVerifyCertificateParallel(b *testing.B) {
-	d := types.HashBytes([]byte("batch"))
-	reg, full := benchCert(b, 10, d)
-	cert := crypto.Certificate{Sigs: full.Sigs[:7]} // exactly 2f+1, as an origin commits
-	const threshold = 7
-
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := crypto.VerifyCertificate(reg, cert, d, threshold, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		v := verifier.New(0, verifier.WithMemoSize(0))
-		defer v.Close()
-		done := make(chan bool, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			v.VerifyCertificateDetached(reg, cert, d, threshold, nil, func(ok bool) { done <- ok })
-			if !<-done {
-				b.Fatal("valid certificate rejected")
-			}
-		}
-	})
-	b.Run("parallel-memo", func(b *testing.B) {
-		// With the memo on, a re-verified certificate costs hashes only —
-		// the redelivered-commit case.
-		v := verifier.New(0)
-		defer v.Close()
-		done := make(chan bool, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			v.VerifyCertificateDetached(reg, cert, d, threshold, nil, func(ok bool) { done <- ok })
-			if !<-done {
-				b.Fatal("valid certificate rejected")
-			}
-		}
-	})
-}
-
 // BenchmarkVerifyBatchClientSigs measures the pre-endorsement client
 // signature check of a 256-payment batch (paper §VI-A), serial vs pooled.
 func BenchmarkVerifyBatchClientSigs(b *testing.B) {

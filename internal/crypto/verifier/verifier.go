@@ -12,11 +12,10 @@
 //     batched (VerifyBatch, VerifyClientBatch) entry points, so protocol
 //     layers hand signature checks off and re-enter their state machines
 //     on completion;
-//   - certificate verification (VerifyCertificateDetached) that fans a
-//     quorum certificate's signatures out and early-exits as soon as the
-//     threshold is confirmed or failure is certain, and a serial
-//     VerifyCertificateInline for callers that must not leave their
-//     goroutine;
+//   - a CertTally that settles a quorum certificate whose signature checks
+//     complete on any goroutine, early-exiting as soon as the threshold is
+//     confirmed or failure is certain (brb's commit verification fans its
+//     checks out through VerifyReplicaDetached and votes into one);
 //   - a bounded memoization cache keyed by (signer, digest, signature), so
 //     re-delivered commits, echoed acks, and an origin re-verifying its
 //     own aggregated certificate never pay ECDSA twice;
@@ -41,7 +40,6 @@ package verifier
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -418,116 +416,6 @@ func (v *Verifier) VerifyClientBatch(keys *crypto.ClientKeys, sigs []ClientSig) 
 	return v.VerifyBatch(checks)
 }
 
-// certPrepassResult carries the cheap serial phase of certificate
-// verification: structural checks done, memo consulted, remaining
-// signatures collected.
-type certPrepassResult struct {
-	decided    bool // the memo alone settled it (err nil means accepted)
-	pending    []crypto.PartialSig
-	valid      int
-	invalid    int
-	badReplica types.ReplicaID
-	maxInvalid int
-}
-
-// certPrepass performs duplicate/membership/key checks and resolves what
-// it can from the memo cache. A non-nil error (or decided with nil error)
-// means the outcome is already known.
-func (v *Verifier) certPrepass(reg *crypto.Registry, cert crypto.Certificate, digest types.Digest, threshold int, membership func(types.ReplicaID) bool) (certPrepassResult, error) {
-	var pp certPrepassResult
-	if len(cert.Sigs) < threshold {
-		return pp, fmt.Errorf("%w: have %d, need %d", crypto.ErrCertTooSmall, len(cert.Sigs), threshold)
-	}
-	seen := make(map[types.ReplicaID]struct{}, len(cert.Sigs))
-	eligible := 0
-	for _, ps := range cert.Sigs {
-		if _, dup := seen[ps.Replica]; dup {
-			return pp, fmt.Errorf("%w: replica %d", crypto.ErrCertDuplicate, ps.Replica)
-		}
-		seen[ps.Replica] = struct{}{}
-		if membership != nil && !membership(ps.Replica) {
-			continue
-		}
-		if !reg.Known(ps.Replica) {
-			return pp, fmt.Errorf("%w: replica %d", crypto.ErrCertUnknownKey, ps.Replica)
-		}
-		eligible++
-		if ok, hit := v.memoLookup(memoKey(domainReplica, uint64(ps.Replica), digest, ps.Sig)); hit {
-			if ok {
-				pp.valid++
-			} else {
-				pp.invalid++
-				pp.badReplica = ps.Replica
-			}
-		} else {
-			pp.pending = append(pp.pending, ps)
-		}
-	}
-	if eligible < threshold {
-		return pp, fmt.Errorf("%w: %d eligible of %d needed", crypto.ErrCertTooSmall, eligible, threshold)
-	}
-	pp.maxInvalid = eligible - threshold
-	if pp.valid >= threshold {
-		pp.decided = true
-		return pp, nil
-	}
-	if pp.invalid > pp.maxInvalid {
-		return pp, fmt.Errorf("%w: replica %d", crypto.ErrCertBadSig, pp.badReplica)
-	}
-	return pp, nil
-}
-
-// certSerial finishes a certificate check one signature at a time on the
-// calling goroutine, with the same early exits as the parallel path.
-func (v *Verifier) certSerial(pending []crypto.PartialSig, verify func(crypto.PartialSig) bool, valid, invalid int, badReplica types.ReplicaID, maxInvalid, threshold int) error {
-	for _, ps := range pending {
-		if verify(ps) {
-			valid++
-			if valid >= threshold {
-				return nil
-			}
-		} else {
-			invalid++
-			badReplica = ps.Replica
-			if invalid > maxInvalid {
-				return fmt.Errorf("%w: replica %d", crypto.ErrCertBadSig, badReplica)
-			}
-		}
-	}
-	return fmt.Errorf("%w: %d valid of %d needed", crypto.ErrCertTooSmall, valid, threshold)
-}
-
-// VerifyCertificateInline checks that cert carries at least threshold
-// valid signatures over digest, on the calling goroutine: serial,
-// memoized, early-exiting as soon as the threshold is confirmed or failure
-// is certain, and — crucially — never blocking on the pool. It is the
-// variant safe to call while holding a lock that pool callbacks may
-// themselves acquire (the payment engine verifies dependency certificates
-// under its state lock; see core.VerifyDependency). Signature verdicts
-// are memoized, so an origin re-verifying the certificate it aggregated
-// from individually-verified acks pays no ECDSA at all.
-//
-// Semantics match crypto.VerifyCertificate with one deliberate relaxation:
-// once threshold valid signatures are confirmed the certificate is
-// accepted without examining the rest, so a certificate carrying a quorum
-// of valid signatures plus extra invalid ones may be accepted where the
-// serial checker reports ErrCertBadSig. A quorum of valid signatures is
-// exactly the endorsement the protocol needs, so the relaxation is safe —
-// and it is what makes early exit possible.
-func (v *Verifier) VerifyCertificateInline(reg *crypto.Registry, cert crypto.Certificate, digest types.Digest, threshold int, membership func(types.ReplicaID) bool) error {
-	pp, err := v.certPrepass(reg, cert, digest, threshold, membership)
-	if err != nil || pp.decided {
-		return err
-	}
-	verify := func(ps crypto.PartialSig) bool {
-		k := memoKey(domainReplica, uint64(ps.Replica), digest, ps.Sig)
-		ok := v.timedCheck(func() bool { return reg.VerifySig(ps.Replica, digest, ps.Sig) })
-		v.memo.put(k, ok)
-		return ok
-	}
-	return v.certSerial(pp.pending, verify, pp.valid, pp.invalid, pp.badReplica, pp.maxInvalid, threshold)
-}
-
 // CertTally is the atomic completion state of a continuation-style
 // certificate check: votes arrive from any goroutine, and the callback
 // fires exactly once when the tally settles. need is the count of valid
@@ -575,47 +463,3 @@ func (t *CertTally) Vote(ok bool) {
 // Done reports whether the tally has settled — the early-exit probe that
 // lets a queued check skip its ECDSA once the outcome is known.
 func (t *CertTally) Done() bool { return t.done.Load() }
-
-// VerifyCertificateDetached is the continuation form of
-// VerifyCertificateInline, fanning the signature checks across the pool:
-// cb(true) iff the certificate carries threshold valid signatures, with
-// the same memoization, early exit, and acceptance relaxation. The
-// callback runs exactly once — inline on the caller when the prepass or
-// the fast-verify regime settles it (structural failure, memo hits, cheap
-// checks), otherwise on whichever goroutine casts the deciding vote. It
-// must follow the continuation discipline (sched package docs): never
-// block on the verifier, and only re-enter flows that cannot re-enter
-// this wait.
-func (v *Verifier) VerifyCertificateDetached(reg *crypto.Registry, cert crypto.Certificate, digest types.Digest, threshold int, membership func(types.ReplicaID) bool, cb func(bool)) {
-	pp, err := v.certPrepass(reg, cert, digest, threshold, membership)
-	if err != nil {
-		cb(false)
-		return
-	}
-	if pp.decided {
-		cb(true)
-		return
-	}
-	verify := func(ps crypto.PartialSig) bool {
-		k := memoKey(domainReplica, uint64(ps.Replica), digest, ps.Sig)
-		ok := v.timedCheck(func() bool { return reg.VerifySig(ps.Replica, digest, ps.Sig) })
-		v.memo.put(k, ok)
-		return ok
-	}
-	// Cheap-check regime, single worker, or a near-resolved certificate:
-	// finish serially on the caller — no continuation overhead.
-	if v.FastVerify() || v.ex.workers() == 1 || len(pp.pending) <= 2 {
-		cb(v.certSerial(pp.pending, verify, pp.valid, pp.invalid, pp.badReplica, pp.maxInvalid, threshold) == nil)
-		return
-	}
-	t := NewCertTally(threshold-pp.valid, pp.maxInvalid-pp.invalid, cb)
-	for _, ps := range pp.pending {
-		ps := ps
-		v.submit(func() {
-			if t.Done() {
-				return
-			}
-			t.Vote(verify(ps))
-		})
-	}
-}

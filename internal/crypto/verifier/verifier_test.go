@@ -1,7 +1,6 @@
 package verifier
 
 import (
-	"errors"
 	"sync"
 	"testing"
 
@@ -178,106 +177,6 @@ func TestVerifyClientBatch(t *testing.T) {
 	}
 }
 
-// checkCert runs one certificate check through both entry points:
-// VerifyCertificateInline on v must return want (nil, or an error matching
-// it), and VerifyCertificateDetached — which reports the verdict only —
-// must agree. The continuation form runs on a memo-less verifier, so it
-// fans every signature out instead of answering from the verdicts Inline
-// just cached.
-func checkCert(t *testing.T, v *Verifier, what string, reg *crypto.Registry, cert crypto.Certificate, d types.Digest, threshold int, membership func(types.ReplicaID) bool, want error) {
-	t.Helper()
-	if err := v.VerifyCertificateInline(reg, cert, d, threshold, membership); !errors.Is(err, want) {
-		t.Fatalf("%s: inline got %v, want %v", what, err, want)
-	}
-	fan := New(v.Workers(), WithMemoSize(0))
-	defer fan.Close()
-	done := make(chan bool, 1)
-	fan.VerifyCertificateDetached(reg, cert, d, threshold, membership, func(ok bool) { done <- ok })
-	if ok := <-done; ok != (want == nil) {
-		t.Fatalf("%s: detached verdict %v, want %v", what, ok, want == nil)
-	}
-}
-
-func TestVerifyCertificateParallel(t *testing.T) {
-	v := New(4)
-	defer v.Close()
-	d := types.HashBytes([]byte("batch"))
-	reg, _, cert := testRegistry(t, 10, d)
-	threshold := 7 // 2f+1 at n=10
-
-	checkCert(t, v, "valid certificate", reg, cert, d, threshold, nil, nil)
-	checkCert(t, v, "oversized threshold", reg, cert, d, len(cert.Sigs)+1, nil, crypto.ErrCertTooSmall)
-	wrong := types.HashBytes([]byte("other"))
-	checkCert(t, v, "wrong digest", reg, cert, wrong, threshold, nil, crypto.ErrCertBadSig)
-}
-
-func TestVerifyCertificateForgedEarlyExit(t *testing.T) {
-	// A certificate with exactly threshold signatures where one is forged
-	// can never reach the quorum: failure must be reported as a bad
-	// signature, from the first forged verdict.
-	v := New(4)
-	defer v.Close()
-	d := types.HashBytes([]byte("batch"))
-	reg, keys, _ := testRegistry(t, 7, d)
-	var cert crypto.Certificate
-	for i := 0; i < 7; i++ {
-		sig, err := keys[i].Sign(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 3 {
-			sig[4] ^= 0xaa // forge one signature
-		}
-		cert.Add(crypto.PartialSig{Replica: types.ReplicaID(i), Sig: sig})
-	}
-	checkCert(t, v, "forged certificate", reg, cert, d, 7, nil, crypto.ErrCertBadSig)
-	// And the verdict is memoized: a redelivery fails from cache without
-	// re-running ECDSA on the forged signature.
-	h0, _ := v.MemoStats()
-	if err := v.VerifyCertificateInline(reg, cert, d, 7, nil); !errors.Is(err, crypto.ErrCertBadSig) {
-		t.Fatalf("redelivered forged certificate: got %v, want ErrCertBadSig", err)
-	}
-	h1, _ := v.MemoStats()
-	if h1 == h0 {
-		t.Fatal("redelivered certificate produced no memo hits")
-	}
-}
-
-func TestVerifyCertificateQuorumSemantics(t *testing.T) {
-	// Extra invalid signatures beyond a confirmed quorum do not invalidate
-	// the certificate (the documented relaxation vs the serial checker),
-	// but duplicates and unknown signers are still structural errors.
-	v := New(1) // serial path must implement the same semantics
-	defer v.Close()
-	d := types.HashBytes([]byte("batch"))
-	reg, keys, cert := testRegistry(t, 10, d)
-
-	forged := crypto.Certificate{}
-	for _, ps := range cert.Sigs {
-		forged.Add(ps)
-	}
-	// Append an extra signer with a garbage signature.
-	extra := crypto.MustGenerateKeyPair()
-	reg.Add(99, extra.Public())
-	forged.Add(crypto.PartialSig{Replica: 99, Sig: []byte("garbage")})
-	checkCert(t, v, "quorum of valid sigs + extra garbage", reg, forged, d, 7, nil, nil)
-
-	unknown := crypto.Certificate{}
-	sig, _ := keys[0].Sign(d)
-	unknown.Add(crypto.PartialSig{Replica: 1000, Sig: sig})
-	checkCert(t, v, "unknown signer", reg, unknown, d, 1, nil, crypto.ErrCertUnknownKey)
-}
-
-func TestVerifyCertificateMembership(t *testing.T) {
-	v := New(4)
-	defer v.Close()
-	d := types.HashBytes([]byte("batch"))
-	reg, _, cert := testRegistry(t, 6, d)
-	inShard := func(r types.ReplicaID) bool { return r < 3 }
-	checkCert(t, v, "membership-filtered certificate", reg, cert, d, 3, inShard, nil)
-	checkCert(t, v, "threshold above membership", reg, cert, d, 4, inShard, crypto.ErrCertTooSmall)
-}
-
 func TestConcurrentUse(t *testing.T) {
 	// Hammer one verifier from many goroutines mixing all entry points;
 	// run under -race this is the data-race regression test.
@@ -302,13 +201,10 @@ func TestConcurrentUse(t *testing.T) {
 				if v.VerifyReplica(reg, 0, d, bad) {
 					errs <- "bad sig accepted"
 				}
-				if err := v.VerifyCertificateInline(reg, cert, d, 7, nil); err != nil {
-					errs <- "valid cert rejected: " + err.Error()
-				}
 				done := make(chan bool, 1)
-				v.VerifyCertificateDetached(reg, cert, d, 7, nil, func(ok bool) { done <- ok })
+				v.VerifyReplicaDetached(reg, types.ReplicaID(i%10), d, cert.Sigs[i%10].Sig, func(ok bool) { done <- ok })
 				if !<-done {
-					errs <- "valid cert rejected by the continuation form"
+					errs <- "valid sig rejected by the detached form"
 				}
 				f := v.VerifyAsync(func() bool {
 					return v.VerifyReplica(reg, types.ReplicaID(i%10), d, cert.Sigs[i%10].Sig)

@@ -167,7 +167,7 @@ type brbInstance struct {
 type equivInstance struct {
 	payloadB  []byte
 	digestB   types.Digest
-	certB     crypto.Certificate
+	certB     brb.AckCert
 	committed bool
 }
 
@@ -224,7 +224,7 @@ func (b *Equivocate) Outbound(to transport.NodeID, frame []byte, emit Emit) []by
 			in.payloadB = pb
 			in.digestB = brb.SignedDigest(origin, slot, pb)
 			if sig, err := b.Keys.Sign(in.digestB); err == nil {
-				in.certB.Add(crypto.PartialSig{Replica: b.Self, Sig: sig})
+				in.certB.Sigs = append(in.certB.Sigs, brb.AckSig{Replica: b.Self, Sig: sig})
 			}
 		}
 		variantB := in.payloadB
@@ -246,29 +246,44 @@ func (b *Equivocate) Outbound(to transport.NodeID, frame []byte, emit Emit) []by
 	return frame
 }
 
+// Inbound harvests the acks for variant B: single-slot ACKs, and the
+// entries of ACKBATCH chains — a peer under load signs its pending acks as
+// one chain, and a chain signature endorses B as well as a plain one.
 func (b *Equivocate) Inbound(from transport.NodeID, frame []byte, emit Emit) []byte {
 	if frameChan(frame) != transport.ChanBRB {
 		return frame
 	}
-	origin, slot, digest, sig, ok := brb.DecodeAck(frame[1:])
-	if !ok || origin != b.Self {
-		return frame
+	type harvested struct {
+		slot   uint64
+		digest types.Digest
+		sig    brb.AckSig
 	}
-	id := brbInstance{origin, slot}
+	signer := types.ReplicaID(from)
+	var acks []harvested
+	if origin, slot, digest, sig, ok := brb.DecodeAck(frame[1:]); ok && origin == b.Self {
+		acks = append(acks, harvested{slot, digest, brb.AckSig{Replica: signer, Sig: sig}})
+	} else if chain, sig, ok := brb.DecodeAckBatch(frame[1:]); ok {
+		for _, e := range chain {
+			if e.Origin == b.Self {
+				acks = append(acks, harvested{e.Slot, e.Digest, brb.AckSig{Replica: signer, Sig: sig, Chain: chain}})
+			}
+		}
+	}
+	var commits [][]byte
 	b.mu.Lock()
-	in := b.insts[id]
-	if in == nil || digest != in.digestB || in.committed {
-		b.mu.Unlock()
-		return frame
-	}
-	in.certB.Add(crypto.PartialSig{Replica: types.ReplicaID(from), Sig: sig})
-	var commitB []byte
-	if in.certB.Len() >= b.Quorum {
-		in.committed = true
-		commitB = reframe(transport.ChanBRB, brb.EncodeCommit(origin, slot, in.payloadB, in.certB))
+	for _, a := range acks {
+		in := b.insts[brbInstance{b.Self, a.slot}]
+		if in == nil || a.digest != in.digestB || in.committed || in.certB.Has(signer) {
+			continue
+		}
+		in.certB.Sigs = append(in.certB.Sigs, a.sig)
+		if in.certB.Len() >= b.Quorum {
+			in.committed = true
+			commits = append(commits, reframe(transport.ChanBRB, brb.EncodeCommitTab(b.Self, a.slot, in.payloadB, in.certB)))
+		}
 	}
 	b.mu.Unlock()
-	if commitB != nil {
+	for _, commitB := range commits {
 		for v := range b.Victims {
 			emit(v, commitB)
 			b.ForgedCommit.Add(1)
@@ -313,8 +328,8 @@ func (b *AckAll) Inbound(from transport.NodeID, frame []byte, emit Emit) []byte 
 // ---------------------------------------------------------------------
 
 // WithholdCommits signs acks like an honest replica but never emits a
-// commit certificate for its own broadcasts, in any of the three commit
-// wire forms. Its clients' payments collect acks and stall forever;
+// commit certificate for its own broadcasts, neither the COMMITREF nor the
+// COMMITTAB resend. Its clients' payments collect acks and stall forever;
 // nobody else is harmed — the canonical "crash at the most annoying
 // step" Byzantine strategy.
 type WithholdCommits struct {
@@ -343,7 +358,7 @@ func (b *WithholdCommits) Outbound(_ transport.NodeID, frame []byte, _ Emit) []b
 // indices with garbage. Honest receivers must shrug: a bogus definition
 // caches a chain no signature references, a bogus reference misses the
 // cache and triggers the NACK → self-contained fallback, and delivery
-// proceeds through the legacy form.
+// proceeds through the COMMITTAB.
 type ForgeChainRefs struct {
 	NopBehavior
 	Salt byte

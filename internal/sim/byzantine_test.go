@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"astro/internal/brb"
 	"astro/internal/core"
 	"astro/internal/shard"
 	"astro/internal/transport"
@@ -168,26 +169,54 @@ func TestEquivocationBreaksAtFPlusOne(t *testing.T) {
 	aud := auditorFor(c, equiv, accomplice)
 	aud.Start()
 
+	eb := c.Behavior(equiv).(*Equivocate)
+	agreement := func(rep AuditReport) int {
+		n := 0
+		for _, v := range rep.Violations {
+			if v.Invariant == "agreement" {
+				n++
+			}
+		}
+		return n
+	}
 	stop := make(chan struct{})
 	wg := runLoad(c, stop)
-	time.Sleep(800 * time.Millisecond)
+	// Load until the forged commit is out and the auditor has seen the
+	// divergence it causes.
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		if eb.ForgedCommit.Load() > 0 && agreement(aud.Report()) > 0 {
+			break
+		}
+	}
 	close(stop)
 	wg.Wait()
 	rep := aud.Stop()
 
-	eb := c.Behavior(equiv).(*Equivocate)
 	if eb.ForgedCommit.Load() == 0 {
 		t.Fatal("no forged commit emitted: the colluding certificate never completed")
 	}
-	agreement := 0
-	for _, v := range rep.Violations {
-		if v.Invariant == "agreement" {
-			agreement++
-		}
-	}
-	if agreement == 0 {
+	if agreement(rep) == 0 {
 		t.Errorf("f+1 equivocation went undetected: %d violations, none for agreement (forged commits: %d)",
 			len(rep.Violations), eb.ForgedCommit.Load())
+	}
+}
+
+// TestWithholdCommitsDropsCommitTab: the commit-withholding behavior
+// suppresses the self-contained COMMITTAB a NACK provokes as well as the
+// COMMITREF, and lets the rest of the protocol through.
+func TestWithholdCommitsDropsCommitTab(t *testing.T) {
+	var b WithholdCommits
+	cert := brb.AckCert{Sigs: []brb.AckSig{{Replica: 0, Sig: []byte("sig")}}}
+	commit := reframe(transport.ChanBRB, brb.EncodeCommitTab(1, 1, []byte("p"), cert))
+	if out := b.Outbound(transport.ReplicaNode(2), commit, nil); out != nil {
+		t.Fatal("COMMITTAB passed the commit-withholding behavior")
+	}
+	if got := b.Suppressed.Load(); got != 1 {
+		t.Fatalf("suppressed %d frames, want 1", got)
+	}
+	prepare := reframe(transport.ChanBRB, brb.EncodePrepare(1, 2, []byte("p")))
+	if out := b.Outbound(transport.ReplicaNode(2), prepare, nil); out == nil {
+		t.Fatal("PREPARE withheld")
 	}
 }
 

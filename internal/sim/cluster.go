@@ -572,9 +572,9 @@ func (c *AstroCluster) SchedStats() sched.Stats {
 }
 
 // CreditRefStats aggregates the credit-channel chain-reference counters
-// across replicas (PR 4): defs/refs sent, reference cache hits/misses,
-// and NACK fallback traffic — the experiment harness samples it to report
-// how often the wire amortization engaged vs degraded to the legacy form.
+// across replicas: references sent, definitions demanded, reference cache
+// hits/misses, and NACK fallback traffic — the experiment harness samples
+// it to report how often a reference resolved without a round trip.
 func (c *AstroCluster) CreditRefStats() core.CreditRefStats {
 	c.stateMu.RLock()
 	defer c.stateMu.RUnlock()

@@ -2,15 +2,14 @@ package types
 
 import "sync/atomic"
 
-// RefStats counts one side's chain-reference traffic (PR 4): both the BRB
-// commit path and the credit channel run the same CHAINDEF / reference /
-// NACK protocol, so they share one counter shape (brb.ChainRefStats and
+// RefStats counts one side's chain-reference traffic: both the BRB commit
+// path and the credit channel run the same CHAINDEF / reference / NACK
+// protocol, so they share one counter shape (brb.ChainRefStats and
 // core.CreditRefStats alias it, and the sim harness aggregates either).
 type RefStats struct {
-	// DefsSent / RefsSent / FullSends count outbound chain definitions,
-	// reference-form sends, and self-contained legacy sends (including
-	// NACK-triggered retransmits).
-	DefsSent, RefsSent, FullSends uint64
+	// RefsSent / FullSends count reference-form sends and self-contained
+	// sends (the NACK-triggered COMMITTAB resend).
+	RefsSent, FullSends uint64
 	// RefHits / RefMisses count inbound reference resolutions against the
 	// receiver's chain cache.
 	RefHits, RefMisses uint64
@@ -19,15 +18,13 @@ type RefStats struct {
 	// DefsDeferred counts chain definitions withheld (lazy CHAINDEF): the
 	// first reference to a chain went to a destination without its
 	// definition. DefsDemanded counts definitions later sent because a
-	// NACK demanded them — the only definitions sent, so it equals
-	// DefsSent; Deferred − Demanded is the definition traffic the
-	// receivers never needed.
+	// NACK demanded them — the only definitions ever sent; Deferred −
+	// Demanded is the definition traffic the receivers never needed.
 	DefsDeferred, DefsDemanded uint64
 }
 
 // Add accumulates other into s (for cluster-wide aggregation).
 func (s *RefStats) Add(other RefStats) {
-	s.DefsSent += other.DefsSent
 	s.RefsSent += other.RefsSent
 	s.FullSends += other.FullSends
 	s.RefHits += other.RefHits
@@ -41,17 +38,16 @@ func (s *RefStats) Add(other RefStats) {
 // RefCounters is the atomic backing of RefStats, embedded by the protocol
 // state that updates it concurrently.
 type RefCounters struct {
-	DefsSent, RefsSent, FullSends atomic.Uint64
-	RefHits, RefMisses            atomic.Uint64
-	NacksSent, NacksReceived      atomic.Uint64
-	DefsDeferred, DefsDemanded    atomic.Uint64
+	RefsSent, FullSends        atomic.Uint64
+	RefHits, RefMisses         atomic.Uint64
+	NacksSent, NacksReceived   atomic.Uint64
+	DefsDeferred, DefsDemanded atomic.Uint64
 }
 
 // Snapshot returns a consistent-enough copy of the counters (each field
 // is read atomically; cross-field skew is fine for statistics).
 func (c *RefCounters) Snapshot() RefStats {
 	return RefStats{
-		DefsSent:      c.DefsSent.Load(),
 		RefsSent:      c.RefsSent.Load(),
 		FullSends:     c.FullSends.Load(),
 		RefHits:       c.RefHits.Load(),
