@@ -22,6 +22,7 @@ test:
 
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 # Race-detector pass over the lane scheduler, transport dispatch, and the
 # crypto/broadcast/payment hot path — the packages with cross-goroutine

@@ -25,7 +25,7 @@ import (
 // known only to its signer and its origin and cost every other replica a
 // CHAINNACK round trip per commit.
 //
-// The queue/drain/adaptive-threshold scheduling that feeds these chains
+// The queue/drain scheduling that feeds these chains
 // is generalized as verifier.ChainSigner (shared with the payment layer's
 // settlement-wave CREDIT signing); this file keeps the BRB-specific chain
 // digests and wire forms.

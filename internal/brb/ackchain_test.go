@@ -387,13 +387,42 @@ func TestSignedCommitBatchDuplicateSignersDontCount(t *testing.T) {
 // TestSignedBatchedSettlementEndToEnd wedges a shared 1-worker pool while
 // a burst of broadcasts goes out, then releases it: every replica's
 // pending acks leave as chains, the origin assembles chain certificates,
-// commits verify (one ECDSA per signer per chain, memoized across the
-// whole burst), and every replica delivers the full burst in FIFO order.
+// commits verify (one signature check per signer per chain, memoized
+// across the whole burst), and every replica delivers the full burst in
+// FIFO order. The sim leg runs the same path with the simulation
+// harness's cheap authenticators: what a key costs changes nothing about
+// how acks are signed.
 func TestSignedBatchedSettlementEndToEnd(t *testing.T) {
-	pool := verifier.New(1)
-	defer pool.Close()
-	h := newHarness(t, protoSigned, 4, func(c *Config) { c.Verifier = pool })
+	master := []byte("batched-settlement-sim")
+	simReg := crypto.NewRegistry()
+	simReg.EnableSim(master)
+	for i := 0; i < 4; i++ {
+		simReg.AddSim(types.ReplicaID(i))
+	}
+	for _, leg := range []struct {
+		name string
+		keys func(*Config)
+	}{
+		{"ecdsa", func(*Config) {}},
+		{"sim", func(c *Config) {
+			c.Keys = crypto.NewSimKeyPair(c.Self, master)
+			c.Registry = simReg
+		}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			pool := verifier.New(1)
+			defer pool.Close()
+			h := newHarness(t, protoSigned, 4, func(c *Config) {
+				c.Verifier = pool
+				leg.keys(c)
+			})
+			checkBatchedSettlement(t, h, pool)
+		})
+	}
+}
 
+func checkBatchedSettlement(t *testing.T, h *harness, pool *verifier.Verifier) {
+	t.Helper()
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	go pool.Async(func() {
@@ -440,7 +469,7 @@ func TestSignedBatchedSettlementEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	// Amortization: every replica signed its k acks with one ECDSA.
+	// Amortization: every replica signed its k acks with one signature.
 	for i, bc := range h.bcs {
 		ops, acks := bc.(*Signed).AckSignStats()
 		if acks != k || ops != 1 {

@@ -73,6 +73,10 @@ func newHarness(t *testing.T, proto protocol, n int, opts ...func(*Config)) *har
 				h.dlvCh <- struct{}{}
 			},
 		}
+		if proto == protoSigned {
+			cfg.Keys = h.keys[i]
+			cfg.Registry = h.registry
+		}
 		for _, o := range opts {
 			o(&cfg)
 		}
@@ -82,8 +86,6 @@ func newHarness(t *testing.T, proto protocol, n int, opts ...func(*Config)) *har
 		case protoBracha:
 			bc, err = NewBracha(cfg)
 		case protoSigned:
-			cfg.Keys = h.keys[i]
-			cfg.Registry = h.registry
 			bc, err = NewSigned(cfg)
 		}
 		if err != nil {

@@ -40,12 +40,11 @@ import (
 // length (the harness metric brb.signed_n4_wire_bytes_per_payment
 // measures it).
 
-// chainCacheEntries bounds the per-peer chain caches, on both sides: a
-// receiver keeps at most this many defined chains per sending peer (so one
-// peer can never evict another's chains), and a sender remembers at most
-// this many transmitted digests per destination. At the maxSignBatch chain
-// length this is ~90 KiB per peer, and deep enough to cover several
-// settlement waves of in-flight commits.
+// chainCacheEntries bounds the per-peer chain cache: a receiver keeps at
+// most this many defined chains per sending peer (so one peer can never
+// evict another's chains). At the maxSignBatch chain length this is
+// ~90 KiB per peer, and deep enough to cover several settlement waves of
+// in-flight commits.
 const chainCacheEntries = 64
 
 // ChainRefStats counts the chain-reference protocol's traffic at one
@@ -74,12 +73,11 @@ func (s *Signed) learnChain(peer types.ReplicaID, digest types.Digest, chain []C
 }
 
 // knownChain resolves a chain reference from peer, marking it most
-// recently used (mirroring the sender's touch on every reference). A miss
-// in peer's section falls through to every other peer's: chains are
-// content-addressed (the digest is recomputed from the learned bytes), so
-// whoever defined a chain, it is THE chain — so a chain demanded once (or
-// signed by this replica itself) resolves the references every origin
-// sends afterwards.
+// recently used. A miss in peer's section falls through to every other
+// peer's: chains are content-addressed (the digest is recomputed from the
+// learned bytes), so whoever defined a chain, it is THE chain — so a chain
+// demanded once (or signed by this replica itself) resolves the
+// references every origin sends afterwards.
 func (s *Signed) knownChain(peer types.ReplicaID, digest types.Digest) ([]ChainEntry, bool) {
 	s.chainMu.Lock()
 	defer s.chainMu.Unlock()
@@ -90,11 +88,11 @@ func (s *Signed) knownChain(peer types.ReplicaID, digest types.Digest) ([]ChainE
 }
 
 // pendingRef is a COMMITREF parked while its chain definition is in
-// flight: the receiver NACKs a missing digest once and parks later
-// references to it instead of NACK-storming, then re-runs them when the
-// definition lands. The slices alias the transport frame —
-// both endpoints hand each message a private buffer, the same ownership
-// the delivery queue already relies on.
+// flight: the receiver NACKs a missing digest once per sender and parks
+// later references to it instead of NACK-storming, then re-runs them when
+// the definition lands. The slices alias the transport frame — both
+// endpoints hand each message a private buffer, the same ownership the
+// delivery queue already relies on.
 type pendingRef struct {
 	id      instanceID
 	peer    types.ReplicaID
@@ -112,10 +110,13 @@ const (
 	maxWaitingRefsPerChain = maxSignBatch + 8
 )
 
-// parkRef buffers an unresolvable reference under the first digest it is
+// parkRef buffers an unresolvable reference under the digest it is
 // missing. It reports (parked, nack): nack is true when the caller should
-// send the CHAINNACK — the first waiter for the digest demands the
-// definition, and an overflow victim falls back to the NACK round trip.
+// send the CHAINNACK — the first waiter for the digest from each sender
+// demands the definition, and an overflow victim falls back to the NACK
+// round trip. A NACK goes only to the commit's origin, and an origin that
+// crashed never answers, so a reference from another origin must not
+// wait on that NACK: it demands the definition from its own sender.
 func (s *Signed) parkRef(d types.Digest, pr pendingRef) (parked, nack bool) {
 	s.chainMu.Lock()
 	defer s.chainMu.Unlock()
@@ -125,7 +126,12 @@ func (s *Signed) parkRef(d types.Digest, pr pendingRef) (parked, nack bool) {
 	}
 	s.refsWaiting[d] = append(waiting, pr)
 	s.refsWaitingCount++
-	return true, len(waiting) == 0
+	for _, w := range waiting {
+		if w.peer == pr.peer {
+			return true, false
+		}
+	}
+	return true, true
 }
 
 // takeWaiting removes and returns the references parked on digest.
@@ -139,36 +145,6 @@ func (s *Signed) takeWaiting(digest types.Digest) []pendingRef {
 	delete(s.refsWaiting, digest)
 	s.refsWaitingCount -= len(waiting)
 	return waiting
-}
-
-// chainSentTo reports whether digest was already transmitted to dest,
-// touching the entry so sender and receiver age their caches identically.
-// The caller must NOT rely on the answer across a cache-capacity window —
-// a false negative only costs a duplicate CHAINDEF, a false positive is
-// repaired by the NACK fallback.
-func (s *Signed) chainSentTo(dest types.ReplicaID, digest types.Digest) bool {
-	s.chainMu.Lock()
-	defer s.chainMu.Unlock()
-	return s.chainsSent.Contains(dest, digest)
-}
-
-// markChainSent records that digest has been transmitted to dest. Called
-// after the CHAINDEF send returns, so any goroutine observing the mark
-// orders its own sends behind the definition on the FIFO channel.
-func (s *Signed) markChainSent(dest types.ReplicaID, digest types.Digest) {
-	s.chainMu.Lock()
-	s.chainsSent.Put(dest, digest, struct{}{})
-	s.chainMu.Unlock()
-}
-
-// forgetChainsSent drops digests from dest's sent-set (NACK handling: the
-// receiver evicted them, so the next reference must re-define).
-func (s *Signed) forgetChainsSent(dest types.ReplicaID, digests []types.Digest) {
-	s.chainMu.Lock()
-	for _, d := range digests {
-		s.chainsSent.Delete(dest, d)
-	}
-	s.chainMu.Unlock()
 }
 
 // --- wire forms ---

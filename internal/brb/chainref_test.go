@@ -141,11 +141,8 @@ func TestSignedLazyChainDefsDeliverAndSave(t *testing.T) {
 	if st.FullSends != 0 {
 		t.Fatalf("fell back to the self-contained full form: %+v", st)
 	}
-	if st.DefsDeferred == 0 {
-		t.Fatalf("no definition was ever deferred: %+v", st)
-	}
-	if st.DefsDemanded >= st.DefsDeferred {
-		t.Fatalf("lazy definitions saved nothing: deferred %d, demanded %d", st.DefsDeferred, st.DefsDemanded)
+	if st.DefsDemanded >= st.RefsSent {
+		t.Fatalf("lazy definitions saved nothing: %d references sent, %d definitions demanded", st.RefsSent, st.DefsDemanded)
 	}
 	// FIFO preserved through parking, NACK answers, and re-sent references.
 	for r := 0; r < 4; r++ {
@@ -162,6 +159,7 @@ func TestSignedLazyChainDefsDeliverAndSave(t *testing.T) {
 // channel, plus a raw endpoint at node 0 capturing the replica's BRB
 // traffic — the stage for forged reference streams.
 type refFixture struct {
+	net      *memnet.Network
 	registry *crypto.Registry
 	keys     []*crypto.KeyPair
 	replica  *Signed
@@ -178,6 +176,7 @@ func newRefFixture(t *testing.T) *refFixture {
 		dlv:      make(chan delivery, 64),
 	}
 	net := memnet.New()
+	fx.net = net
 	t.Cleanup(net.Close)
 	pool := verifier.New(2)
 	t.Cleanup(pool.Close)
@@ -318,6 +317,58 @@ func TestCommitRefUnknownChainNacksAndRecovers(t *testing.T) {
 	fx.expectDelivery(t, 2, string(p2))
 	if st := fx.replica.ChainRefStats(); st.RefHits == 0 || st.NacksSent != 1 {
 		t.Fatalf("stats after recovery: %+v", st)
+	}
+}
+
+// TestCommitRefParkedBehindDeadOriginNacksOwnSender: two origins' commits
+// reference one chain the receiver lacks. The first origin's NACK is never
+// answered (it crashed after sending its commit), so the second origin's
+// reference must demand the definition from its own sender rather than
+// wait on the first NACK; the answer then delivers both commits.
+func TestCommitRefParkedBehindDeadOriginNacksOwnSender(t *testing.T) {
+	fx := newRefFixture(t)
+	origin2 := transport.NewMux(fx.net.Node(transport.ReplicaNode(2)))
+	t.Cleanup(origin2.Close)
+	nacks2 := make(chan []byte, 64)
+	origin2.Register(transport.ChanBRB, func(_ transport.NodeID, p []byte) {
+		if len(p) > 0 && p[0] == kindChainNack {
+			nacks2 <- append([]byte(nil), p...)
+		}
+	})
+	p0, p2 := []byte("origin-0-slot-1"), []byte("origin-2-slot-1")
+	chain := []ChainEntry{
+		{Origin: 0, Slot: 1, Digest: SignedDigest(0, 1, p0)},
+		{Origin: 2, Slot: 1, Digest: SignedDigest(2, 1, p2)},
+	}
+	cert := fx.chainCert(t, chain, 0, 2, 3)
+	cd := AckChainDigest(chain)
+
+	if err := fx.origin.Send(transport.ReplicaNode(1), transport.ChanBRB, EncodeCommitRef(0, 1, p0, refSigsFor(cert, 0))); err != nil {
+		t.Fatal(err)
+	}
+	fx.expectNack(t, 1, cd) // origin 0 never answers
+	ref2 := EncodeCommitRef(2, 1, p2, refSigsFor(cert, 1))
+	if err := origin2.Send(transport.ReplicaNode(1), transport.ChanBRB, ref2); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-nacks2:
+	case <-time.After(5 * time.Second):
+		t.Fatal("reference parked behind another origin's unanswered NACK")
+	}
+	for _, m := range [][]byte{EncodeChainDef(chain), ref2} {
+		if err := origin2.Send(transport.ReplicaNode(1), transport.ChanBRB, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := map[types.ReplicaID]bool{}
+	for len(got) < 2 {
+		select {
+		case d := <-fx.dlv:
+			got[d.origin] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("delivered origins %v, want 0 and 2", got)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"astro/internal/crypto/verifier"
 	"astro/internal/transport"
@@ -48,11 +47,9 @@ import (
 //     re-enters the FIFO delivery drain on whichever lane settles the
 //     tally — no goroutine is spawned per commit. A saturated pool runs
 //     the task on the dispatch goroutine instead, which is the
-//     backpressure that bounds in-flight commits.
-//     In the fast-verify regime (sim HMACs) the whole verification runs
-//     synchronously inline, skipping the continuation overhead. Chain
-//     signatures inside certificates hit the verifier memo, so a chain of
-//     k slots costs one ECDSA across all k commits carrying it.
+//     backpressure that bounds in-flight commits. Chain signatures inside
+//     certificates hit the verifier memo, so a chain of k slots costs one
+//     ECDSA across all k commits carrying it.
 //
 // Because verifications may complete out of order, deliveries are staged
 // through the per-origin FIFO under the instance lock and then drained by
@@ -90,22 +87,15 @@ type Signed struct {
 
 	// ackSigner queues acks awaiting signature and drains them on the
 	// pool, collapsing acks that accumulate while an ECDSA is in flight
-	// into one chain signature (adaptive: chains engage only when the
-	// measured sign cost exceeds the threshold — a chain trades one
-	// signature for per-signer chain bytes in every commit certificate,
-	// which only pays off for real ECDSA, not the simulation harness's
-	// ~1µs HMACs). The scheduling lives in verifier.ChainSigner; this
-	// layer supplies the wire forms.
+	// into one chain signature. The scheduling lives in
+	// verifier.ChainSigner; this layer supplies the wire forms.
 	ackSigner *verifier.ChainSigner[ChainEntry]
 
-	// Chain-by-digest reference state (see chainref.go): chainsKnown is
-	// the receiver side — per sending peer, the chains that peer has
-	// defined, bounded so no peer can evict another's entries; chainsSent
-	// is the sender side — per destination, the chain digests already
-	// transmitted.
+	// Chain-by-digest reference state (see chainref.go): chainsKnown holds,
+	// per sending peer, the chains that peer has defined, bounded so no
+	// peer can evict another's entries.
 	chainMu     sync.Mutex
 	chainsKnown *types.PeerCache[[]ChainEntry]
-	chainsSent  *types.PeerCache[struct{}]
 	// refsWaiting parks COMMITREFs whose chain definition is in flight
 	// (lazy CHAINDEF): keyed by missing digest, drained by learnChain,
 	// bounded by maxWaitingRefs. Guarded by chainMu.
@@ -161,17 +151,10 @@ func NewSigned(cfg Config) (*Signed, error) {
 		order:       newFIFO(),
 		committing:  make(map[instanceID]struct{}),
 		chainsKnown: types.NewPeerCache[[]ChainEntry](chainCacheEntries),
-		chainsSent:  types.NewPeerCache[struct{}](chainCacheEntries),
 		refsWaiting: make(map[types.Digest][]pendingRef),
 		retainBytes: committedRetainBytes,
 	}
-	s.ackSigner = verifier.NewChainSigner(ver, maxSignBatch, verifier.DefaultChainThreshold, s.signSingleAck, s.signAckChain)
-	// Seed the sign-cost estimate with one probe signature, so the first
-	// loaded drain already knows whether chain batching pays off here.
-	probeStart := time.Now()
-	if _, err := cfg.Keys.Sign(SignedDigest(cfg.Self, 0, nil)); err == nil {
-		s.ackSigner.SeedCost(time.Since(probeStart))
-	}
+	s.ackSigner = verifier.NewChainSigner(ver, maxSignBatch, s.signSingleAck, s.signAckChain)
 	cfg.Mux.Register(transport.ChanBRB, s.onMessage)
 	return s, nil
 }
@@ -583,7 +566,7 @@ func (s *Signed) buildRefSigs(id instanceID, digest types.Digest, cert AckCert) 
 // ask). A certificate of single-slot signatures names no chain and never
 // draws a NACK.
 func (s *Signed) sendCommit(id instanceID, payload []byte, digest types.Digest, cert AckCert) {
-	sigs, defs, ok := s.buildRefSigs(id, digest, cert)
+	sigs, _, ok := s.buildRefSigs(id, digest, cert)
 	if !ok {
 		// A chain that does not endorse this instance never enters the
 		// certificate (handleAckBatch filters); if one did, referencing it
@@ -595,16 +578,6 @@ func (s *Signed) sendCommit(id instanceID, payload []byte, digest types.Digest, 
 	ref := wire.AcquireWriter(commitRefSize(payload, sigs))
 	appendCommitRef(ref, id.origin, id.slot, payload, sigs)
 	for _, p := range s.cfg.Peers {
-		for i := range defs {
-			// Record the withheld definition once per (chain, destination).
-			// chainSentTo touches the entry, keeping the sender's sent-set
-			// aging in lockstep with the receiver's cache; after the wave's
-			// first commit the loop costs one cache probe per chain.
-			if !s.chainSentTo(p, defs[i].digest) {
-				s.markChainSent(p, defs[i].digest)
-				s.refStats.DefsDeferred.Add(1)
-			}
-		}
 		_ = s.cfg.Mux.Send(transport.ReplicaNode(p), transport.ChanBRB, ref.Bytes())
 		s.refStats.RefsSent.Add(1)
 	}
@@ -645,19 +618,11 @@ func (s *Signed) beginCommit(id instanceID) bool {
 // the certificate continuation-style: the digest hash runs on a verifier
 // task, the signature checks fan out with 2f+1 early exit, and the
 // completion callback re-enters the FIFO delivery drain — zero goroutines
-// per commit. The fast-verify regime (cheap sim HMACs) skips the hand-off
-// and runs the whole thing synchronously here. Chain signatures verify
-// against their chain digest (once, memoized, for all the commits a chain
-// covers) and count toward the quorum only if the chain actually carries
-// this instance's entry.
+// per commit. Chain signatures verify against their chain digest (once,
+// memoized, for all the commits a chain covers) and count toward the
+// quorum only if the chain actually carries this instance's entry.
 func (s *Signed) handleCommit(id instanceID, payload []byte, cert AckCert) {
 	if !s.beginCommit(id) {
-		return
-	}
-	if s.ver.FastVerify() {
-		d := SignedDigest(id.origin, id.slot, payload)
-		ok := s.verifyAckCertSync(id, d, cert)
-		s.commitVerified(id, d, payload, ok)
 		return
 	}
 	s.ver.TryAsync(func() {
@@ -741,9 +706,10 @@ func (s *Signed) handleCommitRef(id instanceID, peer types.ReplicaID, payload []
 		// the last one lands and learnChain re-runs the parked reference,
 		// the earlier ones are already cached and the re-run resolves
 		// outright instead of re-parking per digest. Only the digest's
-		// first waiter NACKs; followers ride the same answer. A parked
-		// reference evicted by the bound falls back to the NACK round trip,
-		// so delivery never depends on buffer capacity.
+		// first waiter from each sender NACKs; that sender's followers
+		// ride the same answer. A parked reference evicted by the bound
+		// falls back to the NACK round trip, so delivery never depends on
+		// buffer capacity.
 		parked, nack := s.parkRef(missing[len(missing)-1], pendingRef{id: id, peer: peer, payload: payload, sigs: sigs})
 		if parked && !nack {
 			return
@@ -763,16 +729,15 @@ func (s *Signed) handleCommitRef(id instanceID, peer types.ReplicaID, payload []
 // lazy CHAINDEF: answer with exactly the CHAINDEFs the receiver named,
 // followed by the COMMITREF again, on the same FIFO channel. When a named
 // digest is not one of this commit's chains (a stale NACK about an
-// earlier wave) degrade to the self-contained resend after forgetting the
-// digests were sent, so the next wave re-defines them.
+// earlier wave) degrade to the self-contained resend.
 func (s *Signed) handleChainNack(id instanceID, peer types.ReplicaID, missing []types.Digest) {
 	if id.origin != s.cfg.Self {
 		return // we only resend our own commits
 	}
 	// Only group members receive commits, so only they can legitimately
 	// miss a chain; gating here keeps the resend amplification (a 37-byte
-	// NACK answered with definitions or a complete commit) and the
-	// sent-set churn reachable by group members alone.
+	// NACK answered with definitions or a complete commit) reachable by
+	// group members alone.
 	if !s.membership(peer) {
 		return
 	}
@@ -781,7 +746,6 @@ func (s *Signed) handleChainNack(id instanceID, peer types.ReplicaID, missing []
 	out := s.mine[id.slot]
 	if out == nil || !out.committed {
 		s.mu.Unlock()
-		s.forgetChainsSent(peer, missing)
 		return
 	}
 	payload, digest, cert := out.payload, out.digest, out.cert
@@ -789,7 +753,6 @@ func (s *Signed) handleChainNack(id instanceID, peer types.ReplicaID, missing []
 	if s.answerNackWithDefs(id, peer, payload, digest, cert, missing) {
 		return
 	}
-	s.forgetChainsSent(peer, missing)
 	s.sendCommitFull(id, payload, cert, peer)
 }
 
@@ -834,7 +797,6 @@ func (s *Signed) answerNackWithDefs(id instanceID, peer types.ReplicaID, payload
 		}
 		_ = s.cfg.Mux.Send(dest, transport.ChanBRB, defs[i].enc)
 		s.refStats.DefsDemanded.Add(1)
-		s.markChainSent(peer, defs[i].digest)
 	}
 	ref := wire.AcquireWriter(commitRefSize(payload, sigs))
 	appendCommitRef(ref, id.origin, id.slot, payload, sigs)
@@ -857,7 +819,6 @@ type ackCertItem struct {
 // quorum of valid endorsements of (id, d) among the returned items is
 // exactly what the protocol needs: extra invalid or irrelevant signatures
 // are ignored and duplicate signers count once.
-// Shared by the synchronous and continuation variants.
 func (s *Signed) ackCertItems(id instanceID, d types.Digest, cert AckCert) []ackCertItem {
 	seen := make(map[types.ReplicaID]struct{}, len(cert.Sigs))
 	items := make([]ackCertItem, 0, len(cert.Sigs))
@@ -881,34 +842,10 @@ func (s *Signed) ackCertItems(id instanceID, d types.Digest, cert AckCert) []ack
 	return items
 }
 
-// verifyAckCertSync checks a certificate fully on the calling goroutine —
-// serial, memoized, accepting as soon as a quorum is confirmed and
-// rejecting as soon as it is out of reach — the fast-verify-regime path
-// where cheap checks make any hand-off pure overhead.
-func (s *Signed) verifyAckCertSync(id instanceID, d types.Digest, cert AckCert) bool {
-	need := s.cfg.quorum()
-	items := s.ackCertItems(id, d, cert)
-	if len(items) < need {
-		return false
-	}
-	valid := 0
-	for i, it := range items {
-		if s.ver.VerifyReplica(s.cfg.Registry, it.replica, it.digest, it.sig) {
-			valid++
-			if valid >= need {
-				return true
-			}
-		}
-		if valid+len(items)-1-i < need {
-			return false
-		}
-	}
-	return false
-}
-
-// verifyAckCertDetached is the continuation form: cb fires exactly once
-// with the quorum verdict, inline when memo hits settle it during the
-// fan-out loop, otherwise on the goroutine casting the deciding vote.
+// verifyAckCertDetached checks a certificate continuation-style: cb fires
+// exactly once with the quorum verdict, inline when memo hits settle it
+// during the fan-out loop, otherwise on the goroutine casting the deciding
+// vote.
 // Exactly-once follows from the CertTally arithmetic: every item votes,
 // and fewer than `need` valid votes forces more invalid ones than the
 // budget tolerates.

@@ -1,8 +1,8 @@
 package brb
 
 // Table-driven tests of commit-certificate verification
-// (verifyAckCertSync and verifyAckCertDetached), each case run over
-// single-slot and chain signatures: quorum semantics, membership, forged
+// (verifyAckCertDetached), each case run over single-slot and chain
+// signatures: quorum semantics, membership, forged
 // signatures, and certificates that cannot endorse the instance.
 
 import (
@@ -89,22 +89,26 @@ func forge(c AckCert, i int) AckCert {
 	return AckCert{Sigs: sigs}
 }
 
-// checkVerdict runs the certificate through both verification entry
-// points: the synchronous one on the fixture's memoizing verifier, and the
-// continuation form on a memo-less one, so it fans every signature out
-// instead of answering from the verdicts the first call cached.
+// verdict runs the certificate through verifyAckCertDetached on s and
+// waits for the callback.
+func (fx *certFixture) verdict(s *Signed, d types.Digest, c AckCert) bool {
+	done := make(chan bool, 1)
+	s.verifyAckCertDetached(fx.id, d, c, func(ok bool) { done <- ok })
+	return <-done
+}
+
+// checkVerdict verifies the certificate twice: on the fixture's memoizing
+// verifier, and on a memo-less one, so the second run fans every signature
+// out instead of answering from the verdicts the first run cached.
 func (fx *certFixture) checkVerdict(t *testing.T, what string, d types.Digest, c AckCert, want bool) {
 	t.Helper()
-	if got := fx.s.verifyAckCertSync(fx.id, d, c); got != want {
-		t.Fatalf("%s: sync verdict %v, want %v", what, got, want)
+	if got := fx.verdict(fx.s, d, c); got != want {
+		t.Fatalf("%s: memoized verdict %v, want %v", what, got, want)
 	}
 	fan := verifier.New(fx.s.ver.Workers(), verifier.WithMemoSize(0))
 	defer fan.Close()
-	fs := &Signed{cfg: fx.s.cfg, ver: fan}
-	done := make(chan bool, 1)
-	fs.verifyAckCertDetached(fx.id, d, c, func(ok bool) { done <- ok })
-	if got := <-done; got != want {
-		t.Fatalf("%s: detached verdict %v, want %v", what, got, want)
+	if got := fx.verdict(&Signed{cfg: fx.s.cfg, ver: fan}, d, c); got != want {
+		t.Fatalf("%s: memo-less verdict %v, want %v", what, got, want)
 	}
 }
 
@@ -135,7 +139,7 @@ func TestVerifyAckCertForgedEarlyExit(t *testing.T) {
 			// The verdicts are memoized: a redelivery fails from the memo
 			// without re-running ECDSA on the forged signature.
 			h0, _ := fx.s.ver.MemoStats()
-			if fx.s.verifyAckCertSync(fx.id, d, c) {
+			if fx.verdict(fx.s, d, c) {
 				t.Fatal("redelivered forged certificate accepted")
 			}
 			if h1, _ := fx.s.ver.MemoStats(); h1 == h0 {

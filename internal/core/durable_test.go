@@ -164,7 +164,7 @@ func TestRetiredFormatsRefused(t *testing.T) {
 // exercise compaction too.
 func walCluster(t *testing.T, version Version, n int, dir string) *cluster {
 	t.Helper()
-	return newCluster(t, version, n, genesis100, func(cfg *Config) {
+	c := newCluster(t, version, n, genesis100, func(cfg *Config) {
 		be, err := wal.Open(filepath.Join(dir, "rep"+strconv.Itoa(int(cfg.Self))))
 		if err != nil {
 			t.Fatalf("wal open: %v", err)
@@ -172,6 +172,16 @@ func walCluster(t *testing.T, version Version, n int, dir string) *cluster {
 		cfg.WAL = be
 		cfg.WALSnapshotEvery = 3
 	})
+	// A live replica's WAL writer keeps appending and compacting (a
+	// snapshot is a temp file renamed into place) after the test body
+	// returns. Abort every writer before dir's TempDir cleanup runs, or
+	// RemoveAll races a new file into a directory it is emptying.
+	t.Cleanup(func() {
+		for _, r := range c.replicas {
+			r.Abandon()
+		}
+	})
+	return c
 }
 
 // restart tears down replica id as if the process died (memnet crash +

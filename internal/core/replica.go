@@ -280,13 +280,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 	if cfg.Version == AstroII {
 		r.creditChains = types.NewPeerCache[[]types.Digest](creditChainCacheEntries)
 		r.creditWaves = newWaveBuffer()
-		r.creditSigner = verifier.NewChainSigner(cfg.Verifier, creditChainCap, verifier.DefaultChainThreshold, r.sendCreditSingle, r.sendCreditChain)
-		// Seed the sign-cost estimate so the first loaded wave already
-		// knows whether chain batching pays off with these keys.
-		probeStart := time.Now()
-		if _, err := cfg.Keys.Sign(CreditChainDigest(nil)); err == nil {
-			r.creditSigner.SeedCost(time.Since(probeStart))
-		}
+		r.creditSigner = verifier.NewChainSigner(cfg.Verifier, creditChainCap, r.sendCreditSingle, r.sendCreditChain)
 		cfg.Mux.Register(transport.ChanCredit, r.onCredit)
 	}
 	if r.recovered {
@@ -1183,7 +1177,6 @@ func (r *Replica) sendCreditChain(jobs []creditJob, wave *verifier.Wave) {
 		// signers complete a certificate, our reference is dropped without
 		// any round trip, and this wave's definition bytes were never
 		// spent.
-		r.creditRefStats.DefsDeferred.Add(1)
 		m := creditRefMsg{Signer: r.cfg.Self, ChainDigest: cd, Sig: sig, Groups: gs}
 		ref := wave.Scratch(creditRefSize(m))
 		appendCreditRef(ref, m)

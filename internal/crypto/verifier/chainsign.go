@@ -5,9 +5,7 @@ import (
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"astro/internal/metrics"
 	"astro/internal/types"
 	"astro/internal/wire"
 )
@@ -18,17 +16,10 @@ import (
 // in flight, further items accumulate — the drain then covers them all
 // with ONE signature over a hash chain of their digests, so per-item
 // signing cost shrinks with load (self-clocked batching). The protocol
-// layer supplies two flush callbacks: flushOne keeps the original
-// single-item wire form (so batching is purely an under-load optimization
-// and the wire stays compatible with peers that never batch), flushChain
-// emits one signature covering a whole slice of items.
-//
-// Chain batching is adaptive: a chain trades one signature for chain bytes
-// in every message that carries it, which only pays off when signing is
-// expensive (real ECDSA, ~25-60µs) — not for cheap authenticators (the
-// simulation harness's ~1µs HMACs). The signer therefore tracks an EWMA of
-// observed signing latency (fold measurements in through Sign; seed it
-// with a probe via SeedCost) and engages chains only above the threshold.
+// layer supplies two flush callbacks: flushOne keeps the single-item wire
+// form for a lone pending item, so batching is purely an under-load
+// optimization; flushChain emits one signature covering a whole slice of
+// items.
 //
 // Enqueue blocks until the drain task is accepted by the pool — never
 // running the signature on the caller — so protocol handlers on transport
@@ -38,7 +29,6 @@ import (
 type ChainSigner[T any] struct {
 	v          *Verifier
 	maxBatch   int
-	threshold  time.Duration
 	flushOne   func(T)
 	flushChain func([]T, *Wave)
 
@@ -46,16 +36,11 @@ type ChainSigner[T any] struct {
 	pending []T
 	signing bool
 
-	// cost is the EWMA of observed signing latency; ops/covered are
-	// lifetime statistics (their ratio is the amortization factor).
-	cost    metrics.EWMA
+	// ops/covered are lifetime statistics (their ratio is the
+	// amortization factor).
 	ops     atomic.Uint64
 	covered atomic.Uint64
 }
-
-// DefaultChainThreshold separates cheap authenticators from real ECDSA:
-// chains engage only when the measured signing cost exceeds it.
-const DefaultChainThreshold = 10 * time.Microsecond
 
 // Wave is the per-flush scratch context handed to chain flush callbacks.
 // A chain flush fans one signature out to several destinations, and the
@@ -89,41 +74,29 @@ func (wv *Wave) release() {
 }
 
 // NewChainSigner creates a chain signer draining on v (nil selects the
-// shared Default pool). maxBatch caps how many items one signature covers;
-// threshold <= 0 selects DefaultChainThreshold. flushChain receives a Wave
-// whose Scratch writers let it build the shared per-wave encodings once.
-func NewChainSigner[T any](v *Verifier, maxBatch int, threshold time.Duration, flushOne func(T), flushChain func([]T, *Wave)) *ChainSigner[T] {
+// shared Default pool). maxBatch caps how many items one signature covers.
+// flushChain receives a Wave whose Scratch writers let it build the shared
+// per-wave encodings once.
+func NewChainSigner[T any](v *Verifier, maxBatch int, flushOne func(T), flushChain func([]T, *Wave)) *ChainSigner[T] {
 	if v == nil {
 		v = Default()
 	}
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
-	if threshold <= 0 {
-		threshold = DefaultChainThreshold
-	}
 	return &ChainSigner[T]{
 		v:          v,
 		maxBatch:   maxBatch,
-		threshold:  threshold,
 		flushOne:   flushOne,
 		flushChain: flushChain,
 	}
 }
 
-// SeedCost initializes the signing-cost estimate (typically from one probe
-// signature at construction), so the first loaded drain already knows
-// whether chain batching pays off.
-func (s *ChainSigner[T]) SeedCost(d time.Duration) { s.cost.Set(d) }
-
-// Sign runs the protocol layer's signing primitive, folding its latency
-// into the cost EWMA and charging covered items against one signing
-// operation in the lifetime statistics. Flush callbacks route their
-// signatures through here.
+// Sign runs the protocol layer's signing primitive, charging covered
+// items against one signing operation in the lifetime statistics. Flush
+// callbacks route their signatures through here.
 func (s *ChainSigner[T]) Sign(covered int, sign func() ([]byte, error)) ([]byte, error) {
-	start := time.Now()
 	sig, err := sign()
-	s.cost.Observe(time.Since(start))
 	if err != nil {
 		return nil, err
 	}
@@ -179,10 +152,7 @@ func (s *ChainSigner[T]) drain() {
 		}
 		s.mu.Unlock()
 		for len(batch) > 0 {
-			n := 1 // cheap signer: chains would cost more than they save
-			if s.cost.Value() >= s.threshold {
-				n = min(len(batch), s.maxBatch)
-			}
+			n := min(len(batch), s.maxBatch)
 			if n == 1 {
 				s.flushOne(batch[0])
 			} else {

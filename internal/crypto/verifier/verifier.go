@@ -42,7 +42,6 @@ import (
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"astro/internal/crypto"
 	"astro/internal/sched"
@@ -57,58 +56,6 @@ type Verifier struct {
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
-
-	// verifyNanos is an EWMA (weight 1/8) of the measured cost of one
-	// signature check, in nanoseconds, fed by every memo miss. Zero means
-	// unmeasured. It drives FastVerify: the continuation commit path
-	// stays synchronous when checks are cheap (sim HMAC, ~1µs) and only
-	// pays fan-out + continuation overhead in the real-ECDSA regime.
-	verifyNanos atomic.Int64
-}
-
-// fastVerifyThreshold is the per-signature cost below which certificate
-// verification runs inline on the submitter instead of fanning out: at
-// ~10µs a whole quorum certificate costs less than one scheduling round
-// trip. Real ECDSA (~40µs+) never qualifies; the sim HMAC regime always
-// does once measured.
-const fastVerifyThreshold = 10 * time.Microsecond
-
-// timedCheck runs one raw signature check and folds its cost into the
-// EWMA. All memo-miss paths route through it so the regime estimate
-// tracks whatever primitive the registry actually uses.
-func (v *Verifier) timedCheck(check func() bool) bool {
-	start := time.Now()
-	ok := check()
-	v.recordVerifyCost(time.Since(start).Nanoseconds())
-	return ok
-}
-
-func (v *Verifier) recordVerifyCost(ns int64) {
-	if ns <= 0 {
-		ns = 1
-	}
-	for {
-		old := v.verifyNanos.Load()
-		nw := ns
-		if old != 0 {
-			nw = old + (ns-old)/8
-			if nw <= 0 {
-				nw = 1
-			}
-		}
-		if v.verifyNanos.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// FastVerify reports whether measured signature checks are cheap enough
-// that verifying a certificate inline beats handing it to the backend.
-// Unmeasured (no miss yet) reports false: the conservative default keeps
-// real ECDSA off submitter stacks until proven cheap.
-func (v *Verifier) FastVerify() bool {
-	n := v.verifyNanos.Load()
-	return n > 0 && n < int64(fastVerifyThreshold)
 }
 
 // DefaultMemoSize is the memo-cache capacity used when none is configured:
@@ -313,7 +260,7 @@ func (v *Verifier) verifyMemoized(k memoKeyT, check func() bool) bool {
 	if ok, hit := v.memoLookup(k); hit {
 		return ok
 	}
-	ok := v.timedCheck(check)
+	ok := check()
 	v.memo.put(k, ok)
 	return ok
 }
@@ -326,7 +273,7 @@ func (v *Verifier) verifyMemoizedDetached(k memoKeyT, check func() bool, cb func
 		return
 	}
 	v.submit(func() {
-		ok := v.timedCheck(check)
+		ok := check()
 		v.memo.put(k, ok)
 		cb(ok)
 	})

@@ -112,10 +112,10 @@ func (h *Histogram) String() string {
 
 // EWMA is an exponentially weighted moving average of durations with a
 // fixed 7/8 decay — the smoothing the scheduler uses for per-lane task
-// queue latency and the chain signers use for signing cost. Observations
-// and reads are lock-free; concurrent observers may each fold their sample
-// into the same predecessor (a lost update), which only weakens the
-// smoothing, never corrupts the value — fine for an instrument.
+// queue latency. Observations and reads are lock-free; concurrent
+// observers may each fold their sample into the same predecessor (a lost
+// update), which only weakens the smoothing, never corrupts the value —
+// fine for an instrument.
 type EWMA struct {
 	v atomic.Int64 // nanoseconds; 0 = no observation yet
 }
@@ -132,9 +132,6 @@ func (e *EWMA) Observe(d time.Duration) {
 	}
 	e.v.Store((7*old + int64(d)) / 8)
 }
-
-// Set overwrites the average (seeding from a probe measurement).
-func (e *EWMA) Set(d time.Duration) { e.v.Store(int64(d)) }
 
 // Value returns the current average; zero means nothing was observed.
 func (e *EWMA) Value() time.Duration { return time.Duration(e.v.Load()) }

@@ -78,7 +78,7 @@
 // uses completion continuations instead: a verification request
 // carries a callback that fires exactly once when the tally settles.
 // Continuations run in one of three places — inline on the submitter
-// (memo hit, fast-verify regime, or a tally already decided), on the
+// (memo hit, saturated pool, or a tally already decided), on the
 // lane executing the final unkeyed verify task, or on a helper's stack
 // inside Help/RunStolen (a blocked waiter may steal the task whose
 // completion fires the callback). The rules that make that safe:

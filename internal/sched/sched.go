@@ -36,9 +36,9 @@ const (
 	// created with capacity <= 0 (matches the old per-channel dispatch
 	// queue depth).
 	DefaultFlowQueue = 1024
-	// DefaultTaskQueue is the per-lane unkeyed task capacity (matches the
+	// laneTaskQueue is the per-lane unkeyed task capacity (matches the
 	// old verifier channel's workers*128 sizing at typical lane counts).
-	DefaultTaskQueue = 256
+	laneTaskQueue = 256
 	// flowDrainBatch bounds how many tasks one scheduling of a flow may
 	// run before the flow is requeued, so one busy flow cannot starve the
 	// rest of its lane's run queue.
@@ -60,8 +60,6 @@ const (
 // for the ordering and blocking discipline.
 type Runtime struct {
 	lanes []*lane
-
-	taskCap int
 
 	done chan struct{}
 
@@ -108,23 +106,11 @@ type lane struct {
 	latency  metrics.EWMA  // submit→start queue latency
 }
 
-// Option configures a Runtime.
-type Option func(*Runtime)
-
-// WithTaskQueue sets the per-lane unkeyed task queue capacity.
-func WithTaskQueue(n int) Option {
-	return func(rt *Runtime) {
-		if n > 0 {
-			rt.taskCap = n
-		}
-	}
-}
-
 // New creates a runtime with the given number of lanes; lanes <= 0 selects
 // max(2, GOMAXPROCS). A single-lane runtime is fully serial — every task,
 // keyed or not, runs on the one goroutine in submission-visible order —
 // which some fixtures rely on; multi-lane runtimes steal.
-func New(lanes int, opts ...Option) *Runtime {
+func New(lanes int) *Runtime {
 	if lanes <= 0 {
 		lanes = runtime.GOMAXPROCS(0)
 		if lanes < 2 {
@@ -137,18 +123,14 @@ func New(lanes int, opts ...Option) *Runtime {
 		}
 	}
 	rt := &Runtime{
-		taskCap: DefaultTaskQueue,
-		done:    make(chan struct{}),
-		flows:   make(map[uint64]*Flow),
-	}
-	for _, o := range opts {
-		o(rt)
+		done:  make(chan struct{}),
+		flows: make(map[uint64]*Flow),
 	}
 	for i := 0; i < lanes; i++ {
 		rt.lanes = append(rt.lanes, &lane{
 			idx:   i,
 			wake:  make(chan struct{}, 1),
-			tasks: make(chan item, rt.taskCap),
+			tasks: make(chan item, laneTaskQueue),
 		})
 	}
 	rt.wg.Add(lanes)

@@ -56,7 +56,8 @@ type AstroOpts struct {
 	// cores and found Astro II bandwidth-bound, not CPU-bound (§VI-A);
 	// simulated authenticators (with ECDSA-like wire sizes) restore that
 	// regime. The library itself always uses real ECDSA — this knob only
-	// exists in the experiment harness.
+	// exists in the experiment harness, and it changes what a signature
+	// costs, not which code path signs or verifies it.
 	RealCrypto bool
 	// Seed feeds the network jitter generator.
 	Seed uint64

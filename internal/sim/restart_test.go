@@ -273,15 +273,12 @@ func TestKillAtRandomPoint(t *testing.T) {
 		if err := c.Restart(victim); err != nil {
 			t.Fatalf("kill at %v: restart: %v", killAfter, err)
 		}
-		var donor types.ReplicaID
-		for id := range c.Replicas {
-			if id != victim {
-				donor = id
-				break
-			}
-		}
-		if err := c.AntiEntropy(victim, donor); err != nil {
-			t.Fatalf("kill at %v: anti-entropy: %v", killAfter, err)
+		// Catch up every replica, not just the victim: a commit the victim
+		// sent just before dying can reference an ack chain that only the
+		// victim could define, so the replicas that lacked the chain NACKed
+		// an origin that never answers.
+		if err := c.CatchUpAll(); err != nil {
+			t.Fatalf("kill at %v: catch-up: %v", killAfter, err)
 		}
 		waitConverged(t, c, 10*time.Second)
 		assertSafety(t, c)

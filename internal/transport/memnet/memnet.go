@@ -78,10 +78,12 @@ type Stats struct {
 	Dropped      uint64
 }
 
+// inboxSize is the per-node inbound queue capacity.
+const inboxSize = 1 << 14
+
 // Network is a simulated message-passing network.
 type Network struct {
 	latency LatencyModel
-	inboxSz int
 
 	// egress bandwidth model: bytes/sec per node, 0 = unlimited
 	bandwidth float64
@@ -132,20 +134,10 @@ func WithBandwidth(bytesPerSec float64, overheadBytes int) Option {
 	}
 }
 
-// WithInboxSize sets the per-node inbound queue capacity.
-func WithInboxSize(size int) Option {
-	return func(n *Network) {
-		if size > 0 {
-			n.inboxSz = size
-		}
-	}
-}
-
 // New creates a network.
 func New(opts ...Option) *Network {
 	n := &Network{
 		latency:    Fixed(0),
-		inboxSz:    1 << 14,
 		nodes:      make(map[transport.NodeID]*node),
 		crashed:    make(map[transport.NodeID]bool),
 		delays:     make(map[transport.NodeID]time.Duration),
@@ -199,7 +191,7 @@ func (n *Network) Node(id transport.NodeID) transport.Endpoint {
 	nd := &node{
 		net:   n,
 		id:    id,
-		inbox: make(chan envelope, n.inboxSz),
+		inbox: make(chan envelope, inboxSize),
 		done:  make(chan struct{}),
 	}
 	n.nodes[id] = nd

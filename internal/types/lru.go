@@ -1,12 +1,9 @@
 package types
 
 // LRU is a small bounded map with least-recently-used eviction. It is the
-// building block of the chain-reference caches (PR 4): a receiver keeps,
-// per peer, the digest chains that peer has defined, and a sender keeps,
-// per destination, the chain digests it has already transmitted — both
-// bounded, both evicting the entry that has gone longest without use, so
-// the two sides age their views in lockstep when they observe the same
-// reference stream.
+// building block of the chain-reference caches: a receiver keeps, per
+// peer, the digest chains that peer has defined, bounded, evicting the
+// entry that has gone longest without use.
 //
 // The zero value is not usable; construct with NewLRU. An LRU is NOT safe
 // for concurrent use — callers guard it with whatever lock already guards
@@ -50,9 +47,7 @@ func (l *LRU[K, V]) Get(k K) (V, bool) {
 	return n.val, true
 }
 
-// Contains reports whether k is cached and marks it most recently used —
-// the "touch" senders apply on every reference so sender and receiver age
-// entries identically.
+// Contains reports whether k is cached and marks it most recently used.
 func (l *LRU[K, V]) Contains(k K) bool {
 	_, ok := l.Get(k)
 	return ok

@@ -76,24 +76,6 @@ func (c *PeerCache[V]) GetAny(d Digest) (V, bool) {
 	return zero, false
 }
 
-// Contains reports whether (peer, d) is cached, touching it on a hit —
-// the sender-side probe that keeps sent-sets aging in lockstep with the
-// receiver's cache. An unknown peer allocates nothing.
-func (c *PeerCache[V]) Contains(peer ReplicaID, d Digest) bool {
-	l, ok := c.m[peer]
-	if !ok {
-		return false
-	}
-	return l.Contains(d)
-}
-
-// Delete drops (peer, d), if cached.
-func (c *PeerCache[V]) Delete(peer ReplicaID, d Digest) {
-	if l, ok := c.m[peer]; ok {
-		l.Delete(d)
-	}
-}
-
 // HasPeer reports whether a per-peer LRU exists for peer (for tests
 // asserting that membership-gated senders allocate nothing).
 func (c *PeerCache[V]) HasPeer(peer ReplicaID) bool {

@@ -15,12 +15,11 @@ type RefStats struct {
 	RefHits, RefMisses uint64
 	// NacksSent / NacksReceived count the fallback round trips.
 	NacksSent, NacksReceived uint64
-	// DefsDeferred counts chain definitions withheld (lazy CHAINDEF): the
-	// first reference to a chain went to a destination without its
-	// definition. DefsDemanded counts definitions later sent because a
-	// NACK demanded them — the only definitions ever sent; Deferred −
-	// Demanded is the definition traffic the receivers never needed.
-	DefsDeferred, DefsDemanded uint64
+	// DefsDemanded counts definitions sent because a NACK demanded them —
+	// the only definitions ever sent (lazy CHAINDEF: every reference goes
+	// out without its definition), so DefsDemanded/RefsSent is the share
+	// of references that cost a definition.
+	DefsDemanded uint64
 }
 
 // Add accumulates other into s (for cluster-wide aggregation).
@@ -31,17 +30,16 @@ func (s *RefStats) Add(other RefStats) {
 	s.RefMisses += other.RefMisses
 	s.NacksSent += other.NacksSent
 	s.NacksReceived += other.NacksReceived
-	s.DefsDeferred += other.DefsDeferred
 	s.DefsDemanded += other.DefsDemanded
 }
 
 // RefCounters is the atomic backing of RefStats, embedded by the protocol
 // state that updates it concurrently.
 type RefCounters struct {
-	RefsSent, FullSends        atomic.Uint64
-	RefHits, RefMisses         atomic.Uint64
-	NacksSent, NacksReceived   atomic.Uint64
-	DefsDeferred, DefsDemanded atomic.Uint64
+	RefsSent, FullSends      atomic.Uint64
+	RefHits, RefMisses       atomic.Uint64
+	NacksSent, NacksReceived atomic.Uint64
+	DefsDemanded             atomic.Uint64
 }
 
 // Snapshot returns a consistent-enough copy of the counters (each field
@@ -54,7 +52,6 @@ func (c *RefCounters) Snapshot() RefStats {
 		RefMisses:     c.RefMisses.Load(),
 		NacksSent:     c.NacksSent.Load(),
 		NacksReceived: c.NacksReceived.Load(),
-		DefsDeferred:  c.DefsDeferred.Load(),
 		DefsDemanded:  c.DefsDemanded.Load(),
 	}
 }
