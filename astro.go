@@ -112,10 +112,12 @@ type Options struct {
 	// snapshots become incremental. Requires DataDir. 0 — the default —
 	// keeps every account resident.
 	StateCacheAccounts int
-	// Chaos, when set, interposes a seeded chaos controller on every
-	// link: probabilistic drop, corruption, duplication, reordering, and
-	// extra delay, reproducible from the profile's seed. See fault.go for
-	// the rest of the robustness surface.
+	// Chaos, when set, seeds and arms the chaos controller interposed on
+	// every link: probabilistic drop, corruption, duplication, reordering,
+	// extra delay and scheduled partitions, reproducible from the
+	// profile's seed. Without it the controller is still there, quiet, and
+	// carries the faults injected through Partition, SetLinkDelay and
+	// DelayReplica. See fault.go for the rest of the robustness surface.
 	Chaos *ChaosProfile
 }
 
@@ -125,7 +127,6 @@ type System struct {
 	cluster   *sim.AstroCluster
 	topology  Topology
 	genesis   Amount
-	chaos     *chaos.Controller
 	stopChaos func() // cancels unfired chaos schedule phases
 }
 
@@ -154,33 +155,16 @@ func New(opts Options) (*System, error) {
 	default:
 		latency = memnet.Fixed(0)
 	}
-	var ctrl *chaos.Controller
+	var ctrl *chaos.Controller // nil: the cluster arms a quiet one
 	stopChaos := func() {}
 	if p := opts.Chaos; p != nil {
-		prof := chaos.Profile{
-			Seed: p.Seed,
-			Default: chaos.Rule{
-				Drop:      p.Drop,
-				Corrupt:   p.Corrupt,
-				Duplicate: p.Duplicate,
-				Reorder:   p.Reorder,
-				DelayMin:  p.DelayMin,
-				DelayMax:  p.DelayMax,
-			},
+		prof := chaos.Profile{Seed: p.Seed}
+		var err error
+		if prof.Default, err = chaos.ParseRule(p.Rule); err != nil {
+			return nil, fmt.Errorf("astro: chaos rule: %w", err)
 		}
-		if p.Rule != "" {
-			rule, err := chaos.ParseRule(p.Rule)
-			if err != nil {
-				return nil, fmt.Errorf("astro: chaos rule: %w", err)
-			}
-			prof.Default = rule
-		}
-		if p.Schedule != "" {
-			sch, err := chaos.ParseSchedule(p.Schedule)
-			if err != nil {
-				return nil, fmt.Errorf("astro: chaos schedule: %w", err)
-			}
-			prof.Schedule = sch
+		if prof.Schedule, err = chaos.ParseSchedule(p.Schedule); err != nil {
+			return nil, fmt.Errorf("astro: chaos schedule: %w", err)
 		}
 		ctrl, stopChaos = prof.Start()
 	}
@@ -205,8 +189,7 @@ func New(opts Options) (*System, error) {
 		stopChaos()
 		return nil, fmt.Errorf("astro: %w", err)
 	}
-	return &System{cluster: cluster, topology: top, genesis: opts.Genesis,
-		chaos: ctrl, stopChaos: stopChaos}, nil
+	return &System{cluster: cluster, topology: top, genesis: opts.Genesis, stopChaos: stopChaos}, nil
 }
 
 // Client returns the client with the given identity, creating it on first
@@ -214,7 +197,8 @@ func New(opts Options) (*System, error) {
 func (s *System) Client(id ClientID) *Client { return s.cluster.Client(id) }
 
 // Replica returns a replica handle (for balance inspection and audit).
-func (s *System) Replica(id ReplicaID) *Replica { return s.cluster.Replicas[id] }
+// Safe against a concurrent Restart, which replaces the handle.
+func (s *System) Replica(id ReplicaID) *Replica { return s.cluster.Replica(id) }
 
 // Replicas returns all replica identities.
 func (s *System) Replicas() []ReplicaID { return s.topology.AllReplicas() }
@@ -228,13 +212,13 @@ func (s *System) RepresentativeOf(id ClientID) ReplicaID { return s.cluster.RepO
 // Balance returns a client's spendable balance as seen by its
 // representative (settled funds plus pending dependency certificates).
 func (s *System) Balance(id ClientID) Amount {
-	return s.cluster.Replicas[s.cluster.RepOf(id)].Balance(id)
+	return s.cluster.Replica(s.cluster.RepOf(id)).Balance(id)
 }
 
 // Audit returns a copy of a client's exclusive log from the given replica
 // and whether it is internally consistent.
 func (s *System) Audit(replica ReplicaID, client ClientID) ([]Payment, bool) {
-	r := s.cluster.Replicas[replica]
+	r := s.cluster.Replica(replica)
 	if r == nil {
 		return nil, false
 	}
@@ -267,7 +251,10 @@ func (s *System) Restart(id ReplicaID) error { return s.cluster.Restart(id) }
 func (s *System) AntiEntropy(id, donor ReplicaID) error { return s.cluster.AntiEntropy(id, donor) }
 
 // DelayReplica injects extra outbound delay at a replica (asynchrony
-// injection, like `tc netem delay`).
+// injection, like `tc netem delay`); zero removes it. It is a node rule on
+// the system's chaos controller, so it replaces the profile's default
+// rule on that replica's frames instead of adding to it, and a link set by
+// SetLinkDelay keeps its own delay.
 func (s *System) DelayReplica(id ReplicaID, d time.Duration) { s.cluster.Delay(id, d) }
 
 // Close shuts the system down.

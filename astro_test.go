@@ -1,6 +1,7 @@
 package astro
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -145,5 +146,33 @@ func TestFaultInjection(t *testing.T) {
 	}
 	if err := alice.WaitConfirm(id, 10*time.Second); err != nil {
 		t.Fatalf("payment with one crashed replica: %v", err)
+	}
+}
+
+// TestReplicaReadsDuringRestart reads replica handles through the facade
+// while Restart replaces one; run under -race it catches an unlocked read
+// of the cluster's replica map.
+func TestReplicaReadsDuringRestart(t *testing.T) {
+	sys, err := New(Options{Replicas: 4, Genesis: 1000, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sys.Kill(0)
+	done := make(chan error, 1)
+	go func() { done <- sys.Restart(0) }()
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+		}
+		_ = sys.Replica(0)
+		sys.Audit(0, 1)
+		sys.Balance(4)
+		runtime.Gosched()
 	}
 }

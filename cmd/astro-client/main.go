@@ -103,7 +103,6 @@ func run() error {
 			Attempts: *attempts,
 			Timeout:  *timeout,
 			Backoff:  *backoff,
-			Resync:   true,
 		}
 		start := time.Now()
 		for i := 0; i < *count; i++ {

@@ -147,7 +147,7 @@ func run() error {
 		idx := i
 		go func() {
 			defer func() { done <- types.ClientID(idx) }()
-			pol := core.RetryPolicy{Attempts: 20, Timeout: 2 * time.Second, Resync: true}
+			pol := core.RetryPolicy{Attempts: 20, Timeout: 2 * time.Second}
 			for {
 				select {
 				case <-stop:

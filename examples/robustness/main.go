@@ -193,12 +193,8 @@ func byzantineChaosPhase() {
 		Replicas: 4,
 		Genesis:  1 << 40,
 		Chaos: &astro.ChaosProfile{
-			Seed:      42, // same seed, same chaos: runs are reproducible
-			Drop:      0.02,
-			Corrupt:   0.01,
-			Duplicate: 0.02,
-			DelayMin:  200 * time.Microsecond,
-			DelayMax:  2 * time.Millisecond,
+			Seed: 42, // same seed, same chaos: runs are reproducible
+			Rule: "drop=0.02,corrupt=0.01,dup=0.02,delay=200us-2ms",
 		},
 	})
 	if err != nil {
@@ -253,10 +249,7 @@ func byzantineChaosPhase() {
 	wg.Wait()
 
 	report := stopAudit()
-	chaosStats, err := sys.ChaosStats()
-	if err != nil {
-		log.Fatal(err)
-	}
+	chaosStats := sys.ChaosStats()
 	fmt.Printf("chaos applied: %d frames sent, %d dropped, %d corrupted, %d duplicated, %d delayed\n",
 		chaosStats.Sent, chaosStats.Dropped, chaosStats.Corrupted, chaosStats.Duplicated, chaosStats.Delayed)
 	fmt.Printf("confirmed %d payments; audit sampled %d times\n", confirmed.Load(), report.Samples)
@@ -313,7 +306,7 @@ func scheduledPartitionPhase() {
 	var settled, gaveUp atomic.Uint64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	pol := astro.RetryPolicy{Attempts: 10, Timeout: time.Second, Resync: true}
+	pol := astro.RetryPolicy{Attempts: 10, Timeout: time.Second}
 	for _, cid := range clients {
 		c := sys.Client(cid)
 		wg.Add(1)

@@ -4,13 +4,20 @@ package astro
 // chaos and partitions, and the always-on invariant auditor. Everything
 // here wraps internal/sim and internal/transport/chaos without leaking
 // their types beyond aliases.
+//
+// Every link fault — a partition, a link delay, DelayReplica's node delay
+// — is a rule on the one chaos controller that also runs ChaosProfile's
+// rule and schedule. So a partition installed by Partition and one
+// installed by the schedule are the same partition (either call heals
+// it), ChaosStats counts the frames they block, and the controller's
+// precedence decides which delay applies: a link rule beats a node rule
+// beats the profile's default rule, each replacing the next rather than
+// adding to it.
 
 import (
-	"fmt"
 	"time"
 
 	"astro/internal/sim"
-	"astro/internal/transport"
 	"astro/internal/transport/chaos"
 )
 
@@ -35,23 +42,16 @@ const (
 	FaultStaleView = string(sim.FaultStaleView)
 )
 
-// ChaosProfile configures a seeded chaos controller interposed on every
-// link of the deployment. All probabilities are per frame in [0,1]; the
-// seed fixes every draw, so a chaotic run is reproducible.
+// ChaosProfile configures the seeded chaos controller interposed on every
+// link of the deployment. The seed fixes every draw, so a chaotic run is
+// reproducible.
 type ChaosProfile struct {
-	Seed      uint64
-	Drop      float64       // silently drop the frame
-	Corrupt   float64       // flip one byte of the frame
-	Duplicate float64       // deliver the frame twice
-	Reorder   float64       // hold a delayed frame back further
-	DelayMin  time.Duration // uniform extra delay lower bound
-	DelayMax  time.Duration // uniform extra delay upper bound
-
-	// Rule, when non-empty, replaces the per-field probabilities above
-	// with the chaos mini-language — the same dialect cmd/astro-node's
-	// -chaos flag speaks, so a rule from a runbook drops in verbatim:
+	Seed uint64
+	// Rule is the default rule for every link, in the chaos mini-language
+	// — the same dialect cmd/astro-node's -chaos flag speaks, so a rule
+	// from a runbook drops in verbatim. Probabilities are per frame:
 	//
-	//	"drop=0.03,corrupt=0.01,dup=0.02,delay=200us-2ms"
+	//	"drop=0.03,corrupt=0.01,dup=0.02,reorder=0.05,delay=200us-2ms"
 	Rule string
 	// Schedule arms timed phases — rule changes, partitions, heals —
 	// with offsets relative to New (cmd/astro-node's -chaos-schedule):
@@ -88,36 +88,25 @@ func (s *System) ClearFault(id ReplicaID) error {
 
 // Partition splits the replicas into isolated groups: frames between
 // different groups are dropped, frames within a group flow normally.
-// Replicas not named in any group are unaffected. Heal with HealPartition.
-func (s *System) Partition(groups ...[]ReplicaID) {
-	nodeGroups := make([][]transport.NodeID, len(groups))
-	for i, g := range groups {
-		for _, id := range g {
-			nodeGroups[i] = append(nodeGroups[i], transport.ReplicaNode(id))
-		}
-	}
-	s.cluster.Net.Partition(nodeGroups...)
-}
+// Replicas not named in any group are unaffected. It replaces any
+// earlier partition, scheduled ones included. Heal with HealPartition.
+func (s *System) Partition(groups ...[]ReplicaID) { s.cluster.Partition(groups...) }
 
-// HealPartition removes a partition installed by Partition.
-func (s *System) HealPartition() { s.cluster.Net.HealPartition() }
+// HealPartition removes the current partition, whether Partition or the
+// ChaosProfile schedule installed it.
+func (s *System) HealPartition() { s.cluster.HealPartition() }
 
-// SetLinkDelay adds a fixed extra one-way delay on the directed link
+// SetLinkDelay sets a fixed extra one-way delay on the directed link
 // from one replica to another — asymmetric degradation, like tc netem on
 // a single direction. Zero removes the override.
 func (s *System) SetLinkDelay(from, to ReplicaID, d time.Duration) {
-	s.cluster.Net.SetLinkDelay(transport.ReplicaNode(from), transport.ReplicaNode(to), d)
+	s.cluster.LinkDelay(from, to, d)
 }
 
-// ChaosStats returns the perturbation counters of the chaos controller
-// configured via Options.Chaos, or an error if the system runs without
-// chaos.
-func (s *System) ChaosStats() (ChaosStats, error) {
-	if s.chaos == nil {
-		return ChaosStats{}, fmt.Errorf("astro: system built without Options.Chaos")
-	}
-	return s.chaos.Stats(), nil
-}
+// ChaosStats returns the counters of the system's chaos controller:
+// frames sent, and those dropped, corrupted, duplicated, delayed,
+// reordered or blocked by a partition.
+func (s *System) ChaosStats() ChaosStats { return s.cluster.Chaos().Stats() }
 
 // StartAudit begins continuous invariant auditing over the given clients:
 // conservation-of-money, per-client FIFO logs, no duplicate settlements,

@@ -61,10 +61,8 @@ func TestByzantineFaultViaFacade(t *testing.T) {
 // plus asymmetric link delays must be drivable from the facade.
 func TestChaosViaFacade(t *testing.T) {
 	sys, err := New(Options{Replicas: 4, Genesis: 1000, Chaos: &ChaosProfile{
-		Seed:     11,
-		Drop:     0.02,
-		DelayMin: 100 * time.Microsecond,
-		DelayMax: time.Millisecond,
+		Seed: 11,
+		Rule: "drop=0.02,delay=100us-1ms",
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -79,11 +77,7 @@ func TestChaosViaFacade(t *testing.T) {
 	if err := alice.WaitConfirm(id, 10*time.Second); err != nil {
 		t.Fatalf("payment under chaos: %v", err)
 	}
-	st, err := sys.ChaosStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Sent == 0 {
+	if st := sys.ChaosStats(); st.Sent == 0 {
 		t.Error("chaos controller saw no traffic")
 	}
 
@@ -99,13 +93,68 @@ func TestChaosViaFacade(t *testing.T) {
 	if err := alice.WaitConfirm(id, 10*time.Second); err != nil {
 		t.Fatalf("payment after heal: %v", err)
 	}
+}
 
-	plain, err := New(Options{Replicas: 4, Genesis: 10})
+// TestOnePartitionLayer: the facade's partition calls and the chaos
+// profile's schedule drive the same controller. On a system built without
+// Options.Chaos a facade partition is still counted by ChaosStats, and
+// HealPartition heals a partition the schedule installed.
+func TestOnePartitionLayer(t *testing.T) {
+	plain, err := New(Options{Replicas: 4, Genesis: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	if _, err := plain.ChaosStats(); err == nil {
-		t.Error("ChaosStats on a chaos-less system must error")
+	ids := plain.Replicas()
+	plain.Partition(ids[:1], ids[1:])
+	alice := plain.Client(firstClientOf(plain, ids[1]))
+	id, err := alice.Pay(1000, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := alice.WaitConfirm(id, 10*time.Second); err != nil {
+		t.Fatalf("majority side under partition: %v", err)
+	}
+	if plain.ChaosStats().Blocked == 0 {
+		t.Error("a facade partition blocked no frame in ChaosStats")
+	}
+	plain.HealPartition()
+
+	// The schedule splits 2|2 at once: no side has a 3-replica quorum.
+	sys, err := New(Options{Replicas: 4, Genesis: 1000, Chaos: &ChaosProfile{
+		Seed: 5, Schedule: "0s:part=0 1|2 3",
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	ids = sys.Replicas()
+	time.Sleep(20 * time.Millisecond) // let the 0s phase fire first
+	stuck := sys.Client(firstClientOf(sys, ids[0]))
+	if _, err := stuck.Pay(1000, 1); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); sys.ChaosStats().Blocked == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the scheduled partition never blocked a frame")
+		}
+	}
+	sys.HealPartition()
+	bob := sys.Client(firstClientOf(sys, ids[2]))
+	id, err = bob.Pay(1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bob.WaitConfirm(id, 10*time.Second); err != nil {
+		t.Fatalf("payment after HealPartition of a scheduled partition: %v", err)
+	}
+}
+
+// firstClientOf returns the lowest client identity represented by r.
+func firstClientOf(sys *System, r ReplicaID) ClientID {
+	id := ClientID(1)
+	for sys.RepresentativeOf(id) != r {
+		id++
+	}
+	return id
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"astro/internal/transport"
+	"astro/internal/transport/chaos"
 	"astro/internal/transport/memnet"
 	"astro/internal/types"
 )
@@ -12,6 +13,7 @@ import (
 type cluster struct {
 	t        *testing.T
 	net      *memnet.Network
+	ctl      *chaos.Controller // every endpoint rides it; delays are its rules
 	replicas []*Replica
 	ids      []types.ReplicaID
 	f        int
@@ -24,6 +26,7 @@ func newCluster(t *testing.T, n int, opts ...func(*Config)) *cluster {
 	c := &cluster{
 		t:   t,
 		net: memnet.New(memnet.WithSeed(11)),
+		ctl: chaos.NewController(11),
 		f:   types.MaxFaults(n),
 	}
 	t.Cleanup(c.net.Close)
@@ -31,7 +34,7 @@ func newCluster(t *testing.T, n int, opts ...func(*Config)) *cluster {
 		c.ids = append(c.ids, types.ReplicaID(i))
 	}
 	for i := 0; i < n; i++ {
-		mux := transport.NewMux(c.net.Node(transport.ReplicaNode(types.ReplicaID(i))))
+		mux := transport.NewMux(c.ctl.Wrap(c.net.Node(transport.ReplicaNode(types.ReplicaID(i)))))
 		cfg := Config{
 			Self:               types.ReplicaID(i),
 			Replicas:           c.ids,
@@ -56,7 +59,7 @@ func newCluster(t *testing.T, n int, opts ...func(*Config)) *cluster {
 }
 
 func (c *cluster) client(id types.ClientID) *Client {
-	mux := transport.NewMux(c.net.Node(transport.ClientNode(id)))
+	mux := transport.NewMux(c.ctl.Wrap(c.net.Node(transport.ClientNode(id))))
 	return NewClient(id, c.ids, c.f, mux)
 }
 
@@ -255,7 +258,7 @@ func TestSlowLeaderDegradesWithoutViewChange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c.net.SetNodeDelay(transport.ReplicaNode(0), 150*time.Millisecond)
+	c.ctl.SetNodeRule(transport.ReplicaNode(0), chaos.Rule{DelayMin: 150 * time.Millisecond, DelayMax: 150 * time.Millisecond})
 	start := time.Now()
 	id, err = alice.Pay(2, 1)
 	if err != nil {
@@ -290,7 +293,7 @@ func TestSlowLeaderTriggersViewChangeUnderTightTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c.net.SetNodeDelay(transport.ReplicaNode(0), 2*time.Second)
+	c.ctl.SetNodeRule(transport.ReplicaNode(0), chaos.Rule{DelayMin: 2 * time.Second, DelayMax: 2 * time.Second})
 	id, err = alice.Pay(2, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -6,31 +6,12 @@ package core
 // checks conservation-of-money, per-client FIFO, no-duplicate-settle, and
 // cross-replica agreement without stopping traffic.
 
-import "astro/internal/types"
-
 // AuditExport captures every materialized account under all stripe locks
 // — one consistent cut (no export observes a half-applied transfer),
 // sorted by client. This is the same image the WAL snapshot and
 // reconfiguration state transfer serialize.
 func (r *Replica) AuditExport() []AccountExport {
 	return r.state.ExportAccounts()
-}
-
-// PendingDepValue returns the total value of dependency certificates held
-// at this representative awaiting attachment for client c (Astro II).
-// These funds are spendable (Balance includes them) but not yet settled
-// state, so the auditor accounts for them separately.
-func (r *Replica) PendingDepValue(c types.ClientID) types.Amount {
-	if r.cfg.Version != AstroII || r.cfg.RepOf(c) != r.cfg.Self {
-		return 0
-	}
-	var v types.Amount
-	r.repMu.Lock()
-	for _, d := range r.repDeps[c] {
-		v += d.Value(c)
-	}
-	r.repMu.Unlock()
-	return v
 }
 
 // DecodeAuditAccounts parses the account section out of a replica's full

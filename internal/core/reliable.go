@@ -35,12 +35,13 @@ var ErrGaveUp = errors.New("core: payment unconfirmed after all retries")
 // RetryPolicy configures PayReliable. The zero value selects defaults
 // suitable for a LAN deployment under moderate chaos.
 type RetryPolicy struct {
-	Attempts   int           // submit attempts before giving up; 0 means 8
-	Timeout    time.Duration // per-attempt confirmation wait; 0 means 2s
-	Backoff    time.Duration // base retry pause, doubled each attempt; 0 means 100ms
-	MaxBackoff time.Duration // backoff cap; 0 means 2s
-	Resync     bool          // SyncSeq before each retry (reconnect + resume)
+	Attempts int           // submit attempts before giving up; 0 means 8
+	Timeout  time.Duration // per-attempt confirmation wait; 0 means 2s
+	Backoff  time.Duration // base retry pause, doubled each attempt up to maxBackoff; 0 means 100ms
 }
+
+// maxBackoff caps PayReliable's doubling retry pause.
+const maxBackoff = 2 * time.Second
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.Attempts <= 0 {
@@ -52,9 +53,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.Backoff <= 0 {
 		p.Backoff = 100 * time.Millisecond
 	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 2 * time.Second
-	}
 	return p
 }
 
@@ -62,14 +60,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // client's splitmix64 stream, so a fleet of clients cut off by the same
 // fault doesn't retry in lockstep.
 func (c *Client) jitterPause(d time.Duration) time.Duration {
-	x := c.retrySeed.Add(0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	u := float64(x>>11) / float64(1<<53)
-	return time.Duration((0.5 + u) * float64(d))
+	return time.Duration((0.5 + types.Uniform(&c.retrySeed)) * float64(d))
 }
 
 // PayReliable submits a payment and retries the identical frame with
@@ -101,17 +92,13 @@ func (c *Client) PayReliable(b types.ClientID, x types.Amount, pol RetryPolicy) 
 	for attempt := 0; attempt < pol.Attempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(c.jitterPause(backoff))
-			if backoff *= 2; backoff > pol.MaxBackoff {
-				backoff = pol.MaxBackoff
-			}
-			if pol.Resync {
-				// Re-establish the connection and the sequence view in one
-				// round trip. Harmless for this payment — SyncSeq never
-				// moves the counter backwards and p is already assigned —
-				// but it surfaces a restarted representative before the
-				// resend, and primes tcpnet's redial.
-				_, _ = c.SyncSeq(pol.Timeout)
-			}
+			backoff = min(2*backoff, maxBackoff)
+			// Re-establish the connection and the sequence view in one
+			// round trip. Harmless for this payment — SyncSeq never moves
+			// the counter backwards and p is already assigned — but it
+			// surfaces a restarted representative before the resend, and
+			// primes tcpnet's redial.
+			_, _ = c.SyncSeq(pol.Timeout)
 		}
 		if err := c.mux.Send(transport.ReplicaNode(c.rep), transport.ChanPayment, frame); err != nil {
 			lastErr = err

@@ -577,33 +577,6 @@ func (s *State) ImportAccount(ex AccountExport) {
 	st.insertAccount(ex.Client, a, s)
 }
 
-// XLogLen returns the client's settled-log length without materializing a
-// snapshot — the comparison MergeFullSnapshot uses to decide whether a
-// peer image is ahead of the local one.
-func (s *State) XLogLen(c types.ClientID) int {
-	st := s.stripeFor(c)
-	st.mu.Lock()
-	if a, ok := st.accounts[c]; ok {
-		n := a.xlog.Len()
-		st.mu.Unlock()
-		return n
-	}
-	st.mu.Unlock()
-	// Cold account: read the spilled record without caching it (this is
-	// a comparison path, not an access).
-	if p := s.pager; p != nil {
-		ex, ok, err := p.load(c)
-		if err != nil {
-			p.fail(err)
-			return 0
-		}
-		if ok {
-			return len(ex.XLog)
-		}
-	}
-	return 0
-}
-
 // DepUsed reports whether the client has already materialized the credit
 // of the given payment — the replay filter for logged dependency
 // certificates (a dependency whose credits are spent must not re-enter the

@@ -13,7 +13,7 @@ import (
 // retry is the hardened-client policy every e2e scenario drives with:
 // generous attempts, short per-attempt timeouts, sequence resync — the
 // loop that rides out packet loss, partitions, and mid-run restarts.
-var retry = core.RetryPolicy{Attempts: 15, Timeout: 2 * time.Second, Resync: true}
+var retry = core.RetryPolicy{Attempts: 15, Timeout: 2 * time.Second}
 
 // TestTCPByzantineChaosMatrix re-runs the PR 7 behavior-at-f scenario
 // matrix across real processes: four astro-node replicas on loopback
@@ -79,7 +79,7 @@ func TestTCPPartitionHealKillRestart(t *testing.T) {
 	// after the load window. 10×1s rides out the ~3s partition (during
 	// which chaos cuts the minority side off from everyone, clients
 	// included) without stretching shutdown past ~15s.
-	pol := core.RetryPolicy{Attempts: 10, Timeout: time.Second, Resync: true}
+	pol := core.RetryPolicy{Attempts: 10, Timeout: time.Second}
 	for _, id := range []types.ClientID{1, 2, 3} {
 		id := id
 		wg.Add(1)
@@ -102,7 +102,7 @@ func TestTCPPartitionHealKillRestart(t *testing.T) {
 	time.Sleep(1500 * time.Millisecond) // partition is up
 	c.kill9(1)
 	time.Sleep(1 * time.Second)
-	c.restart(1) // recovers from WAL + peer catch-up, no chaos second life
+	c.restart(1)                // recovers from WAL + peer catch-up, no chaos second life
 	time.Sleep(2 * time.Second) // heal fires at t=4s on the survivors
 
 	time.Sleep(1500 * time.Millisecond) // post-heal load window

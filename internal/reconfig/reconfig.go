@@ -126,7 +126,6 @@ type Manager struct {
 
 	mu      sync.Mutex
 	view    View
-	paused  bool
 	pending map[types.ReplicaID]*consJoin // consensus-variant joins (leader only)
 }
 
@@ -154,14 +153,6 @@ func (m *Manager) View() View {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return View{Num: m.view.Num, Members: append([]types.ReplicaID(nil), m.view.Members...)}
-}
-
-// Paused reports whether payment processing is suspended for a view
-// installation (exposed so the payment layer can hold new submissions).
-func (m *Manager) Paused() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.paused
 }
 
 func (m *Manager) onMessage(from transport.NodeID, payload []byte) {
@@ -246,11 +237,9 @@ func (m *Manager) onInstall(body []byte) {
 		m.mu.Unlock()
 		return // stale
 	}
-	// Pause, install, resume: installed views form a sequence.
-	m.paused = true
+	// Installed views form a sequence.
 	prev := m.view
 	m.view = inst.View
-	m.paused = false
 	m.mu.Unlock()
 
 	_ = m.cfg.Registry.AddSerialized(inst.Joiner, inst.JoinerPub)

@@ -164,12 +164,6 @@ func (rt *Runtime) KeySpace() uint64 {
 	return rt.keyNS.Add(1) << 32
 }
 
-func (rt *Runtime) isClosed() bool {
-	rt.closeMu.RLock()
-	defer rt.closeMu.RUnlock()
-	return rt.closed
-}
-
 // Flow returns (creating if needed) the flow registered under key.
 // capacity bounds its queue (<= 0 selects DefaultFlowQueue) and applies
 // only at creation. After Close, Flow returns an unregistered closed flow
@@ -642,9 +636,6 @@ type Flow struct {
 
 	submitted atomic.Uint64
 }
-
-// Key returns the flow's key.
-func (fl *Flow) Key() uint64 { return fl.key }
 
 // Home returns the flow's preferred lane index (its initial affinity;
 // stealing may run it elsewhere).

@@ -110,7 +110,7 @@ func TestChaosScheduledPartition(t *testing.T) {
 
 // TestKillRestartUnderPartition combines the durability story with a
 // network partition: one replica is killed and restarted from its WAL
-// while a memnet partition separates another replica from the rest.
+// while a chaos partition separates another replica from the rest.
 // After healing and anti-entropy, the cluster converges with FIFO logs
 // and no money created.
 func TestKillRestartUnderPartition(t *testing.T) {
@@ -129,7 +129,7 @@ func TestKillRestartUnderPartition(t *testing.T) {
 	stop := make(chan struct{})
 	wg := runLoad(c, stop)
 	time.Sleep(150 * time.Millisecond)
-	c.Net.Partition([]transport.NodeID{transport.ReplicaNode(isolated)}, rest)
+	c.Chaos().Partition([]transport.NodeID{transport.ReplicaNode(isolated)}, rest)
 	time.Sleep(100 * time.Millisecond)
 	c.Kill(victim)
 	time.Sleep(100 * time.Millisecond)
@@ -137,7 +137,7 @@ func TestKillRestartUnderPartition(t *testing.T) {
 		t.Fatalf("restart under partition: %v", err)
 	}
 	time.Sleep(100 * time.Millisecond)
-	c.Net.HealPartition()
+	c.Chaos().Heal()
 	time.Sleep(150 * time.Millisecond)
 	close(stop)
 	wg.Wait()
@@ -169,8 +169,8 @@ func TestReconfigurationUnderFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Asymmetric link degradation on top of the Byzantine fault.
-	c.Net.SetLinkDelay(transport.ReplicaNode(0), transport.ReplicaNode(1), 5*time.Millisecond)
-	c.Net.SetLinkDelay(transport.ReplicaNode(1), transport.ReplicaNode(0), 500*time.Microsecond)
+	c.LinkDelay(0, 1, 5*time.Millisecond)
+	c.LinkDelay(1, 0, 500*time.Microsecond)
 
 	stop := make(chan struct{})
 	wg := runLoad(c, stop)
@@ -184,7 +184,7 @@ func TestReconfigurationUnderFault(t *testing.T) {
 	registry := c.cfgs[members[0]].Registry
 	keys := crypto.NewSimKeyPair(joiner, []byte("astro-sim-master"))
 	registry.AddSim(joiner)
-	jmux := transport.NewMux(c.Net.Node(transport.ReplicaNode(joiner)))
+	jmux := transport.NewMux(c.Chaos().Wrap(c.Net.Node(transport.ReplicaNode(joiner))))
 	defer jmux.Close()
 	res, err := reconfig.Join(reconfig.JoinConfig{
 		Self: joiner, Mux: jmux, Keys: keys, Registry: registry,

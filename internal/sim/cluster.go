@@ -59,7 +59,8 @@ type AstroOpts struct {
 	// exists in the experiment harness, and it changes what a signature
 	// costs, not which code path signs or verifies it.
 	RealCrypto bool
-	// Seed feeds the network jitter generator.
+	// Seed feeds the network jitter generator and, when Chaos is nil,
+	// the cluster's chaos controller.
 	Seed uint64
 	// DataDir enables durable replica state: each replica appends to a
 	// write-ahead log under DataDir/rep<id>, Kill models a kill -9, and
@@ -75,10 +76,12 @@ type AstroOpts struct {
 	// embedded KV store and snapshots become incremental. Requires
 	// DataDir; 0 keeps every account resident.
 	StateCacheAccounts int
-	// Chaos, when non-nil, interposes the chaos controller on every
-	// replica and client endpoint: seeded drop/corrupt/duplicate/delay
-	// rules, schedules, and partitions on top of the latency model. See
-	// internal/transport/chaos.
+	// Chaos is the controller interposed on every replica and client
+	// endpoint: seeded drop/corrupt/duplicate/delay rules, schedules, and
+	// partitions on top of the latency model (internal/transport/chaos).
+	// Nil gives a quiet controller seeded with Seed; either way the
+	// cluster's Delay, LinkDelay, Partition and HealPartition are rules
+	// on this one controller.
 	Chaos *chaos.Controller
 	// ClientAuth enables end-to-end client payment signatures: a shared
 	// client-key registry is installed on every replica, each client gets
@@ -94,6 +97,52 @@ const (
 	DefaultBandwidth = 30 << 20
 	frameOverhead    = 64
 )
+
+// linkFaults is a simulated cluster's one link-fault layer: every endpoint
+// of the cluster is wrapped by ctl, and per-node delay, per-link delay and
+// partitions are rules on it. The controller's precedence holds: a link
+// rule beats a node rule beats the default, so a delay set here replaces
+// the default rule on its node or link rather than adding to it.
+type linkFaults struct{ ctl *chaos.Controller }
+
+// Chaos returns the controller every endpoint of the cluster rides.
+func (l linkFaults) Chaos() *chaos.Controller { return l.ctl }
+
+// Delay injects netem-style outbound delay d at a replica: every frame it
+// sends to another node waits d on top of the latency model. Zero removes
+// it.
+func (l linkFaults) Delay(r types.ReplicaID, d time.Duration) {
+	l.ctl.SetNodeRule(transport.ReplicaNode(r), fixedDelay(d))
+}
+
+// LinkDelay injects delay d on the directed link from → to only — the
+// reverse direction is untouched. Zero removes it.
+func (l linkFaults) LinkDelay(from, to types.ReplicaID, d time.Duration) {
+	l.ctl.SetLinkRule(transport.ReplicaNode(from), transport.ReplicaNode(to), fixedDelay(d))
+}
+
+// Partition splits the listed replicas into isolated groups: frames
+// between groups are blocked. Unlisted replicas and clients are
+// unaffected. It replaces any earlier partition, scheduled ones included.
+func (l linkFaults) Partition(groups ...[]types.ReplicaID) {
+	nodes := make([][]transport.NodeID, len(groups))
+	for i, g := range groups {
+		for _, id := range g {
+			nodes[i] = append(nodes[i], transport.ReplicaNode(id))
+		}
+	}
+	l.ctl.Partition(nodes...)
+}
+
+// HealPartition removes the current partition, whoever installed it.
+func (l linkFaults) HealPartition() { l.ctl.Heal() }
+
+// fixedDelay is the rule delaying every frame by exactly d; a
+// non-positive d gives the zero rule, which removes an override.
+func fixedDelay(d time.Duration) chaos.Rule {
+	d = max(d, 0)
+	return chaos.Rule{DelayMin: d, DelayMax: d}
+}
 
 func networkFor(latency memnet.LatencyModel, bandwidth float64, seed uint64) *memnet.Network {
 	opts := []memnet.Option{memnet.WithLatency(latency), memnet.WithSeed(seed)}
@@ -111,6 +160,7 @@ type AstroCluster struct {
 	Net      *memnet.Network
 	Topology shard.Topology
 	Replicas map[types.ReplicaID]*core.Replica
+	linkFaults
 
 	repOf   func(types.ClientID) types.ReplicaID
 	clients map[types.ClientID]*core.Client
@@ -118,7 +168,6 @@ type AstroCluster struct {
 	rt      *sched.Runtime
 	version core.Version
 	keys    map[types.ReplicaID]*crypto.KeyPair
-	chaos   *chaos.Controller
 	byz     map[types.ReplicaID]*byzEndpoint
 
 	// Client-auth deployment state (AstroOpts.ClientAuth): the shared
@@ -152,6 +201,9 @@ func NewAstroCluster(opts AstroOpts) (*AstroCluster, error) {
 	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
+	}
+	if opts.Chaos == nil {
+		opts.Chaos = chaos.NewController(opts.Seed)
 	}
 	net := networkFor(opts.Latency, opts.Bandwidth, opts.Seed)
 
@@ -192,19 +244,19 @@ func NewAstroCluster(opts AstroOpts) (*AstroCluster, error) {
 	}
 
 	c := &AstroCluster{
-		Net:      net,
-		Topology: opts.Topology,
-		Replicas: make(map[types.ReplicaID]*core.Replica),
-		repOf:    repOf,
-		clients:  make(map[types.ClientID]*core.Client),
-		rt:       rt,
-		version:  opts.Version,
-		keys:     keys,
-		chaos:    opts.Chaos,
-		byz:      make(map[types.ReplicaID]*byzEndpoint),
-		dataDir:  opts.DataDir,
-		cfgs:     make(map[types.ReplicaID]core.Config),
-		repMux:   make(map[types.ReplicaID]*transport.Mux),
+		Net:        net,
+		Topology:   opts.Topology,
+		Replicas:   make(map[types.ReplicaID]*core.Replica),
+		linkFaults: linkFaults{opts.Chaos},
+		repOf:      repOf,
+		clients:    make(map[types.ClientID]*core.Client),
+		rt:         rt,
+		version:    opts.Version,
+		keys:       keys,
+		byz:        make(map[types.ReplicaID]*byzEndpoint),
+		dataDir:    opts.DataDir,
+		cfgs:       make(map[types.ReplicaID]core.Config),
+		repMux:     make(map[types.ReplicaID]*transport.Mux),
 	}
 	if opts.ClientAuth {
 		c.clientReg = crypto.NewClientKeys()
@@ -273,18 +325,14 @@ func (c *AstroCluster) replicaDir(id types.ReplicaID) string {
 }
 
 // wrapReplicaEndpoint builds a replica's endpoint stack: raw network
-// node, then the chaos controller (if configured), then the Byzantine
+// node, then the chaos controller, then the Byzantine
 // interposer — so a faulty replica's forged traffic still rides the
 // chaos rules and the latency model like honest traffic. The interposer
 // is always present (inert until armed) and survives across Restart: the
 // same byzEndpoint is re-pointed at the rebuilt inner stack, so an armed
 // behavior stays armed through a kill/restart cycle.
 func (c *AstroCluster) wrapReplicaEndpoint(id types.ReplicaID) transport.Endpoint {
-	var ep transport.Endpoint = c.Net.Node(transport.ReplicaNode(id))
-	if c.chaos != nil {
-		ep = c.chaos.Wrap(ep)
-	}
-	bz := newByzEndpoint(ep)
+	bz := newByzEndpoint(c.ctl.Wrap(c.Net.Node(transport.ReplicaNode(id))))
 	c.stateMu.Lock()
 	if old, ok := c.byz[id]; ok {
 		if b := old.behavior.Load(); b != nil {
@@ -346,9 +394,6 @@ func (c *AstroCluster) Crashed(id types.ReplicaID) bool {
 // Keys exposes a replica's key pair — Byzantine behaviors sign
 // equivocating variants with the faulty replica's own key.
 func (c *AstroCluster) Keys(id types.ReplicaID) *crypto.KeyPair { return c.keys[id] }
-
-// Chaos returns the cluster's chaos controller (nil when not configured).
-func (c *AstroCluster) Chaos() *chaos.Controller { return c.chaos }
 
 // Quorum returns the 2f+1 commit quorum of a replica's shard.
 func (c *AstroCluster) Quorum() int { return 2*c.Topology.F() + 1 }
@@ -438,12 +483,11 @@ func (c *AstroCluster) Restart(id types.ReplicaID) error {
 // the gap for deliveries that committed while the replica was down but
 // after its restart-time state fetch.
 func (c *AstroCluster) AntiEntropy(id, donor types.ReplicaID) error {
-	rep, ok := c.Replicas[id]
-	if !ok {
+	rep, d := c.Replica(id), c.Replica(donor)
+	if rep == nil {
 		return fmt.Errorf("sim: unknown replica %d", id)
 	}
-	d, ok := c.Replicas[donor]
-	if !ok {
+	if d == nil {
 		return fmt.Errorf("sim: unknown replica %d", donor)
 	}
 	return rep.MergeFullSnapshot(d.FullSnapshot())
@@ -511,11 +555,7 @@ func (c *AstroCluster) Client(id types.ClientID) *core.Client {
 // like every other endpoint. One mux per node: a second would steal the
 // first's endpoint handler.
 func (c *AstroCluster) clientMux(id types.ClientID) *transport.Mux {
-	var ep transport.Endpoint = c.Net.Node(transport.ClientNode(id))
-	if c.chaos != nil {
-		ep = c.chaos.Wrap(ep)
-	}
-	mux := transport.NewMux(ep)
+	mux := transport.NewMux(c.ctl.Wrap(c.Net.Node(transport.ClientNode(id))))
 	c.muxes = append(c.muxes, mux)
 	return mux
 }
@@ -537,20 +577,11 @@ func (c *AstroCluster) ClientKey(id types.ClientID) *crypto.KeyPair {
 	return kp
 }
 
-// ClientRegistry exposes the shared client-key registry (nil unless
-// ClientAuth).
-func (c *AstroCluster) ClientRegistry() *crypto.ClientKeys { return c.clientReg }
-
 // RepOf exposes the representative mapping.
 func (c *AstroCluster) RepOf(id types.ClientID) types.ReplicaID { return c.repOf(id) }
 
 // Crash crash-stops a replica.
 func (c *AstroCluster) Crash(r types.ReplicaID) { c.Net.Crash(transport.ReplicaNode(r)) }
-
-// Delay injects netem-style outbound delay at a replica.
-func (c *AstroCluster) Delay(r types.ReplicaID, d time.Duration) {
-	c.Net.SetNodeDelay(transport.ReplicaNode(r), d)
-}
 
 // TotalSettled sums settles across replicas (each payment counts once per
 // replica; divide by replica count for per-payment figures).
@@ -562,14 +593,6 @@ func (c *AstroCluster) TotalSettled() uint64 {
 		sum += r.SettledCount()
 	}
 	return sum
-}
-
-// SchedStats snapshots the lane runtime the deployment executes on —
-// per-lane queue depths, executed/stolen task counts, and queue-latency
-// EWMAs. The experiment harness samples it to report how evenly dispatch,
-// settlement, and crypto work spread across the lanes.
-func (c *AstroCluster) SchedStats() sched.Stats {
-	return c.rt.Stats()
 }
 
 // CreditRefStats aggregates the credit-channel chain-reference counters
@@ -618,7 +641,8 @@ type ConsensusOpts struct {
 	// Bandwidth is the per-node egress capacity in bytes/sec; 0 selects
 	// the paper's ~30 MiB/s, negative disables the bandwidth model.
 	Bandwidth float64
-	// Seed feeds the network jitter generator.
+	// Seed feeds the network jitter generator and the cluster's chaos
+	// controller.
 	Seed uint64
 }
 
@@ -628,6 +652,7 @@ type ConsensusCluster struct {
 	Replicas []*consensus.Replica
 	IDs      []types.ReplicaID
 	F        int
+	linkFaults
 
 	clients map[types.ClientID]*consensus.Client
 	muxes   []*transport.Mux
@@ -649,16 +674,17 @@ func NewConsensusCluster(opts ConsensusOpts) (*ConsensusCluster, error) {
 	}
 	net := networkFor(opts.Latency, opts.Bandwidth, opts.Seed)
 	c := &ConsensusCluster{
-		Net:     net,
-		F:       types.MaxFaults(opts.N),
-		clients: make(map[types.ClientID]*consensus.Client),
+		Net:        net,
+		F:          types.MaxFaults(opts.N),
+		linkFaults: linkFaults{chaos.NewController(opts.Seed)},
+		clients:    make(map[types.ClientID]*consensus.Client),
 	}
 	for i := 0; i < opts.N; i++ {
 		c.IDs = append(c.IDs, types.ReplicaID(i))
 	}
 	genesis := func(types.ClientID) types.Amount { return opts.Genesis }
 	for i := 0; i < opts.N; i++ {
-		mux := transport.NewMux(net.Node(transport.ReplicaNode(types.ReplicaID(i))))
+		mux := transport.NewMux(c.ctl.Wrap(net.Node(transport.ReplicaNode(types.ReplicaID(i)))))
 		c.muxes = append(c.muxes, mux)
 		r, err := consensus.New(consensus.Config{
 			Self:               types.ReplicaID(i),
@@ -688,7 +714,7 @@ func (c *ConsensusCluster) Client(id types.ClientID) *consensus.Client {
 	if cl, ok := c.clients[id]; ok {
 		return cl
 	}
-	mux := transport.NewMux(c.Net.Node(transport.ClientNode(id)))
+	mux := transport.NewMux(c.ctl.Wrap(c.Net.Node(transport.ClientNode(id))))
 	c.muxes = append(c.muxes, mux)
 	cl := consensus.NewClient(id, c.IDs, c.F, mux)
 	c.clients[id] = cl
@@ -700,11 +726,6 @@ func (c *ConsensusCluster) Leader() types.ReplicaID { return c.IDs[0] }
 
 // Crash crash-stops a replica.
 func (c *ConsensusCluster) Crash(r types.ReplicaID) { c.Net.Crash(transport.ReplicaNode(r)) }
-
-// Delay injects netem-style outbound delay at a replica.
-func (c *ConsensusCluster) Delay(r types.ReplicaID, d time.Duration) {
-	c.Net.SetNodeDelay(transport.ReplicaNode(r), d)
-}
 
 // Close shuts the deployment down.
 func (c *ConsensusCluster) Close() {

@@ -327,8 +327,9 @@ type TimelineConfig struct {
 	Target  TargetKind
 	// Delay is the injected delay for FaultDelay (paper: 100ms).
 	Delay time.Duration
-	// LinkDelays are additional asymmetric per-link delays applied at
-	// FaultAt, composing with whatever Fault injects.
+	// LinkDelays are asymmetric per-link delays applied at FaultAt
+	// alongside whatever Fault injects. On its link a link delay replaces
+	// a FaultDelay node delay rather than adding to it (chaos precedence).
 	LinkDelays []DelayRule
 	// RestartAfter is the downtime before a FaultRestart target is
 	// rebuilt from its write-ahead log (default 3s). Astro systems only:
@@ -402,7 +403,7 @@ func Timeline(cfg TimelineConfig) (TimelineResult, error) {
 	var tl *metrics.Timeline
 	var clients []workload.PaymentClient
 	var injectFault func()
-	var applyLinkDelays func()
+	var faults linkFaults
 	var viewChanges func() uint64
 	var auditStop func() AuditReport
 	label := fmt.Sprintf("%s-%s-%s", cfg.System, cfg.Target, cfg.Fault)
@@ -461,11 +462,7 @@ func Timeline(cfg TimelineConfig) (TimelineResult, error) {
 				_ = cl.ArmFault(target, cfg.Fault)
 			}
 		}
-		applyLinkDelays = func() {
-			for _, r := range cfg.LinkDelays {
-				cl.Net.SetLinkDelay(transport.ReplicaNode(r.From), transport.ReplicaNode(r.To), r.Delay)
-			}
-		}
+		faults = cl.linkFaults
 		faulty := map[types.ReplicaID]bool{}
 		if cfg.Fault.Byzantine() {
 			faulty[target] = true
@@ -515,11 +512,7 @@ func Timeline(cfg TimelineConfig) (TimelineResult, error) {
 				cl.Delay(target, cfg.Delay)
 			}
 		}
-		applyLinkDelays = func() {
-			for _, r := range cfg.LinkDelays {
-				cl.Net.SetLinkDelay(transport.ReplicaNode(r.From), transport.ReplicaNode(r.To), r.Delay)
-			}
-		}
+		faults = cl.linkFaults
 		viewChanges = func() uint64 {
 			var max uint64
 			for _, r := range cl.Replicas {
@@ -536,8 +529,8 @@ func Timeline(cfg TimelineConfig) (TimelineResult, error) {
 	tl = metrics.NewTimeline(bins, cfg.BinWidth)
 	timer := time.AfterFunc(cfg.FaultAt, func() {
 		injectFault()
-		if applyLinkDelays != nil {
-			applyLinkDelays()
+		for _, r := range cfg.LinkDelays {
+			faults.LinkDelay(r.From, r.To, r.Delay)
 		}
 	})
 	defer timer.Stop()

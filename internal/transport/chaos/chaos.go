@@ -1,10 +1,11 @@
 // Package chaos wraps any transport.Endpoint — memnet or tcpnet — with a
-// seeded, schedule-driven network fault injector. Where memnet's built-in
-// knobs model a *simulated* network's properties (latency distribution,
-// bandwidth, crash-stop), chaos perturbs an already-working transport from
-// the outside: probabilistic drop, duplication, frame corruption, reorder,
-// asymmetric per-link delay, and named partitions, all switchable at
-// runtime by a timed schedule.
+// seeded, schedule-driven network fault injector. It is the only
+// link-fault layer in the tree: memnet models a *simulated* network's
+// properties (latency distribution, bandwidth, crash-stop) and nothing
+// else, while chaos perturbs an already-working transport from the
+// outside: probabilistic drop, duplication, frame corruption, reorder,
+// per-node and asymmetric per-link delay, and named partitions, all
+// switchable at runtime by a timed schedule.
 //
 // One Controller governs a whole deployment: every node's endpoint is
 // wrapped with Controller.Wrap, and the controller resolves the effective
@@ -24,6 +25,7 @@ import (
 	"time"
 
 	"astro/internal/transport"
+	"astro/internal/types"
 )
 
 // Rule describes the perturbations applied to frames on a link. All
@@ -93,15 +95,7 @@ func NewController(seed uint64) *Controller {
 
 // uniform returns the next draw in [0,1) from the seeded splitmix64
 // stream (same generator as memnet's jitter stream).
-func (c *Controller) uniform() float64 {
-	x := c.prng.Add(0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / float64(1<<53)
-}
+func (c *Controller) uniform() float64 { return types.Uniform(&c.prng) }
 
 // SetDefault installs the rule applied to links with no more specific
 // override.

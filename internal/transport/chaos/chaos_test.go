@@ -124,16 +124,23 @@ func TestCorruption(t *testing.T) {
 	}
 }
 
-// TestPartitionAndHeal: cross-group frames are blocked until Heal.
+// TestPartitionAndHeal: cross-group frames are blocked until Heal, and a
+// node listed in no group still reaches everyone.
 func TestPartitionAndHeal(t *testing.T) {
 	ctl := NewController(3)
-	a, col, _ := pair(t, ctl)
+	a, col, net := pair(t, ctl)
+	col3 := &collector{}
+	net.Node(3).SetHandler(col3.handler)
 	ctl.Partition([]transport.NodeID{1}, []transport.NodeID{2})
 	for i := 0; i < 5; i++ {
 		if err := a.Send(2, []byte{1}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := a.Send(3, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	waitCount(t, col3, 1)
 	time.Sleep(20 * time.Millisecond)
 	if got := col.count(); got != 0 {
 		t.Fatalf("partition leaked %d frames", got)
@@ -172,6 +179,57 @@ func TestLinkRulePrecedence(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if got := col2.count(); got != 1 {
 		t.Fatalf("delivered %d frames, want 1 (link override should be the only clean path)", got)
+	}
+}
+
+// TestNodeAndLinkDelay: a node rule delays every frame its node sends; a
+// directed link rule replaces it on that link only, so the reverse
+// direction stays fast; a zero rule removes either.
+func TestNodeAndLinkDelay(t *testing.T) {
+	ctl := NewController(4)
+	net := memnet.New()
+	defer net.Close()
+	a, b, c := ctl.Wrap(net.Node(1)), ctl.Wrap(net.Node(2)), ctl.Wrap(net.Node(3))
+	cols := map[transport.NodeID]*collector{}
+	for _, ep := range []transport.Endpoint{a, b, c} {
+		cols[ep.ID()] = &collector{}
+		ep.SetHandler(cols[ep.ID()].handler)
+	}
+	// took sends one frame and returns how long it took to arrive.
+	took := func(from transport.Endpoint, to transport.NodeID) time.Duration {
+		t.Helper()
+		want := cols[to].count() + 1
+		start := time.Now()
+		if err := from.Send(to, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		waitCount(t, cols[to], want)
+		return time.Since(start)
+	}
+	slow := Rule{DelayMin: 30 * time.Millisecond, DelayMax: 30 * time.Millisecond}
+
+	ctl.SetNodeRule(1, slow)
+	if e := took(a, 3); e < 25*time.Millisecond {
+		t.Fatalf("1→3 under a node rule arrived after %v, want ~30ms", e)
+	}
+	ctl.SetLinkRule(1, 2, Rule{Pass: true})
+	if e := took(a, 2); e > 20*time.Millisecond {
+		t.Fatalf("1→2 took %v; the link rule must replace the node rule", e)
+	}
+	ctl.SetNodeRule(1, Rule{})
+	ctl.SetLinkRule(1, 2, slow)
+	if e := took(a, 2); e < 25*time.Millisecond {
+		t.Fatalf("1→2 arrived after %v, want ~30ms link delay", e)
+	}
+	if e := took(b, 1); e > 20*time.Millisecond {
+		t.Fatalf("2→1 took %v; the reverse direction must not inherit the delay", e)
+	}
+	if e := took(a, 3); e > 20*time.Millisecond {
+		t.Fatalf("1→3 took %v after the node rule was removed", e)
+	}
+	ctl.SetLinkRule(1, 2, Rule{})
+	if e := took(a, 2); e > 20*time.Millisecond {
+		t.Fatalf("1→2 still slow (%v) after the link rule was removed", e)
 	}
 }
 

@@ -1,9 +1,11 @@
 // Package memnet implements an in-process simulated network for the
 // transport.Endpoint interface. It is the experimental substrate replacing
-// the paper's EC2 deployment: links have configurable latency
-// distributions, nodes can crash-stop, individual nodes can have extra
-// outbound delay injected (emulating `tc netem delay`), and links can be
-// cut to create partitions.
+// the paper's EC2 deployment, and it models only the network itself:
+// links have configurable latency distributions, nodes have a bounded
+// egress bandwidth, and nodes can crash-stop. Link faults — extra delay
+// on a node or link (`tc netem delay`), loss, and partitions — are not
+// memnet's business: they are injected by wrapping endpoints with
+// internal/transport/chaos, which works the same over tcpnet.
 //
 // Each endpoint delivers inbound messages through a single reader
 // goroutine; protocols layered through transport.Mux then fan out across
@@ -18,6 +20,7 @@ import (
 	"time"
 
 	"astro/internal/transport"
+	"astro/internal/types"
 )
 
 // Errors returned by endpoint operations.
@@ -97,15 +100,10 @@ type Network struct {
 
 	prng atomic.Uint64
 
-	mu         sync.RWMutex
-	nodes      map[transport.NodeID]*node
-	crashed    map[transport.NodeID]bool
-	delays     map[transport.NodeID]time.Duration
-	cuts       map[[2]transport.NodeID]bool
-	linkDelays map[[2]transport.NodeID]time.Duration // directed [from,to]
-	linkLoss   map[[2]transport.NodeID]float64       // directed [from,to]
-	groups     map[transport.NodeID]int              // partition membership
-	closed     bool
+	mu      sync.RWMutex
+	nodes   map[transport.NodeID]*node
+	crashed map[transport.NodeID]bool
+	closed  bool
 }
 
 // Option configures a Network.
@@ -116,7 +114,8 @@ func WithLatency(m LatencyModel) Option {
 	return func(n *Network) { n.latency = m }
 }
 
-// WithSeed seeds the jitter generator, making latency draws reproducible.
+// WithSeed seeds the latency jitter generator, making latency draws
+// reproducible.
 func WithSeed(seed uint64) Option {
 	return func(n *Network) { n.prng.Store(seed) }
 }
@@ -137,32 +136,16 @@ func WithBandwidth(bytesPerSec float64, overheadBytes int) Option {
 // New creates a network.
 func New(opts ...Option) *Network {
 	n := &Network{
-		latency:    Fixed(0),
-		nodes:      make(map[transport.NodeID]*node),
-		crashed:    make(map[transport.NodeID]bool),
-		delays:     make(map[transport.NodeID]time.Duration),
-		cuts:       make(map[[2]transport.NodeID]bool),
-		linkDelays: make(map[[2]transport.NodeID]time.Duration),
-		linkLoss:   make(map[[2]transport.NodeID]float64),
-		busy:       make(map[transport.NodeID]time.Time),
+		latency: Fixed(0),
+		nodes:   make(map[transport.NodeID]*node),
+		crashed: make(map[transport.NodeID]bool),
+		busy:    make(map[transport.NodeID]time.Time),
 	}
 	n.prng.Store(0x9e3779b97f4a7c15)
 	for _, o := range opts {
 		o(n)
 	}
 	return n
-}
-
-// uniform returns the next jitter sample in [0,1) from a lock-free
-// splitmix64 stream. Statistical quality is ample for latency jitter.
-func (n *Network) uniform() float64 {
-	x := n.prng.Add(0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / float64(1<<53)
 }
 
 // Stats returns a snapshot of the cumulative counters.
@@ -199,9 +182,11 @@ func (n *Network) Node(id transport.NodeID) transport.Endpoint {
 	return nd
 }
 
-// Crash marks a node as crash-stopped: all of its inbound and outbound
-// traffic is silently discarded from now on. Crash-stop is permanent for
-// the protocols under study; Restore exists for tests.
+// Crash marks a node as crash-stopped: its own sends fail with
+// ErrCrashed, frames addressed to it are dropped, and its dispatch
+// discards whatever is still in flight. This is node state, not a link
+// rule, which is why it lives here and not in chaos. Crash-stop is
+// permanent for the protocols under study; Restore exists for tests.
 func (n *Network) Crash(id transport.NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -221,104 +206,6 @@ func (n *Network) Crashed(id transport.NodeID) bool {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.crashed[id]
-}
-
-// SetNodeDelay injects extra delay on every packet leaving id, emulating
-// `tc qdisc ... netem delay d` on the node's interface. A zero duration
-// removes the injection.
-func (n *Network) SetNodeDelay(id transport.NodeID, d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if d <= 0 {
-		delete(n.delays, id)
-		return
-	}
-	n.delays[id] = d
-}
-
-// SetLinkDelay injects extra delay on the directed link from → to,
-// emulating asymmetric netem on a single path. It composes with
-// SetNodeDelay and the base latency model. A non-positive duration
-// removes the injection.
-func (n *Network) SetLinkDelay(from, to transport.NodeID, d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	k := [2]transport.NodeID{from, to}
-	if d <= 0 {
-		delete(n.linkDelays, k)
-		return
-	}
-	n.linkDelays[k] = d
-}
-
-// SetLinkLoss drops each packet on the directed link from → to with
-// probability p (netem-style random loss). Draws come from the network's
-// seeded jitter stream, so runs are reproducible. p <= 0 removes the
-// injection; p >= 1 drops everything.
-func (n *Network) SetLinkLoss(from, to transport.NodeID, p float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	k := [2]transport.NodeID{from, to}
-	if p <= 0 {
-		delete(n.linkLoss, k)
-		return
-	}
-	n.linkLoss[k] = p
-}
-
-// Partition splits the listed nodes into isolated groups: traffic between
-// two nodes in different groups is dropped. Nodes not listed in any group
-// are unaffected (they can reach everyone), so client endpoints keep
-// working unless explicitly partitioned. Calling Partition replaces any
-// previous partition.
-func (n *Network) Partition(groups ...[]transport.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.groups = make(map[transport.NodeID]int)
-	for g, members := range groups {
-		for _, id := range members {
-			n.groups[id] = g
-		}
-	}
-}
-
-// HealPartition removes the partition installed by Partition.
-func (n *Network) HealPartition() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.groups = nil
-}
-
-// partitionedLocked reports whether a partition separates a and b.
-// Callers hold n.mu.
-func (n *Network) partitionedLocked(a, b transport.NodeID) bool {
-	if n.groups == nil {
-		return false
-	}
-	ga, oka := n.groups[a]
-	gb, okb := n.groups[b]
-	return oka && okb && ga != gb
-}
-
-// CutLink drops all traffic in both directions between a and b.
-func (n *Network) CutLink(a, b transport.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.cuts[linkKey(a, b)] = true
-}
-
-// HealLink restores a previously cut link.
-func (n *Network) HealLink(a, b transport.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.cuts, linkKey(a, b))
-}
-
-func linkKey(a, b transport.NodeID) [2]transport.NodeID {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]transport.NodeID{a, b}
 }
 
 // Close shuts the network down; all endpoints stop dispatching.
@@ -404,28 +291,15 @@ func (nd *node) Send(to transport.NodeID, payload []byte) error {
 		return ErrCrashed
 	}
 	dest, ok := net.nodes[to]
-	cut := net.cuts[linkKey(nd.id, to)]
-	if to != nd.id && net.partitionedLocked(nd.id, to) {
-		cut = true
-	}
-	extra := net.delays[nd.id]
-	if to != nd.id {
-		extra += net.linkDelays[[2]transport.NodeID{nd.id, to}]
-	}
-	loss := net.linkLoss[[2]transport.NodeID{nd.id, to}]
 	destCrashed := net.crashed[to]
 	net.mu.RUnlock()
 
 	net.msgs.Add(1)
 	net.bytes.Add(uint64(len(payload)))
 
-	if !ok || cut || destCrashed {
+	if !ok || destCrashed {
 		net.dropped.Add(1)
 		return nil // like UDP to a dead host: silently lost
-	}
-	if loss > 0 && to != nd.id && net.uniform() < loss {
-		net.dropped.Add(1)
-		return nil
 	}
 
 	buf := make([]byte, len(payload))
@@ -434,7 +308,7 @@ func (nd *node) Send(to transport.NodeID, payload []byte) error {
 
 	var delay time.Duration
 	if to != nd.id { // self-sends bypass the latency and bandwidth models
-		delay = net.latency(nd.id, to, net.uniform()) + extra
+		delay = net.latency(nd.id, to, types.Uniform(&net.prng))
 		if net.bandwidth > 0 {
 			delay += net.serialize(nd.id, len(payload))
 		}

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"astro/internal/transport"
+	"astro/internal/types"
 )
 
 // ErrClosed is returned by operations on a closed endpoint.
@@ -415,14 +416,7 @@ func (e *Endpoint) Send(to transport.NodeID, payload []byte) error {
 // at once; the spread staggers them instead of a synchronized herd (the
 // same reason the sim transport jitters its latency draws).
 func (e *Endpoint) redialPause() time.Duration {
-	x := e.jitter.Add(0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	u := float64(x>>11) / float64(1<<53) // [0,1)
-	return time.Duration((0.5 + u) * float64(e.cfg.RedialBackoff))
+	return time.Duration((0.5 + types.Uniform(&e.jitter)) * float64(e.cfg.RedialBackoff))
 }
 
 // attach returns a live connection to the peer, dialing if necessary. The

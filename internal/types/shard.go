@@ -27,16 +27,5 @@ func MixedSharding(k int) func(ClientID) ShardID {
 	if k < 1 {
 		k = 1
 	}
-	return func(c ClientID) ShardID { return ShardID(mix64(uint64(c)) % uint64(k)) }
-}
-
-// mix64 is the splitmix64 finalizer: a cheap bijective avalanche, so every
-// input bit influences every output bit.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return func(c ClientID) ShardID { return ShardID(Mix64(uint64(c)) % uint64(k)) }
 }

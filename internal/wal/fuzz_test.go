@@ -17,8 +17,8 @@ func FuzzScanFrames(f *testing.F) {
 	seed = AppendFrame(seed, 2, bytes.Repeat([]byte{0x5a}, 64))
 	seed = AppendFrame(seed, 3, nil)
 	f.Add(seed)
-	f.Add(seed[:len(seed)-3])               // torn tail
-	f.Add(append([]byte(nil), 0, 0, 0, 0))  // zero length
+	f.Add(seed[:len(seed)-3])                            // torn tail
+	f.Add(append([]byte(nil), 0, 0, 0, 0))               // zero length
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5}) // oversized length
 	corrupt := append([]byte(nil), seed...)
 	corrupt[len(corrupt)-1] ^= 0x01
