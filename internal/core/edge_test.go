@@ -84,6 +84,22 @@ func TestByzantineClientCannotWedgeBroadcastQueue(t *testing.T) {
 			}
 		}()
 
+		// The storm must be underway before the honest client starts:
+		// wait until the representative has counted every attack class
+		// (on two cores the honest payments can otherwise all settle
+		// before the attack goroutine is first scheduled).
+		stormed := func(es EdgeStats) bool {
+			return es.Conflicting > 0 && es.SettledReplay > 0 && es.SeqZero > 0 &&
+				es.FutureSeq > 0 && es.Malformed > 0 && (v != AstroII || es.CreditOutsider > 0)
+		}
+		for deadline := time.Now().Add(10 * time.Second); !stormed(c.replicas[int(rep)].EdgeStats()); {
+			if time.Now().After(deadline) {
+				close(stop)
+				t.Fatalf("attack not counted within 10s: %+v", c.replicas[int(rep)].EdgeStats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+
 		// Honest client on the same representative: must make progress
 		// through the storm.
 		honest := c.client(honestID)

@@ -531,9 +531,11 @@ func (rt *Runtime) drainFlow(ln *lane, fl *Flow) {
 		fl.mu.Unlock()
 		rt.execOn(ln, it)
 	}
-	// Still nonempty: release the claim and requeue.
+	// Still nonempty: release the claim and requeue. A SubmitOrDrain
+	// waiter may now claim the flow itself, so wake it to re-check.
 	fl.mu.Lock()
 	fl.state = flowQueued
+	fl.notFull.Broadcast()
 	fl.mu.Unlock()
 	if ln != nil {
 		ln.pushFlow(fl)
@@ -663,7 +665,18 @@ func (fl *Flow) Release() {
 
 // Submit enqueues a task in FIFO position, blocking while the queue is
 // full. After the runtime closes, tasks run inline on the caller.
-func (fl *Flow) Submit(t Task) {
+func (fl *Flow) Submit(t Task) { fl.submit(t, false) }
+
+// SubmitOrDrain is Submit for a producer that is not one of the flow's
+// own consumers — an endpoint's reader goroutine. While the queue is full
+// and no drainer holds the flow, the caller claims it and runs a batch
+// itself instead of waiting for a lane. That breaks the cycle where every
+// lane is blocked sending into this endpoint's full inbox while the
+// reader, the inbox's only consumer, waits for a lane to drain the flow.
+// A flow some drainer is already running is waited on as in Submit.
+func (fl *Flow) SubmitOrDrain(t Task) { fl.submit(t, true) }
+
+func (fl *Flow) submit(t Task, drain bool) {
 	fl.mu.Lock()
 	for {
 		if fl.closed {
@@ -673,6 +686,13 @@ func (fl *Flow) Submit(t Task) {
 		}
 		if len(fl.q)-fl.head < fl.cap {
 			break
+		}
+		if drain && fl.state == flowQueued {
+			fl.state = flowRunning
+			fl.mu.Unlock()
+			fl.rt.drainFlow(nil, fl)
+			fl.mu.Lock()
+			continue
 		}
 		fl.notFull.Wait()
 	}

@@ -325,6 +325,39 @@ func TestFlowBackpressure(t *testing.T) {
 	}
 }
 
+// TestSubmitOrDrainRunsUnclaimedFlow: with every lane wedged, a producer
+// using SubmitOrDrain on a full flow no lane holds drains it itself rather
+// than waiting for a lane that will never come.
+func TestSubmitOrDrainRunsUnclaimedFlow(t *testing.T) {
+	rt := New(1)
+	defer rt.Close()
+	gate := make(chan struct{})
+	defer close(gate)
+	entered := make(chan struct{})
+	rt.Flow(rt.KeySpace(), 1).Submit(func() {
+		close(entered)
+		<-gate // wedge the only lane
+	})
+	<-entered
+
+	fl := rt.Flow(rt.KeySpace(), 1)
+	var first atomic.Bool
+	fl.Submit(func() { first.Store(true) }) // full, queued, unclaimed
+	done := make(chan struct{})
+	go func() {
+		fl.SubmitOrDrain(func() {})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("SubmitOrDrain waited on a flow no lane can drain")
+	}
+	if !first.Load() {
+		t.Fatal("the queued task did not run on the submitter")
+	}
+}
+
 // TestKeySpaceAndFlowIdentity: same key → same flow; distinct namespaces
 // → distinct flows; distinct components can therefore never alias.
 func TestKeySpaceAndFlowIdentity(t *testing.T) {

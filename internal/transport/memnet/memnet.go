@@ -8,9 +8,10 @@
 // internal/transport/chaos, which works the same over tcpnet.
 //
 // Each endpoint delivers inbound messages through a single reader
-// goroutine; protocols layered through transport.Mux then fan out across
-// the lane scheduler, one flow per channel (see the Mux concurrency
-// contract).
+// goroutine, which drains a bounded inbox for frames from other nodes and
+// an unbounded queue for the node's own self-sends; protocols layered
+// through transport.Mux then fan out across the lane scheduler, one flow
+// per channel (see the Mux concurrency contract).
 package memnet
 
 import (
@@ -172,10 +173,11 @@ func (n *Network) Node(id transport.NodeID) transport.Endpoint {
 		return nd
 	}
 	nd := &node{
-		net:   n,
-		id:    id,
-		inbox: make(chan envelope, inboxSize),
-		done:  make(chan struct{}),
+		net:      n,
+		id:       id,
+		inbox:    make(chan envelope, inboxSize),
+		done:     make(chan struct{}),
+		selfWake: make(chan struct{}, 1),
 	}
 	n.nodes[id] = nd
 	go nd.dispatch()
@@ -232,6 +234,15 @@ type node struct {
 	inbox chan envelope
 	done  chan struct{}
 
+	// Self-sends bypass the bounded inbox: a protocol lane that sends to
+	// its own node must never wait on a queue whose consumer (dispatch,
+	// blocked submitting to that same full lane) waits on the lane. The
+	// queue is FIFO and unbounded; its producers are the node's own
+	// lanes, which the bounded inbox already paces.
+	selfMu   sync.Mutex
+	selfQ    []envelope
+	selfWake chan struct{} // capacity 1: "selfQ is non-empty"
+
 	handler atomic.Pointer[transport.Handler]
 	closed  atomic.Bool
 }
@@ -262,14 +273,26 @@ func (nd *node) dispatch() {
 		select {
 		case <-nd.done:
 			return
+		case <-nd.selfWake:
+			nd.selfMu.Lock()
+			q := nd.selfQ
+			nd.selfQ = nil
+			nd.selfMu.Unlock()
+			for _, env := range q {
+				nd.deliver(env)
+			}
 		case env := <-nd.inbox:
-			if nd.net.Crashed(nd.id) {
-				continue
-			}
-			if h := nd.handler.Load(); h != nil {
-				(*h)(env.from, env.payload)
-			}
+			nd.deliver(env)
 		}
+	}
+}
+
+func (nd *node) deliver(env envelope) {
+	if nd.net.Crashed(nd.id) {
+		return
+	}
+	if h := nd.handler.Load(); h != nil {
+		(*h)(env.from, env.payload)
 	}
 }
 
@@ -306,12 +329,13 @@ func (nd *node) Send(to transport.NodeID, payload []byte) error {
 	copy(buf, payload)
 	env := envelope{from: nd.id, payload: buf}
 
-	var delay time.Duration
-	if to != nd.id { // self-sends bypass the latency and bandwidth models
-		delay = net.latency(nd.id, to, types.Uniform(&net.prng))
-		if net.bandwidth > 0 {
-			delay += net.serialize(nd.id, len(payload))
-		}
+	if to == nd.id { // self-sends bypass the latency and bandwidth models
+		nd.enqueueSelf(env)
+		return nil
+	}
+	delay := net.latency(nd.id, to, types.Uniform(&net.prng))
+	if net.bandwidth > 0 {
+		delay += net.serialize(nd.id, len(payload))
 	}
 	if delay <= 0 {
 		dest.enqueue(env)
@@ -339,6 +363,17 @@ func (n *Network) serialize(from transport.NodeID, payloadLen int) time.Duration
 	n.busy[from] = end
 	n.busyMu.Unlock()
 	return end.Sub(now)
+}
+
+// enqueueSelf queues a self-send without blocking.
+func (nd *node) enqueueSelf(env envelope) {
+	nd.selfMu.Lock()
+	nd.selfQ = append(nd.selfQ, env)
+	nd.selfMu.Unlock()
+	select {
+	case nd.selfWake <- struct{}{}:
+	default:
+	}
 }
 
 func (nd *node) enqueue(env envelope) {

@@ -82,6 +82,54 @@ func TestSelfSend(t *testing.T) {
 	}
 }
 
+// TestSelfSendNotBlockedByFullInbox: a node whose inbox is full and whose
+// dispatch is busy can still send to itself without waiting; the frame is
+// delivered once dispatch resumes.
+func TestSelfSendNotBlockedByFullInbox(t *testing.T) {
+	net := New()
+	defer net.Close()
+	a, b := net.Node(1), net.Node(2)
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	self := make(chan struct{}, 1)
+	a.SetHandler(func(from transport.NodeID, _ []byte) {
+		if from == 1 {
+			self <- struct{}{}
+			return
+		}
+		select {
+		case entered <- struct{}{}:
+			<-gate // the first frame from node 2 wedges dispatch
+		default:
+		}
+	})
+	if err := b.Send(1, []byte("wedge")); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	for i := 0; i < inboxSize; i++ { // fill the inbox behind the wedge
+		if err := b.Send(1, []byte("fill")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- a.Send(1, []byte("self")) }()
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("self-send blocked on the full inbox")
+	}
+	close(gate)
+	select {
+	case <-self:
+	case <-time.After(5 * time.Second):
+		t.Fatal("self-send never delivered")
+	}
+}
+
 func TestLatencyApplied(t *testing.T) {
 	net := New(WithLatency(Fixed(60 * time.Millisecond)))
 	defer net.Close()

@@ -226,7 +226,9 @@ func (m *Mux) SendLocal(payload []byte) error {
 
 // dispatch runs on the endpoint's reader goroutine: route the message to
 // its channel's flow. A full flow blocks here — backpressure on the
-// endpoint — rather than dropping. Unregistered channels are discarded.
+// endpoint — rather than dropping; when no lane is draining it, the reader
+// drains it itself (sched.Flow.SubmitOrDrain), so lanes blocked sending
+// to this endpoint cannot wedge it. Unregistered channels are discarded.
 func (m *Mux) dispatch(from NodeID, payload []byte) {
 	if len(payload) == 0 {
 		return
@@ -242,7 +244,7 @@ func (m *Mux) dispatch(from NodeID, payload []byte) {
 	m.inflight.Add(1) // under the RLock, so Close cannot Wait before Add
 	m.mu.RUnlock()
 	body := payload[1:]
-	fl.Submit(func() {
+	fl.SubmitOrDrain(func() {
 		defer m.inflight.Done()
 		// Resolve the handler at execution time, so late registration and
 		// handler replacement behave as before; a mux closed while the
