@@ -12,7 +12,9 @@
 //
 // Keys are derived deterministically from -secret so all nodes share a
 // registry without a distribution step — a demo convenience; production
-// deployments distribute independently generated keys.
+// deployments distribute independently generated keys. Astro II's PREPARE
+// tags are keyed by ECDH between these key pairs, so they are exactly as
+// secret as the keys; -secret also keys Astro I's link MACs directly.
 //
 // # Durability
 //
@@ -247,8 +249,8 @@ func run() error {
 	}
 
 	if *fault != "" {
-		b, err := sim.NewBehavior(sim.FaultKind(*fault), types.ReplicaID(*id), myKeys,
-			ids, 2*types.MaxFaults(len(ids))+1)
+		b, err := sim.NewBehavior(sim.FaultKind(*fault), types.ReplicaID(*id),
+			crypto.NewKeyedLinkAuthenticator(types.ReplicaID(*id), myKeys, registry), ids)
 		if err != nil {
 			return err
 		}

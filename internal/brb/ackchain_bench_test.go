@@ -47,7 +47,7 @@ func BenchmarkAckSignPipeline(b *testing.B) {
 		peers := make([]types.ReplicaID, 4)
 		for i := range peers {
 			peers[i] = types.ReplicaID(i)
-			keys = append(keys, crypto.MustGenerateKeyPair())
+			keys = append(keys, testKeys(types.ReplicaID(i)))
 			registry.Add(types.ReplicaID(i), keys[i].Public())
 		}
 		mux := transport.NewMux(net.Node(transport.ReplicaNode(1)))
@@ -91,7 +91,7 @@ func BenchmarkAckSignPipeline(b *testing.B) {
 		b.SetBytes(int64(len(payload)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := origin.Send(transport.ReplicaNode(1), transport.ChanBRB, EncodePrepare(0, uint64(i+1), payload)); err != nil {
+			if err := origin.Send(transport.ReplicaNode(1), transport.ChanBRB, signedPrepare(0, 1, uint64(i+1), payload)); err != nil {
 				b.Fatal(err)
 			}
 		}

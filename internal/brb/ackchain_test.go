@@ -113,7 +113,7 @@ func newAsyncSignFixture(t *testing.T) *asyncSignFixture {
 	t.Cleanup(fx.pool.Close)
 	var peers []types.ReplicaID
 	for i := 0; i < 4; i++ {
-		kp := crypto.MustGenerateKeyPair()
+		kp := testKeys(types.ReplicaID(i))
 		fx.keys = append(fx.keys, kp)
 		fx.registry.Add(types.ReplicaID(i), kp.Public())
 		peers = append(peers, types.ReplicaID(i))
@@ -168,7 +168,7 @@ func TestSignedNoAckSignOnDispatchGoroutine(t *testing.T) {
 	release := fx.wedgePool()
 
 	payload := []byte("batch-1")
-	if err := fx.origin.Send(transport.ReplicaNode(1), transport.ChanBRB, EncodePrepare(0, 1, payload)); err != nil {
+	if err := fx.origin.Send(transport.ReplicaNode(1), transport.ChanBRB, signedPrepare(0, 1, 1, payload)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -232,7 +232,7 @@ func TestSignedChainSignsPendingAcks(t *testing.T) {
 	payloads := make([][]byte, k)
 	for i := 0; i < k; i++ {
 		payloads[i] = []byte(fmt.Sprintf("batch-%d", i+1))
-		if err := fx.origin.Send(transport.ReplicaNode(1), transport.ChanBRB, EncodePrepare(0, uint64(i+1), payloads[i])); err != nil {
+		if err := fx.origin.Send(transport.ReplicaNode(1), transport.ChanBRB, signedPrepare(0, 1, uint64(i+1), payloads[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -452,7 +452,8 @@ func checkBatchedSettlement(t *testing.T, h *harness, pool *verifier.Verifier) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	for _, bc := range h.bcs {
+	// The origin acks nothing of its own: its tagged PREPARE endorses.
+	for _, bc := range h.bcs[1:] {
 		waitPending(bc.(*Signed))
 	}
 	close(gate)
@@ -469,11 +470,16 @@ func checkBatchedSettlement(t *testing.T, h *harness, pool *verifier.Verifier) {
 			}
 		}
 	}
-	// Amortization: every replica signed its k acks with one signature.
+	// Amortization: every other replica signed its k acks with one
+	// signature; the origin signed none.
 	for i, bc := range h.bcs {
 		ops, acks := bc.(*Signed).AckSignStats()
-		if acks != k || ops != 1 {
-			t.Fatalf("replica %d sign stats ops=%d acks=%d, want ops=1 acks=%d", i, ops, acks, k)
+		wantOps, wantAcks := uint64(1), uint64(k)
+		if i == 0 {
+			wantOps, wantAcks = 0, 0
+		}
+		if acks != wantAcks || ops != wantOps {
+			t.Fatalf("replica %d sign stats ops=%d acks=%d, want ops=%d acks=%d", i, ops, acks, wantOps, wantAcks)
 		}
 	}
 }

@@ -41,20 +41,23 @@ func IsCommitKind(kind byte) bool {
 	return kind == kindCommitRef || kind == kindCommitTab
 }
 
-// DecodePrepare parses a PREPARE frame (kind byte included) into its
-// instance coordinates and payload. The payload aliases the frame.
-func DecodePrepare(frame []byte) (origin types.ReplicaID, slot uint64, payload []byte, ok bool) {
+// DecodePrepare parses a Signed PREPARE frame (kind byte included) into
+// its instance coordinates, payload and link tag, both of which alias the
+// frame. It checks the form only; whether the tag is the origin's is for
+// the receiver's authenticator to say.
+func DecodePrepare(frame []byte) (origin types.ReplicaID, slot uint64, payload, tag []byte, ok bool) {
 	r := wire.NewReader(frame)
 	if r.U8() != kindPrepare {
-		return 0, 0, nil, false
+		return 0, 0, nil, nil, false
 	}
 	origin = types.ReplicaID(r.U32())
 	slot = r.U64()
 	payload = r.Chunk()
-	if r.Err() != nil {
-		return 0, 0, nil, false
+	tag = r.Fixed(prepareTagSize)
+	if r.Finish() != nil {
+		return 0, 0, nil, nil, false
 	}
-	return origin, slot, payload, true
+	return origin, slot, payload, tag, true
 }
 
 // DecodeAck parses an ACK frame (kind byte included). The signature

@@ -11,7 +11,8 @@ import (
 )
 
 // signCommitFor builds a valid commit message for instance (origin, slot)
-// signed by the first three harness replicas — a 2f+1 quorum at n=4.
+// signed by the first three harness replicas — more than the 2f
+// non-origin acks a certificate needs at n=4.
 func signCommitFor(t *testing.T, h *harness, origin types.ReplicaID, slot uint64, payload []byte) []byte {
 	t.Helper()
 	d := SignedDigest(origin, slot, payload)
@@ -131,9 +132,9 @@ func TestSignedExplicitVerifier(t *testing.T) {
 	if hits+misses == 0 {
 		t.Fatal("explicit verifier was never consulted")
 	}
-	// The origin verified each ack individually, so re-verifying its own
-	// aggregated certificate when its COMMIT loops back must hit the memo.
+	// The signers primed the shared memo with their acks, so the
+	// receivers' certificate checks must hit it.
 	if hits == 0 {
-		t.Fatal("origin's own commit certificate produced no memo hits")
+		t.Fatal("commit certificate checks produced no memo hits")
 	}
 }

@@ -18,7 +18,8 @@ import (
 // READY, as do f+1 READYs (amplification); 2f+1 matching READYs deliver,
 // in per-origin slot order.
 type Bracha struct {
-	cfg Config
+	cfg    Config
+	others []types.ReplicaID // Config.others
 
 	mu      sync.Mutex
 	nextOut uint64
@@ -59,6 +60,7 @@ func NewBracha(cfg Config) (*Bracha, error) {
 		nextOut: cfg.FirstSlot,
 		inst:    make(map[instanceID]*brachaInstance),
 		order:   newFIFO(),
+		others:  cfg.others(),
 	}
 	cfg.Mux.Register(transport.ChanBRB, b.onMessage)
 	return b, nil
@@ -70,8 +72,11 @@ func (b *Bracha) Broadcast(payload []byte) (uint64, error) {
 	b.nextOut++
 	slot := b.nextOut
 	b.mu.Unlock()
-	msg := EncodePrepare(b.cfg.Self, slot, payload)
-	b.sendToAll(msg)
+	// The local copy is retained by the instance (and delivered), so it
+	// must not alias the caller's buffer.
+	buf := make([]byte, len(payload))
+	copy(buf, payload)
+	b.sendToAll(kindPrepare, instanceID{origin: b.cfg.Self, slot: slot}, buf)
 	return slot, nil
 }
 
@@ -82,11 +87,24 @@ func (b *Bracha) Delivered(origin types.ReplicaID) uint64 {
 	return b.order.delivered[origin]
 }
 
-// sendToAll sends msg to every peer, including self (self-sends are
-// delivered through the local dispatch path).
-func (b *Bracha) sendToAll(msg []byte) {
-	for _, p := range b.cfg.Peers {
-		b.sendTo(p, msg)
+// sendToAll sends a PREPARE, ECHO or READY to every other peer, then
+// handles this replica's own copy by a direct call. Callers hold no lock,
+// so the local step runs in protocol order on the caller's goroutine and
+// never waits on a queue whose consumer may be waiting on this sender.
+func (b *Bracha) sendToAll(kind byte, id instanceID, payload []byte) {
+	w := wire.AcquireWriter(payloadMsgSize(payload))
+	appendPayloadMsg(w, kind, id.origin, id.slot, payload)
+	for _, p := range b.others {
+		b.sendTo(p, w.Bytes())
+	}
+	w.Release()
+	switch kind {
+	case kindPrepare:
+		b.handlePrepare(id, payload)
+	case kindEcho:
+		b.handleEcho(id, b.cfg.Self, payload)
+	case kindReady:
+		b.handleReady(id, b.cfg.Self, payload)
 	}
 }
 
@@ -153,7 +171,7 @@ func (b *Bracha) handlePrepare(id instanceID, payload []byte) {
 	}
 	in.echoSent = true
 	b.mu.Unlock()
-	b.sendToAll(EncodeEcho(id.origin, id.slot, payload))
+	b.sendToAll(kindEcho, id, payload)
 }
 
 func (b *Bracha) handleEcho(id instanceID, peer types.ReplicaID, payload []byte) {
@@ -177,7 +195,7 @@ func (b *Bracha) handleEcho(id instanceID, peer types.ReplicaID, payload []byte)
 	}
 	b.mu.Unlock()
 	if sendReady {
-		b.sendToAll(EncodeReady(id.origin, id.slot, payload))
+		b.sendToAll(kindReady, id, payload)
 	}
 }
 
@@ -225,7 +243,7 @@ func (b *Bracha) handleReady(id instanceID, peer types.ReplicaID, payload []byte
 	b.mu.Unlock()
 
 	if sendReady {
-		b.sendToAll(EncodeReady(id.origin, id.slot, payload))
+		b.sendToAll(kindReady, id, payload)
 	}
 	for _, dv := range deliveries {
 		b.cfg.Deliver(dv.origin, dv.slot, dv.payload)

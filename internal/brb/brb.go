@@ -6,8 +6,9 @@
 //     O(N²) messages per broadcast, MAC-authenticated links, provides
 //     totality.
 //   - Signed: the signature-based protocol (after Malkhi & Reiter) used by
-//     Astro II. O(N) messages: the origin gathers a Byzantine quorum of
-//     signed ACKs into a COMMIT certificate. No totality — the payment
+//     Astro II. O(N) messages: the origin gathers 2f signed ACKs from
+//     the other replicas into a COMMIT certificate; its own MAC-tagged
+//     PREPARE stands for its endorsement. No totality — the payment
 //     layer compensates with CREDIT dependency certificates.
 //
 // Both protocols deliver payloads per origin in slot order (FIFO), exactly
@@ -68,9 +69,12 @@ type Config struct {
 	// Deliver receives delivered payloads. Must be non-nil.
 	Deliver DeliverFunc
 
-	// Auth authenticates links with pairwise MACs (Astro I). Optional;
-	// when set, every protocol message carries an HMAC tag, costing the
-	// MAC computation the paper attributes to Bracha's protocol.
+	// Auth authenticates Bracha's links (Astro I) with pairwise MACs.
+	// Optional; when set, every protocol message carries an HMAC tag,
+	// costing the MAC computation the paper attributes to Bracha's
+	// protocol. Signed ignores it: its PREPARE tag is keyed by Keys and
+	// Registry (crypto.NewKeyedLinkAuthenticator), so no third replica
+	// can make it.
 	Auth *crypto.LinkAuthenticator
 
 	// Keys and Registry supply the signing key and peer public keys for
@@ -122,6 +126,27 @@ func (c *Config) validate() error {
 
 func (c *Config) quorum() int { return 2*c.F + 1 }
 
+// others lists the group members other than Self: a replica handles its
+// own copy of every message by a direct call, never through the network.
+func (c *Config) others() []types.ReplicaID {
+	out := make([]types.ReplicaID, 0, len(c.Peers))
+	for _, p := range c.Peers {
+		if p != c.Self {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// CertQuorum is the size of a Signed commit certificate in a group of n
+// members tolerating f faults: ceil((n-1+f)/2) acks from distinct members
+// other than the origin — 2f at n = 3f+1. Any two such sets among the n-1
+// non-origin members share at least f of them (Signed's comment says why
+// that suffices), and the n-1-f correct ones can always form one.
+func CertQuorum(n, f int) int { return (n + f) / 2 }
+
+func (c *Config) certQuorum() int { return CertQuorum(len(c.Peers), c.F) }
+
 // instanceID identifies one broadcast instance.
 type instanceID struct {
 	origin types.ReplicaID
@@ -133,7 +158,9 @@ type instanceID struct {
 // below; 5 and 7 are retired.
 //
 //	kind        direction            body after the kind byte
-//	PREPARE     origin -> all        origin u32, slot u64, payload chunk
+//	PREPARE     origin -> others     origin u32, slot u64, payload chunk;
+//	                                 Signed appends the origin's 32-byte
+//	                                 link tag over the ack digest
 //	ECHO        all -> all           origin u32, slot u64, payload chunk
 //	READY       all -> all           origin u32, slot u64, payload chunk
 //	ACK         replica -> origin    origin u32, slot u64, ack digest, sig chunk
@@ -182,19 +209,46 @@ func appendPayloadMsg(w *wire.Writer, kind byte, origin types.ReplicaID, slot ui
 	w.Chunk(payload)
 }
 
-// EncodePrepare encodes a PREPARE message. Exported for tests that forge
-// Byzantine traffic.
+// EncodePrepare encodes a Bracha PREPARE message, which carries no tag of
+// its own. Exported for tests that forge Byzantine traffic.
 func EncodePrepare(origin types.ReplicaID, slot uint64, payload []byte) []byte {
 	w := wire.NewWriter(payloadMsgSize(payload))
 	appendPayloadMsg(w, kindPrepare, origin, slot, payload)
 	return w.Bytes()
 }
 
-// EncodeEcho encodes an ECHO message (Bracha). Exported for tests.
-func EncodeEcho(origin types.ReplicaID, slot uint64, payload []byte) []byte {
-	w := wire.NewWriter(payloadMsgSize(payload))
-	appendPayloadMsg(w, kindEcho, origin, slot, payload)
-	return w.Bytes()
+// prepareTagSize is the link tag a Signed PREPARE carries after its
+// payload.
+const prepareTagSize = crypto.TagSize
+
+// appendSignedPrepare writes a Signed PREPARE whose tag bytes are left
+// zero; the sender fills them per destination (setPrepareTag).
+func appendSignedPrepare(w *wire.Writer, origin types.ReplicaID, slot uint64, payload []byte) {
+	appendPayloadMsg(w, kindPrepare, origin, slot, payload)
+	w.Raw(make([]byte, prepareTagSize))
+}
+
+// setPrepareTag fills an encoded Signed PREPARE's tag for destination to:
+// auth's link tag over the ack digest, which binds origin, slot and
+// payload. The tag is zero when auth has no key for the link, and no
+// receiver accepts it.
+func setPrepareTag(msg []byte, auth *crypto.LinkAuthenticator, to types.ReplicaID, digest types.Digest) {
+	tag := msg[len(msg)-prepareTagSize:]
+	clear(tag)
+	copy(tag, auth.Tag(to, digest[:]))
+}
+
+// EncodeSignedPrepare encodes the Signed PREPARE for destination to,
+// tagged with auth. Only the origin's keyed authenticator
+// (crypto.NewKeyedLinkAuthenticator over its own key pair) produces a tag
+// the destination accepts. Exported for tests that forge Byzantine
+// traffic.
+func EncodeSignedPrepare(auth *crypto.LinkAuthenticator, to, origin types.ReplicaID, slot uint64, payload []byte) []byte {
+	w := wire.NewWriter(payloadMsgSize(payload) + prepareTagSize)
+	appendSignedPrepare(w, origin, slot, payload)
+	msg := w.Bytes()
+	setPrepareTag(msg, auth, to, SignedDigest(origin, slot, payload))
+	return msg
 }
 
 // EncodeReady encodes a READY message (Bracha). Exported for tests.

@@ -52,7 +52,7 @@ func newHarness(t *testing.T, proto protocol, n int, opts ...func(*Config)) *har
 	if proto == protoSigned {
 		h.registry = crypto.NewRegistry()
 		for i := 0; i < n; i++ {
-			kp := crypto.MustGenerateKeyPair()
+			kp := testKeys(types.ReplicaID(i))
 			h.keys = append(h.keys, kp)
 			h.registry.Add(types.ReplicaID(i), kp.Public())
 		}
@@ -131,6 +131,59 @@ func (h *harness) deliveriesAt(r types.ReplicaID) []delivery {
 	out := make([]delivery, len(h.dlv[r]))
 	copy(out, h.dlv[r])
 	return out
+}
+
+// testAuth is replica id's shared-master link authenticator in these
+// tests: Bracha's MAC scheme, whose link keys every replica can derive.
+func testAuth(id types.ReplicaID) *crypto.LinkAuthenticator {
+	return crypto.NewLinkAuthenticator(id, []byte("brb-test"))
+}
+
+// testKeySet holds the key pairs of replicas 0..testKeyCount-1 in these
+// tests, derived from their ids so a test can tag or sign in any
+// replica's name, and a registry holding them all.
+const testKeyCount = 16
+
+var testKeySet = sync.OnceValues(func() ([]*crypto.KeyPair, *crypto.Registry) {
+	reg := crypto.NewRegistry()
+	keys := make([]*crypto.KeyPair, testKeyCount)
+	for i := range keys {
+		kp, err := crypto.DeriveKeyPair([]byte(fmt.Sprintf("brb-test/%d", i)))
+		if err != nil {
+			panic(err)
+		}
+		keys[i] = kp
+		reg.Add(types.ReplicaID(i), kp.Public())
+	}
+	return keys, reg
+})
+
+// testKeys is replica id's key pair in these tests.
+func testKeys(id types.ReplicaID) *crypto.KeyPair {
+	keys, _ := testKeySet()
+	return keys[id]
+}
+
+// testTags is the PREPARE authenticator of a replica holding key pair kp
+// and claiming to be id: Signed's, when kp is testKeys(id).
+func testTags(id types.ReplicaID, kp *crypto.KeyPair) *crypto.LinkAuthenticator {
+	_, reg := testKeySet()
+	return crypto.NewKeyedLinkAuthenticator(id, kp, reg)
+}
+
+// originTags holds each test replica's own PREPARE authenticator.
+var originTags = sync.OnceValue(func() []*crypto.LinkAuthenticator {
+	out := make([]*crypto.LinkAuthenticator, testKeyCount)
+	for i := range out {
+		out[i] = testTags(types.ReplicaID(i), testKeys(types.ReplicaID(i)))
+	}
+	return out
+})
+
+// signedPrepare is origin's tagged Signed PREPARE of payload for replica
+// to.
+func signedPrepare(origin, to types.ReplicaID, slot uint64, payload []byte) []byte {
+	return EncodeSignedPrepare(originTags()[origin], to, origin, slot, payload)
 }
 
 func testBothProtocols(t *testing.T, f func(t *testing.T, proto protocol)) {
@@ -238,12 +291,11 @@ func TestAgreementUnderEquivocation(t *testing.T) {
 	})
 	t.Run("signed", func(t *testing.T) {
 		h := newHarness(t, protoSigned, 4)
-		a := EncodePrepare(3, 1, []byte("A"))
-		b := EncodePrepare(3, 1, []byte("B"))
 		for i := 0; i < 2; i++ {
-			_ = h.muxes[3].Send(transport.ReplicaNode(types.ReplicaID(i)), transport.ChanBRB, a)
+			to := types.ReplicaID(i)
+			_ = h.muxes[3].Send(transport.ReplicaNode(to), transport.ChanBRB, signedPrepare(3, to, 1, []byte("A")))
 		}
-		_ = h.muxes[3].Send(transport.ReplicaNode(2), transport.ChanBRB, b)
+		_ = h.muxes[3].Send(transport.ReplicaNode(2), transport.ChanBRB, signedPrepare(3, 2, 1, []byte("B")))
 		time.Sleep(300 * time.Millisecond)
 		checkAgreement(t, h)
 	})
@@ -363,8 +415,8 @@ func TestSignedRejectsForgedCommit(t *testing.T) {
 }
 
 func TestSignedMessageComplexityLinear(t *testing.T) {
-	// O(N) check: messages per broadcast should be ~3N (prepare + ack +
-	// commit), versus Bracha's ~2N²+N.
+	// O(N) check: messages per broadcast are 3(N-1) (prepare + ack +
+	// commit, none of them to the origin itself), versus Bracha's ~2N²+N.
 	n := 10
 	h := newHarness(t, protoSigned, n)
 	h.net.ResetStats()
@@ -375,8 +427,8 @@ func TestSignedMessageComplexityLinear(t *testing.T) {
 		t.Fatalf("deliveries = %d", got)
 	}
 	msgs := h.net.Stats().MessagesSent
-	if max := uint64(4 * n); msgs > max {
-		t.Errorf("signed BRB used %d messages, want <= %d (O(N))", msgs, max)
+	if max := uint64(3 * (n - 1)); msgs > max {
+		t.Errorf("signed BRB used %d messages, want <= %d (O(N), no self-sends)", msgs, max)
 	}
 }
 
@@ -391,10 +443,14 @@ func TestBrachaMessageComplexityQuadratic(t *testing.T) {
 		t.Fatalf("deliveries = %d", got)
 	}
 	msgs := h.net.Stats().MessagesSent
-	// prepare N + echo N² + ready N² = 2N²+N (some duplicate-suppression
-	// slack allowed).
+	// prepare N-1 + echo N(N-1) + ready N(N-1): every replica handles its
+	// own copy of each by a direct call (some duplicate-suppression
+	// slack allowed below).
 	if min := uint64(n * n); msgs < min {
 		t.Errorf("bracha used %d messages, expected >= %d (O(N²))", msgs, min)
+	}
+	if max := uint64((n - 1) * (2*n + 1)); msgs > max {
+		t.Errorf("bracha used %d messages, want <= %d (no self-sends)", msgs, max)
 	}
 }
 

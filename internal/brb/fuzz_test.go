@@ -15,6 +15,38 @@ func fuzzChain() []ChainEntry {
 	}
 }
 
+// FuzzDecodePrepare exercises the Signed PREPARE decoder: any frame that
+// decodes re-encodes to exactly the input, and replica 1 accepts its tag
+// exactly when the frame is the one the named origin sends replica 1.
+func FuzzDecodePrepare(f *testing.F) {
+	f.Add(signedPrepare(0, 1, 3, []byte("batch")))
+	f.Add(EncodePrepare(0, 3, []byte("batch")))                                    // untagged: rejected
+	f.Add(EncodeSignedPrepare(originTags()[2], 1, 0, 3, []byte("batch")))          // another link's tag
+	f.Add(signedPrepare(0, 2, 3, nil))                                             // another receiver's tag
+	f.Add(EncodeSignedPrepare(testAuth(0), 1, 0, 3, []byte("batch")))              // a shared-master key
+	f.Add(EncodeSignedPrepare(testTags(0, testKeys(3)), 1, 0, 3, []byte("batch"))) // 3 posing as 0
+	receiver := originTags()[1]
+
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		origin, slot, payload, tag, ok := DecodePrepare(frame)
+		if !ok {
+			return
+		}
+		w := wire.NewWriter(len(frame))
+		appendPayloadMsg(w, kindPrepare, origin, slot, payload)
+		w.Raw(tag)
+		if !bytes.Equal(w.Bytes(), frame) {
+			t.Fatal("decoded PREPARE does not re-encode to input")
+		}
+		d := SignedDigest(origin, slot, payload)
+		accepted := receiver.VerifyTag(origin, d[:], tag)
+		genuine := origin < testKeyCount && bytes.Equal(signedPrepare(origin, 1, slot, payload), frame)
+		if accepted != genuine {
+			t.Fatalf("tag accepted = %v for a frame that is the origin's own: %v", accepted, genuine)
+		}
+	})
+}
+
 // FuzzDecodeChainDef exercises the CHAINDEF decoder. The chain encoding
 // is fixed-width and therefore canonical: any payload that decodes must
 // re-encode to exactly the input bytes.

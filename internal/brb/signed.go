@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"astro/internal/crypto"
 	"astro/internal/crypto/verifier"
 	"astro/internal/transport"
 	"astro/internal/types"
@@ -14,12 +15,28 @@ import (
 // Signed implements BRB with digital signatures (after Malkhi & Reiter),
 // the broadcast layer of Astro II (paper §IV-A, Listing 6).
 //
-// Per instance: the origin PREPAREs the payload to all replicas; each
-// replica signs an ACK for the first payload it sees for the instance
-// (subject to the validator) and unicasts it back to the origin; on
-// gathering a Byzantine quorum (2f+1) of valid ACKs the origin sends a
-// COMMIT carrying the payload and the aggregated certificate; replicas
-// verify the certificate and deliver, in per-origin slot order.
+// Per instance: the origin PREPAREs the payload to every other replica,
+// each copy carrying the origin's link tag over the ack digest. The tag
+// is keyed by ECDH between the origin's key pair and the receiver's
+// (crypto.NewKeyedLinkAuthenticator), so no third replica can make it. A
+// replica signs an ACK only for a PREPARE whose tag checks, and only for
+// the first payload it sees for the instance (subject to the validator),
+// and unicasts it back to the origin. The origin does not ack its own
+// instance: its tagged PREPARE is its endorsement. On gathering
+// CertQuorum valid ACKs (2f at N = 3f+1) from distinct members other than
+// itself, the origin sends the other replicas a COMMIT carrying the
+// payload and the certificate, and delivers its own copy by a direct call
+// into the per-origin FIFO. Replicas verify the certificate — an origin
+// signature in it counts for nothing — and deliver, in per-origin slot
+// order; a COMMIT in a replica's own name from the network is dropped.
+//
+// Why CertQuorum suffices: any two certificates for one instance share at
+// least f of the N-1 non-origin members. A faulty origin leaves at most
+// f-1 faulty among those, so the two share a correct acker, which acks one
+// digest only. A correct origin tags one payload per slot, and a
+// certificate holds more than f acks (at least one whenever the group has
+// other members), so at least one is from a correct replica that acks
+// only what the origin's tag vouches for.
 //
 // Message complexity is O(N) — the all-to-all phases of Bracha are
 // replaced by unicasts to and from the origin — at the price of signature
@@ -58,6 +75,11 @@ import (
 type Signed struct {
 	cfg Config
 	ver *verifier.Verifier
+
+	others []types.ReplicaID // Config.others: where PREPAREs and COMMITs go
+	// tags keys PREPARE tags by ECDH between this replica's key pair and
+	// each peer's registered key, so only the two ends of a link can tag.
+	tags *crypto.LinkAuthenticator
 
 	mu      sync.Mutex
 	nextOut uint64
@@ -153,8 +175,17 @@ func NewSigned(cfg Config) (*Signed, error) {
 		chainsKnown: types.NewPeerCache[[]ChainEntry](chainCacheEntries),
 		refsWaiting: make(map[types.Digest][]pendingRef),
 		retainBytes: committedRetainBytes,
+		others:      cfg.others(),
+		tags:        crypto.NewKeyedLinkAuthenticator(cfg.Self, cfg.Keys, cfg.Registry),
 	}
 	s.ackSigner = verifier.NewChainSigner(ver, maxSignBatch, s.signSingleAck, s.signAckChain)
+	// One ECDH per link keys the PREPARE tags; derive them on the pool
+	// now rather than on the first PREPARE each way.
+	ver.TryAsync(func() {
+		for _, p := range s.others {
+			s.tags.Derive(p)
+		}
+	})
 	cfg.Mux.Register(transport.ChanBRB, s.onMessage)
 	return s, nil
 }
@@ -164,20 +195,8 @@ func (s *Signed) Broadcast(payload []byte) (uint64, error) {
 	s.mu.Lock()
 	s.nextOut++
 	slot := s.nextOut
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
-	s.mine[slot] = &outInstance{
-		payload: buf,
-		digest:  SignedDigest(s.cfg.Self, slot, payload),
-	}
 	s.mu.Unlock()
-
-	w := wire.AcquireWriter(payloadMsgSize(payload))
-	appendPayloadMsg(w, kindPrepare, s.cfg.Self, slot, payload)
-	for _, p := range s.cfg.Peers {
-		_ = s.cfg.Mux.Send(transport.ReplicaNode(p), transport.ChanBRB, w.Bytes())
-	}
-	w.Release()
+	s.prepare(slot, payload)
 	return slot, nil
 }
 
@@ -189,24 +208,42 @@ func (s *Signed) Broadcast(payload []byte) (uint64, error) {
 // reached some of them.
 func (s *Signed) Rebroadcast(slot uint64, payload []byte) {
 	s.mu.Lock()
-	if slot > s.nextOut || s.mine[slot] != nil {
-		s.mu.Unlock()
-		return
+	stale := slot > s.nextOut || s.mine[slot] != nil
+	s.mu.Unlock()
+	if !stale {
+		s.prepare(slot, payload)
 	}
+}
+
+// prepare opens one of this replica's instances: it records a copy of the
+// payload and sends every other member a PREPARE tagged for that member.
+// The message is encoded once; only its trailing tag differs per
+// destination.
+func (s *Signed) prepare(slot uint64, payload []byte) {
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
-	s.mine[slot] = &outInstance{
-		payload: buf,
-		digest:  SignedDigest(s.cfg.Self, slot, payload),
-	}
+	d := SignedDigest(s.cfg.Self, slot, payload)
+	id := instanceID{origin: s.cfg.Self, slot: slot}
+	out := &outInstance{payload: buf, digest: d}
+	s.mu.Lock()
+	s.mine[slot] = out
 	s.mu.Unlock()
 
-	w := wire.AcquireWriter(payloadMsgSize(payload))
-	appendPayloadMsg(w, kindPrepare, s.cfg.Self, slot, payload)
-	for _, p := range s.cfg.Peers {
-		_ = s.cfg.Mux.Send(transport.ReplicaNode(p), transport.ChanBRB, w.Bytes())
+	w := wire.AcquireWriter(payloadMsgSize(payload) + prepareTagSize)
+	appendSignedPrepare(w, s.cfg.Self, slot, payload)
+	msg := w.Bytes()
+	for _, p := range s.others {
+		setPrepareTag(msg, s.tags, p, d)
+		_ = s.cfg.Mux.Send(transport.ReplicaNode(p), transport.ChanBRB, msg)
 	}
 	w.Release()
+
+	if s.cfg.certQuorum() == 0 {
+		// A group of one: the origin's own endorsement is the whole
+		// certificate.
+		s.mu.Lock()
+		s.commitIfComplete(id, out)
+	}
 }
 
 // Delivered implements Broadcaster.
@@ -258,16 +295,20 @@ func (s *Signed) onMessage(from transport.NodeID, payload []byte) {
 		return
 	}
 	id := instanceID{origin: origin, slot: slot}
+	if IsCommitKind(kind) && origin == s.cfg.Self {
+		return // the origin delivers its own slots by direct call
+	}
 	switch kind {
 	case kindPrepare:
-		if peer != origin {
+		if peer != origin || origin == s.cfg.Self {
 			return // spoofed prepare
 		}
 		body := r.Chunk()
-		if r.Err() != nil {
+		tag := r.Fixed(prepareTagSize)
+		if r.Finish() != nil {
 			return
 		}
-		s.handlePrepare(id, body)
+		s.handlePrepare(id, body, tag)
 	case kindAck:
 		digest := r.Bytes32()
 		sig := r.Chunk()
@@ -315,11 +356,17 @@ func (s *Signed) onMessage(from transport.NodeID, payload []byte) {
 }
 
 // handlePrepare acknowledges the first (and only the first) payload seen
-// for the instance — the equivocation check of Listing 6. The ack is not
-// signed here: it is queued for the pool-side signer, so the dispatch
-// goroutine never executes an ECDSA.
-func (s *Signed) handlePrepare(id instanceID, payload []byte) {
+// for the instance — the equivocation check of Listing 6 — provided the
+// PREPARE carries the origin's link tag for this replica. The tag is what
+// makes an ack endorse the origin's own payload: the transport's sender
+// id alone does not authenticate the origin. The ack is not signed here:
+// it is queued for the pool-side signer, so the dispatch goroutine never
+// executes an ECDSA.
+func (s *Signed) handlePrepare(id instanceID, payload, tag []byte) {
 	d := SignedDigest(id.origin, id.slot, payload)
+	if !s.tags.VerifyTag(id.origin, d[:], tag) {
+		return // not tagged by the origin: forged or corrupted
+	}
 
 	s.mu.Lock()
 	if rec, seen := s.acked[id]; seen {
@@ -488,26 +535,39 @@ func (s *Signed) ackVerified(id instanceID, peer types.ReplicaID, digest types.D
 		s.mu.Unlock()
 		return
 	}
-	out.cert.Sigs = append(out.cert.Sigs, AckSig{Replica: peer, Sig: sig, Chain: chain, ChainDigest: chainDigest})
-	commit := out.cert.Len() >= s.cfg.quorum()
-	if commit {
-		out.committed = true
-		s.retiring = append(s.retiring, id.slot)
-		s.retiringBytes += len(out.payload)
-		for len(s.retiring) > chainCacheEntries && s.retiringBytes > s.retainBytes {
-			oldest := s.retiring[0]
-			s.retiring = s.retiring[1:]
-			s.retiringBytes -= len(s.mine[oldest].payload)
-			delete(s.mine, oldest)
-		}
+	if peer == s.cfg.Self || !s.membership(peer) {
+		// Count only what receivers count (ackCertItems), or the
+		// certificate would complete here and fail everywhere else.
+		s.mu.Unlock()
+		return
 	}
-	payload := out.payload
-	cert := out.cert
+	out.cert.Sigs = append(out.cert.Sigs, AckSig{Replica: peer, Sig: sig, Chain: chain, ChainDigest: chainDigest})
+	s.commitIfComplete(id, out)
+}
+
+// commitIfComplete commits one of this replica's instances once its
+// certificate holds the quorum: it sends the COMMIT to the other members
+// and delivers the own copy by a direct call. s.mu is held on entry and
+// released on return.
+func (s *Signed) commitIfComplete(id instanceID, out *outInstance) {
+	if out.committed || out.cert.Len() < s.cfg.certQuorum() {
+		s.mu.Unlock()
+		return
+	}
+	out.committed = true
+	s.retiring = append(s.retiring, id.slot)
+	s.retiringBytes += len(out.payload)
+	for len(s.retiring) > chainCacheEntries && s.retiringBytes > s.retainBytes {
+		oldest := s.retiring[0]
+		s.retiring = s.retiring[1:]
+		s.retiringBytes -= len(s.mine[oldest].payload)
+		delete(s.mine, oldest)
+	}
+	payload, digest, cert := out.payload, out.digest, out.cert
 	s.mu.Unlock()
 
-	if commit {
-		s.sendCommit(id, payload, digest, cert)
-	}
+	s.sendCommit(id, payload, digest, cert)
+	s.commitVerified(id, digest, payload, true)
 }
 
 // defChain is one distinct chain named by a commit certificate, with its
@@ -558,8 +618,9 @@ func (s *Signed) buildRefSigs(id instanceID, digest types.Digest, cert AckCert) 
 	return sigs, defs, true
 }
 
-// sendCommit broadcasts the commit for an instance whose quorum is
-// complete as a COMMITREF, encoded once (it is destination-independent).
+// sendCommit sends the commit for an instance whose quorum is complete to
+// the other members as a COMMITREF, encoded once (it is
+// destination-independent).
 // Chain definitions are withheld (lazy CHAINDEF) — receivers already know
 // their own chains and any chain learned from any peer, and demand the
 // rest by NACK (handleChainNack answers with the definition; most never
@@ -571,13 +632,13 @@ func (s *Signed) sendCommit(id instanceID, payload []byte, digest types.Digest, 
 		// A chain that does not endorse this instance never enters the
 		// certificate (handleAckBatch filters); if one did, referencing it
 		// would be unverifiable — fall back to the self-contained form.
-		s.sendCommitFull(id, payload, cert, s.cfg.Peers...)
+		s.sendCommitFull(id, payload, cert, s.others...)
 		return
 	}
 
 	ref := wire.AcquireWriter(commitRefSize(payload, sigs))
 	appendCommitRef(ref, id.origin, id.slot, payload, sigs)
-	for _, p := range s.cfg.Peers {
+	for _, p := range s.others {
 		_ = s.cfg.Mux.Send(transport.ReplicaNode(p), transport.ChanBRB, ref.Bytes())
 		s.refStats.RefsSent.Add(1)
 	}
@@ -616,7 +677,7 @@ func (s *Signed) beginCommit(id instanceID) bool {
 
 // handleCommit performs the cheap duplicate checks inline, then verifies
 // the certificate continuation-style: the digest hash runs on a verifier
-// task, the signature checks fan out with 2f+1 early exit, and the
+// task, the signature checks fan out with 2f early exit, and the
 // completion callback re-enters the FIFO delivery drain — zero goroutines
 // per commit. Chain signatures verify against their chain digest (once,
 // memoized, for all the commits a chain covers) and count toward the
@@ -689,7 +750,7 @@ func (s *Signed) handleCommitRef(id instanceID, peer types.ReplicaID, payload []
 		}
 		cert.Sigs = append(cert.Sigs, AckSig{Replica: rs.Replica, Sig: rs.Sig, Chain: chain, ChainDigest: rs.Ref})
 	}
-	if len(missing) > 0 && len(cert.Sigs) < s.cfg.quorum() {
+	if len(missing) > 0 && len(cert.Sigs) < s.cfg.certQuorum() {
 		// Not deliverable from what we have. Skip the NACK when the
 		// instance is already delivered or mid-verification — a duplicate
 		// needs no resend.
@@ -815,10 +876,13 @@ type ackCertItem struct {
 }
 
 // ackCertItems performs the cheap serial filtering of a certificate —
-// dedupe, membership, chain endorsement, chain-digest memoization. A
-// quorum of valid endorsements of (id, d) among the returned items is
-// exactly what the protocol needs: extra invalid or irrelevant signatures
-// are ignored and duplicate signers count once.
+// dedupe, membership, the origin's own signature, chain endorsement,
+// chain-digest memoization. A quorum of valid endorsements of (id, d)
+// among the returned items is exactly what the protocol needs: extra
+// invalid or irrelevant signatures are ignored, duplicate signers count
+// once, and the origin's signature counts for nothing (its tagged PREPARE
+// already endorsed the instance, and the quorum arithmetic assumes 2f
+// other members).
 func (s *Signed) ackCertItems(id instanceID, d types.Digest, cert AckCert) []ackCertItem {
 	seen := make(map[types.ReplicaID]struct{}, len(cert.Sigs))
 	items := make([]ackCertItem, 0, len(cert.Sigs))
@@ -826,7 +890,7 @@ func (s *Signed) ackCertItems(id instanceID, d types.Digest, cert AckCert) []ack
 		if _, dup := seen[a.Replica]; dup {
 			continue
 		}
-		if !s.membership(a.Replica) {
+		if a.Replica == id.origin || !s.membership(a.Replica) {
 			continue
 		}
 		dg := d
@@ -850,7 +914,7 @@ func (s *Signed) ackCertItems(id instanceID, d types.Digest, cert AckCert) []ack
 // and fewer than `need` valid votes forces more invalid ones than the
 // budget tolerates.
 func (s *Signed) verifyAckCertDetached(id instanceID, d types.Digest, cert AckCert, cb func(bool)) {
-	need := s.cfg.quorum()
+	need := s.cfg.certQuorum()
 	items := s.ackCertItems(id, d, cert)
 	if len(items) < need {
 		cb(false)

@@ -81,12 +81,12 @@ func TestSignedNoTotality(t *testing.T) {
 
 	// Replicas 0,1,2 will ACK an honest PREPARE; replica 3 (adversary)
 	// gathers them but sends COMMIT only to replica 0.
-	prep := EncodePrepare(3, 1, payload)
 	for _, target := range []types.ReplicaID{0, 1, 2} {
-		_ = h.muxes[3].Send(transport.ReplicaNode(target), transport.ChanBRB, prep)
+		_ = h.muxes[3].Send(transport.ReplicaNode(target), transport.ChanBRB, signedPrepare(3, target, 1, payload))
 	}
-	// The adversary's own signature plus two honest ACKs form the
-	// quorum. Build the certificate directly with the harness keys.
+	// Two honest ACKs form the quorum of 2f non-origin acks; the
+	// adversary's own signature rides along and counts for nothing.
+	// Build the certificate directly with the harness keys.
 	sig3, err := h.keys[3].Sign(d)
 	if err != nil {
 		t.Fatal(err)

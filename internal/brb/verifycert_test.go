@@ -17,7 +17,8 @@ import (
 // certFixture is a verifying replica of an n-member group (replicas
 // 0..n-1) whose registry also holds the keys of nonMembers more replicas
 // (n..n+nonMembers-1). It has no transport: verification only reads the
-// group, the registry and the verifier.
+// group, the registry and the verifier. The instance's origin is replica
+// 2, so a certificate needs 2f valid acks from the others.
 type certFixture struct {
 	s    *Signed
 	keys []*crypto.KeyPair
@@ -115,12 +116,12 @@ func (fx *certFixture) checkVerdict(t *testing.T, what string, d types.Digest, c
 func TestVerifyAckCertParallel(t *testing.T) {
 	for _, m := range sigModes {
 		t.Run(m.name, func(t *testing.T) {
-			fx := newCertFixture(t, 10, 0) // quorum 2f+1 = 7
+			fx := newCertFixture(t, 10, 0) // quorum 2f = 6 besides origin 2
 			d := SignedDigest(fx.id.origin, fx.id.slot, []byte("batch"))
 			all := fx.cert(t, m, d, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 			fx.checkVerdict(t, "full certificate", d, all, true)
-			fx.checkVerdict(t, "exact quorum", d, AckCert{Sigs: all.Sigs[:7]}, true)
-			fx.checkVerdict(t, "one short of the quorum", d, AckCert{Sigs: all.Sigs[:6]}, false)
+			fx.checkVerdict(t, "exact quorum and the origin", d, AckCert{Sigs: all.Sigs[:7]}, true)
+			fx.checkVerdict(t, "one short of the quorum, and the origin", d, AckCert{Sigs: all.Sigs[:6]}, false)
 			other := SignedDigest(fx.id.origin, fx.id.slot, []byte("other"))
 			fx.checkVerdict(t, "wrong payload digest", other, all, false)
 		})
@@ -186,12 +187,12 @@ func TestVerifyAckCertQuorumSemantics(t *testing.T) {
 func TestVerifyAckCertMembership(t *testing.T) {
 	for _, m := range sigModes {
 		t.Run(m.name, func(t *testing.T) {
-			// A group of 4 (quorum 3) whose registry also knows replicas 4-6:
-			// their valid signatures endorse nothing here.
+			// A group of 4 (quorum 2 besides the origin) whose registry also
+			// knows replicas 4-6: their valid signatures endorse nothing here.
 			fx := newCertFixture(t, 4, 3)
 			d := SignedDigest(fx.id.origin, fx.id.slot, []byte("batch"))
-			fx.checkVerdict(t, "two members and three outsiders", d, fx.cert(t, m, d, 0, 4, 1, 5, 6), false)
-			fx.checkVerdict(t, "three members among outsiders", d, fx.cert(t, m, d, 4, 0, 5, 1, 6, 2), true)
+			fx.checkVerdict(t, "one member, the origin and three outsiders", d, fx.cert(t, m, d, 0, 4, 2, 5, 6), false)
+			fx.checkVerdict(t, "two members among outsiders", d, fx.cert(t, m, d, 4, 0, 5, 1, 6), true)
 		})
 	}
 }
@@ -216,5 +217,57 @@ func TestVerifyAckCertChainMustEndorse(t *testing.T) {
 	} {
 		c := AckCert{Sigs: []AckSig{sign(0, chain), sign(1, chain), sign(2, chain)}}
 		fx.checkVerdict(t, fmt.Sprintf("wrong chain %d", i), d, c, false)
+	}
+}
+
+// TestCommitQuorumNonOriginAcks: a certificate needs 2f valid acks from
+// distinct members other than the origin. 2f such acks deliver; the
+// origin's own signature adds nothing, however it is placed; a signer
+// repeated counts once.
+func TestCommitQuorumNonOriginAcks(t *testing.T) {
+	for _, m := range sigModes {
+		t.Run(m.name, func(t *testing.T) {
+			fx := newCertFixture(t, 4, 0) // f = 1; origin 2; quorum 2
+			d := SignedDigest(fx.id.origin, fx.id.slot, []byte("batch"))
+			fx.checkVerdict(t, "2f non-origin acks", d, fx.cert(t, m, d, 0, 3), true)
+			fx.checkVerdict(t, "one valid non-origin ack, a forged one, the origin's third", d, forge(fx.cert(t, m, d, 0, 3, 2), 1), false)
+			fx.checkVerdict(t, "one non-origin ack and the origin's", d, fx.cert(t, m, d, 2, 0), false)
+			fx.checkVerdict(t, "one signer repeated", d, fx.cert(t, m, d, 3, 3), false)
+
+			fx = newCertFixture(t, 7, 0) // f = 2; origin 2; quorum 4
+			fx.checkVerdict(t, "2f non-origin acks at f = 2", d, fx.cert(t, m, d, 0, 1, 3, 4), true)
+			fx.checkVerdict(t, "2f-1 non-origin acks, the origin's third", d, fx.cert(t, m, d, 0, 1, 2, 3), false)
+			fx.checkVerdict(t, "2f-1 distinct acks, one repeated", d, fx.cert(t, m, d, 0, 1, 3, 3), false)
+		})
+	}
+}
+
+// TestCommitQuorumBeyondThreeFPlusOne: a group larger than 3f+1 needs
+// ceil((n-1+f)/2) non-origin acks, so that two certificates for one
+// instance still share f of them; a group tolerating no fault still needs
+// one.
+func TestCommitQuorumBeyondThreeFPlusOne(t *testing.T) {
+	for _, c := range []struct{ n, f, quorum int }{
+		{1, 0, 0}, {2, 0, 1}, {3, 0, 1}, {4, 1, 2}, {5, 1, 3}, {6, 1, 3}, {7, 2, 4}, {10, 3, 6},
+	} {
+		if got := CertQuorum(c.n, c.f); got != c.quorum {
+			t.Errorf("CertQuorum(%d, %d) = %d, want %d", c.n, c.f, got, c.quorum)
+		}
+		if c.n > 1 && (2*c.quorum-(c.n-1) < c.f || c.quorum > c.n-1-c.f || c.quorum < 1) {
+			t.Errorf("CertQuorum(%d, %d) = %d: certificates overlap in fewer than f, or correct members cannot form one", c.n, c.f, c.quorum)
+		}
+	}
+	for _, m := range sigModes {
+		t.Run(m.name, func(t *testing.T) {
+			fx := newCertFixture(t, 5, 0) // f = 1; origin 2; quorum 3
+			d := SignedDigest(fx.id.origin, fx.id.slot, []byte("batch"))
+			fx.checkVerdict(t, "2f non-origin acks at n = 5", d, fx.cert(t, m, d, 0, 1), false)
+			fx.checkVerdict(t, "3 non-origin acks at n = 5", d, fx.cert(t, m, d, 0, 1, 3), true)
+
+			fx = newCertFixture(t, 3, 0) // f = 0; origin 2; quorum 1
+			fx.checkVerdict(t, "no ack at f = 0", d, AckCert{}, false)
+			fx.checkVerdict(t, "only the origin's ack at f = 0", d, fx.cert(t, m, d, 2), false)
+			fx.checkVerdict(t, "one non-origin ack at f = 0", d, fx.cert(t, m, d, 0), true)
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"astro/internal/brb"
+	"astro/internal/crypto"
 	"astro/internal/transport"
 	"astro/internal/types"
 )
@@ -41,17 +42,19 @@ func TestPartialPaymentsAttackBlocked(t *testing.T) {
 	// PREPARE to everyone so honest replicas record their ACK state (the
 	// adversary needs their payload endorsement to be plausible); the
 	// ACKs themselves flow back to replica 1, which we simply ignore.
-	prep := brb.EncodePrepare(origin, 1, batch)
+	adv := c.replicas[int(origin)].cfg
 	for i := 0; i < 4; i++ {
-		if i == int(origin) {
+		to := types.ReplicaID(i)
+		if to == origin {
 			continue
 		}
-		_ = c.replicas[int(origin)].cfg.Mux.Send(transport.ReplicaNode(types.ReplicaID(i)), transport.ChanBRB, prep)
+		_ = adv.Mux.Send(transport.ReplicaNode(to), transport.ChanBRB, brb.EncodeSignedPrepare(crypto.NewKeyedLinkAuthenticator(origin, adv.Keys, adv.Registry), to, origin, 1, batch))
 	}
 
-	// Build a valid 2f+1 certificate with keys the adversary could have
-	// gathered, and COMMIT only to Bob's representative.
-	var cert = c.certFor(t, d, 0, 1, 3)
+	// Build a valid certificate of 2f non-origin acks with keys the
+	// adversary could have gathered, and COMMIT only to Bob's
+	// representative.
+	var cert = c.certFor(t, d, 0, 3)
 	commit := brb.EncodeCommitTab(origin, 1, batch, cert)
 	_ = c.replicas[int(origin)].cfg.Mux.Send(transport.ReplicaNode(c.repOf(2)), transport.ChanBRB, commit)
 

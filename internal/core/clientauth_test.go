@@ -92,9 +92,10 @@ func TestClientAuthBlocksForgingRepresentative(t *testing.T) {
 	batch := EncodeBatch([]BatchEntry{{Payment: forged}}) // no signature
 	// The malicious representative broadcasts directly through its BRB
 	// endpoint: PREPARE to everyone.
-	prep := brb.EncodePrepare(origin, 1, batch)
+	adv := c.replicas[int(origin)].cfg
 	for i := range c.replicas {
-		_ = c.replicas[int(origin)].cfg.Mux.Send(transport.ReplicaNode(types.ReplicaID(i)), transport.ChanBRB, prep)
+		to := types.ReplicaID(i)
+		_ = adv.Mux.Send(transport.ReplicaNode(to), transport.ChanBRB, brb.EncodeSignedPrepare(crypto.NewKeyedLinkAuthenticator(origin, adv.Keys, adv.Registry), to, origin, 1, batch))
 	}
 	time.Sleep(300 * time.Millisecond)
 	for i, r := range c.replicas {

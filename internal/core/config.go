@@ -73,6 +73,7 @@ type Config struct {
 	Sched *sched.Runtime
 
 	// Auth supplies MAC link authentication for Astro I's broadcast.
+	// Astro II keys its PREPARE tags by Keys and Registry instead.
 	Auth *crypto.LinkAuthenticator
 	// Keys is this replica's signing key (required for Astro II).
 	Keys *crypto.KeyPair

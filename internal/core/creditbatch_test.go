@@ -139,7 +139,9 @@ func TestCreditBatchRejectsForgeries(t *testing.T) {
 
 // TestVerifyDependencyChainSigs checks the certificate verifier directly:
 // chain signatures endorse a group only when its digest appears in the
-// chain, and mixed plain/chain certificates count distinct signers.
+// chain, and mixed plain/chain certificates count distinct signers. The
+// batch origin sits in another shard, so every endorsement is a
+// signature.
 func TestVerifyDependencyChainSigs(t *testing.T) {
 	reg := crypto.NewRegistry()
 	keys := make([]*crypto.KeyPair, 3)
@@ -148,7 +150,13 @@ func TestVerifyDependencyChainSigs(t *testing.T) {
 		reg.Add(types.ReplicaID(i), keys[i].Public())
 	}
 	oneShard := func(types.ClientID) types.ShardID { return 0 }
-	repShard := func(types.ReplicaID) types.ShardID { return 0 }
+	const origin = types.ReplicaID(9)
+	repShard := func(r types.ReplicaID) types.ShardID {
+		if r == origin {
+			return 1
+		}
+		return 0
+	}
 
 	group := []types.Payment{pay(1, 1, 2, 10)}
 	digest := CreditGroupDigest(group)
@@ -172,13 +180,13 @@ func TestVerifyDependencyChainSigs(t *testing.T) {
 
 	// Mixed certificate: one plain, one chain signature — both endorse.
 	d := Dependency{Group: group, Cert: DepCert{Sigs: []DepSig{plainSig(0), chainSig(1, chain)}}}
-	if err := VerifyDependency(d, nil, reg, 1, oneShard, repShard); err != nil {
+	if err := VerifyDependency(d, origin, nil, reg, 1, oneShard, repShard); err != nil {
 		t.Fatalf("mixed plain/chain certificate rejected: %v", err)
 	}
 
 	// A chain that does not contain the group's digest endorses nothing.
 	bad := Dependency{Group: group, Cert: DepCert{Sigs: []DepSig{plainSig(0), chainSig(1, []types.Digest{other})}}}
-	if err := VerifyDependency(bad, nil, reg, 1, oneShard, repShard); err == nil {
+	if err := VerifyDependency(bad, origin, nil, reg, 1, oneShard, repShard); err == nil {
 		t.Fatal("chain not containing the group digest accepted as endorsement")
 	}
 
@@ -187,7 +195,7 @@ func TestVerifyDependencyChainSigs(t *testing.T) {
 	replay := chainSig(1, chain)
 	replay.Chain = nil
 	rd := Dependency{Group: group, Cert: DepCert{Sigs: []DepSig{plainSig(0), replay}}}
-	if err := VerifyDependency(rd, nil, reg, 1, oneShard, repShard); err == nil {
+	if err := VerifyDependency(rd, origin, nil, reg, 1, oneShard, repShard); err == nil {
 		t.Fatal("chain signature replayed as single-group signature accepted")
 	}
 }

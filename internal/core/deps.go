@@ -15,10 +15,14 @@ import (
 // Astro II replaces direct beneficiary crediting with dependencies (paper
 // §IV-A, §V, Listings 7–10): when a replica settles a payment, it unicasts
 // a signed CREDIT message to the beneficiary's representative. f+1 matching
-// CREDIT messages form a dependency certificate — proof that the payment
-// was approved by at least one correct replica of the spender's shard.
-// The certificate is attached to the beneficiary's next outgoing payment
-// and materializes into balance when that payment settles.
+// endorsements form a dependency certificate — proof that the payment was
+// approved by at least one correct replica of the spender's shard. A
+// representative in the spender's shard endorses by its own settlement,
+// unsigned: the certificate then carries f CREDIT signatures, and the
+// representative's authenticated PREPARE of the batch it attaches the
+// certificate to stands for the missing one (VerifyDependency). The
+// certificate is attached to the beneficiary's next outgoing payment and
+// materializes into balance when that payment settles.
 //
 // Following the paper's two-level batching (§VI-A), CREDIT messages carry a
 // *group* of payments whose beneficiaries share the same representative,
@@ -85,10 +89,11 @@ func (c DepCert) Has(r types.ReplicaID) bool {
 	return false
 }
 
-// Dependency is a credit group together with a certificate of at least
-// f+1 signatures endorsing its digest by replicas of the spender's shard.
-// It is transferable: any shard can verify it against the global key
-// registry and the public shard assignment.
+// Dependency is a credit group together with a certificate of signatures
+// endorsing its digest by replicas of the spender's shard: f+1 of them,
+// or f besides the batch origin when the origin is in that shard. It is
+// verifiable in any shard against the global key registry and the public
+// shard assignment.
 type Dependency struct {
 	Group []types.Payment
 	Cert  DepCert
@@ -113,13 +118,21 @@ var (
 	ErrDepMixedShard = errors.New("dependency: spenders from different shards")
 )
 
-// VerifyDependency checks that the dependency's certificate carries at
-// least f+1 valid endorsements of the group from distinct replicas of the
-// (single) shard all the group's spenders belong to. A chain signature
-// endorses the group only if the group digest appears in its chain; its
-// ECDSA verifies against the chain digest, so — through ver's memo — the
-// k dependencies of one settlement wave cost one verification per signer,
-// not k.
+// VerifyDependency checks that the dependency, attached to a batch
+// broadcast by origin, carries at least f+1 endorsements of the group from
+// distinct replicas of the (single) shard all the group's spenders belong
+// to. The origin's authenticated PREPARE is its endorsement: the batch
+// committed under acks that correct replicas give only to a PREPARE
+// carrying the origin's link tag, keyed by ECDH between the two ends'
+// key pairs (brb.Signed), so the batch is the origin's own. When the
+// origin belongs to the spenders' shard it counts as one of the f+1, so f
+// valid signatures from other replicas suffice (none at f = 0), and an
+// explicit origin signature is skipped rather than counted twice. Among an
+// in-shard origin and f other signers at least one is correct. A
+// cross-shard dependency still needs f+1 signatures. A chain signature endorses the group only if
+// the group digest appears in its chain; its ECDSA verifies against the
+// chain digest, so — through ver's memo — the k dependencies of one
+// settlement wave cost one verification per signer, not k.
 //
 // When ver is non-nil the signature checks run through its memo cache,
 // inline on the caller (no pool blocking, so it is safe from worker
@@ -127,8 +140,11 @@ var (
 // plain registry check. The payment engine screens dependencies on the
 // delivery path *before* taking any stripe lock
 // (Replica.screenDependencies), fanning these checks across the pool.
+// The verdict depends only on the dependency, the origin and the key
+// registry, so every correct replica strips the same dependencies.
 func VerifyDependency(
 	d Dependency,
+	origin types.ReplicaID,
 	ver *verifier.Verifier,
 	reg *crypto.Registry,
 	f int,
@@ -145,6 +161,10 @@ func VerifyDependency(
 		}
 	}
 	need := f + 1
+	originEndorses := replicaShard(origin) == shard
+	if originEndorses {
+		need--
+	}
 	if d.Cert.Len() < need {
 		return fmt.Errorf("dependency: %w: have %d, need %d", crypto.ErrCertTooSmall, d.Cert.Len(), need)
 	}
@@ -156,6 +176,9 @@ func VerifyDependency(
 			return fmt.Errorf("dependency: %w: replica %d", crypto.ErrCertDuplicate, ps.Replica)
 		}
 		seen[ps.Replica] = struct{}{}
+		if originEndorses && ps.Replica == origin {
+			continue // already counted by its PREPARE
+		}
 		if replicaShard(ps.Replica) != shard {
 			continue // signer outside the spenders' shard: no endorsement
 		}
@@ -178,6 +201,9 @@ func VerifyDependency(
 				return nil
 			}
 		}
+	}
+	if valid >= need {
+		return nil // f = 0 and the origin alone endorses
 	}
 	return fmt.Errorf("dependency: %w: %d valid of %d needed", crypto.ErrCertTooSmall, valid, need)
 }

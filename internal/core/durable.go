@@ -389,12 +389,13 @@ func (r *Replica) recover(be wal.Backend) error {
 		return err
 	}
 	if r.recovered {
-		// The image's window and the replayed recEndorse records may reach
-		// below what the replayed settlements have since put in the xlogs.
+		r.restoreProjections()
+		// The image's window, the replayed recEndorse records and the
+		// reserved batches may reach below what the replayed settlements
+		// have since put in the xlogs.
 		for c := range r.endorsed {
 			r.endorsed.prune(c, r.state.NextSeq(c)-1)
 		}
-		r.restoreProjections()
 	}
 	return nil
 }
@@ -538,9 +539,12 @@ func (r *Replica) adoptDependency(d Dependency) {
 
 // restoreProjections rebuilds the representative-side in-flight accounting
 // from the recovered reservation set: every slot-reserved batch is charged
-// exactly as bufferLocked charged it originally, and dependencies riding
-// those batches are stripped from the attachable set (they were removed at
-// attach time; recDep replay re-added them).
+// exactly as bufferLocked charged it originally, its payments are bound in
+// the endorsement memory as submit bound them (the origin runs no
+// validator on its own batch, so recBcast is the only record of those
+// bindings), and dependencies riding those batches are stripped from the
+// attachable set (they were removed at attach time; recDep replay re-added
+// them).
 func (r *Replica) restoreProjections() {
 	r.myInflight = len(r.pendingBcast)
 	attached := make(map[types.ClientID]map[types.Digest]bool)
@@ -554,6 +558,7 @@ func (r *Replica) restoreProjections() {
 			if r.cfg.RepOf(c) != r.cfg.Self {
 				continue
 			}
+			r.endorsed.bind(e.Payment)
 			r.inflightOut[c] += e.Payment.Amount
 			depVal := r.dedupedDepValue(c, e.Deps)
 			for _, d := range e.Deps {
@@ -606,7 +611,7 @@ func (r *Replica) finishRecovery() {
 			}
 			slices.Sort(reps)
 			for _, rep := range reps {
-				r.creditSigner.Enqueue(creditJob{rep: rep, group: groups[rep]})
+				r.queueCredit(rep, groups[rep])
 			}
 		}
 	}
@@ -773,12 +778,23 @@ func (r *Replica) requestCreditRedo() {
 			groups = append(groups, pays[:n])
 			pays = pays[n:]
 		}
+		if slices.Contains(signers, r.cfg.Self) {
+			// This replica is one of the signers: its own settled xlog
+			// vouches for the groups directly, with no request to itself.
+			for _, g := range groups {
+				if r.redoGroupVouchable(r.cfg.Self, g) {
+					r.endorseOwnCredit(g)
+				}
+			}
+		}
 		for len(groups) > 0 {
 			n := min(len(groups), maxRedoGroups)
 			msg := encodeCreditRedo(groups[:n])
 			groups = groups[n:]
 			for _, peer := range signers {
-				_ = r.cfg.Mux.Send(transport.ReplicaNode(peer), transport.ChanCredit, msg)
+				if peer != r.cfg.Self {
+					_ = r.cfg.Mux.Send(transport.ReplicaNode(peer), transport.ChanCredit, msg)
+				}
 			}
 		}
 	}

@@ -167,7 +167,12 @@ type creditState struct {
 	group  []types.Payment
 	digest types.Digest
 	cert   DepCert
-	done   bool
+	// self marks the group as endorsed by this replica's own settlement:
+	// it counts toward f+1 without a signature, because the dependency
+	// only ever rides this replica's own batches, whose tagged PREPARE is
+	// its endorsement (VerifyDependency counts the batch origin).
+	self bool
+	done bool
 }
 
 // creditJob is one credit group awaiting signature, addressed to the
@@ -899,7 +904,7 @@ func (r *Replica) onDeliver(origin types.ReplicaID, slot uint64, payload []byte)
 	if err != nil {
 		return // validated before endorsement; cannot happen from correct peers
 	}
-	r.screenDependencies(entries)
+	r.screenDependencies(origin, entries)
 	drain := false
 	if origin == r.cfg.Self {
 		if r.wal != nil {
@@ -1124,8 +1129,20 @@ func (r *Replica) postSettle(settled []types.Payment) {
 	}
 	slices.Sort(reps)
 	for _, rep := range reps {
-		r.creditSigner.Enqueue(creditJob{rep: rep, group: groups[rep]})
+		r.queueCredit(rep, groups[rep])
 	}
+}
+
+// queueCredit routes one settled credit group to its beneficiaries'
+// representative rep: queued for signature when rep is a peer, or, when
+// this replica is the representative, recorded as its own endorsement
+// with no signature and no CREDIT sent to itself.
+func (r *Replica) queueCredit(rep types.ReplicaID, group []types.Payment) {
+	if rep == r.cfg.Self {
+		r.endorseOwnCredit(group)
+		return
+	}
+	r.creditSigner.Enqueue(creditJob{rep: rep, group: group})
 }
 
 // sendCreditSingle signs and sends one credit group in the single-group
@@ -1187,8 +1204,9 @@ func (r *Replica) sendCreditChain(jobs []creditJob, wave *verifier.Wave) {
 
 // onCredit routes the credit channel (paper Listing 10): single-group
 // CREDITs and chain-signed CREDITREFs both accumulate into dependency
-// certificates for this replica's clients — f+1 distinct signed approvals
-// from the spender's shard form a transferable dependency.
+// certificates for this replica's clients — f+1 distinct approvals from
+// the spender's shard, this replica's own settlement included, form a
+// dependency.
 func (r *Replica) onCredit(from transport.NodeID, payload []byte) {
 	if len(payload) == 0 {
 		return
@@ -1223,7 +1241,7 @@ func (r *Replica) onCredit(from transport.NodeID, payload []byte) {
 		// The signature check runs on the verifier pool, off the
 		// transport dispatch goroutine; certificate accumulation
 		// re-enters through the completion callback. Accumulation order
-		// across signers is irrelevant — any f+1 of them form the
+		// across signers is irrelevant — any f+1 endorsements form the
 		// dependency.
 		r.cfg.Verifier.VerifyReplicaDetached(r.cfg.Registry, m.Signer, cs.digest, m.Sig, func(valid bool) {
 			if valid {
@@ -1290,7 +1308,7 @@ func (r *Replica) onCredit(from transport.NodeID, payload []byte) {
 			if !r.redoGroupVouchable(peer, group) {
 				continue
 			}
-			r.creditSigner.Enqueue(creditJob{rep: peer, group: group})
+			r.queueCredit(peer, group)
 		}
 	case msgCreditRescan:
 		if r.creditSigner == nil {
@@ -1419,16 +1437,46 @@ func (r *Replica) lookupCreditState(group []types.Payment) *creditState {
 }
 
 // creditVerified accumulates a verified CREDIT signature (with its chain
-// context, if wave-signed) and, on reaching f+1, registers the dependency
-// certificate and retries held submissions.
+// context, if wave-signed) into the group's certificate. This replica's
+// own signature is never accumulated: its settlement endorses its own
+// clients' groups (endorseOwnCredit), and counting both would count it
+// twice.
 func (r *Replica) creditVerified(cs *creditState, signer types.ReplicaID, sig []byte, chain []types.Digest) {
 	r.creditMu.Lock()
-	if cs.done || cs.cert.Has(signer) {
+	if cs.done || signer == r.cfg.Self || cs.cert.Has(signer) {
 		r.creditMu.Unlock()
 		return
 	}
 	cs.cert.Sigs = append(cs.cert.Sigs, DepSig{Replica: signer, Sig: sig, Chain: chain})
-	if cs.cert.Len() < r.cfg.F+1 {
+	r.creditEndorsed(cs)
+}
+
+// endorseOwnCredit records this replica's own settlement of a group whose
+// beneficiaries it represents as one of the group's f+1 endorsements.
+func (r *Replica) endorseOwnCredit(group []types.Payment) {
+	cs := r.lookupCreditState(group)
+	if cs == nil {
+		return // certificate already complete
+	}
+	r.creditMu.Lock()
+	if cs.done || cs.self {
+		r.creditMu.Unlock()
+		return
+	}
+	cs.self = true
+	r.creditEndorsed(cs)
+}
+
+// creditEndorsed completes a group's certificate once it holds f+1
+// endorsements — its signatures plus this replica's own settlement — then
+// registers the dependency and retries held submissions. creditMu is held
+// on entry and released on return.
+func (r *Replica) creditEndorsed(cs *creditState) {
+	n := cs.cert.Len()
+	if cs.self {
+		n++
+	}
+	if n < r.cfg.F+1 {
 		r.creditMu.Unlock()
 		return
 	}
@@ -1498,14 +1546,14 @@ func (r *Replica) PendingSubmits(c types.ClientID) int {
 }
 
 // screenDependencies verifies every dependency certificate attached to the
-// batch — outside any settlement lock, fanned out across the verifier pool
-// — and strips the ones that fail, so State credits what remains without
-// re-verifying inside the settlement critical section. Stripping a bad
-// certificate is exactly the semantics State's inline check used to apply
-// ("unverifiable certificate: ignore, do not credit"); every correct
-// replica screens the same delivered batch identically, so replicated
-// state stays consistent.
-func (r *Replica) screenDependencies(entries []BatchEntry) {
+// batch from origin — outside any settlement lock, fanned out across the
+// verifier pool — and strips the ones that fail, so State credits what
+// remains without re-verifying inside the settlement critical section.
+// Stripping a bad certificate is exactly the semantics State's inline
+// check used to apply ("unverifiable certificate: ignore, do not
+// credit"); every correct replica screens the same delivered batch from
+// the same origin identically, so replicated state stays consistent.
+func (r *Replica) screenDependencies(origin types.ReplicaID, entries []BatchEntry) {
 	if r.cfg.Version != AstroII {
 		return
 	}
@@ -1518,7 +1566,7 @@ func (r *Replica) screenDependencies(entries []BatchEntry) {
 		for di := range entries[ei].Deps {
 			d := entries[ei].Deps[di]
 			f := r.cfg.Verifier.VerifyAsync(func() bool {
-				return VerifyDependency(d, r.cfg.Verifier, r.cfg.Registry, r.cfg.F, r.cfg.ShardOf, r.cfg.ReplicaShard) == nil
+				return VerifyDependency(d, origin, r.cfg.Verifier, r.cfg.Registry, r.cfg.F, r.cfg.ShardOf, r.cfg.ReplicaShard) == nil
 			}, nil)
 			checks = append(checks, check{entry: ei, dep: di, f: f})
 		}

@@ -8,12 +8,14 @@
 //     digest, verified against a threshold (2f+1 for BRB commits, f+1 for
 //     dependency certificates);
 //   - HMAC-SHA256 pairwise link authenticators — the MAC scheme Astro I
-//     uses for channel authentication.
+//     uses for channel authentication, and, keyed by ECDH between two
+//     replicas' key pairs, the tag of Astro II's PREPARE.
 //
 // Only the Go standard library is used.
 package crypto
 
 import (
+	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/hmac"
@@ -310,6 +312,13 @@ func (r *Registry) VerifySig(id types.ReplicaID, digest types.Digest, sig []byte
 	}
 }
 
+// simulated reports whether the replica is registered with a simulated key.
+func (r *Registry) simulated(id types.ReplicaID) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.sim[id]
+}
+
 // Len returns the number of registered replicas.
 func (r *Registry) Len() int {
 	r.mu.RLock()
@@ -387,15 +396,35 @@ func VerifyCertificate(reg *Registry, cert Certificate, digest types.Digest, thr
 }
 
 // LinkAuthenticator derives and applies pairwise HMAC-SHA256 keys for
-// channel authentication between replicas — the MAC scheme of Astro I.
-// All instances sharing the same master secret derive identical link keys,
-// emulating the pre-distributed pairwise keys of a permissioned deployment.
+// channel authentication between replicas. Its link keys come from one of
+// two sources:
+//
+//   - a shared master secret (NewLinkAuthenticator): every holder of the
+//     master derives every link key, emulating the pre-distributed
+//     pairwise keys of a permissioned deployment — the MAC scheme of
+//     Astro I, which trusts no third party to stay out of a link;
+//   - the replicas' registered key pairs (NewKeyedLinkAuthenticator):
+//     static P-256 Diffie-Hellman between the two ends, so only they know
+//     the link key and a tag is as hard to forge as either end's
+//     signature.
 type LinkAuthenticator struct {
 	self   types.ReplicaID
 	master []byte
 
+	keys *KeyPair  // keyed mode: self's key pair
+	reg  *Registry // keyed mode: the peers' public keys
+
 	mu    sync.Mutex
-	cache map[types.ReplicaID][]byte
+	priv  *ecdh.PrivateKey // keyed mode: keys in ECDH form, converted once
+	cache map[types.ReplicaID]linkKeyEntry
+}
+
+// linkKeyEntry is a cached link key with the peer public key it was
+// derived from; a keyed authenticator re-derives when the registry's key
+// for the peer changes (a re-joining replica).
+type linkKeyEntry struct {
+	pub *ecdsa.PublicKey
+	key []byte
 }
 
 // TagSize is the length of a link MAC tag in bytes.
@@ -409,42 +438,112 @@ func NewLinkAuthenticator(self types.ReplicaID, master []byte) *LinkAuthenticato
 	return &LinkAuthenticator{
 		self:   self,
 		master: m,
-		cache:  make(map[types.ReplicaID][]byte),
+		cache:  make(map[types.ReplicaID]linkKeyEntry),
 	}
 }
 
-// linkKey returns the symmetric key for the link between self and peer.
-// The key depends only on the unordered pair, so both ends derive the same
-// key: K = HMAC(master, min || max).
-func (a *LinkAuthenticator) linkKey(peer types.ReplicaID) []byte {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if k, ok := a.cache[peer]; ok {
-		return k
+// NewKeyedLinkAuthenticator creates an authenticator for replica self
+// whose link key with a peer is derived from ECDH between keys and the
+// peer's public key in reg. A link to a peer without a registered key of
+// the same kind has no key: its tags never verify. Simulated key pairs
+// (NewSimKeyPair) derive link keys from their simulation master instead,
+// so every holder of that master knows them — as it can also make their
+// simulated signatures.
+func NewKeyedLinkAuthenticator(self types.ReplicaID, keys *KeyPair, reg *Registry) *LinkAuthenticator {
+	return &LinkAuthenticator{
+		self:  self,
+		keys:  keys,
+		reg:   reg,
+		cache: make(map[types.ReplicaID]linkKeyEntry),
 	}
-	lo, hi := a.self, peer
+}
+
+// linkPair encodes the unordered pair {self, peer} as min || max.
+func linkPair(self, peer types.ReplicaID) []byte {
+	lo, hi := self, peer
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	mac := hmac.New(sha256.New, a.master)
-	var buf [8]byte
-	buf[0] = byte(lo >> 24)
-	buf[1] = byte(lo >> 16)
-	buf[2] = byte(lo >> 8)
-	buf[3] = byte(lo)
-	buf[4] = byte(hi >> 24)
-	buf[5] = byte(hi >> 16)
-	buf[6] = byte(hi >> 8)
-	buf[7] = byte(hi)
-	mac.Write(buf[:])
+	return []byte{
+		byte(lo >> 24), byte(lo >> 16), byte(lo >> 8), byte(lo),
+		byte(hi >> 24), byte(hi >> 16), byte(hi >> 8), byte(hi),
+	}
+}
+
+// linkKey returns the symmetric key for the link between self and peer,
+// or nil when a keyed authenticator has none. The key depends only on the
+// unordered pair, so both ends derive the same key: K = HMAC(secret,
+// min || max), where secret is the master, the simulation master, or the
+// ECDH shared secret of the two key pairs.
+func (a *LinkAuthenticator) linkKey(peer types.ReplicaID) []byte {
+	var pub *ecdsa.PublicKey
+	if a.reg != nil {
+		pub = a.reg.Lookup(peer)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if e, ok := a.cache[peer]; ok && e.pub == pub {
+		return e.key
+	}
+	secret := a.master
+	if a.keys != nil {
+		secret = a.keyedSecret(peer, pub)
+		if secret == nil {
+			return nil
+		}
+	}
+	mac := hmac.New(sha256.New, secret)
+	mac.Write(linkPair(a.self, peer))
 	k := mac.Sum(nil)
-	a.cache[peer] = k
+	a.cache[peer] = linkKeyEntry{pub: pub, key: k}
 	return k
 }
 
-// Tag computes the MAC tag for a message sent on the link to peer.
+// keyedSecret is the secret a keyed authenticator shares with peer, whose
+// registered ECDSA key is pub (nil for a simulated or unknown peer).
+func (a *LinkAuthenticator) keyedSecret(peer types.ReplicaID, pub *ecdsa.PublicKey) []byte {
+	if a.keys.priv == nil {
+		if !a.reg.simulated(peer) {
+			return nil
+		}
+		mac := hmac.New(sha256.New, a.keys.simMaster)
+		mac.Write([]byte("astro-sim-link"))
+		return mac.Sum(nil)
+	}
+	if pub == nil {
+		return nil
+	}
+	if a.priv == nil {
+		priv, err := a.keys.priv.ECDH()
+		if err != nil {
+			return nil
+		}
+		a.priv = priv
+	}
+	pk, err := pub.ECDH()
+	if err != nil {
+		return nil
+	}
+	shared, err := a.priv.ECDH(pk)
+	if err != nil {
+		return nil
+	}
+	return shared
+}
+
+// Derive computes and caches the link key to peer ahead of its first use:
+// a keyed link costs one ECDH, which a caller can take off the path of
+// its first message.
+func (a *LinkAuthenticator) Derive(peer types.ReplicaID) { a.linkKey(peer) }
+
+// Tag computes the MAC tag for a message sent on the link to peer. It is
+// nil when a keyed authenticator has no key for the link.
 func (a *LinkAuthenticator) Tag(peer types.ReplicaID, msg []byte) []byte {
-	mac := hmac.New(sha256.New, a.linkKey(peer))
+	k := a.linkKey(peer)
+	if k == nil {
+		return nil
+	}
+	mac := hmac.New(sha256.New, k)
 	mac.Write(msg)
 	return mac.Sum(nil)
 }
@@ -452,5 +551,5 @@ func (a *LinkAuthenticator) Tag(peer types.ReplicaID, msg []byte) []byte {
 // VerifyTag reports whether tag authenticates msg on the link to peer.
 func (a *LinkAuthenticator) VerifyTag(peer types.ReplicaID, msg, tag []byte) bool {
 	want := a.Tag(peer, msg)
-	return hmac.Equal(want, tag)
+	return want != nil && hmac.Equal(want, tag)
 }

@@ -216,3 +216,62 @@ func TestLinkAuthenticatorSymmetry(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestKeyedLinkAuthenticator: a link key derived by ECDH from two
+// replicas' registered key pairs is shared by exactly those two. A third
+// replica claiming one end's id with its own key pair, or a shared-master
+// authenticator, makes tags the other end refuses; a peer without a
+// registered key has no link key; a re-registered key re-derives it.
+func TestKeyedLinkAuthenticator(t *testing.T) {
+	reg := NewRegistry()
+	keys := make([]*KeyPair, 4)
+	for i := range keys {
+		keys[i] = MustGenerateKeyPair()
+		reg.Add(types.ReplicaID(i), keys[i].Public())
+	}
+	a := NewKeyedLinkAuthenticator(1, keys[1], reg)
+	b := NewKeyedLinkAuthenticator(2, keys[2], reg)
+	msg := []byte("prepare (o,s,d)")
+	tag := a.Tag(2, msg)
+	if len(tag) != TagSize || !b.VerifyTag(1, msg, tag) {
+		t.Fatal("peer rejects a valid keyed tag")
+	}
+	if b.VerifyTag(1, []byte("tampered"), tag) {
+		t.Error("tampered message accepted")
+	}
+	if posing := NewKeyedLinkAuthenticator(1, keys[3], reg); b.VerifyTag(1, msg, posing.Tag(2, msg)) {
+		t.Error("replica 3's key pair made replica 1's tag")
+	}
+	if shared := NewLinkAuthenticator(1, []byte("m")); b.VerifyTag(1, msg, shared.Tag(2, msg)) {
+		t.Error("a shared-master tag verified on a keyed link")
+	}
+	if a.Tag(9, msg) != nil || a.VerifyTag(9, msg, make([]byte, TagSize)) {
+		t.Error("a link to an unregistered peer has a key")
+	}
+	reg.Add(1, MustGenerateKeyPair().Public())
+	if b.VerifyTag(1, msg, tag) {
+		t.Error("a tag under replica 1's replaced key still verifies")
+	}
+}
+
+// TestKeyedLinkAuthenticatorSimulated: simulated key pairs derive their
+// link keys from the simulation master, symmetrically; a real key pair
+// has no link with a simulated peer.
+func TestKeyedLinkAuthenticatorSimulated(t *testing.T) {
+	master := []byte("sim-master")
+	reg := NewRegistry()
+	reg.EnableSim(master)
+	reg.AddSim(1)
+	reg.AddSim(2)
+	real := MustGenerateKeyPair()
+	reg.Add(3, real.Public())
+	a := NewKeyedLinkAuthenticator(1, NewSimKeyPair(1, master), reg)
+	b := NewKeyedLinkAuthenticator(2, NewSimKeyPair(2, master), reg)
+	msg := []byte("m")
+	if !b.VerifyTag(1, msg, a.Tag(2, msg)) {
+		t.Fatal("simulated link keys differ at the two ends")
+	}
+	if a.Tag(3, msg) != nil || NewKeyedLinkAuthenticator(3, real, reg).Tag(1, msg) != nil {
+		t.Error("a link between a simulated and a real key pair has a key")
+	}
+}

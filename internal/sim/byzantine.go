@@ -127,17 +127,19 @@ func (NopBehavior) Inbound(_ transport.NodeID, frame []byte, _ Emit) []byte  { r
 
 // Equivocate sends conflicting slot contents to different peers: victims
 // receive a variant-B PREPARE whose batch pays a shifted beneficiary,
-// everyone else the honest variant A. The behavior signs both variants
-// itself and harvests inbound acks for B (its honest stack only collects
-// A's), so with a colluding AckAll accomplice it can assemble a full
-// 2f+1 certificate for B and commit both variants — the f+1 break the
-// auditor must catch. With at most f faulty replicas B can never reach a
-// quorum: victims ack B but then deliver A through its valid commit, and
-// every invariant holds — the paper's tolerance claim, demonstrated.
+// everyone else the honest variant A. Both variants carry the
+// equivocator's own link tag, so receivers accept either as its PREPARE.
+// The behavior harvests inbound acks for B (its honest stack only
+// collects A's), so with a colluding AckAll accomplice it can assemble a
+// full certificate of non-origin acks for B and commit both variants —
+// the f+1 break the auditor must catch. With at most f faulty replicas B
+// can never reach a quorum: victims ack B but then deliver A through its
+// valid commit, and every invariant holds — the paper's tolerance claim,
+// demonstrated.
 type Equivocate struct {
 	Self    types.ReplicaID
-	Keys    *crypto.KeyPair           // the equivocator's own signing key
-	Quorum  int                       // 2f+1 for the shard
+	Auth    *crypto.LinkAuthenticator // the equivocator's own PREPARE authenticator (keyed by its key pair)
+	Quorum  int                       // brb.CertQuorum non-origin acks for the shard
 	Victims map[transport.NodeID]bool // peers fed variant B
 	// Accomplices are colluding peers that receive variant B as an extra
 	// PREPARE alongside the honest variant A. On their own the extra
@@ -208,7 +210,7 @@ func (b *Equivocate) Outbound(to transport.NodeID, frame []byte, emit Emit) []by
 	body := frame[1:]
 	switch {
 	case brb.FrameKind(body) == brb.KindPrepare:
-		origin, slot, payload, ok := brb.DecodePrepare(body)
+		origin, slot, payload, _, ok := brb.DecodePrepare(body)
 		if !ok || origin != b.Self {
 			return frame
 		}
@@ -223,19 +225,16 @@ func (b *Equivocate) Outbound(to transport.NodeID, frame []byte, emit Emit) []by
 			}
 			in.payloadB = pb
 			in.digestB = brb.SignedDigest(origin, slot, pb)
-			if sig, err := b.Keys.Sign(in.digestB); err == nil {
-				in.certB.Sigs = append(in.certB.Sigs, brb.AckSig{Replica: b.Self, Sig: sig})
-			}
 		}
 		variantB := in.payloadB
 		b.mu.Unlock()
 		if b.Victims[to] {
 			b.Equivocated.Add(1)
-			return reframe(transport.ChanBRB, brb.EncodePrepare(origin, slot, variantB))
+			return reframe(transport.ChanBRB, brb.EncodeSignedPrepare(b.Auth, types.ReplicaID(to), origin, slot, variantB))
 		}
 		if b.Accomplices[to] {
 			b.Equivocated.Add(1)
-			emit(to, reframe(transport.ChanBRB, brb.EncodePrepare(origin, slot, variantB)))
+			emit(to, reframe(transport.ChanBRB, brb.EncodeSignedPrepare(b.Auth, types.ReplicaID(to), origin, slot, variantB)))
 		}
 		return frame
 	case brb.IsCommitKind(brb.FrameKind(body)) && b.WithholdFromVictims && b.Victims[to]:
@@ -296,8 +295,9 @@ func (b *Equivocate) Inbound(from transport.NodeID, frame []byte, emit Emit) []b
 // it receives — including a second, conflicting payload for an instance
 // it already acked, which an honest replica never signs. On its own it
 // is harmless (duplicate acks for one digest dedupe); combined with an
-// equivocator it is the second signer that pushes a conflicting
-// certificate past the quorum, modeling f+1 collusion.
+// equivocator it is the non-origin signer that pushes a conflicting
+// certificate to 2f acks, modeling f+1 collusion. It acks without
+// checking the link tag: the equivocator tags its variants honestly.
 type AckAll struct {
 	NopBehavior
 	Self types.ReplicaID
@@ -312,7 +312,7 @@ func (b *AckAll) Inbound(from transport.NodeID, frame []byte, emit Emit) []byte 
 	if frameChan(frame) != transport.ChanBRB {
 		return frame
 	}
-	origin, slot, payload, ok := brb.DecodePrepare(frame[1:])
+	origin, slot, payload, _, ok := brb.DecodePrepare(frame[1:])
 	if !ok || types.ReplicaID(from) != origin {
 		return frame
 	}
@@ -481,13 +481,14 @@ func (b *StaleViewReconfig) Inbound(_ transport.NodeID, frame []byte, emit Emit)
 
 // NewBehavior builds the canonical behavior for a Byzantine FaultKind
 // with shard-derived defaults: the equivocator targets the last non-self
-// member of the shard, the stale-view spammer addresses the whole shard
-// with the genesis view. members must include self; quorum is the shard's
-// 2f+1. Exported so out-of-process deployments (cmd/astro-node -fault)
-// arm the same behaviors the in-process matrix runs; scenario code
-// needing custom victim sets or collusion builds the Behavior literal
-// itself.
-func NewBehavior(kind FaultKind, self types.ReplicaID, keys *crypto.KeyPair, members []types.ReplicaID, quorum int) (Behavior, error) {
+// member of the shard and tags its variants with auth, the replica's own
+// PREPARE authenticator (crypto.NewKeyedLinkAuthenticator over its key
+// pair); the stale-view spammer addresses the whole shard
+// with the genesis view. members must include self. Exported so
+// out-of-process deployments (cmd/astro-node -fault) arm the same
+// behaviors the in-process matrix runs; scenario code needing custom
+// victim sets or collusion builds the Behavior literal itself.
+func NewBehavior(kind FaultKind, self types.ReplicaID, auth *crypto.LinkAuthenticator, members []types.ReplicaID) (Behavior, error) {
 	var peers []transport.NodeID
 	for _, m := range members {
 		if m != self {
@@ -502,8 +503,8 @@ func NewBehavior(kind FaultKind, self types.ReplicaID, keys *crypto.KeyPair, mem
 		}
 		return &Equivocate{
 			Self:    self,
-			Keys:    keys,
-			Quorum:  quorum,
+			Auth:    auth,
+			Quorum:  brb.CertQuorum(len(members), types.MaxFaults(len(members))),
 			Victims: victims,
 		}, nil
 	case FaultWithholdCommits:
@@ -538,7 +539,7 @@ func WrapBehavior(inner transport.Endpoint, b Behavior) transport.Endpoint {
 // given replica (see NewBehavior).
 func (c *AstroCluster) ArmFault(id types.ReplicaID, kind FaultKind) error {
 	members := c.Topology.Replicas(c.Topology.ReplicaShard(id))
-	b, err := NewBehavior(kind, id, c.Keys(id), members, c.Quorum())
+	b, err := NewBehavior(kind, id, c.Auth(id), members)
 	if err != nil {
 		return err
 	}

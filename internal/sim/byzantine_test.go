@@ -151,7 +151,7 @@ func TestEquivocationBreaksAtFPlusOne(t *testing.T) {
 
 	if err := c.SetBehavior(equiv, &Equivocate{
 		Self:                equiv,
-		Keys:                c.Keys(equiv),
+		Auth:                c.Auth(equiv),
 		Quorum:              c.Quorum(),
 		Victims:             map[transport.NodeID]bool{transport.ReplicaNode(victim): true},
 		Accomplices:         map[transport.NodeID]bool{transport.ReplicaNode(accomplice): true},

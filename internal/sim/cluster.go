@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"astro/internal/brb"
 	"astro/internal/consensus"
 	"astro/internal/core"
 	"astro/internal/crypto"
@@ -391,12 +392,23 @@ func (c *AstroCluster) Crashed(id types.ReplicaID) bool {
 	return c.Net.Crashed(transport.ReplicaNode(id))
 }
 
-// Keys exposes a replica's key pair — Byzantine behaviors sign
-// equivocating variants with the faulty replica's own key.
+// Keys exposes a replica's key pair — Byzantine behaviors forge acks with
+// the faulty replica's own key.
 func (c *AstroCluster) Keys(id types.ReplicaID) *crypto.KeyPair { return c.keys[id] }
 
-// Quorum returns the 2f+1 commit quorum of a replica's shard.
-func (c *AstroCluster) Quorum() int { return 2*c.Topology.F() + 1 }
+// Auth exposes a replica's PREPARE authenticator, keyed by its own key
+// pair — an equivocating origin tags its variants with it.
+func (c *AstroCluster) Auth(id types.ReplicaID) *crypto.LinkAuthenticator {
+	c.stateMu.RLock()
+	defer c.stateMu.RUnlock()
+	return crypto.NewKeyedLinkAuthenticator(id, c.keys[id], c.cfgs[id].Registry)
+}
+
+// Quorum returns the commit certificate size of a replica's shard:
+// brb.CertQuorum acks from members other than the origin.
+func (c *AstroCluster) Quorum() int {
+	return brb.CertQuorum(c.Topology.PerShard, c.Topology.F())
+}
 
 // Kill crash-stops a replica the way kill -9 does: the network drops its
 // traffic and the process state — including write-ahead-log appends not
