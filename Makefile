@@ -57,7 +57,7 @@ bench-compare:
 	PARENT='$(PARENT)' PAIRS='$(PAIRS)' WORKLOADS='$(WORKLOADS)' bash bench_compare.sh
 
 # Short fuzz pass over every wire/record decoder harness — the tagged
-# PREPARE, commit and chain-reference forms (brb), the credit channel, batches, dependencies,
+# PREPARE and the COMMITTAB (brb), the credit channel, batches, dependencies,
 # durable snapshot, and manifest images (core), the WAL frame scanner (wal), and
 # the KV record/index parsers that recovery trusts (kv). ~10s per
 # fuzzer; CI-smoke depth, not a soak.
@@ -69,7 +69,7 @@ fuzz-smoke:
 		$(GO) test -run=NONE -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) ./internal/kv/ || exit 1; done
 	for f in FuzzDecodeCreditChannel FuzzDecodeBatch FuzzDecodeDependency FuzzDecodeReplicaImage FuzzDecodeManifest FuzzDecodePaymentChannel FuzzCreditDependencies; do \
 		$(GO) test -run=NONE -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) ./internal/core/ || exit 1; done
-	for f in FuzzDecodePrepare FuzzDecodeChainDef FuzzDecodeCommitRef FuzzDecodeChainNack FuzzDecodeCommitTab; do \
+	for f in FuzzDecodePrepare FuzzDecodeCommitTab; do \
 		$(GO) test -run=NONE -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) ./internal/brb/ || exit 1; done
 	$(GO) test -run=NONE -fuzz="^FuzzDecodeReconfigChannel$$" -fuzztime=$(FUZZTIME) ./internal/reconfig/
 
@@ -80,7 +80,7 @@ fuzz-smoke:
 # with faults active. Deterministic per seed; CI-smoke depth.
 chaos-smoke:
 	$(GO) test -count=1 -run 'Byzantine|Equivocation|Chaos|Partition|Reconfiguration|Auditor|LinkDelay' ./internal/sim/
-	$(GO) test -count=1 -race -run 'NackStorm|NackNonMember|NackUnregistered' ./internal/brb/ ./internal/core/
+	$(GO) test -count=1 -race -run 'NackStorm|NackNonMember|NackUnregistered' ./internal/core/
 	$(GO) test -count=1 -run 'ViaFacade' .
 
 # The scenario matrix across real astro-node processes on real TCP:

@@ -28,13 +28,14 @@ const (
 	// FaultEquivocate sends conflicting PREPAREs for the same log slot to
 	// different peers — the double-spend attack BRB exists to stop.
 	FaultEquivocate = string(sim.FaultEquivocate)
-	// FaultWithholdCommits suppresses outbound COMMITs so peers must
-	// complete certificates from the other 2f+1 replicas.
+	// FaultWithholdCommits suppresses the COMMITTABs of the replica's own
+	// broadcasts: its clients stall, and every other origin is unharmed.
 	FaultWithholdCommits = string(sim.FaultWithholdCommits)
-	// FaultForgeRefs corrupts chain-by-digest reference digests on the
-	// wire, forcing NACK fallbacks and forged-reference rejections.
+	// FaultForgeRefs corrupts the chain-by-digest reference digests of the
+	// credit channel (CREDITCHAINDEF, CREDITREF), forcing NACK round trips
+	// and forged-reference rejections.
 	FaultForgeRefs = string(sim.FaultForgeRefs)
-	// FaultNackStorm answers every reference-form message with a NACK,
+	// FaultNackStorm answers every CREDITREF with a burst of CREDITNACKs,
 	// probing the bounded-retransmit guarantee.
 	FaultNackStorm = string(sim.FaultNackStorm)
 	// FaultStaleView spams stale-view and forged-install reconfiguration

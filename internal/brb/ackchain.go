@@ -20,10 +20,9 @@ import (
 // appears in.
 //
 // A lone pending ack keeps the single-slot form (kindAck): under light
-// load every ack is signed alone, and a plain signature verifies with
-// nothing else in hand, where a length-1 chain named by digest would be
-// known only to its signer and its origin and cost every other replica a
-// CHAINNACK round trip per commit.
+// load every ack is signed alone, and a plain signature verifies against
+// the instance's own ack digest, where a length-1 chain would add a
+// table entry to every commit carrying it.
 //
 // The queue/drain scheduling that feeds these chains
 // is generalized as verifier.ChainSigner (shared with the payment layer's
@@ -48,9 +47,9 @@ type AckSig struct {
 	Sig     []byte
 	Chain   []ChainEntry
 	// ChainDigest memoizes AckChainDigest(Chain) when Chain is non-nil —
-	// the origin computes it once while verifying the ACKBATCH, and the
-	// chain-reference sender (sendCommit) keys CHAINDEF bookkeeping on it
-	// without rehashing. Never encoded; receivers recompute from content.
+	// the origin computes it once while verifying the ACKBATCH, and
+	// commitChainTable keys the commit's chain table on it without
+	// rehashing. Never encoded; receivers recompute from content.
 	ChainDigest types.Digest
 }
 

@@ -63,14 +63,14 @@ func TestAckChainCodecRoundTrip(t *testing.T) {
 	if string(rc.Chunk()) != string(payload) {
 		t.Fatal("commit payload mangled")
 	}
-	back, _, digests, err := decodeCommitTab(rc)
+	back, err := decodeCommitTab(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Sigs) != 3 || back.Sigs[0].Chain != nil || len(back.Sigs[1].Chain) != 2 || &back.Sigs[1].Chain[0] != &back.Sigs[2].Chain[0] {
 		t.Fatalf("cert round trip: %+v", back)
 	}
-	if len(digests) != 1 || digests[0] != AckChainDigest(chain) || back.Sigs[1].ChainDigest != digests[0] {
+	if cd := AckChainDigest(chain); back.Sigs[1].ChainDigest != cd || back.Sigs[2].ChainDigest != cd {
 		t.Fatal("chain digest changed across codec round trip")
 	}
 }

@@ -7,9 +7,11 @@
 //     totality.
 //   - Signed: the signature-based protocol (after Malkhi & Reiter) used by
 //     Astro II. O(N) messages: the origin gathers 2f signed ACKs from
-//     the other replicas into a COMMIT certificate; its own MAC-tagged
-//     PREPARE stands for its endorsement. No totality — the payment
-//     layer compensates with CREDIT dependency certificates.
+//     the other replicas into a certificate and sends each of them one
+//     self-contained COMMIT (the COMMITTAB: payload, certificate and the
+//     chains it names); its own MAC-tagged PREPARE stands for its
+//     endorsement. No totality — the payment layer compensates with
+//     CREDIT dependency certificates.
 //
 // Both protocols deliver payloads per origin in slot order (FIFO), exactly
 // like the paper's per-client sequence-number delivery rule, and both
@@ -154,8 +156,8 @@ type instanceID struct {
 }
 
 // Message kinds on ChanBRB. Bracha uses PREPARE, ECHO and READY; Signed
-// uses PREPARE and everything from ACK on. Kind bytes are the values
-// below; 5 and 7 are retired.
+// uses PREPARE, ACK, ACKBATCH and COMMITTAB. Kind bytes are the values
+// below; 5, 7, 8, 9 and 10 are retired.
 //
 //	kind        direction            body after the kind byte
 //	PREPARE     origin -> others     origin u32, slot u64, payload chunk;
@@ -166,28 +168,17 @@ type instanceID struct {
 //	ACK         replica -> origin    origin u32, slot u64, ack digest, sig chunk
 //	ACKBATCH    replica -> origins   chain, sig chunk: one signature over the
 //	                                 chain, sent to every origin it names
-//	CHAINDEF    origin -> replica    chain, answering a CHAINNACK
-//	COMMITREF   origin -> all        origin, slot, payload chunk, certificate
-//	                                 whose chain signatures name their chain
-//	                                 by digest
-//	CHAINNACK   replica -> origin    origin, slot, the chain digests a
-//	                                 COMMITREF named that the replica lacks
-//	COMMITTAB   origin -> replica    origin, slot, payload chunk, chain table,
+//	COMMITTAB   origin -> others     origin, slot, payload chunk, chain table,
 //	                                 certificate naming chains by table index
 //
-// A commit goes out as a COMMITREF; a COMMITTAB is the self-contained
-// resend for a CHAINNACK the origin cannot answer with definitions. A
-// certificate of single-slot signatures is the same COMMITREF with no
-// chain named (see ackchain.go, chainref.go, committab.go).
+// A commit is one COMMITTAB, self-contained: a certificate of single-slot
+// signatures has an empty table (see ackchain.go, committab.go).
 const (
 	kindPrepare   byte = 1
 	kindEcho      byte = 2
 	kindReady     byte = 3
 	kindAck       byte = 4
 	kindAckBatch  byte = 6
-	kindChainDef  byte = 8
-	kindCommitRef byte = 9
-	kindChainNack byte = 10
 	kindCommitTab byte = 11
 )
 

@@ -37,6 +37,14 @@ const (
 
 func newHarness(t *testing.T, proto protocol, n int, opts ...func(*Config)) *harness {
 	t.Helper()
+	return newHarnessOn(t, proto, n, nil, opts...)
+}
+
+// newHarnessOn is newHarness with each replica's memnet endpoint passed
+// through wrap (nil leaves it bare), so a test can observe the frames
+// every replica sends.
+func newHarnessOn(t *testing.T, proto protocol, n int, wrap func(transport.Endpoint) transport.Endpoint, opts ...func(*Config)) *harness {
+	t.Helper()
 	h := &harness{
 		t:     t,
 		net:   memnet.New(memnet.WithSeed(42)),
@@ -59,7 +67,11 @@ func newHarness(t *testing.T, proto protocol, n int, opts ...func(*Config)) *har
 	}
 	for i := 0; i < n; i++ {
 		self := types.ReplicaID(i)
-		mux := transport.NewMux(h.net.Node(transport.ReplicaNode(self)))
+		ep := h.net.Node(transport.ReplicaNode(self))
+		if wrap != nil {
+			ep = wrap(ep)
+		}
+		mux := transport.NewMux(ep)
 		h.muxes = append(h.muxes, mux)
 		cfg := Config{
 			Mux:   mux,

@@ -9,10 +9,10 @@ import (
 	"astro/internal/wire"
 )
 
-// Tabled commit encoding: the self-contained commit form, which the origin
-// sends when a CHAINNACK names a chain it cannot define (see chainref.go).
-// Every distinct chain of the certificate is interned once in a
-// message-level table and each signature names its chain by index:
+// Tabled commit encoding: the one commit form, which the origin sends to
+// every other member once the certificate holds its quorum. Every distinct
+// chain of the certificate is interned once in a message-level table and
+// each signature names its chain by index:
 //
 //	kind origin slot | payload | U32 ntab (chain)* | U32 nsigs
 //	    (replica sig idx)*
@@ -21,9 +21,9 @@ import (
 // signature; a certificate of single-slot signatures has an empty table.
 // The table holds exactly the chains the signatures name, sorted by chain
 // digest, so a certificate has one encoding and the decoder refuses any
-// other. The receiver hashes each table entry exactly once (feeding both
-// the chain cache and the certificate's memoized ChainDigest) and the
-// decoded signatures share the table's chain slices.
+// other. The receiver hashes each table entry exactly once (the
+// certificate's memoized ChainDigest) and the decoded signatures share
+// the table's chain slices.
 
 // noChainTabIdx marks a single-slot signature in the tabled encoding.
 const noChainTabIdx = ^uint32(0)
@@ -103,41 +103,40 @@ func EncodeCommitTab(origin types.ReplicaID, slot uint64, payload []byte, cert A
 // most maxAckCertSigs signatures names at most that many distinct chains.
 const maxCommitTabChains = maxAckCertSigs
 
-// decodeCommitTab parses a COMMITTAB after the payload chunk, returning
-// the certificate and the table digests (hashed once per table entry, for
-// the caller's chain cache). Signatures share the table's chain slices
-// and carry the memoized ChainDigest, so verification never rehashes.
-func decodeCommitTab(r *wire.Reader) (AckCert, [][]ChainEntry, []types.Digest, error) {
+// decodeCommitTab parses a COMMITTAB after the payload chunk. Signatures
+// share the table's chain slices and carry the memoized ChainDigest
+// (hashed once per table entry), so verification never rehashes.
+func decodeCommitTab(r *wire.Reader) (AckCert, error) {
 	nt := r.U32()
 	if err := r.Err(); err != nil {
-		return AckCert{}, nil, nil, err
+		return AckCert{}, err
 	}
 	if nt > maxCommitTabChains {
-		return AckCert{}, nil, nil, fmt.Errorf("brb: commit chain table of %d exceeds cap", nt)
+		return AckCert{}, fmt.Errorf("brb: commit chain table of %d exceeds cap", nt)
 	}
 	table := make([][]ChainEntry, 0, nt)
 	digests := make([]types.Digest, 0, nt)
 	for i := uint32(0); i < nt; i++ {
 		chain, err := decodeChain(r)
 		if err != nil {
-			return AckCert{}, nil, nil, err
+			return AckCert{}, err
 		}
 		if len(chain) == 0 || len(chain) > maxSignBatch {
-			return AckCert{}, nil, nil, fmt.Errorf("brb: tabled chain of %d outside [1,%d]", len(chain), maxSignBatch)
+			return AckCert{}, fmt.Errorf("brb: tabled chain of %d outside [1,%d]", len(chain), maxSignBatch)
 		}
 		cd := AckChainDigest(chain)
 		if i > 0 && compareDigests(digests[i-1], cd) >= 0 {
-			return AckCert{}, nil, nil, fmt.Errorf("brb: commit chain table not sorted by digest")
+			return AckCert{}, fmt.Errorf("brb: commit chain table not sorted by digest")
 		}
 		table = append(table, chain)
 		digests = append(digests, cd)
 	}
 	ns := r.U32()
 	if err := r.Err(); err != nil {
-		return AckCert{}, nil, nil, err
+		return AckCert{}, err
 	}
 	if ns > maxAckCertSigs {
-		return AckCert{}, nil, nil, fmt.Errorf("brb: tabled cert of %d signatures exceeds cap", ns)
+		return AckCert{}, fmt.Errorf("brb: tabled cert of %d signatures exceeds cap", ns)
 	}
 	cert := AckCert{Sigs: make([]AckSig, 0, ns)}
 	named := make([]bool, len(table))
@@ -146,12 +145,12 @@ func decodeCommitTab(r *wire.Reader) (AckCert, [][]ChainEntry, []types.Digest, e
 		sig := r.Chunk()
 		idx := r.U32()
 		if err := r.Err(); err != nil {
-			return AckCert{}, nil, nil, err
+			return AckCert{}, err
 		}
 		a := AckSig{Replica: id, Sig: sig}
 		if idx != noChainTabIdx {
 			if idx >= uint32(len(table)) {
-				return AckCert{}, nil, nil, fmt.Errorf("brb: chain table index %d of %d", idx, len(table))
+				return AckCert{}, fmt.Errorf("brb: chain table index %d of %d", idx, len(table))
 			}
 			a.Chain = table[idx]
 			a.ChainDigest = digests[idx]
@@ -160,10 +159,10 @@ func decodeCommitTab(r *wire.Reader) (AckCert, [][]ChainEntry, []types.Digest, e
 		cert.Sigs = append(cert.Sigs, a)
 	}
 	if slices.Contains(named, false) {
-		return AckCert{}, nil, nil, fmt.Errorf("brb: commit chain table entry no signature names")
+		return AckCert{}, fmt.Errorf("brb: commit chain table entry no signature names")
 	}
 	if err := r.Finish(); err != nil {
-		return AckCert{}, nil, nil, err
+		return AckCert{}, err
 	}
-	return cert, table, digests, nil
+	return cert, nil
 }

@@ -4,9 +4,10 @@ package brb
 // -race by the Makefile's race target): with commit verification fanned
 // out as detached continuations on a work-stealing lane runtime — no
 // coordinator goroutines — per-origin FIFO and exactly-once delivery
-// must survive concurrent origins AND a concurrent stream of
-// NACK-triggered resends, which re-inject full commits for instances the
-// receivers have already committed or are mid-verification on.
+// must survive concurrent origins AND a concurrent stream of resent
+// commits from the origins' own endpoints, which re-inject COMMITTABs for
+// instances the receivers have already committed, are mid-verification
+// on, or have not yet been sent a commit for.
 
 import (
 	"fmt"
@@ -29,6 +30,20 @@ func TestSignedContinuationOrderingUnderNackResends(t *testing.T) {
 		h := newHarness(t, protoSigned, 4, func(c *Config) { c.Verifier = pool })
 
 		const per = 12
+		// The storm: origins 0 and 2 resend valid COMMITTABs for their
+		// own slots, cycling through the live range, to members 3 and 1
+		// respectively — duplicates of the commits the protocol sends,
+		// which the receiver must dedupe mid-stream, and early copies
+		// that race the PREPARE and the protocol's own commit.
+		resends := func(origin types.ReplicaID) [][]byte {
+			out := make([][]byte, per)
+			for i := range out {
+				out[i] = signCommitFor(t, h, origin, uint64(i+1), []byte(fmt.Sprintf("r%d-m%d", origin, i)))
+			}
+			return out
+		}
+		from0, from2 := resends(0), resends(2)
+
 		var origins sync.WaitGroup
 		for r := 0; r < 4; r++ {
 			origins.Add(1)
@@ -42,29 +57,19 @@ func TestSignedContinuationOrderingUnderNackResends(t *testing.T) {
 			}(r)
 		}
 
-		// The storm: members 3 and 1 NACK a chain digest that no
-		// definition will ever satisfy, against slots that cycle
-		// through the live range. Committed instances answer with a
-		// full (tabled) resend — a duplicate COMMIT the receiver must
-		// dedupe mid-stream; uncommitted ones clear their sent-sets,
-		// racing the origin's own definition bookkeeping.
 		stop := make(chan struct{})
 		var storm sync.WaitGroup
 		storm.Add(1)
 		go func() {
 			defer storm.Done()
-			ghost := types.HashBytes([]byte("no-such-chain"))
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				slot := uint64(i%per + 1)
-				nack := EncodeChainNack(0, slot, []types.Digest{ghost})
-				_ = h.muxes[3].Send(transport.ReplicaNode(0), transport.ChanBRB, nack)
-				nack = EncodeChainNack(2, slot, []types.Digest{ghost})
-				_ = h.muxes[1].Send(transport.ReplicaNode(2), transport.ChanBRB, nack)
+				_ = h.muxes[0].Send(transport.ReplicaNode(3), transport.ChanBRB, from0[i%per])
+				_ = h.muxes[2].Send(transport.ReplicaNode(1), transport.ChanBRB, from2[i%per])
 				time.Sleep(200 * time.Microsecond)
 			}
 		}()

@@ -47,93 +47,6 @@ func FuzzDecodePrepare(f *testing.F) {
 	})
 }
 
-// FuzzDecodeChainDef exercises the CHAINDEF decoder. The chain encoding
-// is fixed-width and therefore canonical: any payload that decodes must
-// re-encode to exactly the input bytes.
-func FuzzDecodeChainDef(f *testing.F) {
-	f.Add(EncodeChainDef(fuzzChain())[1:]) // after the kind byte
-	f.Add([]byte{0, 0, 0, 0})              // empty chain: rejected
-	// Adversarial seed: the forge-refs behavior's digest-corrupted form —
-	// structurally valid, semantically hostile.
-	if c, ok := CorruptChainRefs(EncodeChainDef(fuzzChain()), 0x5a); ok {
-		f.Add(c[1:])
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		chain, err := decodeChainDef(wire.NewReader(data))
-		if err != nil {
-			return
-		}
-		if len(chain) == 0 || len(chain) > maxSignBatch {
-			t.Fatalf("accepted chain of %d outside [1,%d]", len(chain), maxSignBatch)
-		}
-		if !bytes.Equal(EncodeChainDef(chain)[1:], data) {
-			t.Fatal("decoded chain does not re-encode to input")
-		}
-	})
-}
-
-// FuzzDecodeCommitRef exercises the interned-reference certificate form:
-// mixed plain and by-digest signatures, including unknown reference
-// modes.
-func FuzzDecodeCommitRef(f *testing.F) {
-	sigs := []refSig{
-		{Replica: 1, Sig: []byte("plain")},
-		{Replica: 2, Sig: []byte("by-ref"), HasRef: true, Ref: types.Digest{0x05}, Idx: 1},
-	}
-	w := wire.NewWriter(64)
-	w.U32(uint32(len(sigs)))
-	for _, s := range sigs {
-		w.U32(uint32(s.Replica))
-		w.Chunk(s.Sig)
-		if s.HasRef {
-			w.U8(refModeChain)
-			w.Bytes32(s.Ref)
-			w.U32(s.Idx)
-		} else {
-			w.U8(refModePlain)
-		}
-	}
-	f.Add(w.Bytes())
-	// Adversarial seed: a full COMMITREF frame run through the forge-refs
-	// corruptor, sliced back to the signature section this decoder reads
-	// (header, then the one-byte payload chunk).
-	if c, ok := CorruptChainRefs(EncodeCommitRef(2, 6, []byte("p"), sigs), 0x77); ok {
-		f.Add(c[headerSize+4+1:])
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		sigs, err := decodeCommitRef(wire.NewReader(data))
-		if err != nil {
-			return
-		}
-		if len(sigs) > maxAckCertSigs {
-			t.Fatalf("accepted %d signatures over cap", len(sigs))
-		}
-	})
-}
-
-// FuzzDecodeChainNack exercises the NACK digest-list decoder.
-func FuzzDecodeChainNack(f *testing.F) {
-	f.Add(EncodeChainNack(1, 4, []types.Digest{{0x0a}, {0x0b}})[headerSize:])
-	// Adversarial seed: the NACK a storming receiver would synthesize
-	// from a reference-form commit it claims not to resolve.
-	hostile := []refSig{{Replica: 2, Sig: []byte("s"), HasRef: true, Ref: types.Digest{0x0c}, Idx: 0}}
-	if n, ok := NackFor(EncodeCommitRef(1, 4, []byte("x"), hostile)); ok {
-		f.Add(n[headerSize:])
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		missing, err := decodeChainNack(wire.NewReader(data))
-		if err != nil {
-			return
-		}
-		if len(missing) > maxNackDigests {
-			t.Fatalf("accepted %d digests over cap", len(missing))
-		}
-	})
-}
-
 // commitTabCert slices a COMMITTAB frame down to what decodeCommitTab
 // reads: everything after the header and the one-byte payload chunk.
 func commitTabCert(origin types.ReplicaID, slot uint64, cert AckCert) []byte {
@@ -212,42 +125,39 @@ func FuzzDecodeCommitTab(f *testing.F) {
 	inline.Chunk([]byte("chain-sig"))
 	appendChain(inline, fuzzChain())
 	for name, data := range map[string][]byte{"unsorted table": unsorted.Bytes(), "unnamed table entry": unnamed.Bytes(), "inline-chain certificate": inline.Bytes()} {
-		if _, _, _, err := decodeCommitTab(wire.NewReader(data)); err == nil {
+		if _, err := decodeCommitTab(wire.NewReader(data)); err == nil {
 			f.Fatalf("%s decoded as a COMMITTAB", name)
 		}
 		f.Add(data)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cert, table, digests, err := decodeCommitTab(wire.NewReader(data))
+		cert, err := decodeCommitTab(wire.NewReader(data))
 		if err != nil {
 			return
-		}
-		if len(table) > maxCommitTabChains || len(digests) != len(table) {
-			t.Fatalf("table %d / digests %d out of shape", len(table), len(digests))
-		}
-		for _, ch := range table {
-			if len(ch) == 0 || len(ch) > maxSignBatch {
-				t.Fatalf("accepted table chain of %d outside [1,%d]", len(ch), maxSignBatch)
-			}
 		}
 		if len(cert.Sigs) > maxAckCertSigs {
 			t.Fatalf("accepted %d signatures over cap", len(cert.Sigs))
 		}
+		// The table, as the signatures see it: one backing per chain digest.
+		table := make(map[types.Digest]*ChainEntry)
 		for _, s := range cert.Sigs {
 			if s.Chain == nil {
 				continue
 			}
-			shared := false
-			for _, ch := range table {
-				if &s.Chain[0] == &ch[0] {
-					shared = true
-					break
-				}
+			if len(s.Chain) == 0 || len(s.Chain) > maxSignBatch {
+				t.Fatalf("accepted table chain of %d outside [1,%d]", len(s.Chain), maxSignBatch)
 			}
-			if !shared {
-				t.Fatal("decoded signature chain does not share table backing")
+			if s.ChainDigest != AckChainDigest(s.Chain) {
+				t.Fatal("decoded signature carries a wrong chain digest")
 			}
+			if first, ok := table[s.ChainDigest]; ok && first != &s.Chain[0] {
+				t.Fatal("decoded signatures naming one chain do not share its table backing")
+			}
+			table[s.ChainDigest] = &s.Chain[0]
+		}
+		if len(table) > maxCommitTabChains {
+			t.Fatalf("table of %d chains over cap", len(table))
 		}
 		if !bytes.Equal(commitTabCert(1, 4, cert), data) {
 			t.Fatal("decoded certificate does not re-encode to input")

@@ -24,11 +24,13 @@ import (
 // and unicasts it back to the origin. The origin does not ack its own
 // instance: its tagged PREPARE is its endorsement. On gathering
 // CertQuorum valid ACKs (2f at N = 3f+1) from distinct members other than
-// itself, the origin sends the other replicas a COMMIT carrying the
-// payload and the certificate, and delivers its own copy by a direct call
-// into the per-origin FIFO. Replicas verify the certificate — an origin
-// signature in it counts for nothing — and deliver, in per-origin slot
-// order; a COMMIT in a replica's own name from the network is dropped.
+// itself, the origin sends the other replicas one COMMIT — the
+// self-contained COMMITTAB, carrying the payload and the certificate with
+// every chain it names tabled inline, so a receiver needs nothing else to
+// verify it — and delivers its own copy by a direct call into the
+// per-origin FIFO. Replicas verify the certificate — an origin signature
+// in it counts for nothing — and deliver, in per-origin slot order; a
+// COMMIT in a replica's own name from the network is dropped.
 //
 // Why CertQuorum suffices: any two certificates for one instance share at
 // least f of the N-1 non-origin members. A faulty origin leaves at most
@@ -83,20 +85,9 @@ type Signed struct {
 
 	mu      sync.Mutex
 	nextOut uint64
-	mine    map[uint64]*outInstance   // my broadcasts, by slot: uncommitted, or recently committed
+	mine    map[uint64]*outInstance   // my uncommitted broadcasts, by slot
 	acked   map[instanceID]*ackRecord // instances I have acknowledged
-	// retiring lists the committed slots of mine, oldest first, and
-	// retiringBytes sums their payloads. A committed slot is kept only to
-	// answer CHAINNACKs, which a receiver sends the moment the commit
-	// reaches it — so it can be asked about for as long as the commit may
-	// still sit in a buffer on its way there. The oldest are dropped once
-	// the kept payloads exceed retainBytes (and chainCacheEntries slots
-	// remain), so payload copies and certificates no longer pile up for
-	// the life of the process.
-	retiring      []uint64
-	retiringBytes int
-	retainBytes   int
-	order         *fifo
+	order   *fifo
 	// committing marks instances with a certificate verification in
 	// flight, so re-delivered commits don't spawn duplicate work.
 	committing map[instanceID]struct{}
@@ -112,41 +103,20 @@ type Signed struct {
 	// into one chain signature. The scheduling lives in
 	// verifier.ChainSigner; this layer supplies the wire forms.
 	ackSigner *verifier.ChainSigner[ChainEntry]
-
-	// Chain-by-digest reference state (see chainref.go): chainsKnown holds,
-	// per sending peer, the chains that peer has defined, bounded so no
-	// peer can evict another's entries.
-	chainMu     sync.Mutex
-	chainsKnown *types.PeerCache[[]ChainEntry]
-	// refsWaiting parks COMMITREFs whose chain definition is in flight
-	// (lazy CHAINDEF): keyed by missing digest, drained by learnChain,
-	// bounded by maxWaitingRefs. Guarded by chainMu.
-	refsWaiting      map[types.Digest][]pendingRef
-	refsWaitingCount int
-	refStats         types.RefCounters
 }
 
 var _ Broadcaster = (*Signed)(nil)
 
 type outInstance struct {
-	payload   []byte
-	digest    types.Digest
-	cert      AckCert
-	committed bool
+	payload []byte
+	digest  types.Digest
+	cert    AckCert
 }
 
 type ackRecord struct {
 	digest    types.Digest
 	delivered bool
 }
-
-// committedRetainBytes is how much committed payload an origin keeps for
-// CHAINNACK answers. A receiver's NACK trails the commit by whatever was
-// queued ahead of it: kernel socket buffers (a few MiB per direction at
-// Linux's autotuning limits) and the bounded dispatch queues. A count of
-// slots cannot stand in for that — a burst of 256 slots commits as one,
-// and the NACKs for its first slots arrive after all 256 commits.
-const committedRetainBytes = 16 << 20
 
 // Errors specific to the signed protocol.
 var ErrNoKeys = errors.New("brb: signed protocol requires Keys and Registry")
@@ -165,18 +135,15 @@ func NewSigned(cfg Config) (*Signed, error) {
 		ver = verifier.Default()
 	}
 	s := &Signed{
-		cfg:         cfg,
-		ver:         ver,
-		nextOut:     cfg.FirstSlot,
-		mine:        make(map[uint64]*outInstance),
-		acked:       make(map[instanceID]*ackRecord),
-		order:       newFIFO(),
-		committing:  make(map[instanceID]struct{}),
-		chainsKnown: types.NewPeerCache[[]ChainEntry](chainCacheEntries),
-		refsWaiting: make(map[types.Digest][]pendingRef),
-		retainBytes: committedRetainBytes,
-		others:      cfg.others(),
-		tags:        crypto.NewKeyedLinkAuthenticator(cfg.Self, cfg.Keys, cfg.Registry),
+		cfg:        cfg,
+		ver:        ver,
+		nextOut:    cfg.FirstSlot,
+		mine:       make(map[uint64]*outInstance),
+		acked:      make(map[instanceID]*ackRecord),
+		order:      newFIFO(),
+		committing: make(map[instanceID]struct{}),
+		others:     cfg.others(),
+		tags:       crypto.NewKeyedLinkAuthenticator(cfg.Self, cfg.Keys, cfg.Registry),
 	}
 	s.ackSigner = verifier.NewChainSigner(ver, maxSignBatch, s.signSingleAck, s.signAckChain)
 	// One ECDH per link keys the PREPARE tags; derive them on the pool
@@ -274,30 +241,12 @@ func (s *Signed) onMessage(from transport.NodeID, payload []byte) {
 		s.handleAckBatch(peer, chain, sig)
 		return
 	}
-	if kind == kindChainDef {
-		// A chain definition carries no instance header either: it is
-		// content-addressed, keyed by the digest the receiver recomputes.
-		// Only group members may define chains: the per-peer caches are
-		// bounded individually, and membership bounds how many exist.
-		if !s.membership(peer) {
-			return
-		}
-		chain, err := decodeChainDef(r)
-		if err != nil {
-			return
-		}
-		s.learnChain(peer, AckChainDigest(chain), chain)
-		return
-	}
 	origin := types.ReplicaID(r.U32())
 	slot := r.U64()
 	if r.Err() != nil {
 		return
 	}
 	id := instanceID{origin: origin, slot: slot}
-	if IsCommitKind(kind) && origin == s.cfg.Self {
-		return // the origin delivers its own slots by direct call
-	}
 	switch kind {
 	case kindPrepare:
 		if peer != origin || origin == s.cfg.Self {
@@ -317,41 +266,18 @@ func (s *Signed) onMessage(from transport.NodeID, payload []byte) {
 		}
 		s.handleAck(id, peer, digest, sig)
 	case kindCommitTab:
+		if origin == s.cfg.Self {
+			return // the origin delivers its own slots by direct call
+		}
 		body := r.Chunk()
 		if r.Err() != nil {
 			return
 		}
-		cert, table, digests, err := decodeCommitTab(r)
+		cert, err := decodeCommitTab(r)
 		if err != nil {
 			return
-		}
-		// The table is hashed once by the decoder; feed it to the chain
-		// cache (membership-gated, like CHAINDEF) so later COMMITREFs
-		// referencing these chains resolve, and so any references parked
-		// waiting on one of them drain now — the tabled form is the lazy
-		// mode's self-contained fallback resend.
-		if s.membership(peer) {
-			for i := range table {
-				s.learnChain(peer, digests[i], table[i])
-			}
 		}
 		s.handleCommit(id, body, cert)
-	case kindCommitRef:
-		body := r.Chunk()
-		if r.Err() != nil {
-			return
-		}
-		sigs, err := decodeCommitRef(r)
-		if err != nil {
-			return
-		}
-		s.handleCommitRef(id, peer, body, sigs)
-	case kindChainNack:
-		missing, err := decodeChainNack(r)
-		if err != nil {
-			return
-		}
-		s.handleChainNack(id, peer, missing)
 	}
 }
 
@@ -436,13 +362,6 @@ func (s *Signed) signAckChain(batch []ChainEntry, wave *verifier.Wave) {
 		return
 	}
 	s.ver.PrimeReplica(s.cfg.Self, cd, sig)
-	// Self-prime: cache our own chain before any origin's commit can
-	// reference it. Under lazy CHAINDEF this is what makes most
-	// definitions unnecessary — every receiver already holds the chains it
-	// signed, so references to them never NACK. The ChainSigner's drain
-	// hands the flush callback ownership of the batch slice, so caching it
-	// without a copy is safe.
-	s.learnChain(s.cfg.Self, cd, batch)
 	w := wave.Scratch(ackBatchSize(batch, sig))
 	appendAckBatch(w, batch, sig)
 	sent := make(map[types.ReplicaID]struct{}, 4)
@@ -466,7 +385,7 @@ func (s *Signed) handleAck(id instanceID, peer types.ReplicaID, digest types.Dig
 
 	s.mu.Lock()
 	out := s.mine[id.slot]
-	if out == nil || out.committed || digest != out.digest {
+	if out == nil || digest != out.digest {
 		s.mu.Unlock()
 		return
 	}
@@ -488,17 +407,6 @@ func (s *Signed) handleAck(id instanceID, peer types.ReplicaID, digest types.Dig
 // completion callback. The chain digest is memoized, so the ECDSA runs
 // once however many instances (or redeliveries) the chain covers.
 func (s *Signed) handleAckBatch(peer types.ReplicaID, chain []ChainEntry, sig []byte) {
-	// Cache the acker's chain like an unsolicited CHAINDEF (same
-	// membership gate, same content-addressed soundness — the digest is
-	// recomputed from the bytes in hand). Under lazy CHAINDEF this is
-	// the second half of the no-NACK steady state: when every replica
-	// originates traffic, every chain touches every origin, so each
-	// replica learns each acker's chain here before any COMMITREF can
-	// reference it.
-	cd := AckChainDigest(chain)
-	if s.membership(peer) {
-		s.learnChain(peer, cd, chain)
-	}
 	var relevant []ChainEntry
 	s.mu.Lock()
 	for _, e := range chain {
@@ -506,7 +414,7 @@ func (s *Signed) handleAckBatch(peer types.ReplicaID, chain []ChainEntry, sig []
 			continue
 		}
 		out := s.mine[e.Slot]
-		if out == nil || out.committed || e.Digest != out.digest || out.cert.Has(peer) {
+		if out == nil || e.Digest != out.digest || out.cert.Has(peer) {
 			continue
 		}
 		relevant = append(relevant, e)
@@ -515,6 +423,7 @@ func (s *Signed) handleAckBatch(peer types.ReplicaID, chain []ChainEntry, sig []
 	if len(relevant) == 0 {
 		return
 	}
+	cd := AckChainDigest(chain)
 	s.ver.VerifyReplicaDetached(s.cfg.Registry, peer, cd, sig, func(ok bool) {
 		if !ok {
 			return
@@ -531,7 +440,7 @@ func (s *Signed) handleAckBatch(peer types.ReplicaID, chain []ChainEntry, sig []
 func (s *Signed) ackVerified(id instanceID, peer types.ReplicaID, digest types.Digest, sig []byte, chain []ChainEntry, chainDigest types.Digest) {
 	s.mu.Lock()
 	out := s.mine[id.slot]
-	if out == nil || out.committed || digest != out.digest || out.cert.Has(peer) {
+	if out == nil || digest != out.digest || out.cert.Has(peer) {
 		s.mu.Unlock()
 		return
 	}
@@ -547,114 +456,31 @@ func (s *Signed) ackVerified(id instanceID, peer types.ReplicaID, digest types.D
 
 // commitIfComplete commits one of this replica's instances once its
 // certificate holds the quorum: it sends the COMMIT to the other members
-// and delivers the own copy by a direct call. s.mu is held on entry and
-// released on return.
+// and delivers the own copy by a direct call. A committed slot leaves
+// mine at once — nothing asks about it afterwards: late acks find no
+// instance and are dropped. s.mu is held on entry and released on return.
 func (s *Signed) commitIfComplete(id instanceID, out *outInstance) {
-	if out.committed || out.cert.Len() < s.cfg.certQuorum() {
+	if out.cert.Len() < s.cfg.certQuorum() {
 		s.mu.Unlock()
 		return
 	}
-	out.committed = true
-	s.retiring = append(s.retiring, id.slot)
-	s.retiringBytes += len(out.payload)
-	for len(s.retiring) > chainCacheEntries && s.retiringBytes > s.retainBytes {
-		oldest := s.retiring[0]
-		s.retiring = s.retiring[1:]
-		s.retiringBytes -= len(s.mine[oldest].payload)
-		delete(s.mine, oldest)
-	}
-	payload, digest, cert := out.payload, out.digest, out.cert
+	delete(s.mine, id.slot)
 	s.mu.Unlock()
 
-	s.sendCommit(id, payload, digest, cert)
-	s.commitVerified(id, digest, payload, true)
-}
-
-// defChain is one distinct chain named by a commit certificate, with its
-// CHAINDEF encoding built lazily and shared across destinations.
-type defChain struct {
-	digest types.Digest
-	chain  []ChainEntry
-	enc    []byte
-}
-
-// buildRefSigs converts a certificate to the reference form and collects
-// the distinct chains it names. Every chain signature records this
-// instance's index in its chain, so receivers locate the entry in O(1)
-// (the digest binding is still confirmed against the payload hash during
-// verification); a single-slot signature stays plain. ok is false when a
-// chain does not carry this instance's entry — the defensive case the
-// reference form cannot express, which handleAckBatch's filtering should
-// make unreachable.
-func (s *Signed) buildRefSigs(id instanceID, digest types.Digest, cert AckCert) (sigs []refSig, defs []defChain, ok bool) {
-	sigs = make([]refSig, 0, len(cert.Sigs))
-	for _, a := range cert.Sigs {
-		if a.Chain == nil {
-			sigs = append(sigs, refSig{Replica: a.Replica, Sig: a.Sig})
-			continue
-		}
-		idx := -1
-		for i, e := range a.Chain {
-			if e.Origin == id.origin && e.Slot == id.slot && e.Digest == digest {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return nil, nil, false
-		}
-		sigs = append(sigs, refSig{Replica: a.Replica, Sig: a.Sig, HasRef: true, Ref: a.ChainDigest, Idx: uint32(idx)})
-		known := false
-		for _, d := range defs {
-			if d.digest == a.ChainDigest {
-				known = true
-				break
-			}
-		}
-		if !known {
-			defs = append(defs, defChain{digest: a.ChainDigest, chain: a.Chain})
-		}
-	}
-	return sigs, defs, true
+	s.sendCommit(id, out.payload, out.cert)
+	s.commitVerified(id, out.digest, out.payload, true)
 }
 
 // sendCommit sends the commit for an instance whose quorum is complete to
-// the other members as a COMMITREF, encoded once (it is
-// destination-independent).
-// Chain definitions are withheld (lazy CHAINDEF) — receivers already know
-// their own chains and any chain learned from any peer, and demand the
-// rest by NACK (handleChainNack answers with the definition; most never
-// ask). A certificate of single-slot signatures names no chain and never
-// draws a NACK.
-func (s *Signed) sendCommit(id instanceID, payload []byte, digest types.Digest, cert AckCert) {
-	sigs, _, ok := s.buildRefSigs(id, digest, cert)
-	if !ok {
-		// A chain that does not endorse this instance never enters the
-		// certificate (handleAckBatch filters); if one did, referencing it
-		// would be unverifiable — fall back to the self-contained form.
-		s.sendCommitFull(id, payload, cert, s.others...)
-		return
-	}
-
-	ref := wire.AcquireWriter(commitRefSize(payload, sigs))
-	appendCommitRef(ref, id.origin, id.slot, payload, sigs)
-	for _, p := range s.others {
-		_ = s.cfg.Mux.Send(transport.ReplicaNode(p), transport.ChanBRB, ref.Bytes())
-		s.refStats.RefsSent.Add(1)
-	}
-	ref.Release()
-}
-
-// sendCommitFull sends the self-contained COMMITTAB of a commit to the
-// given destinations — the NACK fallback, and the defensive path for
-// certificates the reference form cannot express.
-func (s *Signed) sendCommitFull(id instanceID, payload []byte, cert AckCert, dests ...types.ReplicaID) {
+// the other members as one self-contained COMMITTAB, encoded once (it is
+// destination-independent): the payload and its certificate, every chain
+// the certificate names tabled inline.
+func (s *Signed) sendCommit(id instanceID, payload []byte, cert AckCert) {
 	table, idxs := commitChainTable(cert)
 	w := wire.AcquireWriter(commitTabSize(payload, table, cert))
 	appendCommitTab(w, id.origin, id.slot, payload, table, cert, idxs)
-	for _, p := range dests {
+	for _, p := range s.others {
 		_ = s.cfg.Mux.Send(transport.ReplicaNode(p), transport.ChanBRB, w.Bytes())
-		s.refStats.FullSends.Add(1)
 	}
 	w.Release()
 }
@@ -688,183 +514,17 @@ func (s *Signed) handleCommit(id instanceID, payload []byte, cert AckCert) {
 	}
 	s.ver.TryAsync(func() {
 		// On a verifier lane (or inline under a saturated pool — the
-		// natural backpressure; TryAsync rather than Async because commits
-		// can arrive via the parked-reference drain, which runs on a pool
-		// worker, and a blocking enqueue there could wedge a full queue
-		// against itself): hash the payload and start the tally. The
-		// continuation may fire inline right here (memo hits, structural
-		// failure) or on whichever lane casts the deciding vote; either
-		// way commitVerified only takes s.mu and drains deliveries — it
-		// never waits on the verifier, per the continuation discipline.
+		// natural backpressure): hash the payload and start the tally.
+		// The continuation may fire inline right here (memo hits,
+		// structural failure) or on whichever lane casts the deciding
+		// vote; either way commitVerified only takes s.mu and drains
+		// deliveries — it never waits on the verifier, per the
+		// continuation discipline.
 		d := SignedDigest(id.origin, id.slot, payload)
 		s.verifyAckCertDetached(id, d, cert, func(ok bool) {
 			s.commitVerified(id, d, payload, ok)
 		})
 	})
-}
-
-// handleCommitRef resolves a chain-referencing commit against the per-peer
-// chain cache and, when enough references resolve for a quorum, verifies
-// it like any commit. When resolution leaves the quorum out of reach — an
-// evicted or never-seen chain — it NACKs the missing digests back to the
-// sender, which answers with the definitions or the self-contained
-// COMMITTAB; the reference protocol can delay a delivery by one round
-// trip, never prevent it.
-func (s *Signed) handleCommitRef(id instanceID, peer types.ReplicaID, payload []byte, sigs []refSig) {
-	cert := AckCert{Sigs: make([]AckSig, 0, len(sigs))}
-	var missing []types.Digest
-	var missingSet map[types.Digest]struct{}
-	for _, rs := range sigs {
-		if !rs.HasRef {
-			cert.Sigs = append(cert.Sigs, AckSig{Replica: rs.Replica, Sig: rs.Sig})
-			continue
-		}
-		chain, ok := s.knownChain(peer, rs.Ref)
-		if !ok {
-			s.refStats.RefMisses.Add(1)
-			// One quorum usually references one chain; name each digest
-			// once, and stop collecting at the NACK bound up front — the
-			// answer to ANY named digest re-supplies the commit, so a
-			// hostile reference list buys neither an overlong NACK nor a
-			// quadratic dedup scan.
-			if missingSet == nil {
-				missingSet = make(map[types.Digest]struct{}, 4)
-			}
-			if _, dup := missingSet[rs.Ref]; !dup && len(missing) < maxNackDigests {
-				missingSet[rs.Ref] = struct{}{}
-				missing = append(missing, rs.Ref)
-			}
-			continue
-		}
-		s.refStats.RefHits.Add(1)
-		// The carried index locates this instance's entry in O(1): a
-		// reference whose indexed entry names another instance cannot
-		// endorse this one, and is dropped before any verification work.
-		// The entry's digest is bound later, by ackCertItems, against
-		// the payload hash computed off this dispatch goroutine.
-		if int(rs.Idx) >= len(chain) {
-			continue // reference cannot be valid; treat as no endorsement
-		}
-		if e := chain[rs.Idx]; e.Origin != id.origin || e.Slot != id.slot {
-			continue // indexed entry is for another instance
-		}
-		cert.Sigs = append(cert.Sigs, AckSig{Replica: rs.Replica, Sig: rs.Sig, Chain: chain, ChainDigest: rs.Ref})
-	}
-	if len(missing) > 0 && len(cert.Sigs) < s.cfg.certQuorum() {
-		// Not deliverable from what we have. Skip the NACK when the
-		// instance is already delivered or mid-verification — a duplicate
-		// needs no resend.
-		s.mu.Lock()
-		rec := s.acked[id]
-		_, busy := s.committing[id]
-		done := busy || (rec != nil && rec.delivered)
-		s.mu.Unlock()
-		if done {
-			return
-		}
-		// Park the reference on its LAST missing digest — a NACK is
-		// answered with definitions in certificate order, so by the time
-		// the last one lands and learnChain re-runs the parked reference,
-		// the earlier ones are already cached and the re-run resolves
-		// outright instead of re-parking per digest. Only the digest's
-		// first waiter from each sender NACKs; that sender's followers
-		// ride the same answer. A parked reference evicted by the bound
-		// falls back to the NACK round trip, so delivery never depends on
-		// buffer capacity.
-		parked, nack := s.parkRef(missing[len(missing)-1], pendingRef{id: id, peer: peer, payload: payload, sigs: sigs})
-		if parked && !nack {
-			return
-		}
-		w := wire.AcquireWriter(chainNackSize(missing))
-		appendChainNack(w, id.origin, id.slot, missing)
-		_ = s.cfg.Mux.Send(transport.ReplicaNode(peer), transport.ChanBRB, w.Bytes())
-		w.Release()
-		s.refStats.NacksSent.Add(1)
-		return
-	}
-	s.handleCommit(id, payload, cert)
-}
-
-// handleChainNack runs at the origin: a destination could not resolve
-// chain references for one of our commits. This is the demand path of
-// lazy CHAINDEF: answer with exactly the CHAINDEFs the receiver named,
-// followed by the COMMITREF again, on the same FIFO channel. When a named
-// digest is not one of this commit's chains (a stale NACK about an
-// earlier wave) degrade to the self-contained resend.
-func (s *Signed) handleChainNack(id instanceID, peer types.ReplicaID, missing []types.Digest) {
-	if id.origin != s.cfg.Self {
-		return // we only resend our own commits
-	}
-	// Only group members receive commits, so only they can legitimately
-	// miss a chain; gating here keeps the resend amplification (a 37-byte
-	// NACK answered with definitions or a complete commit) reachable by
-	// group members alone.
-	if !s.membership(peer) {
-		return
-	}
-	s.refStats.NacksReceived.Add(1)
-	s.mu.Lock()
-	out := s.mine[id.slot]
-	if out == nil || !out.committed {
-		s.mu.Unlock()
-		return
-	}
-	payload, digest, cert := out.payload, out.digest, out.cert
-	s.mu.Unlock()
-	if s.answerNackWithDefs(id, peer, payload, digest, cert, missing) {
-		return
-	}
-	s.sendCommitFull(id, payload, cert, peer)
-}
-
-// answerNackWithDefs serves a demand: when every digest the
-// receiver named is one of this commit's certificate chains, send those
-// CHAINDEFs and then the COMMITREF again — FIFO ordering guarantees the
-// definitions land first, and learnChain on the receiver re-runs any
-// references parked meanwhile. Reports false when a named digest is not
-// servable from this certificate (the caller falls back to the
-// self-contained form, which answers everything).
-func (s *Signed) answerNackWithDefs(id instanceID, peer types.ReplicaID, payload []byte, digest types.Digest, cert AckCert, missing []types.Digest) bool {
-	sigs, defs, ok := s.buildRefSigs(id, digest, cert)
-	if !ok {
-		return false
-	}
-	for _, m := range missing {
-		found := false
-		for i := range defs {
-			if defs[i].digest == m {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	dest := transport.ReplicaNode(peer)
-	for i := range defs {
-		demanded := false
-		for _, m := range missing {
-			if defs[i].digest == m {
-				demanded = true
-				break
-			}
-		}
-		if !demanded {
-			continue // the receiver has this one; it named what it lacks
-		}
-		if defs[i].enc == nil {
-			defs[i].enc = EncodeChainDef(defs[i].chain)
-		}
-		_ = s.cfg.Mux.Send(dest, transport.ChanBRB, defs[i].enc)
-		s.refStats.DefsDemanded.Add(1)
-	}
-	ref := wire.AcquireWriter(commitRefSize(payload, sigs))
-	appendCommitRef(ref, id.origin, id.slot, payload, sigs)
-	_ = s.cfg.Mux.Send(dest, transport.ChanBRB, ref.Bytes())
-	ref.Release()
-	s.refStats.RefsSent.Add(1)
-	return true
 }
 
 // ackCertItem is one (replica, digest, sig) triple of a certificate left
@@ -998,13 +658,6 @@ func (s *Signed) membership(id types.ReplicaID) bool {
 // batching engaged (one ECDSA endorsing several instances).
 func (s *Signed) AckSignStats() (ops, acks uint64) {
 	return s.ackSigner.Stats()
-}
-
-// ChainRefStats returns the chain-reference protocol counters: CHAINDEFs
-// and COMMITREFs sent, cache hits and misses on inbound references, and
-// NACK fallback traffic.
-func (s *Signed) ChainRefStats() ChainRefStats {
-	return s.refStats.Snapshot()
 }
 
 // String implements fmt.Stringer for diagnostics.

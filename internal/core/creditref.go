@@ -6,9 +6,9 @@ import (
 	"astro/internal/wire"
 )
 
-// Chain-by-digest references on the credit channel (the payment-side twin
-// of brb's chainref.go — see the protocol prose there and on the
-// msgCredit* kinds). This file keeps the replica's reference state:
+// Chain-by-digest references on the credit channel (see the protocol
+// prose on the msgCredit* kinds). This file keeps the replica's reference
+// state:
 //
 //   - creditChains: receiver side — per sending replica, a bounded LRU of
 //     the chains that replica has defined, keyed by the locally recomputed
@@ -28,9 +28,9 @@ import (
 //     NACK can trail its reference by (creditWaveRetainBytes), not by a
 //     count of waves.
 //
-// Unlike the BRB side, there is no per-destination sent-set: every wave
-// signs a brand-new chain (the digests of its freshly settled groups), so
-// a chain is never referenced across waves.
+// There is no per-destination sent-set: every wave signs a brand-new
+// chain (the digests of its freshly settled groups), so a chain is never
+// referenced across waves.
 //
 // Both structures hang off chainMu; the lock is never held across a
 // transport send or a signature operation.
@@ -41,20 +41,18 @@ import (
 const creditChainCacheEntries = 64
 
 // creditWaveRetainBytes is how much signed-wave content a replica keeps for
-// CREDITNACK answers beyond the newest creditChainCacheEntries waves. The
-// argument is brb's committedRetainBytes: a NACK trails its CREDITREF by
-// whatever was queued ahead of either — kernel socket buffers and the
-// bounded dispatch queues — and that is a byte quantity. A saturated
+// CREDITNACK answers beyond the newest creditChainCacheEntries waves. A
+// NACK trails its CREDITREF by whatever was queued ahead of either —
+// kernel socket buffers (a few MiB per direction at Linux's autotuning
+// limits) and the bounded dispatch queues — and that is a byte quantity. A saturated
 // replica signs several hundred waves a second, so a count of 64 retired a
 // wave ~160 ms after signing it, inside the loaded p99.
 const creditWaveRetainBytes = 16 << 20
 
 // CreditRefStats counts the credit-channel reference traffic at one
 // replica, for tests and the benchmark harness: CREDITCHAINDEF/CREDITREF
-// sends (FullSends stays zero: no self-contained form is sent on this
-// channel), inbound reference cache hits and misses, and NACK round
-// trips. The shape is shared with the BRB commit path's identical
-// protocol (types.RefStats).
+// sends, inbound reference cache hits and misses, and NACK round trips
+// (types.RefStats).
 type CreditRefStats = types.RefStats
 
 // CreditRefStats returns the credit chain-reference counters.

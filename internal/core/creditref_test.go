@@ -298,9 +298,6 @@ func TestCreditNackAnsweredWithDefAndRef(t *testing.T) {
 		t.Fatalf("re-sent reference mangled: %+v %v", m, err)
 	}
 	st := c.replicas[0].CreditRefStats()
-	if st.FullSends != 0 {
-		t.Fatalf("fell back to the self-contained full form: %+v", st)
-	}
 	if st.DefsDemanded != 1 {
 		t.Fatalf("demand not counted: %+v", st)
 	}

@@ -328,8 +328,8 @@ func (b *AckAll) Inbound(from transport.NodeID, frame []byte, emit Emit) []byte 
 // ---------------------------------------------------------------------
 
 // WithholdCommits signs acks like an honest replica but never emits a
-// commit certificate for its own broadcasts, neither the COMMITREF nor the
-// COMMITTAB resend. Its clients' payments collect acks and stall forever;
+// commit certificate (the COMMITTAB) for its own broadcasts. Its clients'
+// payments collect acks and stall forever;
 // nobody else is harmed — the canonical "crash at the most annoying
 // step" Byzantine strategy.
 type WithholdCommits struct {
@@ -353,12 +353,13 @@ func (b *WithholdCommits) Outbound(_ transport.NodeID, frame []byte, _ Emit) []b
 // ---------------------------------------------------------------------
 
 // ForgeChainRefs corrupts the chain-by-digest wire forms this replica
-// sends — CHAINDEF/COMMITREF on the broadcast channel and
-// CREDITCHAINDEF/CREDITREF on the credit channel — replacing digests and
-// indices with garbage. Honest receivers must shrug: a bogus definition
-// caches a chain no signature references, a bogus reference misses the
-// cache and triggers the NACK → self-contained fallback, and delivery
-// proceeds through the COMMITTAB.
+// sends on the credit channel — CREDITCHAINDEF and CREDITREF, the only
+// reference forms left (a BRB commit carries its chains inline) —
+// replacing digests and indices with garbage. Honest receivers must
+// shrug: a bogus definition caches a chain no signature references, and a
+// bogus reference misses the cache and costs a NACK round trip whose
+// answer is corrupted the same way, so this signer's credit signatures
+// never count and the other signers' complete the certificate.
 type ForgeChainRefs struct {
 	NopBehavior
 	Salt byte
@@ -369,13 +370,7 @@ type ForgeChainRefs struct {
 func (b *ForgeChainRefs) Name() string { return "forge-chain-refs" }
 
 func (b *ForgeChainRefs) Outbound(_ transport.NodeID, frame []byte, _ Emit) []byte {
-	switch frameChan(frame) {
-	case transport.ChanBRB:
-		if mut, ok := brb.CorruptChainRefs(frame[1:], b.Salt); ok {
-			b.Corrupted.Add(1)
-			return reframe(transport.ChanBRB, mut)
-		}
-	case transport.ChanCredit:
+	if frameChan(frame) == transport.ChanCredit {
 		if mut, ok := core.CorruptCreditRefs(frame[1:], b.Salt); ok {
 			b.Corrupted.Add(1)
 			return reframe(transport.ChanCredit, mut)
@@ -388,11 +383,12 @@ func (b *ForgeChainRefs) Outbound(_ transport.NodeID, frame []byte, _ Emit) []by
 // NACK storm
 // ---------------------------------------------------------------------
 
-// NackStorm answers every chain-referencing commit or credit it receives
-// with a burst of NACKs naming the referenced digests, trying to drown
-// the sender in full-form resends. The hardened senders do bounded work
-// per NACK (one retained resend, nothing evicted for other peers), so
-// the storm costs bandwidth and nothing else.
+// NackStorm answers every CREDITREF it receives with a burst of
+// CREDITNACKs naming the referenced chain, trying to drown the signer in
+// resends (a BRB commit references no chain, so there is nothing to NACK
+// on the broadcast channel). The hardened signer does bounded work per
+// NACK (one retained answer, nothing evicted for other peers), so the
+// storm costs bandwidth and nothing else.
 type NackStorm struct {
 	NopBehavior
 	Burst int // NACK copies per triggering frame (default 8)
@@ -410,22 +406,14 @@ func (b *NackStorm) burst() int {
 }
 
 func (b *NackStorm) Inbound(from transport.NodeID, frame []byte, emit Emit) []byte {
-	switch frameChan(frame) {
-	case transport.ChanBRB:
-		if nack, ok := brb.NackFor(frame[1:]); ok {
-			f := reframe(transport.ChanBRB, nack)
-			for i := 0; i < b.burst(); i++ {
-				emit(from, f)
-				b.Sent.Add(1)
-			}
-		}
-	case transport.ChanCredit:
-		if nack, ok := core.CreditNackFor(frame[1:]); ok {
-			f := reframe(transport.ChanCredit, nack)
-			for i := 0; i < b.burst(); i++ {
-				emit(from, f)
-				b.Sent.Add(1)
-			}
+	if frameChan(frame) != transport.ChanCredit {
+		return frame
+	}
+	if nack, ok := core.CreditNackFor(frame[1:]); ok {
+		f := reframe(transport.ChanCredit, nack)
+		for i := 0; i < b.burst(); i++ {
+			emit(from, f)
+			b.Sent.Add(1)
 		}
 	}
 	return frame

@@ -105,11 +105,11 @@ func TestByzantineFaultMatrix(t *testing.T) {
 				}
 			case *ForgeChainRefs:
 				if beh.Corrupted.Load() == 0 {
-					t.Error("no frames corrupted: chain wire forms never engaged")
+					t.Error("no frames corrupted: credit chain wire forms never engaged")
 				}
 			case *NackStorm:
 				if beh.Sent.Load() == 0 {
-					t.Error("no NACKs sent: no chain-referencing traffic reached the attacker")
+					t.Error("no NACKs sent: no CREDITREF reached the attacker")
 				}
 			case *StaleViewReconfig:
 				if beh.Volleys.Load() == 0 {
@@ -202,8 +202,8 @@ func TestEquivocationBreaksAtFPlusOne(t *testing.T) {
 }
 
 // TestWithholdCommitsDropsCommitTab: the commit-withholding behavior
-// suppresses the self-contained COMMITTAB a NACK provokes as well as the
-// COMMITREF, and lets the rest of the protocol through.
+// suppresses the COMMITTAB, the one commit form, and lets the rest of the
+// protocol through.
 func TestWithholdCommitsDropsCommitTab(t *testing.T) {
 	var b WithholdCommits
 	cert := brb.AckCert{Sigs: []brb.AckSig{{Replica: 0, Sig: []byte("sig")}}}

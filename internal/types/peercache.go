@@ -64,8 +64,9 @@ func (c *PeerCache[V]) Get(peer ReplicaID, d Digest) (V, bool) {
 // hit. Sound only for content-addressed caches — the chain-reference
 // protocol recomputes each digest from the learned content, so a chain
 // cached under ANY peer is the chain, whoever references it. Cost is one
-// LRU probe per known peer (membership-bounded); the lazy-CHAINDEF mode
-// uses it so a chain defined once resolves references from every origin.
+// LRU probe per known peer (membership-bounded); the credit channel's
+// lazy definitions use it so a chain defined once resolves references
+// from every signer.
 func (c *PeerCache[V]) GetAny(d Digest) (V, bool) {
 	for _, l := range c.m {
 		if v, ok := l.Get(d); ok {

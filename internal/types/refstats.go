@@ -2,30 +2,29 @@ package types
 
 import "sync/atomic"
 
-// RefStats counts one side's chain-reference traffic: both the BRB commit
-// path and the credit channel run the same CHAINDEF / reference / NACK
-// protocol, so they share one counter shape (brb.ChainRefStats and
-// core.CreditRefStats alias it, and the sim harness aggregates either).
+// RefStats counts the credit channel's chain-reference traffic at one
+// replica: the CREDITCHAINDEF / CREDITREF / CREDITNACK protocol
+// (core.CreditRefStats aliases it, and the sim harness aggregates it
+// cluster-wide). BRB commits carry their chains inline and have no
+// reference protocol.
 type RefStats struct {
-	// RefsSent / FullSends count reference-form sends and self-contained
-	// sends (the NACK-triggered COMMITTAB resend).
-	RefsSent, FullSends uint64
+	// RefsSent counts reference-form sends.
+	RefsSent uint64
 	// RefHits / RefMisses count inbound reference resolutions against the
 	// receiver's chain cache.
 	RefHits, RefMisses uint64
 	// NacksSent / NacksReceived count the fallback round trips.
 	NacksSent, NacksReceived uint64
 	// DefsDemanded counts definitions sent because a NACK demanded them —
-	// the only definitions ever sent (lazy CHAINDEF: every reference goes
-	// out without its definition), so DefsDemanded/RefsSent is the share
-	// of references that cost a definition.
+	// the only definitions ever sent (lazy definitions: every reference
+	// goes out without its definition), so DefsDemanded/RefsSent is the
+	// share of references that cost a definition.
 	DefsDemanded uint64
 }
 
 // Add accumulates other into s (for cluster-wide aggregation).
 func (s *RefStats) Add(other RefStats) {
 	s.RefsSent += other.RefsSent
-	s.FullSends += other.FullSends
 	s.RefHits += other.RefHits
 	s.RefMisses += other.RefMisses
 	s.NacksSent += other.NacksSent
@@ -36,7 +35,7 @@ func (s *RefStats) Add(other RefStats) {
 // RefCounters is the atomic backing of RefStats, embedded by the protocol
 // state that updates it concurrently.
 type RefCounters struct {
-	RefsSent, FullSends      atomic.Uint64
+	RefsSent                 atomic.Uint64
 	RefHits, RefMisses       atomic.Uint64
 	NacksSent, NacksReceived atomic.Uint64
 	DefsDemanded             atomic.Uint64
@@ -47,7 +46,6 @@ type RefCounters struct {
 func (c *RefCounters) Snapshot() RefStats {
 	return RefStats{
 		RefsSent:      c.RefsSent.Load(),
-		FullSends:     c.FullSends.Load(),
 		RefHits:       c.RefHits.Load(),
 		RefMisses:     c.RefMisses.Load(),
 		NacksSent:     c.NacksSent.Load(),
