@@ -30,8 +30,8 @@ vet:
 
 # Race-detector pass over the lane scheduler, transport dispatch, and the
 # crypto/broadcast/payment hot path — the packages with cross-goroutine
-# completions, flow stealing, and per-channel dispatch (including the PR 4
-# chain-reference caches, the tcpnet dial/redial liveness tests, the
+# completions, flow stealing, and per-channel dispatch (including the
+# tcpnet dial/redial liveness tests, the
 # PR 6 WAL writer/crash-recovery paths, the PR 7 Byzantine/chaos
 # interposition layer with its always-on auditor, and the PR 10 embedded
 # KV store behind the paged account state), plus the root facade, whose
@@ -77,10 +77,12 @@ fuzz-smoke:
 # every malicious behavior at f faulty (clean audit required), the f+1
 # collusion that must be detected, chaos/partition soaks, kill -9 under
 # partition, and reconfiguration (join + crash-leave) under live load
-# with faults active. Deterministic per seed; CI-smoke depth.
+# with faults active; then, under -race, hostile CREDITTABs, retired
+# credit kinds and unregistered senders against live replicas.
+# Deterministic per seed; CI-smoke depth.
 chaos-smoke:
 	$(GO) test -count=1 -run 'Byzantine|Equivocation|Chaos|Partition|Reconfiguration|Auditor|LinkDelay' ./internal/sim/
-	$(GO) test -count=1 -race -run 'NackStorm|NackNonMember|NackUnregistered' ./internal/core/
+	$(GO) test -count=1 -race -run 'HostileCreditTab|CreditChannelDropsUnknownSenders' ./internal/core/
 	$(GO) test -count=1 -run 'ViaFacade' .
 
 # The scenario matrix across real astro-node processes on real TCP:

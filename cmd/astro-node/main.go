@@ -75,7 +75,7 @@
 //	-chaos-schedule '5s:part=0 1|2 3;15s:heal;20s:drop=0.2;30s:clear'
 //
 // -fault arms a Byzantine replica behavior from the internal/sim suite
-// (equivocate, withhold-commits, forge-refs, nack-storm, stale-view) on
+// (equivocate, withhold-commits, forge-refs, stale-view) on
 // this node — for harness runs only, obviously.
 package main
 
@@ -189,7 +189,7 @@ func run() error {
 		chaosRule  = flag.String("chaos", "", "chaos default rule, e.g. 'drop=0.03,corrupt=0.01,delay=200us-2ms' (empty = off)")
 		chaosSeed  = flag.Uint64("chaos-seed", 1, "chaos fault-injection seed")
 		chaosSch   = flag.String("chaos-schedule", "", "timed chaos phases, e.g. '5s:part=0 1|2 3;15s:heal' (offsets from node start)")
-		fault      = flag.String("fault", "", "arm a Byzantine behavior: equivocate|withhold-commits|forge-refs|nack-storm|stale-view")
+		fault      = flag.String("fault", "", "arm a Byzantine behavior: equivocate|withhold-commits|forge-refs|stale-view")
 	)
 	flag.Parse()
 

@@ -102,7 +102,7 @@ func run() error {
 	byzSeat := types.ReplicaID(*n - 1)
 	kinds := []sim.FaultKind{
 		sim.FaultEquivocate, sim.FaultWithholdCommits, sim.FaultForgeRefs,
-		sim.FaultNackStorm, sim.FaultStaleView,
+		sim.FaultStaleView,
 	}
 
 	// Audit every account that ever holds money: honest clients, the

@@ -31,13 +31,10 @@ const (
 	// FaultWithholdCommits suppresses the COMMITTABs of the replica's own
 	// broadcasts: its clients stall, and every other origin is unharmed.
 	FaultWithholdCommits = string(sim.FaultWithholdCommits)
-	// FaultForgeRefs corrupts the chain-by-digest reference digests of the
-	// credit channel (CREDITCHAINDEF, CREDITREF), forcing NACK round trips
-	// and forged-reference rejections.
+	// FaultForgeRefs corrupts the inline chain of the replica's CREDITTABs,
+	// so its credit signatures fail verification and the other signers
+	// must complete the certificates.
 	FaultForgeRefs = string(sim.FaultForgeRefs)
-	// FaultNackStorm answers every CREDITREF with a burst of CREDITNACKs,
-	// probing the bounded-retransmit guarantee.
-	FaultNackStorm = string(sim.FaultNackStorm)
 	// FaultStaleView spams stale-view and forged-install reconfiguration
 	// messages at the membership managers.
 	FaultStaleView = string(sim.FaultStaleView)

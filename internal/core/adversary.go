@@ -2,82 +2,57 @@ package core
 
 // Adversarial wire helpers for the credit channel, mirroring
 // internal/brb/adversary.go: the pieces a Byzantine replica behavior
-// needs to inspect and corrupt CREDIT traffic at the transport boundary,
-// and to forge hostile NACKs. Wire-level only; no replica state. The
-// same helpers seed the credit-channel fuzz corpora.
+// needs to corrupt CREDITTAB traffic at the transport boundary.
+// Wire-level only; no replica state. The same helpers seed the
+// credit-channel fuzz corpora.
 
 import "astro/internal/types"
 
-// Exported credit message-kind bytes (first byte of every ChanCredit
-// frame), for behaviors that dispatch on frame kind.
-const (
-	CreditKindSingle   = msgCreditSingle
-	CreditKindChainDef = msgCreditChainDef
-	CreditKindRef      = msgCreditRef
-	CreditKindNack     = msgCreditNack
-	CreditKindRedo     = msgCreditRedo
-)
-
-// CreditFrameKind returns a credit frame's kind byte (0 for an empty
-// frame).
-func CreditFrameKind(frame []byte) byte {
-	if len(frame) == 0 {
-		return 0
-	}
-	return frame[0]
-}
-
-// CorruptCreditRefs returns a structurally valid mutation of a
-// CREDITCHAINDEF or CREDITREF frame with its chain digests perturbed by
-// salt — the credit-channel half of the forged chain-reference attack. A
-// corrupted definition caches a chain no wave signature matches; a
-// corrupted reference names a chain the receiver does not know, forcing a
-// CREDITNACK the signer cannot answer. Other kinds return (nil, false).
-func CorruptCreditRefs(frame []byte, salt byte) ([]byte, bool) {
-	if salt == 0 {
-		salt = 0xa5
-	}
-	switch CreditFrameKind(frame) {
-	case msgCreditChainDef:
-		chain, err := decodeCreditChainDef(frame[1:])
-		if err != nil {
-			return nil, false
-		}
-		for i := range chain {
-			chain[i][0] ^= salt
-		}
-		return encodeCreditChainDef(chain), true
-	case msgCreditRef:
-		m, err := decodeCreditRef(frame[1:])
-		if err != nil {
-			return nil, false
-		}
-		m.ChainDigest[0] ^= salt
-		return encodeCreditRef(m), true
-	default:
+// CorruptCreditTab returns a structurally valid mutation of a CREDITTAB
+// frame whose inline chain is no longer the one the signature covers: the
+// chain digests no group of the frame names are perturbed by salt, so
+// every group still matches its own entry and only the signature check
+// can refuse the frame; a frame naming every entry has them all perturbed
+// and fails the digest match instead. Either way the forger's signature
+// never counts and the other signers complete the certificate — the
+// credit-channel half of the forged-chain attack. Other kinds return
+// (nil, false).
+func CorruptCreditTab(frame []byte, salt byte) ([]byte, bool) {
+	if len(frame) == 0 || frame[0] != msgCreditTab {
 		return nil, false
 	}
-}
-
-// CreditNackFor builds the CREDITNACK a hostile receiver would answer a
-// CREDITREF with, naming the referenced chain digest — the building block
-// of a credit NACK storm. Returns (nil, false) for other kinds.
-func CreditNackFor(frame []byte) ([]byte, bool) {
-	if CreditFrameKind(frame) != msgCreditRef {
-		return nil, false
-	}
-	m, err := decodeCreditRef(frame[1:])
+	m, err := decodeCreditTab(frame[1:])
 	if err != nil {
 		return nil, false
 	}
-	return encodeCreditNack(m.ChainDigest), true
+	if salt == 0 {
+		salt = 0xa5
+	}
+	named := make([]bool, len(m.Chain))
+	for _, g := range m.Groups {
+		named[g.ChainIdx] = true
+	}
+	allNamed := len(m.Groups) == len(m.Chain)
+	for i := range m.Chain {
+		if allNamed || !named[i] {
+			m.Chain[i][0] ^= salt
+		}
+	}
+	return encodeCreditTab(m), true
 }
 
-// EncodeCreditNack builds a CREDITNACK for an arbitrary digest (forged
-// NACKs naming chains that never existed). Exported for adversarial
-// tests and fuzz seeding.
-func EncodeCreditNack(missing types.Digest) []byte {
-	return encodeCreditNack(missing)
+// EncodeCreditTab builds a CREDITTAB claiming signer signed the chain of
+// the given groups' digests, each group at its own position — with a
+// signature over nothing in particular it is the forgery a hostile node
+// aims at the credit channel. Exported for adversarial tests and fuzz
+// seeding.
+func EncodeCreditTab(signer types.ReplicaID, sig []byte, groups ...[]types.Payment) []byte {
+	m := creditTabMsg{Signer: signer, Sig: sig}
+	for i, g := range groups {
+		m.Chain = append(m.Chain, CreditGroupDigest(g))
+		m.Groups = append(m.Groups, creditTabGroup{ChainIdx: uint32(i), Group: g})
+	}
+	return encodeCreditTab(m)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 package core
 
-// Tests for settlement-wave CREDIT signing: chain-signed CREDITREFs from
+// Tests for settlement-wave CREDIT signing: chain-signed CREDITTABs from
 // signers whose waves differ, the chain-capable dependency certificates
 // they accumulate into, and the rejection of forged chains.
 
@@ -9,14 +9,13 @@ import (
 	"time"
 
 	"astro/internal/crypto"
-	"astro/internal/transport"
 	"astro/internal/types"
 	"astro/internal/wire"
 )
 
 // TestCreditBatchFormsDependency: two signers (f+1 for n=4) whose
 // settlement waves were cut differently credit the same group, each with a
-// CREDITCHAINDEF and a CREDITREF to its own chain; the beneficiary's
+// CREDITTAB over its own chain; the beneficiary's
 // representative must assemble a dependency certificate naming two
 // distinct chains, and the beneficiary must be able to spend the funds —
 // which carries both chains in the batch's table and exercises
@@ -35,16 +34,11 @@ func TestCreditBatchFormsDependency(t *testing.T) {
 	// Bob's group sits at chain index 1 of each signer's wave, behind a
 	// group that differs per signer.
 	bobGroup := []types.Payment{pay(1, 1, 2, 40)}
-	groups := []creditRefGroup{{ChainIdx: 1, Group: bobGroup}}
+	groups := []creditTabGroup{{ChainIdx: 1, Group: bobGroup}}
 	for _, signer := range []int{0, 1} {
 		other := []types.Payment{pay(5, types.Seq(signer+1), 6, 7)}
 		chain := []types.Digest{CreditGroupDigest(other), CreditGroupDigest(bobGroup)}
-		def, ref := c.creditRefFrom(t, signer, chain, groups)
-		for _, msg := range [][]byte{def, ref} {
-			if err := c.replicas[signer].cfg.Mux.Send(transport.ReplicaNode(c.repOf(2)), transport.ChanCredit, msg); err != nil {
-				t.Fatal(err)
-			}
-		}
+		c.sendCredit(t, signer, c.repOf(2), c.creditTabFrom(t, signer, chain, groups))
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -78,7 +72,7 @@ func TestCreditBatchFormsDependency(t *testing.T) {
 	}
 }
 
-// TestCreditBatchRejectsForgeries: a CREDITREF whose group does not match
+// TestCreditBatchRejectsForgeries: a CREDITTAB whose group does not match
 // the digest at its claimed chain index — or whose signature does not
 // cover the chain — must not contribute to a dependency certificate, and
 // neither does a frame of the retired kind that carried the chain inline,
@@ -95,7 +89,7 @@ func TestCreditBatchRejectsForgeries(t *testing.T) {
 	// Forgery 1: chain signed correctly, but the claimed index holds a
 	// different group's digest.
 	chain1 := []types.Digest{wrong, good}
-	def1, ref1 := c.creditRefFrom(t, 0, chain1, []creditRefGroup{{ChainIdx: 0, Group: bobGroup}})
+	c.sendCredit(t, 0, c.repOf(2), c.creditTabFrom(t, 0, chain1, []creditTabGroup{{ChainIdx: 0, Group: bobGroup}}))
 	// Forgery 2: index and digest match, but the signature covers some
 	// other chain.
 	chain2 := []types.Digest{good}
@@ -103,15 +97,7 @@ func TestCreditBatchRejectsForgeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref2 := encodeCreditRef(creditRefMsg{Signer: 1, ChainDigest: CreditChainDigest(chain2), Sig: sig, Groups: []creditRefGroup{{ChainIdx: 0, Group: bobGroup}}})
-
-	for signer, msgs := range map[int][][]byte{0: {def1, ref1}, 1: {encodeCreditChainDef(chain2), ref2}} {
-		for _, msg := range msgs {
-			if err := c.replicas[signer].cfg.Mux.Send(transport.ReplicaNode(c.repOf(2)), transport.ChanCredit, msg); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	c.sendCredit(t, 1, c.repOf(2), encodeCreditTab(creditTabMsg{Signer: 1, Chain: chain2, Sig: sig, Groups: []creditTabGroup{{ChainIdx: 0, Group: bobGroup}}}))
 	// The retired kind 2, validly signed by signers 2 and 3: kind, signer,
 	// chain, signature, then (chain index, group) per group.
 	for _, signer := range []int{2, 3} {
@@ -127,9 +113,7 @@ func TestCreditBatchRejectsForgeries(t *testing.T) {
 		w.U32(1)
 		w.U32(0)
 		appendPaymentGroup(w, bobGroup)
-		if err := c.replicas[signer].cfg.Mux.Send(transport.ReplicaNode(c.repOf(2)), transport.ChanCredit, w.Bytes()); err != nil {
-			t.Fatal(err)
-		}
+		c.sendCredit(t, signer, c.repOf(2), w.Bytes())
 	}
 	time.Sleep(200 * time.Millisecond)
 	if bal := repBob.Balance(2); bal != 0 {

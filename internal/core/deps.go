@@ -225,8 +225,9 @@ func VerifyDependency(
 const noChainIdx = ^uint32(0)
 
 // compareChains orders chains by their digests, lexicographically, with a
-// fast path for the shared backing the chain interning cache
-// (creditref.go) hands every DepSig of one chain.
+// fast path for shared backing: the DepSigs one CREDITTAB's groups yield
+// share its decoded chain, and so do the signatures a decoded chain
+// table names.
 func compareChains(a, b []types.Digest) int {
 	if len(a) == len(b) && len(a) > 0 && &a[0] == &b[0] {
 		return 0

@@ -27,7 +27,7 @@ package core
 //     projected-balance holds) is capped at maxHeldSubmits; beyond it the
 //     newest submission is shed — a correct client retries after its
 //     in-flight payments settle, exactly as it would after a lost frame;
-//   - hostile CREDIT/NACK/REDO traffic from client nodes: dropped by the
+//   - hostile CREDIT/CREDITTAB/REDO traffic from client nodes: dropped by the
 //     sender-class check before any decode.
 //
 // Counters are replica-wide (not per-client maps) so the accounting

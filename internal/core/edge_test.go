@@ -4,9 +4,8 @@ package core
 // rejected with its counter incremented, the rejection cost stays bounded
 // (seq window, hold-queue cap), and — the wedge regression — a hostile
 // client hammering preScreenSubmit with conflicting resubmissions,
-// replays, and credit-channel NACK storms cannot stall an honest client
-// sharing the same representative. Run under -race by the Makefile's
-// chaos-smoke target.
+// replays, and forged credit-channel frames cannot stall an honest client
+// sharing the same representative. Run under -race by `make race`.
 
 import (
 	"sync/atomic"
@@ -28,7 +27,7 @@ func genesis1000(types.ClientID) types.Amount { return 1000 }
 // TestByzantineClientCannotWedgeBroadcastQueue: while a hostile client
 // floods its representative with conflicting resubmissions (double-spends
 // of its own settled history), byte-identical replays, far-future and
-// zero sequence numbers, forged credit traffic, and credit NACK storms,
+// zero sequence numbers, and forged CREDITTABs and CREDITs,
 // an honest client of the same representative must keep settling
 // payments. The explicit -race coverage for preScreenSubmit under
 // adversarial concurrency.
@@ -73,9 +72,9 @@ func TestByzantineClientCannotWedgeBroadcastQueue(t *testing.T) {
 					EncodeSubmit(types.Payment{Spender: 1, Seq: 0, Beneficiary: 2, Amount: 1}, nil))
 				_ = attack.Send(repNode, transport.ChanPayment,
 					EncodeSubmit(types.Payment{Spender: 1, Seq: 1 << 40, Beneficiary: 2, Amount: 1}, nil))
-				// Hostile CREDIT/NACK storm from a client node.
+				// Hostile CREDITTAB/CREDIT storm from a client node.
 				_ = attack.Send(repNode, transport.ChanCredit,
-					EncodeCreditNack(types.HashBytes([]byte("storm"))))
+					EncodeCreditTab(rep, []byte("forged"), []types.Payment{settled}))
 				_ = attack.Send(repNode, transport.ChanCredit,
 					EncodeCreditForged(rep, []types.Payment{settled}, []byte("forged")))
 				// Malformed junk.

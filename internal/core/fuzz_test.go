@@ -28,66 +28,75 @@ func fuzzDependency() Dependency {
 }
 
 // FuzzDecodeCreditChannel drives the full credit-channel payload decoder
-// set: the single-group CREDIT, the CHAINDEF/REF/NACK forms, and the
-// restart-time CREDITREDO. Invariant: no panic on arbitrary bytes, and
-// the seeds (canonical encodings of each kind) must decode.
+// set: the single-group CREDIT, the chain-signed CREDITTAB, and the
+// restart-time CREDITREDO and CREDITRESCAN. Invariants: no panic on
+// arbitrary bytes, and a CREDITTAB that decodes is canonical — it
+// re-encodes to the input, and its chain indices are strictly ascending
+// and below the chain's length.
 func FuzzDecodeCreditChannel(f *testing.F) {
 	group := fuzzGroup()
 	f.Add(encodeCredit(creditMsg{Signer: 1, Group: group, Sig: []byte("sig")}))
-	// The retired kind 2, which carried the signed chain inline: no decoder
-	// reads it (TestCreditBatchRejectsForgeries sends it to a replica).
+	// The retired kinds 2–5, in the layouts they had: the inline-chain
+	// credit (2), the chain definition (3), the reference to it (4) and the
+	// NACK demanding it (5). Nothing decodes them — the switch below has
+	// no case for them, nor has the replica's (TestHostileCreditTabRetiredKinds).
+	chain := []types.Digest{CreditGroupDigest(group)}
 	retired := wire.NewWriter(256)
 	retired.U8(2)
 	retired.U32(2)
-	wire.AppendDigestList(retired, []types.Digest{CreditGroupDigest(group)})
+	wire.AppendDigestList(retired, chain)
 	retired.Chunk([]byte("chain-sig"))
 	retired.U32(1)
 	retired.U32(0)
 	appendPaymentGroup(retired, group)
 	f.Add(retired.Bytes())
-	f.Add(encodeCreditChainDef([]types.Digest{{0x11}, {0x22}}))
-	f.Add(encodeCreditRef(creditRefMsg{
-		Signer:      3,
-		ChainDigest: types.Digest{0x33},
-		Sig:         []byte("ref-sig"),
-		Groups:      []creditRefGroup{{ChainIdx: 1, Group: group}},
-	}))
-	f.Add(encodeCreditNack(types.Digest{0x44}))
+	def := wire.NewWriter(64)
+	def.U8(3)
+	wire.AppendDigestList(def, chain)
+	f.Add(def.Bytes())
+	ref := wire.NewWriter(256)
+	ref.U8(4)
+	ref.U32(3)
+	ref.Bytes32(CreditChainDigest(chain))
+	ref.Chunk([]byte("ref-sig"))
+	ref.U32(1)
+	ref.U32(0)
+	appendPaymentGroup(ref, group)
+	f.Add(ref.Bytes())
+	nack := wire.NewWriter(33)
+	nack.U8(5)
+	nack.Bytes32(CreditChainDigest(chain))
+	f.Add(nack.Bytes())
 	f.Add(encodeCreditRedo([][]types.Payment{group, group[:1]}))
-	// Adversarial seeds from the Byzantine encoders: digest-corrupted
-	// chain forms, the NACK a hostile receiver answers a reference with,
-	// and a NACK naming a chain that never existed.
-	def := encodeCreditChainDef([]types.Digest{{0x11}, {0x22}})
-	ref := encodeCreditRef(creditRefMsg{
-		Signer:      3,
-		ChainDigest: types.Digest{0x33},
-		Sig:         []byte("ref-sig"),
-		Groups:      []creditRefGroup{{ChainIdx: 1, Group: group}},
-	})
-	if c, ok := CorruptCreditRefs(def, 0x5a); ok {
+	f.Add(encodeCreditRescan())
+
+	// CREDITTABs: a two-group wave, a full creditChainCap-digest chain, and
+	// the refused forms — an index past the chain, indices out of order.
+	other := []types.Payment{{Spender: 4, Seq: 1, Beneficiary: 6, Amount: 3}}
+	wave := creditTabMsg{
+		Signer: 3,
+		Chain:  []types.Digest{{0x11}, CreditGroupDigest(group), CreditGroupDigest(other)},
+		Sig:    []byte("wave-sig"),
+		Groups: []creditTabGroup{{ChainIdx: 1, Group: group}, {ChainIdx: 2, Group: other}},
+	}
+	f.Add(encodeCreditTab(wave))
+	full := make([]types.Digest, creditChainCap)
+	for i := range full {
+		full[i] = types.HashBytes([]byte{byte(i)})
+	}
+	f.Add(encodeCreditTab(creditTabMsg{Signer: 0, Chain: full, Sig: []byte("wave-sig"), Groups: []creditTabGroup{{ChainIdx: creditChainCap - 1, Group: group}}}))
+	f.Add(encodeCreditTab(creditTabMsg{Signer: 0, Chain: full[:2], Sig: []byte("wave-sig"), Groups: []creditTabGroup{{ChainIdx: 2, Group: group}}}))
+	swapped := wave
+	swapped.Groups = []creditTabGroup{wave.Groups[1], wave.Groups[0]}
+	f.Add(encodeCreditTab(swapped))
+	// Adversarial seeds from the Byzantine encoders: the forge-refs
+	// behavior's corrupted chain, and a hostile node's forged wave.
+	if c, ok := CorruptCreditTab(encodeCreditTab(wave), 0x5a); ok {
 		f.Add(c)
+	} else {
+		f.Fatal("CorruptCreditTab refused a CREDITTAB")
 	}
-	if c, ok := CorruptCreditRefs(ref, 0x5a); ok {
-		f.Add(c)
-	}
-	if n, ok := CreditNackFor(ref); ok {
-		f.Add(n)
-	}
-	f.Add(EncodeCreditNack(types.HashBytes([]byte("never-existed"))))
-	// PR 9: the lazy-definition demand exchange — the def+ref pair a
-	// NACKed signer answers with (handleCreditNack), including a
-	// full-length chain and a reference whose ChainIdx points past it.
-	lazyChain := make([]types.Digest, creditChainCap)
-	for i := range lazyChain {
-		lazyChain[i] = types.HashBytes([]byte{byte(i)})
-	}
-	f.Add(encodeCreditChainDef(lazyChain))
-	f.Add(encodeCreditRef(creditRefMsg{
-		Signer:      0,
-		ChainDigest: CreditChainDigest(lazyChain),
-		Sig:         []byte("wave-sig"),
-		Groups:      []creditRefGroup{{ChainIdx: uint32(len(lazyChain)), Group: group}},
-	}))
+	f.Add(EncodeCreditTab(1, []byte("forged"), group, other))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -101,12 +110,19 @@ func FuzzDecodeCreditChannel(f *testing.F) {
 					t.Fatalf("accepted group size %d", len(m.Group))
 				}
 			}
-		case msgCreditChainDef:
-			decodeCreditChainDef(body)
-		case msgCreditRef:
-			decodeCreditRef(body)
-		case msgCreditNack:
-			decodeCreditNack(body)
+		case msgCreditTab:
+			m, err := decodeCreditTab(body)
+			if err != nil {
+				return
+			}
+			if !bytes.Equal(encodeCreditTab(m), data) {
+				t.Fatal("decoded CREDITTAB does not re-encode to input")
+			}
+			for i, g := range m.Groups {
+				if int(g.ChainIdx) >= len(m.Chain) || (i > 0 && g.ChainIdx <= m.Groups[i-1].ChainIdx) {
+					t.Fatalf("accepted chain index %d (group %d) on a chain of %d", g.ChainIdx, i, len(m.Chain))
+				}
+			}
 		case msgCreditRedo:
 			if groups, err := decodeCreditRedo(body); err == nil {
 				if len(groups) == 0 || len(groups) > maxRedoGroups {
@@ -118,6 +134,8 @@ func FuzzDecodeCreditChannel(f *testing.F) {
 					}
 				}
 			}
+		case msgCreditRescan:
+			decodeCreditRescan(body)
 		}
 	})
 }

@@ -132,42 +132,35 @@ func encodeSeqResp(c types.ClientID, s types.Seq) []byte {
 	return w.Bytes()
 }
 
-// Message kinds on the credit channel (transport.ChanCredit). Kind 2 is
-// retired.
+// Message kinds on the credit channel (transport.ChanCredit). Kinds 2, 3,
+// 4 and 5 are retired: no decoder reads them, and a replica drops them
+// without answering.
 //
 //	kind            direction             body after the kind byte
 //	CREDIT          signer -> rep         signer u32, group, sig chunk: one
 //	                                      signature over the group's digest
-//	CREDITCHAINDEF  signer -> rep         chain of group digests, answering
-//	                                      a CREDITNACK
-//	CREDITREF       signer -> rep         signer u32, chain digest, sig chunk,
-//	                                      then (chain index, group) for each
-//	                                      group of the wave addressed to rep
-//	CREDITNACK      rep -> signer         the chain digest rep cannot resolve
 //	CREDITREDO      restarted rep ->      groups to re-sign
 //	                own-shard signers
 //	CREDITRESCAN    restarted rep ->      nothing: rescan the xlogs for rep
 //	                foreign-shard signers
+//	CREDITTAB       signer -> rep         signer u32, chain of group digests,
+//	                                      sig chunk, then (chain index,
+//	                                      group) for each group of the wave
+//	                                      addressed to rep
 //
 // A settling replica signs a lone credit group as a CREDIT, and a whole
 // settlement wave with one signature over the chain of its group digests,
-// sending each destination representative a CREDITREF: the chain digest,
-// the shared signature, and the destination's groups with their chain
-// indices. The chain itself travels as a CREDITCHAINDEF (content-addressed
-// — the receiver recomputes the chain digest and caches the chain per
-// sending replica) only on demand. A receiver that cannot resolve the
-// digest — evicted, or never seen — and still needs one of the groups
-// answers with a CREDITNACK naming it, and the signer sends the
-// definition and the reference again from its bounded retransmit buffer.
-// The chain thus crosses the wire at most once per destination, and a
-// cache miss costs a round trip instead of losing the CREDIT.
+// sending each destination representative one CREDITTAB: the chain the
+// signature covers, inline, the signature, and the destination's groups
+// with their chain indices. A CREDITTAB is self-contained — it needs no
+// state at the receiver and no other frame before or after it — and, like
+// brb's COMMITTAB, it has one encoding: indices strictly ascending and
+// below the chain's length, so decode → encode reproduces the bytes.
 const (
-	msgCreditSingle   byte = 1
-	msgCreditChainDef byte = 3
-	msgCreditRef      byte = 4
-	msgCreditNack     byte = 5
-	msgCreditRedo     byte = 6
-	msgCreditRescan   byte = 7
+	msgCreditSingle byte = 1
+	msgCreditRedo   byte = 6
+	msgCreditRescan byte = 7
+	msgCreditTab    byte = 8
 )
 
 // CREDIT message (transport.ChanCredit): a settling replica's signed
@@ -205,74 +198,39 @@ func decodeCredit(payload []byte) (creditMsg, error) {
 	return m, nil
 }
 
-// creditChainDefSize is the exact size of a CREDITCHAINDEF message.
-func creditChainDefSize(chain []types.Digest) int {
-	return 1 + wire.DigestListSize(len(chain))
+// creditTabMsg is one signer's CREDITTAB: the chain of group digests its
+// signature covers, and the wave's groups whose beneficiaries this
+// destination represents, each with its index into the chain. The
+// receiver recomputes each group's digest, matches it against the chain,
+// and verifies the one signature against the chain's digest — so a wave
+// crediting k groups costs the signer one ECDSA, and (through the verifier
+// memo) the receiver one ECDSA per signer.
+type creditTabMsg struct {
+	Signer types.ReplicaID
+	Chain  []types.Digest
+	Sig    []byte
+	Groups []creditTabGroup
 }
 
-func appendCreditChainDef(w *wire.Writer, chain []types.Digest) {
-	w.U8(msgCreditChainDef)
-	wire.AppendDigestList(w, chain)
-}
-
-// encodeCreditChainDef encodes a chain definition for the credit channel.
-func encodeCreditChainDef(chain []types.Digest) []byte {
-	w := wire.NewWriter(creditChainDefSize(chain))
-	appendCreditChainDef(w, chain)
-	return w.Bytes()
-}
-
-// decodeCreditChainDef parses a CREDITCHAINDEF payload after its kind
-// byte. Defined chains are bounded by the cap an honest wave drain
-// produces, not the looser certificate bound.
-func decodeCreditChainDef(payload []byte) ([]types.Digest, error) {
-	r := wire.NewReader(payload)
-	chain, err := wire.ReadDigestList[types.Digest](r, creditChainCap)
-	if err != nil {
-		return nil, err
-	}
-	if len(chain) == 0 {
-		return nil, fmt.Errorf("credit chain def: empty chain")
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return chain, nil
-}
-
-// creditRefMsg is one signer's CREDITREF: the digest of the chain of group
-// digests its signature covers, and the wave's groups whose beneficiaries
-// this destination represents, each with its index into the chain. The
-// receiver resolves the chain, recomputes each group's digest, matches it
-// against the chain, and verifies the one signature against the chain
-// digest — so a wave crediting k groups costs the signer one ECDSA, and
-// (through the verifier memo) the receiver one ECDSA per signer.
-type creditRefMsg struct {
-	Signer      types.ReplicaID
-	ChainDigest types.Digest
-	Sig         []byte
-	Groups      []creditRefGroup
-}
-
-// creditRefGroup is one credit group of a CREDITREF with its position in
+// creditTabGroup is one credit group of a CREDITTAB with its position in
 // the signed chain.
-type creditRefGroup struct {
+type creditTabGroup struct {
 	ChainIdx uint32
 	Group    []types.Payment
 }
 
-func creditRefSize(m creditRefMsg) int {
-	n := 1 + 4 + 32 + 4 + len(m.Sig) + 4
+func creditTabSize(m creditTabMsg) int {
+	n := 1 + 4 + wire.DigestListSize(len(m.Chain)) + 4 + len(m.Sig) + 4
 	for _, g := range m.Groups {
 		n += 4 + 4 + len(g.Group)*types.PaymentWireSize
 	}
 	return n
 }
 
-func appendCreditRef(w *wire.Writer, m creditRefMsg) {
-	w.U8(msgCreditRef)
+func appendCreditTab(w *wire.Writer, m creditTabMsg) {
+	w.U8(msgCreditTab)
 	w.U32(uint32(m.Signer))
-	w.Bytes32(m.ChainDigest)
+	wire.AppendDigestList(w, m.Chain)
 	w.Chunk(m.Sig)
 	w.U32(uint32(len(m.Groups)))
 	for _, g := range m.Groups {
@@ -281,66 +239,55 @@ func appendCreditRef(w *wire.Writer, m creditRefMsg) {
 	}
 }
 
-func encodeCreditRef(m creditRefMsg) []byte {
-	w := wire.NewWriter(creditRefSize(m))
-	appendCreditRef(w, m)
+func encodeCreditTab(m creditTabMsg) []byte {
+	w := wire.NewWriter(creditTabSize(m))
+	appendCreditTab(w, m)
 	return w.Bytes()
 }
 
-// decodeCreditRef parses a CREDITREF payload after its kind byte. Chain
-// indices are bounded against the chain cap here; the receiver re-checks
-// them against the resolved chain's actual length.
-func decodeCreditRef(payload []byte) (creditRefMsg, error) {
-	var m creditRefMsg
+// decodeCreditTab parses a CREDITTAB payload after its kind byte. It
+// accepts only the canonical form: a chain no longer than an honest wave
+// (creditChainCap), at least one group, and chain indices strictly
+// ascending and below the chain's length.
+func decodeCreditTab(payload []byte) (creditTabMsg, error) {
+	var m creditTabMsg
 	r := wire.NewReader(payload)
 	m.Signer = types.ReplicaID(r.U32())
-	m.ChainDigest = r.Bytes32()
+	chain, err := decodeDigestChain(r)
+	if err != nil {
+		return m, err
+	}
+	if len(chain) == 0 || len(chain) > creditChainCap {
+		return m, fmt.Errorf("credit tab: chain of %d outside [1,%d]", len(chain), creditChainCap)
+	}
+	m.Chain = chain
 	m.Sig = r.Chunk()
 	ng := r.U32()
 	if err := r.Err(); err != nil {
 		return m, err
 	}
-	if ng == 0 || ng > creditChainCap {
-		return m, fmt.Errorf("credit ref: bad group count %d", ng)
+	if ng == 0 || ng > uint32(len(chain)) {
+		return m, fmt.Errorf("credit tab: %d groups for a chain of %d", ng, len(chain))
 	}
-	m.Groups = make([]creditRefGroup, 0, ng)
+	m.Groups = make([]creditTabGroup, 0, ng)
 	for i := uint32(0); i < ng; i++ {
 		idx := r.U32()
 		if err := r.Err(); err != nil {
 			return m, err
 		}
-		if idx >= creditChainCap {
-			return m, fmt.Errorf("credit ref: chain index %d out of range", idx)
+		if idx >= uint32(len(chain)) || (i > 0 && idx <= m.Groups[i-1].ChainIdx) {
+			return m, fmt.Errorf("credit tab: chain index %d out of order or range", idx)
 		}
 		group, err := decodePaymentGroup(r)
 		if err != nil {
 			return m, err
 		}
-		m.Groups = append(m.Groups, creditRefGroup{ChainIdx: idx, Group: group})
+		m.Groups = append(m.Groups, creditTabGroup{ChainIdx: idx, Group: group})
 	}
 	if err := r.Finish(); err != nil {
 		return m, err
 	}
 	return m, nil
-}
-
-// creditNackSize is the exact size of a CREDITNACK message.
-const creditNackSize = 1 + 32
-
-func encodeCreditNack(missing types.Digest) []byte {
-	w := wire.NewWriter(creditNackSize)
-	w.U8(msgCreditNack)
-	w.Bytes32(missing)
-	return w.Bytes()
-}
-
-func decodeCreditNack(payload []byte) (types.Digest, error) {
-	r := wire.NewReader(payload)
-	d := r.Bytes32()
-	if err := r.Finish(); err != nil {
-		return types.Digest{}, err
-	}
-	return d, nil
 }
 
 // maxRedoGroups bounds the group count of a CREDITREDO request.

@@ -23,9 +23,17 @@ type cluster struct {
 
 func newCluster(t *testing.T, version Version, n int, genesis func(types.ClientID) types.Amount, opts ...func(*Config)) *cluster {
 	t.Helper()
+	return newClusterOn(t, memnet.New(memnet.WithSeed(7)), nil, version, n, genesis, opts...)
+}
+
+// newClusterOn builds the cluster on net, passing each replica's endpoint
+// through wrap (nil leaves it bare) — the hook wire-level tests observe
+// the replicas' sends through.
+func newClusterOn(t *testing.T, net *memnet.Network, wrap func(transport.Endpoint) transport.Endpoint, version Version, n int, genesis func(types.ClientID) types.Amount, opts ...func(*Config)) *cluster {
+	t.Helper()
 	c := &cluster{
 		t:       t,
-		net:     memnet.New(memnet.WithSeed(7)),
+		net:     net,
 		clients: make(map[types.ClientID]*Client),
 	}
 	t.Cleanup(c.net.Close)
@@ -51,7 +59,11 @@ func newCluster(t *testing.T, version Version, n int, genesis func(types.ClientI
 
 	for i := 0; i < n; i++ {
 		self := types.ReplicaID(i)
-		mux := transport.NewMux(c.net.Node(transport.ReplicaNode(self)))
+		ep := c.net.Node(transport.ReplicaNode(self))
+		if wrap != nil {
+			ep = wrap(ep)
+		}
+		mux := transport.NewMux(ep)
 		cfg := Config{
 			Version:    version,
 			Self:       self,

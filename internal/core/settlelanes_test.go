@@ -181,9 +181,9 @@ func TestSettleLanesPerSpenderFIFOUnderStealing(t *testing.T) {
 
 // TestSettleLanesSurviveConcurrentCreditResends runs live
 // settlement traffic — clients paying through the full broadcast +
-// settle + credit pipeline on the lane runtime — while a NACK storm
-// forces replica 0 to answer with lazy CREDITCHAINDEF + CREDITREF
-// resends the whole time. The resend path shares chainMu and the credit
+// settle + credit pipeline on the lane runtime — while a registered peer
+// re-sends one CREDITTAB, and a forged copy of it, at replica 0 the whole
+// time. The resends share creditMu, the verifier memo and the credit
 // channel with the pipeline under test; per-spender FIFO, conservation,
 // and full settlement must survive the interleaving. Run under -race.
 func TestSettleLanesSurviveConcurrentCreditResends(t *testing.T) {
@@ -191,16 +191,15 @@ func TestSettleLanesSurviveConcurrentCreditResends(t *testing.T) {
 	c := newCluster(t, AstroII, 4, func(types.ClientID) types.Amount { return seed })
 	tap, msgs := c.creditTap(t, 9)
 
-	// A retained wave addressed to the tap: the storm's NACKs name it,
-	// so every one provokes a real def+ref answer from replica 0.
-	group := []types.Payment{pay(100, 1, 101, 7)}
-	chain := []types.Digest{CreditGroupDigest(group)}
-	cd := CreditChainDigest(chain)
-	sig, err := c.keys[0].Sign(cd)
-	if err != nil {
-		t.Fatal(err)
+	// A wave replica 1 signed for a client of replica 0, outside the
+	// paying clients: one signer never completes its certificate, so
+	// every resend is processed in full.
+	group := []types.Payment{pay(100, 1, 104, 7)}
+	tab := c.creditTabFrom(t, 1, []types.Digest{types.HashBytes([]byte("pad")), CreditGroupDigest(group)}, []creditTabGroup{{ChainIdx: 1, Group: group}})
+	forged, ok := CorruptCreditTab(tab, 0x5a)
+	if !ok {
+		t.Fatal("CorruptCreditTab refused a CREDITTAB")
 	}
-	c.replicas[0].retainCreditWave(cd, retainedWave{chain: chain, sig: sig, jobs: []creditJob{{rep: 9, group: group}}})
 
 	stop := make(chan struct{})
 	var storm sync.WaitGroup
@@ -217,14 +216,17 @@ func TestSettleLanesSurviveConcurrentCreditResends(t *testing.T) {
 	}()
 	go func() {
 		defer storm.Done()
-		nack := encodeCreditNack(cd)
-		for {
+		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			_ = tap.Send(transport.ReplicaNode(0), transport.ChanCredit, nack)
+			frame := tab
+			if i%2 == 1 {
+				frame = forged
+			}
+			_ = tap.Send(transport.ReplicaNode(0), transport.ChanCredit, frame)
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()

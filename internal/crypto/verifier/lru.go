@@ -12,9 +12,8 @@ type memoKeyT [32]byte
 
 // memoCache is a small mutex-guarded LRU of signature verdicts — a thin
 // synchronized wrapper over types.LRU, the repository's one eviction
-// implementation (the chain-reference caches of PR 4 use it bare, under
-// their owners' locks; the memo cache adds the lock because it is shared
-// by every worker).
+// implementation (the lock is here because every worker shares the
+// cache).
 //
 // Both outcomes are cached: verification is deterministic, so a signature
 // that failed once fails forever, and caching failures blunts repeated

@@ -24,7 +24,7 @@ var retry = core.RetryPolicy{Attempts: 15, Timeout: 2 * time.Second}
 func TestTCPByzantineChaosMatrix(t *testing.T) {
 	kinds := []sim.FaultKind{
 		sim.FaultEquivocate, sim.FaultWithholdCommits, sim.FaultForgeRefs,
-		sim.FaultNackStorm, sim.FaultStaleView,
+		sim.FaultStaleView,
 	}
 	for _, kind := range kinds {
 		t.Run(string(kind), func(t *testing.T) {

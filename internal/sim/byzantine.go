@@ -349,17 +349,14 @@ func (b *WithholdCommits) Outbound(_ transport.NodeID, frame []byte, _ Emit) []b
 }
 
 // ---------------------------------------------------------------------
-// Forged chain references
+// Forged credit chains
 // ---------------------------------------------------------------------
 
-// ForgeChainRefs corrupts the chain-by-digest wire forms this replica
-// sends on the credit channel — CREDITCHAINDEF and CREDITREF, the only
-// reference forms left (a BRB commit carries its chains inline) —
-// replacing digests and indices with garbage. Honest receivers must
-// shrug: a bogus definition caches a chain no signature references, and a
-// bogus reference misses the cache and costs a NACK round trip whose
-// answer is corrupted the same way, so this signer's credit signatures
-// never count and the other signers' complete the certificate.
+// ForgeChainRefs corrupts the inline chain of every CREDITTAB this replica
+// sends (core.CorruptCreditTab) so that it is no longer the chain the
+// wave's signature covers. Honest receivers must shrug: the forged chain
+// fails verification, this signer's credit signatures never count, and
+// the other signers complete the certificate.
 type ForgeChainRefs struct {
 	NopBehavior
 	Salt byte
@@ -371,49 +368,9 @@ func (b *ForgeChainRefs) Name() string { return "forge-chain-refs" }
 
 func (b *ForgeChainRefs) Outbound(_ transport.NodeID, frame []byte, _ Emit) []byte {
 	if frameChan(frame) == transport.ChanCredit {
-		if mut, ok := core.CorruptCreditRefs(frame[1:], b.Salt); ok {
+		if mut, ok := core.CorruptCreditTab(frame[1:], b.Salt); ok {
 			b.Corrupted.Add(1)
 			return reframe(transport.ChanCredit, mut)
-		}
-	}
-	return frame
-}
-
-// ---------------------------------------------------------------------
-// NACK storm
-// ---------------------------------------------------------------------
-
-// NackStorm answers every CREDITREF it receives with a burst of
-// CREDITNACKs naming the referenced chain, trying to drown the signer in
-// resends (a BRB commit references no chain, so there is nothing to NACK
-// on the broadcast channel). The hardened signer does bounded work per
-// NACK (one retained answer, nothing evicted for other peers), so the
-// storm costs bandwidth and nothing else.
-type NackStorm struct {
-	NopBehavior
-	Burst int // NACK copies per triggering frame (default 8)
-
-	Sent atomic.Uint64
-}
-
-func (b *NackStorm) Name() string { return "nack-storm" }
-
-func (b *NackStorm) burst() int {
-	if b.Burst <= 0 {
-		return 8
-	}
-	return b.Burst
-}
-
-func (b *NackStorm) Inbound(from transport.NodeID, frame []byte, emit Emit) []byte {
-	if frameChan(frame) != transport.ChanCredit {
-		return frame
-	}
-	if nack, ok := core.CreditNackFor(frame[1:]); ok {
-		f := reframe(transport.ChanCredit, nack)
-		for i := 0; i < b.burst(); i++ {
-			emit(from, f)
-			b.Sent.Add(1)
 		}
 	}
 	return frame
@@ -499,8 +456,6 @@ func NewBehavior(kind FaultKind, self types.ReplicaID, auth *crypto.LinkAuthenti
 		return &WithholdCommits{}, nil
 	case FaultForgeRefs:
 		return &ForgeChainRefs{Salt: 0x5a}, nil
-	case FaultNackStorm:
-		return &NackStorm{}, nil
 	case FaultStaleView:
 		return &StaleViewReconfig{
 			Self:  self,

@@ -13,8 +13,8 @@ import (
 
 // byzCluster builds a 4-node Astro II deployment for adversarial runs.
 // Sim crypto keeps acks in the single-slot wire form the equivocation
-// harvest reads; forge-refs and NACK-storm runs flip realCrypto on so the
-// chain-by-digest forms those behaviors attack actually engage.
+// harvest reads; forge-refs runs flip realCrypto on so the chain-signed
+// CREDITTABs that behavior attacks actually engage.
 func byzCluster(t *testing.T, seed uint64, realCrypto bool, dataDir string) *AstroCluster {
 	t.Helper()
 	c, err := NewAstroCluster(AstroOpts{
@@ -64,11 +64,11 @@ func requireCleanReport(t *testing.T, rep AuditReport) {
 func TestByzantineFaultMatrix(t *testing.T) {
 	kinds := []FaultKind{
 		FaultEquivocate, FaultWithholdCommits, FaultForgeRefs,
-		FaultNackStorm, FaultStaleView,
+		FaultStaleView,
 	}
 	for _, kind := range kinds {
 		t.Run(string(kind), func(t *testing.T) {
-			real := kind == FaultForgeRefs || kind == FaultNackStorm
+			real := kind == FaultForgeRefs
 			dataDir := ""
 			if kind == FaultStaleView {
 				// Reconfig managers (the stale-view attack surface) are
@@ -106,10 +106,6 @@ func TestByzantineFaultMatrix(t *testing.T) {
 			case *ForgeChainRefs:
 				if beh.Corrupted.Load() == 0 {
 					t.Error("no frames corrupted: credit chain wire forms never engaged")
-				}
-			case *NackStorm:
-				if beh.Sent.Load() == 0 {
-					t.Error("no NACKs sent: no CREDITREF reached the attacker")
 				}
 			case *StaleViewReconfig:
 				if beh.Volleys.Load() == 0 {

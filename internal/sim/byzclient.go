@@ -198,12 +198,12 @@ func (h *HostileClient) Replay(settledFrame []byte) {
 }
 
 // CreditStorm aims hostile credit-channel traffic at the representative:
-// forged NACKs for chains that never existed, a CREDIT claiming a
-// replica signature, and a re-sign flood over settled history. All die
+// a CREDITTAB and a CREDIT claiming a replica signature over settled
+// history, and a re-sign flood over it. All die
 // at the sender-class check (EdgeStats.CreditOutsider) on Astro II; on
 // Astro I the unregistered channel discards them at the mux.
 func (h *HostileClient) CreditStorm(settled types.Payment) {
-	h.send(h.repNode(), transport.ChanCredit, core.EncodeCreditNack(types.HashBytes([]byte("no-such-chain"))))
+	h.send(h.repNode(), transport.ChanCredit, core.EncodeCreditTab(h.rep, []byte("forged"), []types.Payment{settled}))
 	h.send(h.repNode(), transport.ChanCredit, core.EncodeCreditForged(h.rep, []types.Payment{settled}, []byte("forged")))
 	h.send(h.repNode(), transport.ChanCredit, core.EncodeCreditRedoRaw([][]types.Payment{{settled}}))
 }

@@ -607,20 +607,6 @@ func (c *AstroCluster) TotalSettled() uint64 {
 	return sum
 }
 
-// CreditRefStats aggregates the credit-channel chain-reference counters
-// across replicas: references sent, definitions demanded, reference cache
-// hits/misses, and NACK fallback traffic — the experiment harness samples
-// it to report how often a reference resolved without a round trip.
-func (c *AstroCluster) CreditRefStats() core.CreditRefStats {
-	c.stateMu.RLock()
-	defer c.stateMu.RUnlock()
-	var sum core.CreditRefStats
-	for _, r := range c.Replicas {
-		sum.Add(r.CreditRefStats())
-	}
-	return sum
-}
-
 // Close shuts the deployment down: the network stops delivering, every
 // mux drains its in-flight handlers, and the replicas release their
 // scheduler flows (the lane runtime is shared and keeps running).

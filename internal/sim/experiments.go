@@ -279,8 +279,7 @@ const (
 
 	FaultEquivocate      FaultKind = "equivocate"       // conflicting slot contents to different peers
 	FaultWithholdCommits FaultKind = "withhold-commits" // sign acks, never emit commits
-	FaultForgeRefs       FaultKind = "forge-refs"       // garbage CREDITCHAINDEF/CREDITREF digests
-	FaultNackStorm       FaultKind = "nack-storm"       // CREDITNACK spam
+	FaultForgeRefs       FaultKind = "forge-refs"       // CREDITTABs whose inline chain the signature does not cover
 	FaultStaleView       FaultKind = "stale-view"       // stale/forged reconfiguration messages
 )
 
@@ -288,7 +287,7 @@ const (
 // (as opposed to a crash-style or timing fault).
 func (k FaultKind) Byzantine() bool {
 	switch k {
-	case FaultEquivocate, FaultWithholdCommits, FaultForgeRefs, FaultNackStorm, FaultStaleView:
+	case FaultEquivocate, FaultWithholdCommits, FaultForgeRefs, FaultStaleView:
 		return true
 	}
 	return false

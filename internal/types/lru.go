@@ -1,9 +1,9 @@
 package types
 
-// LRU is a small bounded map with least-recently-used eviction. It is the
-// building block of the chain-reference caches: a receiver keeps, per
-// peer, the digest chains that peer has defined, bounded, evicting the
-// entry that has gone longest without use.
+// LRU is a small bounded map with least-recently-used eviction: the
+// store behind the signature verifier's memo cache, which keeps the
+// verdicts of recently checked signatures, evicting the entry that has
+// gone longest without use.
 //
 // The zero value is not usable; construct with NewLRU. An LRU is NOT safe
 // for concurrent use — callers guard it with whatever lock already guards
@@ -47,12 +47,6 @@ func (l *LRU[K, V]) Get(k K) (V, bool) {
 	return n.val, true
 }
 
-// Contains reports whether k is cached and marks it most recently used.
-func (l *LRU[K, V]) Contains(k K) bool {
-	_, ok := l.Get(k)
-	return ok
-}
-
 // Put caches v under k (replacing any previous value), marks it most
 // recently used, and evicts the least recently used entry if the cache is
 // over capacity.
@@ -70,16 +64,6 @@ func (l *LRU[K, V]) Put(k K, v V) {
 		l.unlink(oldest)
 		delete(l.m, oldest.key)
 	}
-}
-
-// Delete removes k from the cache, if present.
-func (l *LRU[K, V]) Delete(k K) {
-	n, ok := l.m[k]
-	if !ok {
-		return
-	}
-	l.unlink(n)
-	delete(l.m, n.key)
 }
 
 func (l *LRU[K, V]) pushFront(n *lruNode[K, V]) {

@@ -39,47 +39,11 @@ func TestLRUPutReplacesAndTouches(t *testing.T) {
 	}
 }
 
-func TestLRUContainsTouches(t *testing.T) {
-	l := NewLRU[string, struct{}](2)
-	l.Put("a", struct{}{})
-	l.Put("b", struct{}{})
-	if !l.Contains("a") {
-		t.Fatal("a missing")
-	}
-	l.Put("c", struct{}{}) // evicts b (a was touched)
-	if l.Contains("b") {
-		t.Fatal("b should have been evicted")
-	}
-	if !l.Contains("a") || !l.Contains("c") {
-		t.Fatal("a/c missing")
-	}
-}
-
-func TestLRUDelete(t *testing.T) {
-	l := NewLRU[int, int](2)
-	l.Delete(7) // absent: no-op
-	l.Put(1, 1)
-	l.Put(2, 2)
-	l.Delete(1)
-	if l.Len() != 1 || l.Contains(1) {
-		t.Fatal("delete failed")
-	}
-	// List stays consistent after head/tail deletions.
-	l.Delete(2)
-	if l.Len() != 0 {
-		t.Fatal("not empty")
-	}
-	l.Put(3, 3)
-	if !l.Contains(3) {
-		t.Fatal("reuse after emptying failed")
-	}
-}
-
 func TestLRUMinimumCapacity(t *testing.T) {
 	l := NewLRU[int, int](0)
 	l.Put(1, 1)
 	l.Put(2, 2)
-	if l.Len() != 1 || !l.Contains(2) {
+	if _, ok := l.Get(2); l.Len() != 1 || !ok {
 		t.Fatal("capacity floor of 1 not enforced")
 	}
 }

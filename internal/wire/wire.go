@@ -123,8 +123,8 @@ func DigestListSize(n int) int { return 4 + 32*n }
 // AppendDigestList appends a uint32 count followed by the 32-byte digests.
 // It is generic over the digest type so protocol packages can pass their
 // own named [32]byte types (types.Digest) without copying. The credit
-// channel's digest-chain wire forms (CREDITCHAINDEF, the chain tables of
-// dependency certificates) share this layout.
+// channel's digest chains (the CREDITTAB's inline chain, the chain tables
+// of dependency certificates) share this layout.
 func AppendDigestList[D ~[32]byte](w *Writer, ds []D) {
 	w.U32(uint32(len(ds)))
 	for _, d := range ds {
