@@ -35,9 +35,11 @@ vet:
 # PR 6 WAL writer/crash-recovery paths, the PR 7 Byzantine/chaos
 # interposition layer with its always-on auditor, and the PR 10 embedded
 # KV store behind the paged account state), plus the root facade, whose
-# replica reads race Restart.
+# replica reads race Restart, and the consensus baseline and reconfig,
+# whose timers and own votes run on their channels' flows (Mux.After and
+# direct calls).
 race:
-	$(GO) test -race . ./internal/sched/... ./internal/types/... ./internal/transport/... ./internal/crypto/... ./internal/brb/... ./internal/core/... ./internal/wal/... ./internal/kv/...
+	$(GO) test -race . ./internal/sched/... ./internal/types/... ./internal/transport/... ./internal/crypto/... ./internal/brb/... ./internal/core/... ./internal/wal/... ./internal/kv/... ./internal/consensus/... ./internal/reconfig/...
 	$(GO) test -race -run 'Byzantine|Equivocation|Chaos|Partition|Reconfiguration|Auditor|LinkDelay' ./internal/sim/
 
 # Benchmark numbers, end to end and per layer, come from the one harness

@@ -22,14 +22,16 @@ func certOf(r1 types.ReplicaID, s1 []byte, r2 types.ReplicaID, s2 []byte, r3 typ
 func TestBrachaTotalityPartialPrepare(t *testing.T) {
 	h := newHarness(t, protoBracha, 4)
 	// Forge a partial PREPARE from replica 3's identity (it is the
-	// "Byzantine" origin; we drive its mux directly). Replica 0 is left
-	// out entirely.
+	// "Byzantine" origin; we drive its mux directly, and open its own
+	// instance by direct call, as Broadcast does). Replica 0 is left out
+	// entirely.
 	msg := EncodePrepare(3, 1, []byte("partial"))
-	for _, target := range []types.ReplicaID{1, 2, 3} {
+	for _, target := range []types.ReplicaID{1, 2} {
 		if err := h.muxes[3].Send(transport.ReplicaNode(target), transport.ChanBRB, msg); err != nil {
 			t.Fatal(err)
 		}
 	}
+	h.bcs[3].(*Bracha).handlePrepare(instanceID{origin: 3, slot: 1}, []byte("partial"))
 	// Replicas 1,2,3 echo to everyone (2f+1 echoes), send READY; replica
 	// 0 learns the payload from the echoes/readys and delivers as well.
 	if got := h.waitDeliveries(4, 5*time.Second); got != 4 {

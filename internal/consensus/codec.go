@@ -18,13 +18,6 @@ const (
 	kindNewView    byte = 5
 )
 
-// Local event kinds on transport.ChanLocal.
-const (
-	localBatch        byte = 1
-	localTick         byte = 2
-	localNewViewReady byte = 3
-)
-
 // Client-channel message kinds (transport.ChanPayment).
 const (
 	clientSubmit  byte = 1

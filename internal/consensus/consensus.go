@@ -47,7 +47,8 @@ type Config struct {
 	// F is the Byzantine fault threshold; len(Replicas) >= 3F+1.
 	F int
 	// Mux is the node's transport multiplexer; the replica registers on
-	// transport.ChanConsensus and transport.ChanLocal.
+	// transport.ChanConsensus and transport.ChanPayment, and its timers
+	// run on ChanConsensus's flow (Mux.After).
 	Mux *transport.Mux
 	// Genesis seeds client balances, as in core.Config.
 	Genesis func(types.ClientID) types.Amount
@@ -161,8 +162,8 @@ type Replica struct {
 	state *core.State
 
 	// mu guards all protocol state. The mux dispatches each channel on
-	// its own goroutine (consensus, client, and local-timer traffic run
-	// concurrently), so handlers genuinely contend on this lock.
+	// its own flow (consensus and client traffic run concurrently), so
+	// handlers genuinely contend on this lock.
 	mu           sync.Mutex
 	view         uint64
 	inViewChange bool
@@ -193,9 +194,6 @@ func New(cfg Config) (*Replica, error) {
 	}
 	cfg.Mux.Register(transport.ChanConsensus, r.onMessage)
 	cfg.Mux.Register(transport.ChanPayment, r.onClientMsg)
-	// View-change ticks and batch timers serialize with the protocol
-	// messages they inspect.
-	cfg.Mux.Register(transport.ChanLocal, r.onLocal, transport.SerializeWith(transport.ChanConsensus))
 	r.scheduleTick()
 	return r, nil
 }
@@ -226,18 +224,31 @@ func (r *Replica) View() uint64 {
 
 func (r *Replica) isLeader() bool { return r.cfg.leaderOf(r.view) == r.cfg.Self }
 
+// after arms a timer on ChanConsensus's flow, so fn serializes with the
+// protocol messages it inspects; fn runs under r.mu.
+func (r *Replica) after(d time.Duration, fn func()) {
+	r.cfg.Mux.After(d, transport.ChanConsensus, func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		fn()
+	})
+}
+
 func (r *Replica) scheduleTick() {
 	interval := r.cfg.RequestTimeout / 4
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond
 	}
-	time.AfterFunc(interval, func() {
-		_ = r.cfg.Mux.SendLocal([]byte{localTick})
-	})
+	r.after(interval, r.onTick)
 }
 
+// broadcast sends msg to every other replica. Every phase records this
+// replica's own vote directly, so it sends itself nothing.
 func (r *Replica) broadcast(msg []byte) {
 	for _, p := range r.cfg.Replicas {
+		if p == r.cfg.Self {
+			continue
+		}
 		out := msg
 		if r.cfg.Auth != nil {
 			tag := r.cfg.Auth.Tag(p, msg)
@@ -288,9 +299,7 @@ func (r *Replica) maybePropose(force bool) {
 	if avail < r.cfg.BatchSize && !force {
 		if !r.batchTimer {
 			r.batchTimer = true
-			time.AfterFunc(r.cfg.BatchDelay, func() {
-				_ = r.cfg.Mux.SendLocal([]byte{localBatch})
-			})
+			r.after(r.cfg.BatchDelay, r.onBatchTimer)
 		}
 		return
 	}
@@ -315,9 +324,7 @@ func (r *Replica) maybePropose(force bool) {
 	// Leftovers below a full batch wait for the next timer or fill.
 	if r.unproposedCount() > 0 && !r.batchTimer {
 		r.batchTimer = true
-		time.AfterFunc(r.cfg.BatchDelay, func() {
-			_ = r.cfg.Mux.SendLocal([]byte{localBatch})
-		})
+		r.after(r.cfg.BatchDelay, r.onBatchTimer)
 	}
 }
 
@@ -521,29 +528,18 @@ func (r *Replica) logEntry(seq uint64) *entry {
 
 // ---- timers and view change ----
 
-func (r *Replica) onLocal(_ transport.NodeID, payload []byte) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(payload) == 0 {
-		return
-	}
-	switch payload[0] {
-	case localBatch:
-		r.batchTimer = false
-		if r.isLeader() && !r.inViewChange {
-			r.maybePropose(true)
-		}
-	case localTick:
-		r.onTick()
-		r.scheduleTick()
-	case localNewViewReady:
-		r.finishNewView()
+// onBatchTimer proposes whatever is pending once the batch delay is up.
+func (r *Replica) onBatchTimer() {
+	r.batchTimer = false
+	if r.isLeader() && !r.inViewChange {
+		r.maybePropose(true)
 	}
 }
 
 // onTick checks whether the oldest pending request has waited past the
-// timeout; if so, suspect the leader.
+// timeout; if so, suspect the leader. It re-arms itself.
 func (r *Replica) onTick() {
+	defer r.scheduleTick()
 	if r.inViewChange {
 		// If the view change itself stalls (next leader also faulty),
 		// escalate to the following view.
@@ -623,10 +619,7 @@ func (r *Replica) recordViewChange(peer types.ReplicaID, msg *viewChangeMsg) {
 		// emit NEW-VIEW. The synchronization cost models the state
 		// transfer and session re-establishment that dominates view
 		// change duration at scale.
-		delay := r.cfg.ViewChangeSyncCost
-		time.AfterFunc(delay, func() {
-			_ = r.cfg.Mux.SendLocal([]byte{localNewViewReady})
-		})
+		r.after(r.cfg.ViewChangeSyncCost, r.finishNewView)
 	}
 }
 
@@ -667,9 +660,12 @@ func (r *Replica) finishNewView() {
 			r.nextSeq = pe.Seq
 		}
 	}
-	r.broadcast(encodeNewView(r.view, entries))
-	// Broadcast includes self; the handler transitions us out of the
-	// view change like everyone else.
+	msg := encodeNewView(r.view, entries)
+	r.broadcast(msg)
+	// The leader leaves the view change through the same handler as
+	// everyone else, by direct call: broadcast skips self.
+	_, body := splitKind(msg)
+	r.onNewView(r.cfg.Self, body)
 }
 
 func (r *Replica) onNewView(peer types.ReplicaID, body []byte) {

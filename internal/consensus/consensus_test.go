@@ -35,6 +35,7 @@ func newCluster(t *testing.T, n int, opts ...func(*Config)) *cluster {
 	}
 	for i := 0; i < n; i++ {
 		mux := transport.NewMux(c.ctl.Wrap(c.net.Node(transport.ReplicaNode(types.ReplicaID(i)))))
+		t.Cleanup(mux.Close) // stops the replica's timers
 		cfg := Config{
 			Self:               types.ReplicaID(i),
 			Replicas:           c.ids,

@@ -91,10 +91,13 @@ func TestClientAuthBlocksForgingRepresentative(t *testing.T) {
 	origin := c.repOf(1)
 	batch := EncodeBatch([]BatchEntry{{Payment: forged}}) // no signature
 	// The malicious representative broadcasts directly through its BRB
-	// endpoint: PREPARE to everyone.
+	// endpoint: PREPARE to every other replica.
 	adv := c.replicas[int(origin)].cfg
 	for i := range c.replicas {
 		to := types.ReplicaID(i)
+		if to == origin {
+			continue
+		}
 		_ = adv.Mux.Send(transport.ReplicaNode(to), transport.ChanBRB, brb.EncodeSignedPrepare(crypto.NewKeyedLinkAuthenticator(origin, adv.Keys, adv.Registry), to, origin, 1, batch))
 	}
 	time.Sleep(300 * time.Millisecond)

@@ -98,9 +98,9 @@ func TestCreditBatchRejectsForgeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.sendCredit(t, 1, c.repOf(2), encodeCreditTab(creditTabMsg{Signer: 1, Chain: chain2, Sig: sig, Groups: []creditTabGroup{{ChainIdx: 0, Group: bobGroup}}}))
-	// The retired kind 2, validly signed by signers 2 and 3: kind, signer,
+	// The retired kind 2, validly signed by signers 0 and 3: kind, signer,
 	// chain, signature, then (chain index, group) per group.
-	for _, signer := range []int{2, 3} {
+	for _, signer := range []int{0, 3} {
 		sig, err := c.keys[signer].Sign(CreditChainDigest(chain2))
 		if err != nil {
 			t.Fatal(err)

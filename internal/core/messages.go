@@ -31,11 +31,6 @@ const (
 	msgSeqResp     byte = 6 // representative -> client: next usable sequence
 )
 
-// Local event kinds on transport.ChanLocal.
-const (
-	localFlush byte = 1 // batch timer fired
-)
-
 func encodeSubmit(p types.Payment, sig []byte) []byte {
 	w := wire.NewWriter(8 + types.PaymentWireSize + len(sig))
 	w.U8(msgSubmit)

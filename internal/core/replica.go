@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"astro/internal/brb"
 	"astro/internal/crypto/verifier"
@@ -268,11 +267,6 @@ func NewReplica(cfg Config) (*Replica, error) {
 	}
 
 	cfg.Mux.Register(transport.ChanPayment, r.onPaymentMsg)
-	// Batch-flush timers interleave with the submissions they flush; keep
-	// the two on one dispatch goroutine (repMu makes any order safe, but
-	// serialization keeps timer latency proportional to the payment
-	// queue, not to unrelated channels).
-	cfg.Mux.Register(transport.ChanLocal, r.onLocal, transport.SerializeWith(transport.ChanPayment))
 	if cfg.Version == AstroII {
 		r.creditSigner = verifier.NewChainSigner(cfg.Verifier, creditChainCap, r.sendCreditSingle, r.sendCreditChain)
 		cfg.Mux.Register(transport.ChanCredit, r.onCredit)
@@ -796,10 +790,7 @@ func (r *Replica) afterBufferLocked() {
 	r.repMu.Unlock()
 
 	if schedule {
-		delay := r.cfg.BatchDelay
-		time.AfterFunc(delay, func() {
-			_ = r.cfg.Mux.SendLocal([]byte{localFlush})
-		})
+		r.scheduleFlush()
 	}
 	r.drainBroadcasts()
 }
@@ -869,9 +860,7 @@ func (r *Replica) drainBroadcasts() {
 			}
 			r.repMu.Unlock()
 			if schedule {
-				time.AfterFunc(r.cfg.BatchDelay, func() {
-					_ = r.cfg.Mux.SendLocal([]byte{localFlush})
-				})
+				r.scheduleFlush()
 			}
 			return
 		}
@@ -885,11 +874,17 @@ func (r *Replica) drainBroadcasts() {
 // batch and the replica fell back to queue-and-retry.
 func (r *Replica) BroadcastFailures() uint64 { return r.broadcastFailures.Load() }
 
-// onLocal handles self-addressed timer events.
-func (r *Replica) onLocal(_ transport.NodeID, payload []byte) {
-	if len(payload) == 0 || payload[0] != localFlush {
-		return
-	}
+// scheduleFlush arms the batch timer. It fires on ChanPayment's flow, in
+// line with the submissions it flushes (repMu makes any order safe, but
+// serialization keeps timer latency proportional to the payment queue,
+// not to unrelated channels). During WAL replay the buffer is empty, so
+// nothing arms it before the replica serves traffic.
+func (r *Replica) scheduleFlush() {
+	r.cfg.Mux.After(r.cfg.BatchDelay, transport.ChanPayment, r.onFlushTimer)
+}
+
+// onFlushTimer ships whatever the batch buffer holds.
+func (r *Replica) onFlushTimer() {
 	r.repMu.Lock()
 	r.flushScheduled = false
 	r.sendQ = append(r.sendQ, r.takeBatchesLocked()...)

@@ -490,3 +490,64 @@ func TestConfigValidationErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRetiredTimerTagCannotCutBatch: tag 6 once carried a replica's own
+// batch-timer events, and any sender could forge one — a client's 2-byte
+// frame [6, 1] made the representative cut its buffered batch early. The
+// tag is retired: the frame must leave the buffer alone.
+func TestRetiredTimerTagCannotCutBatch(t *testing.T) {
+	eachVersion(t, func(t *testing.T, v Version) {
+		c := newCluster(t, v, 4, genesis100, func(cfg *Config) {
+			cfg.BatchSize = 64
+			cfg.BatchDelay = time.Hour
+		})
+		// Clients 4, 8 and 12 are represented by replica 0. With every
+		// peer crashed, its first batch stays in flight, so later
+		// submissions buffer behind the (hour-long) batch timer.
+		for i := 1; i < 4; i++ {
+			c.net.Crash(transport.ReplicaNode(types.ReplicaID(i)))
+		}
+		rep := c.replicas[0]
+		buffered := func() (n, inflight int, has12 bool) {
+			rep.repMu.Lock()
+			defer rep.repMu.Unlock()
+			for _, e := range rep.buffer {
+				has12 = has12 || e.Payment.Spender == 12
+			}
+			return len(rep.buffer), rep.myInflight, has12
+		}
+		waitFor := func(what string, ok func() bool) {
+			t.Helper()
+			deadline := time.Now().Add(5 * time.Second)
+			for !ok() {
+				if time.Now().After(deadline) {
+					n, inflight, _ := buffered()
+					t.Fatalf("%s: buffer %d, in flight %d", what, n, inflight)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		if _, err := c.client(4).Pay(5, 1); err != nil {
+			t.Fatal(err)
+		}
+		waitFor("first batch in flight", func() bool { _, inflight, _ := buffered(); return inflight == 1 })
+		if _, err := c.client(8).Pay(5, 1); err != nil {
+			t.Fatal(err)
+		}
+		waitFor("second payment buffered", func() bool { n, _, _ := buffered(); return n == 1 })
+
+		// The forged timer frame, then a real submission from the same
+		// client endpoint: the replica handles both in this order.
+		mallory := c.client(12)
+		if err := mallory.mux.Endpoint().Send(transport.ReplicaNode(0), []byte{6, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mallory.Pay(5, 1); err != nil {
+			t.Fatal(err)
+		}
+		waitFor("third payment buffered", func() bool { _, _, has12 := buffered(); return has12 })
+		if n, inflight, _ := buffered(); n != 2 || inflight != 1 {
+			t.Fatalf("buffer %d, in flight %d; want 2 and 1 (the forged frame cut the batch)", n, inflight)
+		}
+	})
+}

@@ -295,11 +295,20 @@ func (m *Manager) onConsJoin(joiner types.ReplicaID, body []byte) {
 	m.pending[joiner] = cj
 	members := append([]types.ReplicaID(nil), m.view.Members...)
 	m.mu.Unlock()
+	m.startPhase(members, joiner, 1)
+}
 
-	msg := encodeConsPhase(joiner, 1)
+// startPhase runs one ordering phase at the leader: it sends the phase to
+// the other members and acknowledges it itself, by direct call. The
+// caller holds no lock.
+func (m *Manager) startPhase(members []types.ReplicaID, joiner types.ReplicaID, phase int) {
+	msg := encodeConsPhase(joiner, phase)
 	for _, r := range members {
-		_ = m.cfg.Mux.Send(transport.ReplicaNode(r), transport.ChanReconfig, msg)
+		if r != m.cfg.Self {
+			_ = m.cfg.Mux.Send(transport.ReplicaNode(r), transport.ChanReconfig, msg)
+		}
 	}
+	m.consPhaseAck(m.cfg.Self, joiner, phase)
 }
 
 // onConsPhase acknowledges an ordering phase back to the leader.
@@ -315,10 +324,12 @@ func (m *Manager) onConsPhase(leader types.ReplicaID, body []byte) {
 // onConsPhaseAck advances the leader's phase machine: quorum per phase,
 // three phases, then the sequential per-member synchronization.
 func (m *Manager) onConsPhaseAck(from types.ReplicaID, body []byte) {
-	joiner, phase, ok := decodeConsPhaseAck(body)
-	if !ok {
-		return
+	if joiner, phase, ok := decodeConsPhaseAck(body); ok {
+		m.consPhaseAck(from, joiner, phase)
 	}
+}
+
+func (m *Manager) consPhaseAck(from, joiner types.ReplicaID, phase int) {
 	m.mu.Lock()
 	cj := m.pending[joiner]
 	if cj == nil || cj.phase != phase {
@@ -334,11 +345,9 @@ func (m *Manager) onConsPhaseAck(from types.ReplicaID, body []byte) {
 		cj.phase++
 		cj.phaseAcks = make(map[types.ReplicaID]struct{})
 		members := append([]types.ReplicaID(nil), m.view.Members...)
-		phaseMsg := encodeConsPhase(joiner, cj.phase)
+		phase := cj.phase
 		m.mu.Unlock()
-		for _, r := range members {
-			_ = m.cfg.Mux.Send(transport.ReplicaNode(r), transport.ChanReconfig, phaseMsg)
-		}
+		m.startPhase(members, joiner, phase)
 		return
 	}
 	// Ordered: begin sequential session re-establishment with every
@@ -347,7 +356,17 @@ func (m *Manager) onConsPhaseAck(from types.ReplicaID, body []byte) {
 	cj.syncQueue = append([]types.ReplicaID(nil), m.view.Members...)
 	next := cj.syncQueue[0]
 	m.mu.Unlock()
-	_ = m.cfg.Mux.Send(transport.ReplicaNode(next), transport.ChanReconfig, encodeConsSync(joiner))
+	m.syncWith(next, joiner)
+}
+
+// syncWith probes one member's session; the leader's own is acknowledged
+// by direct call. The caller holds no lock.
+func (m *Manager) syncWith(member, joiner types.ReplicaID) {
+	if member == m.cfg.Self {
+		m.consSyncAck(m.cfg.Self, joiner)
+		return
+	}
+	_ = m.cfg.Mux.Send(transport.ReplicaNode(member), transport.ChanReconfig, encodeConsSync(joiner))
 }
 
 // onConsSync acknowledges a session re-establishment probe.
@@ -362,10 +381,12 @@ func (m *Manager) onConsSync(leader types.ReplicaID, body []byte) {
 // onConsSyncAck advances the sequential sync; when the queue drains, admit
 // the joiner: install the view everywhere, transfer state, notify.
 func (m *Manager) onConsSyncAck(from types.ReplicaID, body []byte) {
-	joiner, ok := decodeConsSyncAck(body)
-	if !ok {
-		return
+	if joiner, ok := decodeConsSyncAck(body); ok {
+		m.consSyncAck(from, joiner)
 	}
+}
+
+func (m *Manager) consSyncAck(from, joiner types.ReplicaID) {
 	m.mu.Lock()
 	cj := m.pending[joiner]
 	if cj == nil || cj.phase != 4 || len(cj.syncQueue) == 0 || cj.syncQueue[0] != from {
@@ -376,7 +397,7 @@ func (m *Manager) onConsSyncAck(from types.ReplicaID, body []byte) {
 	if len(cj.syncQueue) > 0 {
 		next := cj.syncQueue[0]
 		m.mu.Unlock()
-		_ = m.cfg.Mux.Send(transport.ReplicaNode(next), transport.ChanReconfig, encodeConsSync(joiner))
+		m.syncWith(next, joiner)
 		return
 	}
 	delete(m.pending, joiner)
@@ -386,12 +407,12 @@ func (m *Manager) onConsSyncAck(from types.ReplicaID, body []byte) {
 	m.mu.Unlock()
 
 	_ = m.cfg.Registry.AddSerialized(joiner, cj.joinerPub)
-	// Tell every member to adopt the new view (piggybacked as an
+	// Tell every other member to adopt the new view (piggybacked as an
 	// unauthenticated install for the model; the ordering phases already
 	// established agreement).
 	ann := encodeConsAdopt(next)
 	for _, r := range members {
-		if r != joiner {
+		if r != joiner && r != m.cfg.Self {
 			_ = m.cfg.Mux.Send(transport.ReplicaNode(r), transport.ChanReconfig, ann)
 		}
 	}

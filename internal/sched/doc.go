@@ -16,7 +16,7 @@
 //   - Keyed work lives in Flows: per-key FIFO queues with a home lane.
 //     A flow is scheduled onto at most one lane at a time and its tasks
 //     run in exact submission order, so a flow is a serialization domain
-//     — protocol channels, channel+timer pairs (SerializeWith), and
+//     — protocol channels (with the timers Mux.After posts to them) and
 //     settlement stripes each map to one flow. Idle lanes steal runnable
 //     flows wholesale from busy or blocked lanes, so affinity is a
 //     preference, never a liveness dependence: a handler wedged on one

@@ -91,7 +91,7 @@ func (e *byzEndpoint) emit(to transport.NodeID, frame []byte) {
 
 func (e *byzEndpoint) Send(to transport.NodeID, payload []byte) error {
 	bp := e.behavior.Load()
-	if bp == nil || to == e.inner.ID() { // local timer events stay honest
+	if bp == nil {
 		return e.inner.Send(to, payload)
 	}
 	out := (*bp).Outbound(to, payload, e.emit)
@@ -104,7 +104,7 @@ func (e *byzEndpoint) Send(to transport.NodeID, payload []byte) error {
 func (e *byzEndpoint) SetHandler(h transport.Handler) {
 	e.inner.SetHandler(func(from transport.NodeID, payload []byte) {
 		bp := e.behavior.Load()
-		if bp != nil && from != e.inner.ID() {
+		if bp != nil {
 			payload = (*bp).Inbound(from, payload, e.emit)
 			if payload == nil {
 				return

@@ -14,9 +14,9 @@
 // splitmix64 stream, so a chaos run is reproducible given (seed, send
 // sequence).
 //
-// Self-sends are never perturbed: protocols ride local timer events over
-// self-addressed frames (see transport.Mux), and chaos models the network,
-// not the node.
+// Self-sends are never perturbed: chaos models the links between distinct
+// nodes, so a send to self goes straight to the wrapped transport, which
+// refuses it with transport.ErrSelfSend.
 package chaos
 
 import (
@@ -242,7 +242,7 @@ func (e *chaosEndpoint) Close() error                   { return e.inner.Close()
 
 func (e *chaosEndpoint) Send(to transport.NodeID, payload []byte) error {
 	self := e.inner.ID()
-	if to == self { // local timer events are off-limits to chaos
+	if to == self { // not a link: the inner transport refuses it
 		return e.inner.Send(to, payload)
 	}
 	c := e.ctl

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -264,18 +265,19 @@ func TestDelaySchedule(t *testing.T) {
 	stop()
 }
 
-// TestSelfSendUntouched: frames to self bypass chaos entirely, even under
-// a Block-everything default (local timer events must survive).
+// TestSelfSendUntouched: a send to self bypasses chaos entirely, even
+// under a Block-everything default, so the transport's refusal reaches
+// the caller instead of passing for packet loss.
 func TestSelfSendUntouched(t *testing.T) {
 	ctl := NewController(1)
 	ctl.SetDefault(Rule{Block: true})
 	net := memnet.New()
 	defer net.Close()
 	ep := ctl.Wrap(net.Node(1))
-	col := &collector{}
-	ep.SetHandler(col.handler)
-	if err := ep.Send(1, []byte{6}); err != nil {
-		t.Fatal(err)
+	if err := ep.Send(1, []byte{6}); !errors.Is(err, transport.ErrSelfSend) {
+		t.Fatalf("Send(self) = %v, want %v", err, transport.ErrSelfSend)
 	}
-	waitCount(t, col, 1)
+	if st := ctl.Stats(); st.Sent != 0 || st.Blocked != 0 {
+		t.Fatalf("chaos saw the self-send: %+v", st)
+	}
 }

@@ -8,10 +8,10 @@
 // internal/transport/chaos, which works the same over tcpnet.
 //
 // Each endpoint delivers inbound messages through a single reader
-// goroutine, which drains a bounded inbox for frames from other nodes and
-// an unbounded queue for the node's own self-sends; protocols layered
-// through transport.Mux then fan out across the lane scheduler, one flow
-// per channel (see the Mux concurrency contract).
+// goroutine, which drains a bounded inbox; protocols layered through
+// transport.Mux then fan out across the lane scheduler, one flow per
+// channel (see the Mux concurrency contract). A node never sends to
+// itself: Send to self returns transport.ErrSelfSend.
 package memnet
 
 import (
@@ -173,11 +173,10 @@ func (n *Network) Node(id transport.NodeID) transport.Endpoint {
 		return nd
 	}
 	nd := &node{
-		net:      n,
-		id:       id,
-		inbox:    make(chan envelope, inboxSize),
-		done:     make(chan struct{}),
-		selfWake: make(chan struct{}, 1),
+		net:   n,
+		id:    id,
+		inbox: make(chan envelope, inboxSize),
+		done:  make(chan struct{}),
 	}
 	n.nodes[id] = nd
 	go nd.dispatch()
@@ -234,15 +233,6 @@ type node struct {
 	inbox chan envelope
 	done  chan struct{}
 
-	// Self-sends bypass the bounded inbox: a protocol lane that sends to
-	// its own node must never wait on a queue whose consumer (dispatch,
-	// blocked submitting to that same full lane) waits on the lane. The
-	// queue is FIFO and unbounded; its producers are the node's own
-	// lanes, which the bounded inbox already paces.
-	selfMu   sync.Mutex
-	selfQ    []envelope
-	selfWake chan struct{} // capacity 1: "selfQ is non-empty"
-
 	handler atomic.Pointer[transport.Handler]
 	closed  atomic.Bool
 }
@@ -273,32 +263,23 @@ func (nd *node) dispatch() {
 		select {
 		case <-nd.done:
 			return
-		case <-nd.selfWake:
-			nd.selfMu.Lock()
-			q := nd.selfQ
-			nd.selfQ = nil
-			nd.selfMu.Unlock()
-			for _, env := range q {
-				nd.deliver(env)
-			}
 		case env := <-nd.inbox:
-			nd.deliver(env)
+			if nd.net.Crashed(nd.id) {
+				continue
+			}
+			if h := nd.handler.Load(); h != nil {
+				(*h)(env.from, env.payload)
+			}
 		}
 	}
 }
 
-func (nd *node) deliver(env envelope) {
-	if nd.net.Crashed(nd.id) {
-		return
-	}
-	if h := nd.handler.Load(); h != nil {
-		(*h)(env.from, env.payload)
-	}
-}
-
 // Send implements transport.Endpoint. The payload is copied, so callers
-// may reuse their buffers.
+// may reuse their buffers. Sending to self returns transport.ErrSelfSend.
 func (nd *node) Send(to transport.NodeID, payload []byte) error {
+	if to == nd.id {
+		return transport.ErrSelfSend
+	}
 	if nd.closed.Load() {
 		return ErrClosed
 	}
@@ -329,10 +310,6 @@ func (nd *node) Send(to transport.NodeID, payload []byte) error {
 	copy(buf, payload)
 	env := envelope{from: nd.id, payload: buf}
 
-	if to == nd.id { // self-sends bypass the latency and bandwidth models
-		nd.enqueueSelf(env)
-		return nil
-	}
 	delay := net.latency(nd.id, to, types.Uniform(&net.prng))
 	if net.bandwidth > 0 {
 		delay += net.serialize(nd.id, len(payload))
@@ -363,17 +340,6 @@ func (n *Network) serialize(from transport.NodeID, payloadLen int) time.Duration
 	n.busy[from] = end
 	n.busyMu.Unlock()
 	return end.Sub(now)
-}
-
-// enqueueSelf queues a self-send without blocking.
-func (nd *node) enqueueSelf(env envelope) {
-	nd.selfMu.Lock()
-	nd.selfQ = append(nd.selfQ, env)
-	nd.selfMu.Unlock()
-	select {
-	case nd.selfWake <- struct{}{}:
-	default:
-	}
 }
 
 func (nd *node) enqueue(env envelope) {

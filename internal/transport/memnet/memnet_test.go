@@ -1,6 +1,7 @@
 package memnet
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -67,41 +68,23 @@ func TestDeliveryBasic(t *testing.T) {
 	}
 }
 
+// TestSelfSend: a send to self is refused with transport.ErrSelfSend and
+// delivers nothing — not even behind a full inbox and a wedged dispatch,
+// where a self-send used to be the one frame that could still get in.
 func TestSelfSend(t *testing.T) {
-	net := New(WithLatency(Fixed(50 * time.Millisecond)))
-	defer net.Close()
-	a := net.Node(1)
-	ca := newCollector(a)
-	start := time.Now()
-	if err := a.Send(1, []byte("tick")); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	ca.wait(t, 1, time.Second)
-	if elapsed := time.Since(start); elapsed > 40*time.Millisecond {
-		t.Errorf("self-send took %v; should bypass latency model", elapsed)
-	}
-}
-
-// TestSelfSendNotBlockedByFullInbox: a node whose inbox is full and whose
-// dispatch is busy can still send to itself without waiting; the frame is
-// delivered once dispatch resumes.
-func TestSelfSendNotBlockedByFullInbox(t *testing.T) {
 	net := New()
 	defer net.Close()
 	a, b := net.Node(1), net.Node(2)
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 1)
-	self := make(chan struct{}, 1)
-	a.SetHandler(func(from transport.NodeID, _ []byte) {
-		if from == 1 {
-			self <- struct{}{}
-			return
-		}
+	got := make(chan string, inboxSize+2)
+	a.SetHandler(func(_ transport.NodeID, p []byte) {
 		select {
 		case entered <- struct{}{}:
 			<-gate // the first frame from node 2 wedges dispatch
 		default:
 		}
+		got <- string(p)
 	})
 	if err := b.Send(1, []byte("wedge")); err != nil {
 		t.Fatal(err)
@@ -112,21 +95,29 @@ func TestSelfSendNotBlockedByFullInbox(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sent := make(chan error, 1)
-	go func() { sent <- a.Send(1, []byte("self")) }()
-	select {
-	case err := <-sent:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("self-send blocked on the full inbox")
+	if err := a.Send(1, []byte("self")); !errors.Is(err, transport.ErrSelfSend) {
+		t.Fatalf("Send(self) = %v, want %v", err, transport.ErrSelfSend)
+	}
+	if st := net.Stats(); st.MessagesSent != inboxSize+1 {
+		t.Errorf("MessagesSent = %d, want %d (the self-send is no message)", st.MessagesSent, inboxSize+1)
 	}
 	close(gate)
-	select {
-	case <-self:
-	case <-time.After(5 * time.Second):
-		t.Fatal("self-send never delivered")
+	// A last frame from node 2 arrives behind everything queued so far.
+	if err := b.Send(1, []byte("last")); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		select {
+		case p := <-got:
+			if p == "self" {
+				t.Fatal("self-send delivered")
+			}
+			if p == "last" {
+				return
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("inbox never drained")
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"astro/internal/sched"
 )
@@ -19,7 +20,8 @@ const (
 	ChanCredit    Channel = 3 // Astro II CREDIT messages
 	ChanConsensus Channel = 4 // PBFT-style baseline traffic
 	ChanReconfig  Channel = 5 // join/leave and state transfer
-	ChanLocal     Channel = 6 // self-addressed timer/batch events
+	// Tag 6 carried self-addressed timer events and is retired; a frame
+	// that carries it is discarded as unregistered.
 )
 
 // DefaultQueueSize is the per-channel dispatch queue capacity used when
@@ -42,11 +44,9 @@ const DefaultQueueSize = 1024
 // host. Handlers of *different* channels may therefore run concurrently;
 // protocol state shared across channels must be locked.
 //
-// Channels that need cross-channel serialization — ChanLocal timer events
-// that must interleave atomically with a protocol's message handler —
-// register with SerializeWith(ch), which binds them to the target
-// channel's flow (same flow key, hence the same lane and the same FIFO):
-// a timer can never interleave mid-task with the channel it pokes.
+// A protocol's timers never cross the endpoint: After runs a callback on
+// the flow of the channel it pokes, so the callback is serialized with
+// that channel's handlers exactly as one more message would be.
 //
 // When a channel's flow is full, delivery for that channel blocks the
 // endpoint's reader until the flow drains: bounded memory with natural
@@ -61,7 +61,6 @@ type Mux struct {
 	mu       sync.RWMutex
 	handlers map[Channel]Handler
 	flows    map[Channel]*sched.Flow
-	owned    []*sched.Flow // distinct flows, for diagnostics/tests
 	closed   bool
 
 	// inflight counts dispatch tasks accepted and not yet finished, so
@@ -93,26 +92,6 @@ func WithRuntime(rt *sched.Runtime) MuxOption {
 	}
 }
 
-// RegisterOption configures one channel registration.
-type RegisterOption func(*regOpts)
-
-type regOpts struct {
-	serializeWith Channel
-	set           bool
-}
-
-// SerializeWith binds the channel being registered to target's flow, so
-// handlers of the two channels execute sequentially with respect to each
-// other (one flow, one FIFO, one lane at a time). Protocols use this for
-// ChanLocal: a timer event must not race the message handler it pokes.
-// The binding is fixed at the channel's first registration.
-func SerializeWith(target Channel) RegisterOption {
-	return func(o *regOpts) {
-		o.serializeWith = target
-		o.set = true
-	}
-}
-
 // NewMux wraps ep, installing itself as the endpoint handler.
 func NewMux(ep Endpoint, opts ...MuxOption) *Mux {
 	m := &Mux{
@@ -141,47 +120,25 @@ func (m *Mux) ID() NodeID { return m.ep.ID() }
 // Runtime returns the lane runtime dispatch runs on.
 func (m *Mux) Runtime() *sched.Runtime { return m.rt }
 
-// Register installs the handler for a channel. Registering a channel twice
-// replaces the previous handler; the channel's flow binding (its own, or a
-// SerializeWith target's) is fixed by the first registration.
-func (m *Mux) Register(ch Channel, h Handler, opts ...RegisterOption) {
-	var ro regOpts
-	for _, o := range opts {
-		o(&ro)
-	}
+// Register installs the handler for a channel, binding the channel to a
+// flow of its own on first registration. Registering a channel twice
+// replaces the previous handler.
+func (m *Mux) Register(ch Channel, h Handler) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.handlers[ch] = h
-	if _, bound := m.flows[ch]; bound {
-		return
+	if _, bound := m.flows[ch]; !bound {
+		m.flows[ch] = m.rt.Flow(m.ns+uint64(ch), m.qsize)
 	}
-	switch {
-	case ro.set:
-		m.flows[ch] = m.flowForLocked(ro.serializeWith)
-	default:
-		m.flows[ch] = m.flowForLocked(ch)
-	}
-}
-
-// flowForLocked returns (creating if needed) the flow owned by channel ch.
-// Callers hold m.mu.
-func (m *Mux) flowForLocked(ch Channel) *sched.Flow {
-	if fl, ok := m.flows[ch]; ok {
-		return fl
-	}
-	fl := m.rt.Flow(m.ns+uint64(ch), m.qsize)
-	m.flows[ch] = fl
-	m.owned = append(m.owned, fl)
-	return fl
 }
 
 // DispatchGoroutines reports how many serialization domains the mux
-// dispatches over — one per distinct flow, multiplexed onto the shared
-// lanes (tests assert sharding and serialization).
+// dispatches over — one flow per registered channel, multiplexed onto the
+// shared lanes (tests assert sharding and serialization).
 func (m *Mux) DispatchGoroutines() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.owned)
+	return len(m.flows)
 }
 
 // Close marks the mux closed and waits for the in-flight handler to
@@ -196,10 +153,10 @@ func (m *Mux) Close() {
 	m.mu.Unlock()
 	m.inflight.Wait()
 	// Unregister this mux's flows from the (shared, long-lived) runtime.
-	// No dispatch can be mid-Submit anymore: dispatch checks closed before
-	// submitting, and inflight covered everything that got past the check.
+	// Nothing can be mid-Submit anymore: submit checks closed first, and
+	// inflight covered everything that got past the check.
 	m.mu.Lock()
-	for _, fl := range m.owned {
+	for _, fl := range m.flows {
 		fl.Release()
 	}
 	m.mu.Unlock()
@@ -216,36 +173,32 @@ func (m *Mux) Send(to NodeID, ch Channel, payload []byte) error {
 	return nil
 }
 
-// SendLocal enqueues payload to this node's own dispatch on ChanLocal.
-// Protocol timers use this to serialize with message handling; register
-// ChanLocal with SerializeWith(ch) to bind it to the channel it must
-// interleave with.
-func (m *Mux) SendLocal(payload []byte) error {
-	return m.Send(m.ep.ID(), ChanLocal, payload)
+// After runs fn on ch's flow once d has elapsed: serialized with ch's
+// handlers, as if it were one more message of ch. It is how protocols
+// arm timers. fn is dropped if ch is not registered when the timer fires
+// or the mux is closed before fn runs.
+func (m *Mux) After(d time.Duration, ch Channel, fn func()) {
+	time.AfterFunc(d, func() {
+		m.submit(ch, func() {
+			m.mu.RLock()
+			closed := m.closed
+			m.mu.RUnlock()
+			if !closed {
+				fn()
+			}
+		})
+	})
 }
 
 // dispatch runs on the endpoint's reader goroutine: route the message to
-// its channel's flow. A full flow blocks here — backpressure on the
-// endpoint — rather than dropping; when no lane is draining it, the reader
-// drains it itself (sched.Flow.SubmitOrDrain), so lanes blocked sending
-// to this endpoint cannot wedge it. Unregistered channels are discarded.
+// its channel's flow. Unregistered channels are discarded.
 func (m *Mux) dispatch(from NodeID, payload []byte) {
 	if len(payload) == 0 {
 		return
 	}
 	ch := Channel(payload[0])
-	m.mu.RLock()
-	fl := m.flows[ch]
-	closed := m.closed
-	if fl == nil || closed {
-		m.mu.RUnlock()
-		return
-	}
-	m.inflight.Add(1) // under the RLock, so Close cannot Wait before Add
-	m.mu.RUnlock()
 	body := payload[1:]
-	fl.SubmitOrDrain(func() {
-		defer m.inflight.Done()
+	m.submit(ch, func() {
 		// Resolve the handler at execution time, so late registration and
 		// handler replacement behave as before; a mux closed while the
 		// task sat queued discards it here.
@@ -257,5 +210,26 @@ func (m *Mux) dispatch(from NodeID, payload []byte) {
 			return
 		}
 		h(from, body)
+	})
+}
+
+// submit queues task on ch's flow, counted in inflight, unless ch has no
+// flow or the mux is closed. Its callers — the endpoint's reader and
+// After's timer goroutines — are never lanes, so a full flow blocks them
+// (backpressure, never loss) and, when no lane is draining it, they drain
+// it themselves (sched.Flow.SubmitOrDrain): lanes blocked sending to this
+// endpoint cannot wedge it.
+func (m *Mux) submit(ch Channel, task func()) {
+	m.mu.RLock()
+	fl := m.flows[ch]
+	if fl == nil || m.closed {
+		m.mu.RUnlock()
+		return
+	}
+	m.inflight.Add(1) // under the RLock, so Close cannot Wait before Add
+	m.mu.RUnlock()
+	fl.SubmitOrDrain(func() {
+		defer m.inflight.Done()
+		task()
 	})
 }

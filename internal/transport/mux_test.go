@@ -52,29 +52,44 @@ func TestMuxRoutesByChannel(t *testing.T) {
 	}
 }
 
-func TestMuxSendLocal(t *testing.T) {
-	net := memnet.New(memnet.WithLatency(memnet.Fixed(30 * time.Millisecond)))
+// TestMuxAfter: an After callback runs once its delay has elapsed, on the
+// channel's flow — it waits for the handler running there.
+func TestMuxAfter(t *testing.T) {
+	net := memnet.New()
 	defer net.Close()
 	a := transport.NewMux(net.Node(1))
+	defer a.Close()
+	peer := transport.NewMux(net.Node(2))
+	defer peer.Close()
 
-	got := make(chan struct{}, 1)
-	a.Register(transport.ChanLocal, func(from transport.NodeID, p []byte) {
-		if from != 1 || string(p) != "tick" {
-			t.Errorf("local msg from=%d p=%q", from, p)
-		}
-		got <- struct{}{}
+	gate := make(chan struct{})
+	entered := make(chan struct{})
+	a.Register(transport.ChanPayment, func(transport.NodeID, []byte) {
+		close(entered)
+		<-gate
 	})
-	start := time.Now()
-	if err := a.SendLocal([]byte("tick")); err != nil {
+	if err := peer.Send(1, transport.ChanPayment, []byte("wedge")); err != nil {
 		t.Fatal(err)
 	}
+	<-entered
+
+	const d = 30 * time.Millisecond
+	fired := make(chan time.Duration, 1)
+	start := time.Now()
+	a.After(d, transport.ChanPayment, func() { fired <- time.Since(start) })
 	select {
-	case <-got:
-	case <-time.After(time.Second):
-		t.Fatal("timeout")
+	case <-fired:
+		t.Fatal("After ran while the channel's handler held its flow")
+	case <-time.After(3 * d):
 	}
-	if time.Since(start) > 20*time.Millisecond {
-		t.Error("SendLocal should bypass the latency model")
+	close(gate)
+	select {
+	case took := <-fired:
+		if took < d {
+			t.Errorf("After ran after %v, want >= %v", took, d)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("After never ran")
 	}
 }
 

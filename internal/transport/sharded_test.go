@@ -2,7 +2,8 @@ package transport_test
 
 // Tests for the sharded Mux dispatcher: per-channel FIFO under concurrent
 // cross-channel load, elimination of cross-channel head-of-line blocking,
-// SerializeWith pairing (validated by the race detector), bounded-queue
+// After callbacks serialized with their channel (validated by the race
+// detector) and never lost on a full flow, bounded-queue
 // backpressure without message loss, and clean Close with in-flight
 // messages. Run with -race.
 
@@ -125,11 +126,11 @@ func TestMuxShardedNoHeadOfLineBlocking(t *testing.T) {
 	close(gate)
 }
 
-// TestMuxSerializeWithLocalTimer registers ChanLocal with
-// SerializeWith(ChanPayment) and mutates shared state from both handlers
-// WITHOUT locking; the race detector proves the serialization guarantee,
-// and the counter proves no event was lost or doubled.
-func TestMuxSerializeWithLocalTimer(t *testing.T) {
+// TestMuxAfterSerializesWithHandler posts After callbacks against
+// ChanPayment while a peer floods ChanPayment, and mutates shared state
+// from both WITHOUT locking; the race detector proves the serialization
+// guarantee, and the counter proves no event was lost or doubled.
+func TestMuxAfterSerializesWithHandler(t *testing.T) {
 	net := memnet.New()
 	defer net.Close()
 	m := transport.NewMux(net.Node(1))
@@ -145,23 +146,16 @@ func TestMuxSerializeWithLocalTimer(t *testing.T) {
 		counter++
 		done.Done()
 	})
-	m.Register(transport.ChanLocal, func(transport.NodeID, []byte) {
-		counter++
-		done.Done()
-	}, transport.SerializeWith(transport.ChanPayment))
-	if n := m.DispatchGoroutines(); n != 1 {
-		t.Fatalf("DispatchGoroutines = %d, want 1 (ChanLocal shares ChanPayment's)", n)
-	}
 
 	var send sync.WaitGroup
 	send.Add(2)
 	go func() {
 		defer send.Done()
 		for i := 0; i < each; i++ {
-			if err := m.SendLocal([]byte{1}); err != nil {
-				t.Errorf("SendLocal: %v", err)
-				return
-			}
+			m.After(0, transport.ChanPayment, func() {
+				counter++
+				done.Done()
+			})
 		}
 	}()
 	go func() {
@@ -179,6 +173,53 @@ func TestMuxSerializeWithLocalTimer(t *testing.T) {
 	}
 	if counter != 2*each {
 		t.Fatalf("counter = %d, want %d (lost or raced increments)", counter, 2*each)
+	}
+	if n := m.DispatchGoroutines(); n != 1 {
+		t.Fatalf("DispatchGoroutines = %d, want 1 (After binds no flow of its own)", n)
+	}
+}
+
+// TestMuxAfterFullFlowLosesNothing fires a thousand After callbacks at a
+// one-slot ChanPayment flow whose handler is wedged: the timer goroutines
+// block (or drain the flow themselves) instead of dropping, and once the
+// wedge lifts every callback has run exactly once.
+func TestMuxAfterFullFlowLosesNothing(t *testing.T) {
+	net := memnet.New()
+	defer net.Close()
+	m := transport.NewMux(net.Node(1), transport.WithQueueSize(1))
+	defer m.Close()
+	peer := transport.NewMux(net.Node(2))
+	defer peer.Close()
+
+	gate := make(chan struct{})
+	entered := make(chan struct{})
+	m.Register(transport.ChanPayment, func(transport.NodeID, []byte) {
+		close(entered)
+		<-gate
+	})
+	if err := peer.Send(1, transport.ChanPayment, []byte("wedge")); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+
+	const n = 1000
+	var ran atomic.Int64
+	var done sync.WaitGroup
+	done.Add(n)
+	for i := 0; i < n; i++ {
+		m.After(0, transport.ChanPayment, func() {
+			ran.Add(1)
+			done.Done()
+		})
+	}
+	time.Sleep(50 * time.Millisecond) // let the timers pile up on the full flow
+	if got := ran.Load(); got != 0 {
+		t.Fatalf("%d callbacks ran past the wedged handler", got)
+	}
+	close(gate)
+	// A callback run twice would drive the WaitGroup negative and panic.
+	if !waitGroupTimeout(&done, 10*time.Second) {
+		t.Fatalf("only %d of %d callbacks ran after the wedge lifted", ran.Load(), n)
 	}
 }
 

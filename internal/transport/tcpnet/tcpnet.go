@@ -16,8 +16,9 @@
 // Like memnet, inbound messages are delivered from a single dispatch
 // goroutine per endpoint, fed by the read loops through a bounded inbox (a
 // full inbox blocks the readers, and TCP pushes back on the senders);
-// protocols layered through transport.Mux then fan out to one dispatch
-// goroutine per channel (see the Mux concurrency contract).
+// protocols layered through transport.Mux then fan out to one flow per
+// channel (see the Mux concurrency contract). Only the read loops feed
+// the inbox: Send to self returns transport.ErrSelfSend.
 package tcpnet
 
 import (
@@ -337,21 +338,14 @@ func (e *Endpoint) readLoop(conn net.Conn, ownConn bool) {
 	}
 }
 
-// Send implements transport.Endpoint. Self-sends loop back through the
-// inbox without touching the network.
+// Send implements transport.Endpoint. Sending to self returns
+// transport.ErrSelfSend.
 func (e *Endpoint) Send(to transport.NodeID, payload []byte) error {
+	if to == e.cfg.Self {
+		return transport.ErrSelfSend
+	}
 	if e.closed.Load() {
 		return ErrClosed
-	}
-	if to == e.cfg.Self {
-		buf := make([]byte, len(payload))
-		copy(buf, payload)
-		select {
-		case e.inbox <- inMsg{from: to, payload: buf}:
-			return nil
-		case <-e.done:
-			return ErrClosed
-		}
 	}
 
 	pc := e.peer(to)

@@ -1,6 +1,7 @@
 package tcpnet
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -100,28 +101,25 @@ func TestTCPBidirectional(t *testing.T) {
 	}
 }
 
+// TestTCPSelfSend: a send to self is refused with transport.ErrSelfSend
+// and delivers nothing; a frame from the peer still arrives.
 func TestTCPSelfSend(t *testing.T) {
-	a, _ := pair(t)
-	from, p := func() (transport.NodeID, []byte) {
-		ch := make(chan struct{})
-		var gotFrom transport.NodeID
-		var gotP []byte
-		a.SetHandler(func(f transport.NodeID, pl []byte) {
-			gotFrom, gotP = f, pl
-			close(ch)
-		})
-		if err := a.Send(1, []byte("loop")); err != nil {
-			t.Fatal(err)
+	a, b := pair(t)
+	got := make(chan string, 2)
+	a.SetHandler(func(_ transport.NodeID, p []byte) { got <- string(p) })
+	if err := a.Send(1, []byte("loop")); !errors.Is(err, transport.ErrSelfSend) {
+		t.Fatalf("Send(self) = %v, want %v", err, transport.ErrSelfSend)
+	}
+	if err := b.Send(1, []byte("peer")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case p := <-got:
+		if p != "peer" {
+			t.Fatalf("delivered %q, want only the peer's frame", p)
 		}
-		select {
-		case <-ch:
-		case <-time.After(time.Second):
-			t.Fatal("timeout")
-		}
-		return gotFrom, gotP
-	}()
-	if from != 1 || string(p) != "loop" {
-		t.Errorf("self send from=%d p=%q", from, p)
+	case <-time.After(3 * time.Second):
+		t.Fatal("timeout")
 	}
 }
 

@@ -5,13 +5,17 @@
 // Two implementations exist:
 //
 //   - memnet: an in-process simulated network with configurable link
-//     latency, crash-stop failures, netem-style per-node delay injection,
-//     and link cuts — the substrate for the paper's experiments;
+//     latency, egress bandwidth and crash-stop failures — the substrate
+//     for the paper's experiments (link faults come from package chaos);
 //   - tcpnet: a real TCP transport with length-prefixed frames for
 //     multi-process deployments.
 package transport
 
-import "astro/internal/types"
+import (
+	"errors"
+
+	"astro/internal/types"
+)
 
 // NodeID identifies an endpoint on a network. Replicas use their
 // types.ReplicaID values directly; client endpoints are allocated from
@@ -33,12 +37,17 @@ func ClientNode(id types.ClientID) NodeID { return ClientNodeBase + NodeID(id) }
 // locking.
 //
 // Protocols, however, attach through Mux, whose dispatch is sharded: each
-// registered Channel gets its own dispatch goroutine, so handlers of one
-// channel run sequentially (per-channel FIFO) but handlers of different
-// channels run concurrently. Protocol state shared across channels must be
-// synchronized; channels needing mutual serialization (timer events and
-// the handler they poke) register with SerializeWith. See Mux.
+// registered Channel gets its own flow on the lane scheduler, so handlers
+// of one channel run sequentially (per-channel FIFO) but handlers of
+// different channels run concurrently. Protocol state shared across
+// channels must be synchronized; a timer that must not race a channel's
+// handlers runs on that channel's flow through Mux.After. See Mux.
 type Handler func(from NodeID, payload []byte)
+
+// ErrSelfSend is returned by every Endpoint's Send to its own address. A
+// node's own step is local state, not a message: protocols apply their
+// own votes by direct call and arm timers with Mux.After.
+var ErrSelfSend = errors.New("transport: send to self")
 
 // Endpoint is one node's attachment to a network.
 type Endpoint interface {
@@ -46,10 +55,8 @@ type Endpoint interface {
 	ID() NodeID
 	// Send transmits payload to the endpoint with address to. Send never
 	// blocks on remote progress; delivery is asynchronous and, on memnet,
-	// subject to the configured latency model. Sending to self is
-	// permitted and delivers through the endpoint's own inbound path;
-	// protocols that need a self-sent timer event serialized with a
-	// message handler bind the two channels with Mux's SerializeWith.
+	// subject to the configured latency model. Sending to self delivers
+	// nothing and returns ErrSelfSend.
 	Send(to NodeID, payload []byte) error
 	// SetHandler installs the inbound message handler. No message is
 	// delivered before it is called; implementations buffer frames that
