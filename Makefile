@@ -59,10 +59,10 @@ bench-compare:
 	PARENT='$(PARENT)' PAIRS='$(PAIRS)' WORKLOADS='$(WORKLOADS)' bash bench_compare.sh
 
 # Short fuzz pass over every wire/record decoder harness — the tagged
-# PREPARE and the COMMITTAB (brb), the credit channel, batches, dependencies,
-# durable snapshot, and manifest images (core), the WAL frame scanner (wal), and
-# the KV record/index parsers that recovery trusts (kv). ~10s per
-# fuzzer; CI-smoke depth, not a soak.
+# PREPARE, the ACKBATCH and the COMMITTAB (brb), the credit channel,
+# batches, dependencies, durable snapshot, and manifest images (core), the
+# WAL frame scanner (wal), and the KV record/index parsers that recovery
+# trusts (kv). ~10s per fuzzer; CI-smoke depth, not a soak.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	for f in FuzzScanFrames FuzzFileLoad; do \
@@ -71,7 +71,7 @@ fuzz-smoke:
 		$(GO) test -run=NONE -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) ./internal/kv/ || exit 1; done
 	for f in FuzzDecodeCreditChannel FuzzDecodeBatch FuzzDecodeDependency FuzzDecodeReplicaImage FuzzDecodeManifest FuzzDecodePaymentChannel FuzzCreditDependencies; do \
 		$(GO) test -run=NONE -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) ./internal/core/ || exit 1; done
-	for f in FuzzDecodePrepare FuzzDecodeCommitTab; do \
+	for f in FuzzDecodePrepare FuzzDecodeAckBatch FuzzDecodeCommitTab; do \
 		$(GO) test -run=NONE -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) ./internal/brb/ || exit 1; done
 	$(GO) test -run=NONE -fuzz="^FuzzDecodeReconfigChannel$$" -fuzztime=$(FUZZTIME) ./internal/reconfig/
 

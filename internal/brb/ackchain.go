@@ -7,47 +7,40 @@ import (
 	"astro/internal/wire"
 )
 
-// Batch-level ack signing: a replica that has several acks pending while
-// an earlier ECDSA is in flight signs them all at once. The single
-// signature covers a *chain* — the ordered list of (origin, slot, ack
-// digest) entries — so one signing operation endorses many BRB instances,
-// possibly across different origins. Each origin receives the full chain
-// and extracts the entries addressed to it; the signature only verifies
-// against the whole chain, so commit certificates name the chain
-// (AckSig.Chain) and every verifier recomputes the same chain digest. The
-// verifier memo then collapses the cost on the receiving side too: a
-// chain of k slots costs one ECDSA verification for all k commits it
-// appears in.
-//
-// A lone pending ack keeps the single-slot form (kindAck): under light
-// load every ack is signed alone, and a plain signature verifies against
-// the instance's own ack digest, where a length-1 chain would add a
-// table entry to every commit carrying it.
+// Ack signing: a replica signs every ack as a *chain* — the ordered list
+// of (origin, slot, ack digest) entries pending when its signer drains —
+// so one signing operation endorses every BRB instance that accumulated
+// while the previous ECDSA was in flight, possibly across different
+// origins. A lone pending ack is a chain of one: there is one ack form,
+// the ACKBATCH. Each origin receives the full chain and extracts the
+// entries addressed to it; the signature only verifies against the whole
+// chain, so commit certificates name the chain (AckSig.Chain) and every
+// verifier recomputes the same chain digest. The verifier memo then
+// collapses the cost on the receiving side too: a chain of k slots costs
+// one ECDSA verification for all k commits it appears in.
 //
 // The queue/drain scheduling that feeds these chains
 // is generalized as verifier.ChainSigner (shared with the payment layer's
 // settlement-wave CREDIT signing); this file keeps the BRB-specific chain
 // digests and wire forms.
 
-// ChainEntry is one element of a batch-signed ack chain: the instance it
-// acknowledges and the ack digest that a single-slot signature would have
-// covered (SignedDigest of the instance).
+// ChainEntry is one element of an ack chain: the instance it acknowledges
+// and the instance's ack digest (SignedDigest).
 type ChainEntry struct {
 	Origin types.ReplicaID
 	Slot   uint64
 	Digest types.Digest
 }
 
-// AckSig is one signature of an ack certificate. Chain nil means the
-// signature covers the instance's own ack digest (the single-slot form);
-// otherwise it covers AckChainDigest(Chain), and it endorses an instance
-// only if the chain carries that instance's entry.
+// AckSig is one signature of an ack certificate. It covers
+// AckChainDigest(Chain), and it endorses an instance only if the chain
+// carries that instance's entry.
 type AckSig struct {
 	Replica types.ReplicaID
 	Sig     []byte
 	Chain   []ChainEntry
-	// ChainDigest memoizes AckChainDigest(Chain) when Chain is non-nil —
-	// the origin computes it once while verifying the ACKBATCH, and
+	// ChainDigest memoizes AckChainDigest(Chain) — the origin computes
+	// it once while verifying the ACKBATCH, and
 	// commitChainTable keys the commit's chain table on it without
 	// rehashing. Never encoded; receivers recompute from content.
 	ChainDigest types.Digest
@@ -62,8 +55,7 @@ func (a *AckSig) chainDigest() types.Digest {
 	return a.ChainDigest
 }
 
-// AckCert is a quorum of ack signatures for one instance, possibly mixing
-// single-slot and chain signatures.
+// AckCert is a quorum of ack signatures for one instance.
 type AckCert struct {
 	Sigs []AckSig
 }
@@ -81,16 +73,15 @@ func (c AckCert) Has(r types.ReplicaID) bool {
 	return false
 }
 
-// maxAckChain bounds decoded chain lengths (defense against hostile
-// input); far above any batch a signer's drain loop accumulates.
-const maxAckChain = 1024
-
 // maxSignBatch caps how many pending acks one signature covers. The
 // amortization gain is hyperbolic — 32 already cuts per-ack signing cost
 // ~32× — while the wire cost is linear: every commit certificate carries
 // each signer's full chain, so unbounded chains would bloat commits (and
 // redundantly, once per signer). 32 keeps the chain overhead per
 // certificate signature (32×44 B) comparable to the ECDSA it replaces.
+// Every decoder refuses a longer chain (decodeChain): no correct replica
+// signs one, so an origin that counted one would commit a certificate no
+// receiver accepts.
 const maxSignBatch = 32
 
 // chainEntrySize is the wire size of one chain entry.
@@ -107,10 +98,10 @@ func chainContains(chain []ChainEntry, id instanceID, d types.Digest) bool {
 	return false
 }
 
-// AckChainDigest computes the digest a replica signs for a batch of acks:
+// AckChainDigest computes the digest a replica signs for a chain of acks:
 // a domain-separated hash over the canonical chain encoding. The 0x44
-// domain byte keeps chain signatures disjoint from single-slot ack
-// signatures (0x42 inside SignedDigest), so neither can be replayed as
+// domain byte keeps it disjoint from the ack digests it lists (0x42
+// inside SignedDigest), so a signature over one can never be replayed as
 // the other.
 func AckChainDigest(chain []ChainEntry) types.Digest {
 	w := wire.AcquireWriter(5 + len(chain)*chainEntrySize)
@@ -134,16 +125,15 @@ func appendChain(w *wire.Writer, chain []ChainEntry) {
 	}
 }
 
+// decodeChain reads a chain of 1 to maxSignBatch entries: the only
+// lengths a correct signer produces.
 func decodeChain(r *wire.Reader) ([]ChainEntry, error) {
 	n := r.U32()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if n > maxAckChain {
-		return nil, fmt.Errorf("brb: ack chain of %d exceeds cap", n)
-	}
-	if n == 0 {
-		return nil, nil
+	if n == 0 || n > maxSignBatch {
+		return nil, fmt.Errorf("brb: ack chain of %d outside [1,%d]", n, maxSignBatch)
 	}
 	chain := make([]ChainEntry, n)
 	for i := range chain {
@@ -175,6 +165,22 @@ func EncodeAckBatch(chain []ChainEntry, sig []byte) []byte {
 	w := wire.NewWriter(ackBatchSize(chain, sig))
 	appendAckBatch(w, chain, sig)
 	return w.Bytes()
+}
+
+// decodeAckBatch parses an ACKBATCH after its kind byte: the one decoder
+// for the one ack form, shared by Signed and DecodeAckBatch. It accepts
+// only what decodeCommitTab accepts of a chain, and nothing after the
+// signature.
+func decodeAckBatch(r *wire.Reader) (chain []ChainEntry, sig []byte, err error) {
+	chain, err = decodeChain(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	sig = r.Chunk()
+	if err := r.Finish(); err != nil {
+		return nil, nil, err
+	}
+	return chain, sig, nil
 }
 
 // maxAckCertSigs mirrors crypto's decoded-certificate bound.

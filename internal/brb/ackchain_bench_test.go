@@ -20,7 +20,6 @@ import (
 	"astro/internal/transport"
 	"astro/internal/transport/memnet"
 	"astro/internal/types"
-	"astro/internal/wire"
 )
 
 // BenchmarkAckSignPipeline/inline-ecdsa is the baseline: one ECDSA per
@@ -67,19 +66,11 @@ func BenchmarkAckSignPipeline(b *testing.B) {
 		ackedAll := make(chan struct{}, 1)
 		target := int64(b.N)
 		origin.Register(transport.ChanBRB, func(_ transport.NodeID, p []byte) {
-			r := wire.NewReader(p)
-			var n int64
-			switch r.U8() {
-			case kindAck:
-				n = 1
-			case kindAckBatch:
-				chain, err := decodeChain(r)
-				if err != nil {
-					return
-				}
-				n = int64(len(chain))
+			chain, _, ok := DecodeAckBatch(p)
+			if !ok {
+				return
 			}
-			if covered.Add(n) >= target {
+			if covered.Add(int64(len(chain))) >= target {
 				select {
 				case ackedAll <- struct{}{}:
 				default:

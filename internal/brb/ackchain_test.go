@@ -1,9 +1,9 @@
 package brb
 
-// Tests for batch-level ack signing: the pool-side signer (no ECDSA on a
-// dispatch goroutine, chains amortizing one signature over many
-// instances), the chain and tabled-commit codecs, and the commit
-// verification rules for chain signatures.
+// Tests for ack signing: the pool-side signer (no ECDSA on a dispatch
+// goroutine, a lone ack signed as a chain of one, chains amortizing one
+// signature over many instances), the chain and tabled-commit codecs, and
+// the commit verification rules for chain signatures.
 
 import (
 	"bytes"
@@ -49,14 +49,15 @@ func TestAckChainCodecRoundTrip(t *testing.T) {
 		t.Fatal("signature round trip failed")
 	}
 
+	lone := []ChainEntry{{Origin: 3, Slot: 17, Digest: types.HashBytes([]byte("a"))}}
 	cert := AckCert{Sigs: []AckSig{
-		{Replica: 1, Sig: []byte("s1")},               // single-slot
-		{Replica: 2, Sig: []byte("s2"), Chain: chain}, // chain-signed
+		{Replica: 1, Sig: []byte("s1"), Chain: lone},  // a lone ack: a chain of one
+		{Replica: 2, Sig: []byte("s2"), Chain: chain}, // two acks under one signature
 		{Replica: 3, Sig: []byte("s3"), Chain: chain}, // same chain: one table entry
 	}}
 	payload := []byte("payload")
 	commit := EncodeCommitTab(3, 17, payload, cert)
-	if table, _ := commitChainTable(cert); len(table) != 1 || len(commit) != commitTabSize(payload, table, cert) {
+	if table, _ := commitChainTable(cert); len(table) != 2 || len(commit) != commitTabSize(payload, table, cert) {
 		t.Fatalf("commit size %d with a table of %d chains", len(commit), len(table))
 	}
 	rc := wire.NewReader(commit[headerSize:])
@@ -67,22 +68,22 @@ func TestAckChainCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Sigs) != 3 || back.Sigs[0].Chain != nil || len(back.Sigs[1].Chain) != 2 || &back.Sigs[1].Chain[0] != &back.Sigs[2].Chain[0] {
+	if len(back.Sigs) != 3 || len(back.Sigs[0].Chain) != 1 || back.Sigs[0].Chain[0] != lone[0] || len(back.Sigs[1].Chain) != 2 || &back.Sigs[1].Chain[0] != &back.Sigs[2].Chain[0] {
 		t.Fatalf("cert round trip: %+v", back)
 	}
-	if cd := AckChainDigest(chain); back.Sigs[1].ChainDigest != cd || back.Sigs[2].ChainDigest != cd {
+	if cd := AckChainDigest(chain); back.Sigs[1].ChainDigest != cd || back.Sigs[2].ChainDigest != cd || back.Sigs[0].ChainDigest != AckChainDigest(lone) {
 		t.Fatal("chain digest changed across codec round trip")
 	}
 }
 
 func TestAckChainDigestDomainSeparation(t *testing.T) {
 	// A chain of one entry must not collide with the entry's own ack
-	// digest, or a single-slot signature could be replayed as a chain
-	// signature (and vice versa).
+	// digest, or a signature over the bare ack digest could be replayed
+	// as an ack.
 	d := SignedDigest(1, 1, []byte("payload"))
 	chain := []ChainEntry{{Origin: 1, Slot: 1, Digest: d}}
 	if AckChainDigest(chain) == d {
-		t.Fatal("chain digest equals single-slot ack digest")
+		t.Fatal("chain digest equals the entry's ack digest")
 	}
 }
 
@@ -161,8 +162,8 @@ func (fx *asyncSignFixture) wedgePool() (release func()) {
 // async sign path: with the sign pool wedged, a PREPARE must not produce
 // an ack (nobody can sign), yet delivery on OTHER channels of the same
 // endpoint proceeds — proving the dispatch goroutines neither sign nor
-// wait on the signer. The ack appears, correctly signed, once the pool
-// frees up.
+// wait on the signer. The ack appears once the pool frees up: an
+// ACKBATCH whose chain of one is correctly signed.
 func TestSignedNoAckSignOnDispatchGoroutine(t *testing.T) {
 	fx := newAsyncSignFixture(t)
 	release := fx.wedgePool()
@@ -196,23 +197,15 @@ func TestSignedNoAckSignOnDispatchGoroutine(t *testing.T) {
 	release()
 	select {
 	case m := <-fx.brbMsgs:
-		r := wire.NewReader(m)
-		if k := r.U8(); k != kindAck {
-			t.Fatalf("kind = %d, want single-slot ack", k)
+		chain, sig, ok := DecodeAckBatch(m)
+		if !ok {
+			t.Fatalf("kind = %d, want an ack batch", m[0])
 		}
-		if types.ReplicaID(r.U32()) != 0 || r.U64() != 1 {
-			t.Fatal("ack for wrong instance")
+		want := ChainEntry{Origin: 0, Slot: 1, Digest: SignedDigest(0, 1, payload)}
+		if len(chain) != 1 || chain[0] != want {
+			t.Fatalf("chain = %+v, want the one entry %+v", chain, want)
 		}
-		digest := r.Bytes32()
-		sig := r.Chunk()
-		if r.Err() != nil {
-			t.Fatal(r.Err())
-		}
-		want := SignedDigest(0, 1, payload)
-		if digest != want {
-			t.Fatal("ack digest mismatch")
-		}
-		if !fx.registry.VerifySig(1, want, sig) {
+		if !fx.registry.VerifySig(1, AckChainDigest(chain), sig) {
 			t.Fatal("ack signature does not verify against replica 1's key")
 		}
 	case <-time.After(5 * time.Second):
@@ -284,6 +277,59 @@ func TestSignedChainSignsPendingAcks(t *testing.T) {
 	}
 }
 
+// TestSignedOverlongAckChainRefused: an ACKBATCH whose chain is longer
+// than any correct signer's (maxSignBatch) endorses nothing at the
+// origin. Were it counted, the origin's COMMITTAB would carry a chain
+// every receiver refuses: the origin alone would deliver, and the others
+// would stall on its FIFO for good. Replica 1 plays the Byzantine member:
+// its own acks are held back, and it acks origin 0's slot inside a chain
+// of n entries before replica 2's honest ack arrives, and before replica
+// 3's. At maxSignBatch the forged ack completes the certificate with
+// replica 2's; one entry more, replica 3's ack completes it instead.
+// Either way every replica delivers.
+func TestSignedOverlongAckChainRefused(t *testing.T) {
+	for _, n := range []int{maxSignBatch, maxSignBatch + 1} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			g := newAckGate()
+			h := newHarnessOn(t, protoSigned, 4, g.wrap)
+			payload := []byte("overlong")
+			slot, err := h.bcs[0].Broadcast(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.waitHeld(t, 2)
+			g.waitHeld(t, 3)
+
+			chain := make([]ChainEntry, n)
+			chain[0] = ChainEntry{Origin: 0, Slot: slot, Digest: SignedDigest(0, slot, payload)}
+			for i := 1; i < n; i++ {
+				chain[i] = ChainEntry{Origin: 2, Slot: uint64(i), Digest: types.HashBytes([]byte{byte(i)})}
+			}
+			sig, err := h.keys[1].Sign(AckChainDigest(chain))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.inject(1, 0, EncodeAckBatch(chain, sig)); err != nil {
+				t.Fatal(err)
+			}
+			g.release(2)
+			// Time for the origin to count both acks and commit if it will.
+			h.waitDeliveries(1, time.Second)
+			g.release(3)
+
+			if got := h.waitDeliveries(4, 5*time.Second); got != 4 {
+				t.Fatalf("deliveries = %d, want 4", got)
+			}
+			for r := 0; r < 4; r++ {
+				d := h.deliveriesAt(types.ReplicaID(r))
+				if len(d) != 1 || d[0].origin != 0 || d[0].slot != slot || string(d[0].payload) != string(payload) {
+					t.Fatalf("replica %d delivered %+v", r, d)
+				}
+			}
+		})
+	}
+}
+
 // chainCommitFor builds a commit whose certificate consists of chain
 // signatures by replicas 0, 1, 2 over the given chain.
 func chainCommitFor(t *testing.T, h *harness, origin types.ReplicaID, slot uint64, payload []byte, chain []ChainEntry) []byte {
@@ -301,7 +347,7 @@ func chainCommitFor(t *testing.T, h *harness, origin types.ReplicaID, slot uint6
 }
 
 // TestSignedCommitBatchDelivers: a commit whose quorum consists of chain
-// signatures covering the instance delivers like a plain one.
+// signatures covering the instance delivers, extra entries and all.
 func TestSignedCommitBatchDelivers(t *testing.T) {
 	h := newHarness(t, protoSigned, 4)
 	payload := []byte("chained")

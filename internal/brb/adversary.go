@@ -19,7 +19,6 @@ const (
 	KindPrepare  = kindPrepare
 	KindEcho     = kindEcho
 	KindReady    = kindReady
-	KindAck      = kindAck
 	KindAckBatch = kindAckBatch
 )
 
@@ -56,50 +55,42 @@ func DecodePrepare(frame []byte) (origin types.ReplicaID, slot uint64, payload, 
 	return origin, slot, payload, tag, true
 }
 
-// DecodeAck parses an ACK frame (kind byte included). The signature
-// aliases the frame. The acking replica is not in the frame — endpoints
-// identify senders by transport address.
-func DecodeAck(frame []byte) (origin types.ReplicaID, slot uint64, digest types.Digest, sig []byte, ok bool) {
-	r := wire.NewReader(frame)
-	if r.U8() != kindAck {
-		return 0, 0, types.Digest{}, nil, false
-	}
-	origin = types.ReplicaID(r.U32())
-	slot = r.U64()
-	digest = r.Bytes32()
-	sig = r.Chunk()
-	if r.Err() != nil {
-		return 0, 0, types.Digest{}, nil, false
-	}
-	return origin, slot, digest, sig, true
-}
-
 // DecodeAckBatch parses an ACKBATCH frame (kind byte included) into the
 // chain its one signature covers and the signature, which aliases the
-// frame. Like an ACK, the frame does not name the acking replica.
+// frame; it accepts exactly what a Signed replica accepts. The frame does
+// not name the acking replica — endpoints identify senders by transport
+// address.
 func DecodeAckBatch(frame []byte) (chain []ChainEntry, sig []byte, ok bool) {
 	r := wire.NewReader(frame)
 	if r.U8() != kindAckBatch {
 		return nil, nil, false
 	}
-	chain, err := decodeChain(r)
-	sig = r.Chunk()
-	if err != nil || r.Finish() != nil || len(chain) == 0 {
-		return nil, nil, false
-	}
-	return chain, sig, true
+	chain, sig, err := decodeAckBatch(r)
+	return chain, sig, err == nil
 }
 
-// ForgeAck produces the ACK frame a colluding replica emits to endorse an
-// arbitrary payload — including one that conflicts with a payload it
-// already acknowledged, which an honest handlePrepare never does. The
-// frame must be sent from the forger's own endpoint: receivers identify
-// the acking replica by transport address.
+// SignAck is replica's ack of one instance as a correct replica signs a
+// lone pending ack — a chain of one — in the form a certificate carries
+// it. Exported for tests that assemble certificates by hand.
+func SignAck(kp *crypto.KeyPair, replica, origin types.ReplicaID, slot uint64, digest types.Digest) (AckSig, error) {
+	chain := []ChainEntry{{Origin: origin, Slot: slot, Digest: digest}}
+	cd := AckChainDigest(chain)
+	sig, err := kp.Sign(cd)
+	if err != nil {
+		return AckSig{}, err
+	}
+	return AckSig{Replica: replica, Sig: sig, Chain: chain, ChainDigest: cd}, nil
+}
+
+// ForgeAck produces the ACKBATCH of one a colluding replica emits to
+// endorse an arbitrary payload — including one that conflicts with a
+// payload it already acknowledged, which an honest handlePrepare never
+// does. The frame must be sent from the forger's own endpoint: receivers
+// identify the acking replica by transport address.
 func ForgeAck(kp *crypto.KeyPair, origin types.ReplicaID, slot uint64, payload []byte) ([]byte, error) {
-	d := SignedDigest(origin, slot, payload)
-	sig, err := kp.Sign(d)
+	a, err := SignAck(kp, 0, origin, slot, SignedDigest(origin, slot, payload))
 	if err != nil {
 		return nil, err
 	}
-	return EncodeAck(origin, slot, d, sig), nil
+	return EncodeAckBatch(a.Chain, a.Sig), nil
 }

@@ -18,11 +18,11 @@ func signCommitFor(t *testing.T, h *harness, origin types.ReplicaID, slot uint64
 	d := SignedDigest(origin, slot, payload)
 	var cert AckCert
 	for _, r := range []types.ReplicaID{0, 1, 2} {
-		sig, err := h.keys[r].Sign(d)
+		a, err := SignAck(h.keys[r], r, origin, slot, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cert.Sigs = append(cert.Sigs, AckSig{Replica: r, Sig: sig})
+		cert.Sigs = append(cert.Sigs, a)
 	}
 	return EncodeCommitTab(origin, slot, payload, cert)
 }
@@ -71,8 +71,9 @@ func TestSignedCommitRetryAfterBadCertificate(t *testing.T) {
 
 	// Certificate of garbage signatures: structurally fine, cryptographically not.
 	var bad AckCert
+	lone := []ChainEntry{{Origin: 3, Slot: 1, Digest: SignedDigest(3, 1, payload)}}
 	for _, r := range []types.ReplicaID{0, 1, 2} {
-		bad.Sigs = append(bad.Sigs, AckSig{Replica: r, Sig: []byte("garbage")})
+		bad.Sigs = append(bad.Sigs, AckSig{Replica: r, Sig: []byte("garbage"), Chain: lone})
 	}
 	badCommit := EncodeCommitTab(3, 1, payload, bad)
 	if err := h.muxes[3].Send(transport.ReplicaNode(0), transport.ChanBRB, badCommit); err != nil {

@@ -156,8 +156,8 @@ type instanceID struct {
 }
 
 // Message kinds on ChanBRB. Bracha uses PREPARE, ECHO and READY; Signed
-// uses PREPARE, ACK, ACKBATCH and COMMITTAB. Kind bytes are the values
-// below; 5, 7, 8, 9 and 10 are retired.
+// uses PREPARE, ACKBATCH and COMMITTAB. Kind bytes are the values below;
+// 4 (the single-slot ACK), 5, 7, 8, 9 and 10 are retired.
 //
 //	kind        direction            body after the kind byte
 //	PREPARE     origin -> others     origin u32, slot u64, payload chunk;
@@ -165,19 +165,20 @@ type instanceID struct {
 //	                                 link tag over the ack digest
 //	ECHO        all -> all           origin u32, slot u64, payload chunk
 //	READY       all -> all           origin u32, slot u64, payload chunk
-//	ACK         replica -> origin    origin u32, slot u64, ack digest, sig chunk
-//	ACKBATCH    replica -> origins   chain, sig chunk: one signature over the
-//	                                 chain, sent to every origin it names
+//	ACKBATCH    replica -> origins   chain of 1 to 32 (origin u32, slot u64,
+//	                                 ack digest), sig chunk: one signature
+//	                                 over the chain, sent to every origin it
+//	                                 names
 //	COMMITTAB   origin -> others     origin, slot, payload chunk, chain table,
 //	                                 certificate naming chains by table index
 //
-// A commit is one COMMITTAB, self-contained: a certificate of single-slot
-// signatures has an empty table (see ackchain.go, committab.go).
+// Every ack is a chain signature — a lone ack is a chain of one — and a
+// commit is one COMMITTAB, self-contained: its table holds every chain its
+// certificate names (see ackchain.go, committab.go).
 const (
 	kindPrepare   byte = 1
 	kindEcho      byte = 2
 	kindReady     byte = 3
-	kindAck       byte = 4
 	kindAckBatch  byte = 6
 	kindCommitTab byte = 11
 )
@@ -246,22 +247,6 @@ func EncodeSignedPrepare(auth *crypto.LinkAuthenticator, to, origin types.Replic
 func EncodeReady(origin types.ReplicaID, slot uint64, payload []byte) []byte {
 	w := wire.NewWriter(payloadMsgSize(payload))
 	appendPayloadMsg(w, kindReady, origin, slot, payload)
-	return w.Bytes()
-}
-
-// ackSize is the exact size of an ACK message.
-func ackSize(sig []byte) int { return headerSize + 32 + 4 + len(sig) }
-
-func appendAck(w *wire.Writer, origin types.ReplicaID, slot uint64, digest types.Digest, sig []byte) {
-	appendHeader(w, kindAck, origin, slot)
-	w.Bytes32(digest)
-	w.Chunk(sig)
-}
-
-// EncodeAck encodes an ACK message (Signed). Exported for tests.
-func EncodeAck(origin types.ReplicaID, slot uint64, digest types.Digest, sig []byte) []byte {
-	w := wire.NewWriter(ackSize(sig))
-	appendAck(w, origin, slot, digest, sig)
 	return w.Bytes()
 }
 

@@ -1,6 +1,7 @@
 package brb
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -106,6 +107,102 @@ func newHarnessOn(t *testing.T, proto protocol, n int, wrap func(transport.Endpo
 		h.bcs = append(h.bcs, bc)
 	}
 	return h
+}
+
+// retiredAckKind is the kind byte of the retired single-slot ACK: origin
+// u32, slot u64, ack digest, and a signature over the digest itself.
+const retiredAckKind byte = 4
+
+// ackGate is a newHarnessOn endpoint wrapper that holds back the acks each
+// replica's own stack sends — ChanBRB frames of kind ACKBATCH, or of the
+// retired single-slot ACK — until release opens the gate for that
+// replica. inject sends a frame past the gate, as a Byzantine member
+// would.
+type ackGate struct {
+	mu    sync.Mutex
+	inner map[transport.NodeID]transport.Endpoint
+	open  map[transport.NodeID]bool
+	held  map[transport.NodeID][]heldAck
+}
+
+type heldAck struct {
+	to    transport.NodeID
+	frame []byte
+}
+
+func newAckGate() *ackGate {
+	return &ackGate{
+		inner: make(map[transport.NodeID]transport.Endpoint),
+		open:  make(map[transport.NodeID]bool),
+		held:  make(map[transport.NodeID][]heldAck),
+	}
+}
+
+func (g *ackGate) wrap(ep transport.Endpoint) transport.Endpoint {
+	g.mu.Lock()
+	g.inner[ep.ID()] = ep
+	g.mu.Unlock()
+	return gatedEndpoint{Endpoint: ep, g: g}
+}
+
+type gatedEndpoint struct {
+	transport.Endpoint
+	g *ackGate
+}
+
+func (e gatedEndpoint) Send(to transport.NodeID, frame []byte) error {
+	if len(frame) > 1 && transport.Channel(frame[0]) == transport.ChanBRB && (frame[1] == kindAckBatch || frame[1] == retiredAckKind) {
+		e.g.mu.Lock()
+		if !e.g.open[e.ID()] {
+			e.g.held[e.ID()] = append(e.g.held[e.ID()], heldAck{to: to, frame: bytes.Clone(frame)})
+			e.g.mu.Unlock()
+			return nil
+		}
+		e.g.mu.Unlock()
+	}
+	return e.Endpoint.Send(to, frame)
+}
+
+// waitHeld blocks until the gate holds an ack of replica r.
+func (g *ackGate) waitHeld(t *testing.T, r types.ReplicaID) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		g.mu.Lock()
+		n := len(g.held[transport.ReplicaNode(r)])
+		g.mu.Unlock()
+		if n > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica %d never sent an ack", r)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// release opens the gate for replica r: its held acks go out, and so does
+// every later one.
+func (g *ackGate) release(r types.ReplicaID) {
+	node := transport.ReplicaNode(r)
+	g.mu.Lock()
+	g.open[node] = true
+	held := g.held[node]
+	delete(g.held, node)
+	ep := g.inner[node]
+	g.mu.Unlock()
+	for _, a := range held {
+		_ = ep.Send(a.to, a.frame)
+	}
+}
+
+// inject sends a ChanBRB frame from replica from to replica to past the
+// gate.
+func (g *ackGate) inject(from, to types.ReplicaID, frame []byte) error {
+	g.mu.Lock()
+	ep := g.inner[transport.ReplicaNode(from)]
+	g.mu.Unlock()
+	return ep.Send(transport.ReplicaNode(to), append([]byte{byte(transport.ChanBRB)}, frame...))
 }
 
 // waitDeliveries blocks until total deliveries across all replicas reach
@@ -411,10 +508,11 @@ func TestSignedRejectsForgedCommit(t *testing.T) {
 	h := newHarness(t, protoSigned, 4)
 	// A Byzantine node crafts a COMMIT with a garbage certificate.
 	evil := transport.NewMux(h.net.Node(transport.ReplicaNode(50)))
+	lone := []ChainEntry{{Origin: 0, Slot: 1, Digest: SignedDigest(0, 1, []byte("stolen"))}}
 	cert := AckCert{Sigs: []AckSig{
-		{Replica: 0, Sig: []byte("junk")},
-		{Replica: 1, Sig: []byte("junk")},
-		{Replica: 2, Sig: []byte("junk")},
+		{Replica: 0, Sig: []byte("junk"), Chain: lone},
+		{Replica: 1, Sig: []byte("junk"), Chain: lone},
+		{Replica: 2, Sig: []byte("junk"), Chain: lone},
 	}}
 	msg := EncodeCommitTab(0, 1, []byte("stolen"), cert)
 	for i := 0; i < 4; i++ {

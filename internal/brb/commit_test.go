@@ -3,7 +3,8 @@ package brb
 // Tests for Signed's one commit form: every commit is a single
 // self-contained COMMITTAB from the origin to each other member, nothing
 // is asked of the origin after its slot commits, and frames of the
-// retired chain-reference kinds are ignored.
+// retired kinds — the chain-reference protocol's and the single-slot
+// ACK — are ignored.
 
 import (
 	"fmt"
@@ -71,9 +72,9 @@ func (e countingEndpoint) Send(to transport.NodeID, frame []byte) error {
 // TestSignedOneCommitFramePerMember: with every origin keeping 64
 // broadcasts in flight, so acks batch into chains that receivers have not
 // all seen, each instance commits with exactly one COMMITTAB to each of
-// the n-1 other members, and the group exchanges PREPARE, ACK, ACKBATCH
-// and COMMITTAB frames only — no demand for a chain, no definition, no
-// second copy of a commit.
+// the n-1 other members, and the group exchanges PREPARE, ACKBATCH and
+// COMMITTAB frames only — no single-slot ACK, no demand for a chain, no
+// definition, no second copy of a commit.
 func TestSignedOneCommitFramePerMember(t *testing.T) {
 	const n, per = 4, 64
 	c := newFrameCounter()
@@ -102,7 +103,7 @@ func TestSignedOneCommitFramePerMember(t *testing.T) {
 	defer c.mu.Unlock()
 	for kind, count := range c.kinds {
 		switch kind {
-		case kindPrepare, kindAck, kindAckBatch, kindCommitTab:
+		case kindPrepare, kindAckBatch, kindCommitTab:
 		default:
 			t.Errorf("%d frames of kind %d, which Signed never sends", count, kind)
 		}
@@ -181,6 +182,44 @@ func TestSignedRetiredKindsIgnored(t *testing.T) {
 	}
 	if got := c.sentBy(transport.ReplicaNode(0)) - sent; got != 0 {
 		t.Errorf("replica 0 answered the retired kinds with %d frames", got)
+	}
+}
+
+// TestSignedRetiredAckKindCommitsNothing: validly signed acks of origin
+// 0's slot in the retired single-slot ACK form (kind 4) from 2f members
+// endorse nothing. With every member's own acks held back by the harness's
+// gate, the slot stays uncommitted everywhere; releasing two members' held
+// acks then commits it, so only the retired form stood in the way.
+func TestSignedRetiredAckKindCommitsNothing(t *testing.T) {
+	g := newAckGate()
+	h := newHarnessOn(t, protoSigned, 4, g.wrap)
+	payload := []byte("single-slot")
+	slot, err := h.bcs[0].Broadcast(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := SignedDigest(0, slot, payload)
+	for _, r := range []types.ReplicaID{1, 2} {
+		sig, err := h.keys[r].Sign(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ack := wire.NewWriter(128)
+		appendHeader(ack, retiredAckKind, 0, slot)
+		ack.Bytes32(d)
+		ack.Chunk(sig)
+		if err := g.inject(r, 0, ack.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := h.waitDeliveries(1, 500*time.Millisecond); got != 0 {
+		t.Fatalf("single-slot ACKs committed the slot: %d deliveries", got)
+	}
+
+	g.release(1)
+	g.release(2)
+	if got := h.waitDeliveries(4, 5*time.Second); got != 4 {
+		t.Fatalf("deliveries after releasing the held acks = %d, want 4", got)
 	}
 }
 

@@ -17,16 +17,14 @@ import (
 //	kind origin slot | payload | U32 ntab (chain)* | U32 nsigs
 //	    (replica sig idx)*
 //
-// where idx is an index into the table or noChainTabIdx for a single-slot
-// signature; a certificate of single-slot signatures has an empty table.
-// The table holds exactly the chains the signatures name, sorted by chain
-// digest, so a certificate has one encoding and the decoder refuses any
-// other. The receiver hashes each table entry exactly once (the
-// certificate's memoized ChainDigest) and the decoded signatures share
-// the table's chain slices.
-
-// noChainTabIdx marks a single-slot signature in the tabled encoding.
-const noChainTabIdx = ^uint32(0)
+// where idx is an index into the table: every signature is a chain
+// signature, a lone ack a chain of one. The table holds exactly the chains
+// the signatures name, sorted by chain digest, so a certificate has one
+// encoding and the decoder refuses any other — an index at or past the
+// table's end included, such as the retired single-slot marker 2^32-1.
+// The receiver hashes each table entry exactly once (the certificate's
+// memoized ChainDigest) and the decoded signatures share the table's
+// chain slices.
 
 // commitTabSize is the exact size of a COMMITTAB message for the given
 // table and certificate.
@@ -45,17 +43,14 @@ func commitTabSize(payload []byte, table [][]ChainEntry, cert AckCert) int {
 func compareDigests(a, b types.Digest) int { return bytes.Compare(a[:], b[:]) }
 
 // commitChainTable collects the distinct chains of a certificate sorted by
-// chain digest, and each signature's index into the table (noChainTabIdx
-// for single-slot signatures). The stack-backed digest list keeps the
-// common case — a quorum naming a handful of chains — allocation-free.
+// chain digest, and each signature's index into the table. The
+// stack-backed digest list keeps the common case — a quorum naming a
+// handful of chains — allocation-free.
 func commitChainTable(cert AckCert) (table [][]ChainEntry, idxs []uint32) {
 	var stack [8]types.Digest
 	digests := stack[:0]
 	for i := range cert.Sigs {
 		a := &cert.Sigs[i]
-		if a.Chain == nil {
-			continue
-		}
 		cd := a.chainDigest()
 		if j, found := slices.BinarySearchFunc(digests, cd, compareDigests); !found {
 			digests = slices.Insert(digests, j, cd)
@@ -64,12 +59,7 @@ func commitChainTable(cert AckCert) (table [][]ChainEntry, idxs []uint32) {
 	}
 	idxs = make([]uint32, len(cert.Sigs))
 	for i := range cert.Sigs {
-		a := &cert.Sigs[i]
-		if a.Chain == nil {
-			idxs[i] = noChainTabIdx
-			continue
-		}
-		j, _ := slices.BinarySearchFunc(digests, a.chainDigest(), compareDigests)
+		j, _ := slices.BinarySearchFunc(digests, cert.Sigs[i].chainDigest(), compareDigests)
 		idxs[i] = uint32(j)
 	}
 	return table, idxs
@@ -121,9 +111,6 @@ func decodeCommitTab(r *wire.Reader) (AckCert, error) {
 		if err != nil {
 			return AckCert{}, err
 		}
-		if len(chain) == 0 || len(chain) > maxSignBatch {
-			return AckCert{}, fmt.Errorf("brb: tabled chain of %d outside [1,%d]", len(chain), maxSignBatch)
-		}
 		cd := AckChainDigest(chain)
 		if i > 0 && compareDigests(digests[i-1], cd) >= 0 {
 			return AckCert{}, fmt.Errorf("brb: commit chain table not sorted by digest")
@@ -147,16 +134,11 @@ func decodeCommitTab(r *wire.Reader) (AckCert, error) {
 		if err := r.Err(); err != nil {
 			return AckCert{}, err
 		}
-		a := AckSig{Replica: id, Sig: sig}
-		if idx != noChainTabIdx {
-			if idx >= uint32(len(table)) {
-				return AckCert{}, fmt.Errorf("brb: chain table index %d of %d", idx, len(table))
-			}
-			a.Chain = table[idx]
-			a.ChainDigest = digests[idx]
-			named[idx] = true
+		if idx >= uint32(len(table)) {
+			return AckCert{}, fmt.Errorf("brb: chain table index %d of %d", idx, len(table))
 		}
-		cert.Sigs = append(cert.Sigs, a)
+		named[idx] = true
+		cert.Sigs = append(cert.Sigs, AckSig{Replica: id, Sig: sig, Chain: table[idx], ChainDigest: digests[idx]})
 	}
 	if slices.Contains(named, false) {
 		return AckCert{}, fmt.Errorf("brb: commit chain table entry no signature names")

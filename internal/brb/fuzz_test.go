@@ -61,16 +61,17 @@ func commitTabCert(origin types.ReplicaID, slot uint64, cert AckCert) []byte {
 // input: a certificate has one encoding.
 func FuzzDecodeCommitTab(f *testing.F) {
 	other := []ChainEntry{{Origin: 1, Slot: 2, Digest: types.Digest{0x03}}}
+	lone := []ChainEntry{{Origin: 1, Slot: 4, Digest: types.Digest{0x04}}}
 	f.Add(commitTabCert(1, 4, AckCert{Sigs: []AckSig{
-		{Replica: 1, Sig: []byte("plain-sig")},
+		{Replica: 1, Sig: []byte("lone-sig"), Chain: lone},
 		{Replica: 2, Sig: []byte("chain-sig"), Chain: fuzzChain()},
 		{Replica: 3, Sig: []byte("chain-sig-2"), Chain: fuzzChain()},
 		{Replica: 0, Sig: []byte("chain-sig-3"), Chain: other},
 	}}))
-	// Single-slot signatures only: the empty table.
+	// Lone acks only: one chain of one per signer.
 	f.Add(commitTabCert(1, 4, AckCert{Sigs: []AckSig{
-		{Replica: 1, Sig: []byte("plain-1")},
-		{Replica: 2, Sig: []byte("plain-2")},
+		{Replica: 1, Sig: []byte("lone-1"), Chain: lone},
+		{Replica: 2, Sig: []byte("lone-2"), Chain: lone},
 	}}))
 
 	// Adversarial seeds. A signature naming an index past the table:
@@ -93,8 +94,10 @@ func FuzzDecodeCommitTab(f *testing.F) {
 	f.Add(w.Bytes())
 
 	// Inputs that must be refused: a table out of digest order, a table
-	// entry no signature names, and the retired certificate form that
-	// carried each signature's chain inline.
+	// entry no signature names, a chain one entry longer than any signer
+	// makes, the retired certificate form that carried each signature's
+	// chain inline, and the retired single-slot signatures that named no
+	// chain (index 2^32-1) over an empty table.
 	lo, hi := fuzzChain(), other
 	if compareDigests(AckChainDigest(lo), AckChainDigest(hi)) > 0 {
 		lo, hi = hi, lo
@@ -109,13 +112,21 @@ func FuzzDecodeCommitTab(f *testing.F) {
 		unsorted.Chunk([]byte("sig"))
 		unsorted.U32(i)
 	}
-	unnamed := wire.NewWriter(128)
+	unnamed := wire.NewWriter(256)
+	unnamed.U32(2)
+	appendChain(unnamed, lo)
+	appendChain(unnamed, hi)
 	unnamed.U32(1)
-	appendChain(unnamed, fuzzChain())
 	unnamed.U32(1)
-	unnamed.U32(1)
-	unnamed.Chunk([]byte("plain-sig"))
-	unnamed.U32(noChainTabIdx)
+	unnamed.Chunk([]byte("sig"))
+	unnamed.U32(0)
+	overlong := wire.NewWriter(2048)
+	overlong.U32(1)
+	appendChain(overlong, make([]ChainEntry, maxSignBatch+1))
+	overlong.U32(1)
+	overlong.U32(1)
+	overlong.Chunk([]byte("sig"))
+	overlong.U32(0)
 	inline := wire.NewWriter(256)
 	inline.U32(2)
 	inline.U32(1)
@@ -124,7 +135,21 @@ func FuzzDecodeCommitTab(f *testing.F) {
 	inline.U32(2)
 	inline.Chunk([]byte("chain-sig"))
 	appendChain(inline, fuzzChain())
-	for name, data := range map[string][]byte{"unsorted table": unsorted.Bytes(), "unnamed table entry": unnamed.Bytes(), "inline-chain certificate": inline.Bytes()} {
+	single := wire.NewWriter(64)
+	single.U32(0)
+	single.U32(2)
+	for _, r := range []uint32{1, 2} {
+		single.U32(r)
+		single.Chunk([]byte("plain-sig"))
+		single.U32(^uint32(0))
+	}
+	for name, data := range map[string][]byte{
+		"unsorted table":           unsorted.Bytes(),
+		"unnamed table entry":      unnamed.Bytes(),
+		"overlong chain":           overlong.Bytes(),
+		"inline-chain certificate": inline.Bytes(),
+		"single-slot signatures":   single.Bytes(),
+	} {
 		if _, err := decodeCommitTab(wire.NewReader(data)); err == nil {
 			f.Fatalf("%s decoded as a COMMITTAB", name)
 		}
@@ -142,9 +167,6 @@ func FuzzDecodeCommitTab(f *testing.F) {
 		// The table, as the signatures see it: one backing per chain digest.
 		table := make(map[types.Digest]*ChainEntry)
 		for _, s := range cert.Sigs {
-			if s.Chain == nil {
-				continue
-			}
 			if len(s.Chain) == 0 || len(s.Chain) > maxSignBatch {
 				t.Fatalf("accepted table chain of %d outside [1,%d]", len(s.Chain), maxSignBatch)
 			}
@@ -161,6 +183,53 @@ func FuzzDecodeCommitTab(f *testing.F) {
 		}
 		if !bytes.Equal(commitTabCert(1, 4, cert), data) {
 			t.Fatal("decoded certificate does not re-encode to input")
+		}
+	})
+}
+
+// FuzzDecodeAckBatch exercises the one ack form: what Signed accepts of
+// an ACKBATCH — onMessage and DecodeAckBatch share one decoder — is a
+// chain of 1 to maxSignBatch entries and a signature with nothing after
+// it, and it re-encodes to exactly the input.
+func FuzzDecodeAckBatch(f *testing.F) {
+	lone := []ChainEntry{{Origin: 0, Slot: 7, Digest: types.Digest{0x01}}}
+	f.Add(EncodeAckBatch(lone, []byte("lone-sig")))
+	f.Add(EncodeAckBatch(fuzzChain(), []byte("chain-sig")))
+	f.Add(EncodeAckBatch(make([]ChainEntry, maxSignBatch), []byte("full-sig")))
+
+	// Inputs that must be refused: a chain one entry longer than any
+	// signer makes, trailing bytes after the signature, an empty chain,
+	// and the retired single-slot ACK.
+	retired := wire.NewWriter(128)
+	appendHeader(retired, 4, 0, 7)
+	retired.Bytes32(types.Digest{0x01})
+	retired.Chunk([]byte("plain-sig"))
+	empty := wire.NewWriter(16)
+	empty.U8(kindAckBatch)
+	empty.U32(0)
+	empty.Chunk([]byte("sig"))
+	for name, frame := range map[string][]byte{
+		"overlong chain":  EncodeAckBatch(make([]ChainEntry, maxSignBatch+1), []byte("sig")),
+		"trailing bytes":  append(EncodeAckBatch(lone, []byte("sig")), 0),
+		"empty chain":     empty.Bytes(),
+		"single-slot ACK": retired.Bytes(),
+	} {
+		if _, _, ok := DecodeAckBatch(frame); ok {
+			f.Fatalf("%s decoded as an ACKBATCH", name)
+		}
+		f.Add(frame)
+	}
+
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		chain, sig, ok := DecodeAckBatch(frame)
+		if !ok {
+			return
+		}
+		if len(chain) == 0 || len(chain) > maxSignBatch {
+			t.Fatalf("accepted chain of %d outside [1,%d]", len(chain), maxSignBatch)
+		}
+		if !bytes.Equal(EncodeAckBatch(chain, sig), frame) {
+			t.Fatal("decoded ACKBATCH does not re-encode to input")
 		}
 	})
 }

@@ -14,12 +14,9 @@ import (
 	"astro/internal/types"
 )
 
-// endorsedInstances lists the instances an ACK or ACKBATCH frame signs.
+// endorsedInstances lists the instances an ACKBATCH frame signs.
 func endorsedInstances(t *testing.T, frame []byte) []instanceID {
 	t.Helper()
-	if origin, slot, _, _, ok := DecodeAck(frame); ok {
-		return []instanceID{{origin: origin, slot: slot}}
-	}
 	if chain, _, ok := DecodeAckBatch(frame); ok {
 		var ids []instanceID
 		for _, e := range chain {
@@ -35,8 +32,7 @@ func endorsedInstances(t *testing.T, frame []byte) []instanceID {
 // own address but carrying no tag, another link's tag, the origin's tag
 // for a different receiver, a tag under a master every replica shares, or
 // a tag replica 3 keys with its own key pair in the origin's name draw no
-// ACK or ACKBATCH signature; a PREPARE tagged by the origin for this
-// receiver does.
+// ack signature; a PREPARE tagged by the origin for this receiver does.
 func TestPrepareWithoutOriginTagGetsNoAck(t *testing.T) {
 	fx := newAsyncSignFixture(t)
 	p := []byte("batch")

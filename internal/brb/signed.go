@@ -51,12 +51,12 @@ import (
 // transport dispatch goroutine, in either direction:
 //
 //   - ack *signing* is queued and drained by a single logical signer on
-//     the verifier pool. While one ECDSA is in flight, further prepares
-//     accumulate; the drain then signs them all with ONE signature over a
-//     hash chain of the pending instances (see ackchain.go), so signing
+//     the verifier pool. Every drain signs what is pending with ONE
+//     signature over a hash chain of the pending instances (see
+//     ackchain.go) — a lone ack is a chain of one. While one ECDSA is in
+//     flight, further prepares accumulate into the next chain, so signing
 //     cost per instance shrinks with load — the sign-side analogue of the
-//     paper's batch amortization. A lone pending ack keeps the single-slot
-//     wire form;
+//     paper's batch amortization;
 //   - ack signatures arriving at the origin are checked asynchronously and
 //     re-enter the state machine through a completion callback; a chain
 //     signature is checked once for all the instances it endorses;
@@ -99,9 +99,9 @@ type Signed struct {
 	delivering bool
 
 	// ackSigner queues acks awaiting signature and drains them on the
-	// pool, collapsing acks that accumulate while an ECDSA is in flight
-	// into one chain signature. The scheduling lives in
-	// verifier.ChainSigner; this layer supplies the wire forms.
+	// pool, signing the acks pending at each pass as one chain. The
+	// scheduling lives in verifier.ChainSigner; this layer supplies the
+	// wire form.
 	ackSigner *verifier.ChainSigner[ChainEntry]
 }
 
@@ -145,7 +145,7 @@ func NewSigned(cfg Config) (*Signed, error) {
 		others:     cfg.others(),
 		tags:       crypto.NewKeyedLinkAuthenticator(cfg.Self, cfg.Keys, cfg.Registry),
 	}
-	s.ackSigner = verifier.NewChainSigner(ver, maxSignBatch, s.signSingleAck, s.signAckChain)
+	s.ackSigner = verifier.NewChainSigner(ver, maxSignBatch, s.signAckChain)
 	// One ECDH per link keys the PREPARE tags; derive them on the pool
 	// now rather than on the first PREPARE each way.
 	ver.TryAsync(func() {
@@ -228,14 +228,10 @@ func (s *Signed) onMessage(from transport.NodeID, payload []byte) {
 		return
 	}
 	if kind == kindAckBatch {
-		// Chain-signed acks carry no instance header: the chain itself
-		// names every instance the signature endorses.
-		chain, err := decodeChain(r)
+		// Acks carry no instance header: the chain itself names every
+		// instance the signature endorses.
+		chain, sig, err := decodeAckBatch(r)
 		if err != nil {
-			return
-		}
-		sig := r.Chunk()
-		if r.Err() != nil || len(chain) == 0 {
 			return
 		}
 		s.handleAckBatch(peer, chain, sig)
@@ -258,13 +254,6 @@ func (s *Signed) onMessage(from transport.NodeID, payload []byte) {
 			return
 		}
 		s.handlePrepare(id, body, tag)
-	case kindAck:
-		digest := r.Bytes32()
-		sig := r.Chunk()
-		if r.Err() != nil {
-			return
-		}
-		s.handleAck(id, peer, digest, sig)
 	case kindCommitTab:
 		if origin == s.cfg.Self {
 			return // the origin delivers its own slots by direct call
@@ -337,22 +326,9 @@ func (s *Signed) handlePrepare(id instanceID, payload, tag []byte) {
 	s.ackSigner.Enqueue(ChainEntry{Origin: id.origin, Slot: id.slot, Digest: d})
 }
 
-// signSingleAck signs one pending ack in the single-slot wire form
-// (ChainSigner flush callback, pool side).
-func (s *Signed) signSingleAck(e ChainEntry) {
-	sig, err := s.ackSigner.Sign(1, func() ([]byte, error) { return s.cfg.Keys.Sign(e.Digest) })
-	if err != nil {
-		return // entropy failure; withholding an ack is always safe
-	}
-	s.ver.PrimeReplica(s.cfg.Self, e.Digest, sig)
-	w := wire.AcquireWriter(ackSize(sig))
-	appendAck(w, e.Origin, e.Slot, e.Digest, sig)
-	_ = s.cfg.Mux.Send(transport.ReplicaNode(e.Origin), transport.ChanBRB, w.Bytes())
-	w.Release()
-}
-
-// signAckChain signs a batch of pending acks with one chain signature,
-// unicast to every origin the chain touches (ChainSigner flush callback).
+// signAckChain signs the pending acks — one or more — with one chain
+// signature, unicast to every origin the chain touches (ChainSigner flush
+// callback).
 // The ACKBATCH — chain included — is encoded once into the wave's shared
 // scratch and the same bytes go to every destination.
 func (s *Signed) signAckChain(batch []ChainEntry, wave *verifier.Wave) {
@@ -374,38 +350,13 @@ func (s *Signed) signAckChain(batch []ChainEntry, wave *verifier.Wave) {
 	}
 }
 
-// handleAck runs at the origin: it performs the cheap instance checks
-// inline, then hands the signature to the verifier pool. Certificate
-// assembly — and the COMMIT, once a quorum accrues — happens in the
-// completion callback.
-func (s *Signed) handleAck(id instanceID, peer types.ReplicaID, digest types.Digest, sig []byte) {
-	if id.origin != s.cfg.Self {
-		return // ack for someone else's instance; misdirected
-	}
-
-	s.mu.Lock()
-	out := s.mine[id.slot]
-	if out == nil || digest != out.digest {
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-
-	// Signature checks dominate CPU cost: run them on the pool, off the
-	// dispatch goroutine and outside the instance lock. Re-sent acks hit
-	// the verifier's memo and resolve inline.
-	s.ver.VerifyReplicaDetached(s.cfg.Registry, peer, digest, sig, func(ok bool) {
-		if ok {
-			s.ackVerified(id, peer, digest, sig, nil, types.Digest{})
-		}
-	})
-}
-
 // handleAckBatch runs at each origin a chain touches: find the entries
-// addressed to my in-flight instances, then verify the one chain
-// signature on the pool and credit every covered instance from the
-// completion callback. The chain digest is memoized, so the ECDSA runs
-// once however many instances (or redeliveries) the chain covers.
+// addressed to my in-flight instances inline, then verify the one chain
+// signature on the pool — off the dispatch goroutine and outside the
+// instance lock — and credit every covered instance from the completion
+// callback, where certificate assembly and the COMMIT, once a quorum
+// accrues, happen. The chain digest is memoized, so the ECDSA runs once
+// however many instances (or redeliveries) the chain covers.
 func (s *Signed) handleAckBatch(peer types.ReplicaID, chain []ChainEntry, sig []byte) {
 	var relevant []ChainEntry
 	s.mu.Lock()
@@ -435,8 +386,7 @@ func (s *Signed) handleAckBatch(peer types.ReplicaID, chain []ChainEntry, sig []
 }
 
 // ackVerified re-enters the state machine after an ack signature checks
-// out: record it (with its chain context, if batch-signed), and commit on
-// reaching the quorum.
+// out: record it with its chain, and commit on reaching the quorum.
 func (s *Signed) ackVerified(id instanceID, peer types.ReplicaID, digest types.Digest, sig []byte, chain []ChainEntry, chainDigest types.Digest) {
 	s.mu.Lock()
 	out := s.mine[id.slot]
@@ -505,7 +455,7 @@ func (s *Signed) beginCommit(id instanceID) bool {
 // the certificate continuation-style: the digest hash runs on a verifier
 // task, the signature checks fan out with 2f early exit, and the
 // completion callback re-enters the FIFO delivery drain — zero goroutines
-// per commit. Chain signatures verify against their chain digest (once,
+// per commit. Signatures verify against their chain digest (once,
 // memoized, for all the commits a chain covers) and count toward the
 // quorum only if the chain actually carries this instance's entry.
 func (s *Signed) handleCommit(id instanceID, payload []byte, cert AckCert) {
@@ -553,15 +503,11 @@ func (s *Signed) ackCertItems(id instanceID, d types.Digest, cert AckCert) []ack
 		if a.Replica == id.origin || !s.membership(a.Replica) {
 			continue
 		}
-		dg := d
-		if a.Chain != nil {
-			if !chainContains(a.Chain, id, d) {
-				continue // chain does not endorse this instance
-			}
-			dg = a.chainDigest()
+		if !chainContains(a.Chain, id, d) {
+			continue // chain does not endorse this instance
 		}
 		seen[a.Replica] = struct{}{}
-		items = append(items, ackCertItem{replica: a.Replica, digest: dg, sig: a.Sig})
+		items = append(items, ackCertItem{replica: a.Replica, digest: a.chainDigest(), sig: a.Sig})
 	}
 	return items
 }

@@ -8,12 +8,6 @@ import (
 	"astro/internal/types"
 )
 
-// certOf builds a certificate of single-slot signatures from alternating
-// (replica, sig) pairs.
-func certOf(r1 types.ReplicaID, s1 []byte, r2 types.ReplicaID, s2 []byte, r3 types.ReplicaID, s3 []byte) AckCert {
-	return AckCert{Sigs: []AckSig{{Replica: r1, Sig: s1}, {Replica: r2, Sig: s2}, {Replica: r3, Sig: s3}}}
-}
-
 // TestBrachaTotalityPartialPrepare: a Byzantine origin sends PREPARE to
 // only three of four replicas — just enough for an echo quorum among
 // them. Bracha's totality must deliver the payload at the fourth replica
@@ -89,19 +83,14 @@ func TestSignedNoTotality(t *testing.T) {
 	// Two honest ACKs form the quorum of 2f non-origin acks; the
 	// adversary's own signature rides along and counts for nothing.
 	// Build the certificate directly with the harness keys.
-	sig3, err := h.keys[3].Sign(d)
-	if err != nil {
-		t.Fatal(err)
+	var c AckCert
+	for _, r := range []types.ReplicaID{3, 0, 1} {
+		a, err := SignAck(h.keys[r], r, 3, 1, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Sigs = append(c.Sigs, a)
 	}
-	sig0, err := h.keys[0].Sign(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig1, err := h.keys[1].Sign(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c = certOf(3, sig3, 0, sig0, 1, sig1)
 	commit := EncodeCommitTab(3, 1, payload, c)
 	if err := h.muxes[3].Send(transport.ReplicaNode(0), transport.ChanBRB, commit); err != nil {
 		t.Fatal(err)

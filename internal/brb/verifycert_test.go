@@ -1,8 +1,8 @@
 package brb
 
 // Table-driven tests of commit-certificate verification
-// (verifyAckCertDetached), each case run over single-slot and chain
-// signatures: quorum semantics, membership, forged
+// (verifyAckCertDetached), each case run over lone acks (chains of one)
+// and acks sharing a chain with others: quorum semantics, membership, forged
 // signatures, and certificates that cannot endorse the instance.
 
 import (
@@ -45,7 +45,8 @@ func newCertFixture(t *testing.T, n, nonMembers int) *certFixture {
 }
 
 // sigMode builds replica r's endorsement of digest d for the fixture's
-// instance, as a single-slot or as a chain signature.
+// instance: "plain" signs it as a lone ack, a chain of its one entry;
+// "chain" signs it among another instance's entry.
 type sigMode struct {
 	name string
 	sign func(t *testing.T, fx *certFixture, r int, d types.Digest) AckSig
@@ -53,11 +54,11 @@ type sigMode struct {
 
 var sigModes = []sigMode{
 	{"plain", func(t *testing.T, fx *certFixture, r int, d types.Digest) AckSig {
-		sig, err := fx.keys[r].Sign(d)
+		a, err := SignAck(fx.keys[r], types.ReplicaID(r), fx.id.origin, fx.id.slot, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return AckSig{Replica: types.ReplicaID(r), Sig: sig}
+		return a
 	}},
 	{"chain", func(t *testing.T, fx *certFixture, r int, d types.Digest) AckSig {
 		chain := []ChainEntry{
@@ -161,7 +162,7 @@ func TestVerifyAckCertQuorumSemantics(t *testing.T) {
 			fx := newCertFixture(t, 10, 0)
 			d := SignedDigest(fx.id.origin, fx.id.slot, []byte("batch"))
 			quorum := fx.cert(t, m, d, 0, 1, 2, 3, 4, 5, 6)
-			garbage := AckCert{Sigs: append(append([]AckSig(nil), quorum.Sigs...), AckSig{Replica: 7, Sig: []byte("garbage")})}
+			garbage := AckCert{Sigs: append(append([]AckSig(nil), quorum.Sigs...), AckSig{Replica: 7, Sig: []byte("garbage"), Chain: quorum.Sigs[0].Chain})}
 			fx.checkVerdict(t, "quorum plus a garbage signature", d, garbage, true)
 
 			dup := fx.cert(t, m, d, 0, 0, 0, 1, 2, 3, 4, 5)

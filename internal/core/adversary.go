@@ -103,13 +103,6 @@ func EncodeStatsReq() []byte {
 	return encodeStatsReq()
 }
 
-// EncodeCreditForged builds a single-group CREDIT frame claiming signer
-// signed the group — from a client node it must die at the sender-class
-// check before any signature verification.
-func EncodeCreditForged(signer types.ReplicaID, group []types.Payment, sig []byte) []byte {
-	return encodeCredit(creditMsg{Signer: signer, Group: group, Sig: sig})
-}
-
 // EncodeCreditRedoRaw builds a CREDITREDO request for arbitrary payment
 // groups — the re-sign flood a hostile node aims at settled history.
 func EncodeCreditRedoRaw(groups [][]types.Payment) []byte {

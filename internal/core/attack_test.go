@@ -54,7 +54,7 @@ func TestPartialPaymentsAttackBlocked(t *testing.T) {
 	// Build a valid certificate of 2f non-origin acks with keys the
 	// adversary could have gathered, and COMMIT only to Bob's
 	// representative.
-	var cert = c.certFor(t, d, 0, 3)
+	var cert = c.certFor(t, origin, 1, d, 0, 3)
 	commit := brb.EncodeCommitTab(origin, 1, batch, cert)
 	_ = c.replicas[int(origin)].cfg.Mux.Send(transport.ReplicaNode(c.repOf(2)), transport.ChanBRB, commit)
 
@@ -96,16 +96,16 @@ func TestPartialPaymentsAttackBlocked(t *testing.T) {
 	}
 }
 
-// certFor builds a certificate of single-slot signatures over d by the
-// given replicas.
-func (c *cluster) certFor(t *testing.T, d types.Digest, ids ...int) (cert brb.AckCert) {
+// certFor builds a certificate of the given replicas' lone acks of
+// (origin, slot) with ack digest d.
+func (c *cluster) certFor(t *testing.T, origin types.ReplicaID, slot uint64, d types.Digest, ids ...int) (cert brb.AckCert) {
 	t.Helper()
 	for _, id := range ids {
-		sig, err := c.keys[id].Sign(d)
+		a, err := brb.SignAck(c.keys[id], types.ReplicaID(id), origin, slot, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cert.Sigs = append(cert.Sigs, brb.AckSig{Replica: types.ReplicaID(id), Sig: sig})
+		cert.Sigs = append(cert.Sigs, a)
 	}
 	return cert
 }

@@ -121,11 +121,24 @@ func TestCreditBatchRejectsForgeries(t *testing.T) {
 	}
 }
 
+// loneDepSig is signer's CREDIT signature of group as a correct replica
+// signs a lone credit group: over a chain of the group's one digest.
+func loneDepSig(t testing.TB, kp *crypto.KeyPair, signer int, group []types.Payment) DepSig {
+	t.Helper()
+	chain := []types.Digest{CreditGroupDigest(group)}
+	sig, err := kp.Sign(CreditChainDigest(chain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return DepSig{Replica: types.ReplicaID(signer), Sig: sig, Chain: chain}
+}
+
 // TestVerifyDependencyChainSigs checks the certificate verifier directly:
 // chain signatures endorse a group only when its digest appears in the
-// chain, and mixed plain/chain certificates count distinct signers. The
-// batch origin sits in another shard, so every endorsement is a
-// signature.
+// chain, a lone group's chain of one and a wave's longer chain count
+// alike, and a signature over the bare group digest — the retired
+// single-group form — endorses nothing. The batch origin sits in another
+// shard, so every endorsement is a signature.
 func TestVerifyDependencyChainSigs(t *testing.T) {
 	reg := crypto.NewRegistry()
 	keys := make([]*crypto.KeyPair, 3)
@@ -154,46 +167,46 @@ func TestVerifyDependencyChainSigs(t *testing.T) {
 		}
 		return DepSig{Replica: types.ReplicaID(i), Sig: sig, Chain: ch}
 	}
-	plainSig := func(i int) DepSig {
-		sig, err := keys[i].Sign(digest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return DepSig{Replica: types.ReplicaID(i), Sig: sig}
-	}
+	lone := loneDepSig(t, keys[0], 0, group)
 
-	// Mixed certificate: one plain, one chain signature — both endorse.
-	d := Dependency{Group: group, Cert: DepCert{Sigs: []DepSig{plainSig(0), chainSig(1, chain)}}}
+	// A chain of one and a longer chain: both endorse.
+	d := Dependency{Group: group, Cert: DepCert{Sigs: []DepSig{lone, chainSig(1, chain)}}}
 	if err := VerifyDependency(d, origin, nil, reg, 1, oneShard, repShard); err != nil {
-		t.Fatalf("mixed plain/chain certificate rejected: %v", err)
+		t.Fatalf("lone-group and wave chains rejected: %v", err)
 	}
 
 	// A chain that does not contain the group's digest endorses nothing.
-	bad := Dependency{Group: group, Cert: DepCert{Sigs: []DepSig{plainSig(0), chainSig(1, []types.Digest{other})}}}
+	bad := Dependency{Group: group, Cert: DepCert{Sigs: []DepSig{lone, chainSig(1, []types.Digest{other})}}}
 	if err := VerifyDependency(bad, origin, nil, reg, 1, oneShard, repShard); err == nil {
 		t.Fatal("chain not containing the group digest accepted as endorsement")
 	}
 
-	// A chain signature replayed as a plain signature must fail (domain
-	// separation).
-	replay := chainSig(1, chain)
-	replay.Chain = nil
-	rd := Dependency{Group: group, Cert: DepCert{Sigs: []DepSig{plainSig(0), replay}}}
-	if err := VerifyDependency(rd, origin, nil, reg, 1, oneShard, repShard); err == nil {
-		t.Fatal("chain signature replayed as single-group signature accepted")
+	// A signature over the bare group digest endorses nothing, named with
+	// the group's chain of one or with no chain (domain separation).
+	sig, err := keys[1].Sign(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ch := range [][]types.Digest{{digest}, nil} {
+		rd := Dependency{Group: group, Cert: DepCert{Sigs: []DepSig{lone, {Replica: 1, Sig: sig, Chain: ch}}}}
+		if err := VerifyDependency(rd, origin, nil, reg, 1, oneShard, repShard); err == nil {
+			t.Fatalf("signature over the bare group digest accepted with chain %v", ch)
+		}
 	}
 }
 
 // TestBatchCodecChainCertRoundTrip: batch entries carrying dependencies
-// with mixed single-group and chain signatures survive the wire.
+// with a lone group's chain of one and a wave's longer chain survive the
+// wire.
 func TestBatchCodecChainCertRoundTrip(t *testing.T) {
 	chain := []types.Digest{types.HashBytes([]byte("g1")), types.HashBytes([]byte("g2"))}
+	lone := []types.Digest{CreditGroupDigest([]types.Payment{pay(9, 1, 3, 5)})}
 	entries := []BatchEntry{
 		{Payment: pay(3, 7, 4, 20), Deps: []Dependency{
 			{
 				Group: []types.Payment{pay(9, 1, 3, 5)},
 				Cert: DepCert{Sigs: []DepSig{
-					{Replica: 0, Sig: []byte("s0")},
+					{Replica: 0, Sig: []byte("s0"), Chain: lone},
 					{Replica: 2, Sig: []byte("s2"), Chain: chain},
 				}},
 			},
@@ -207,27 +220,11 @@ func TestBatchCodecChainCertRoundTrip(t *testing.T) {
 	if len(dep.Cert.Sigs) != 2 {
 		t.Fatalf("cert has %d sigs", len(dep.Cert.Sigs))
 	}
-	if dep.Cert.Sigs[0].Chain != nil || string(dep.Cert.Sigs[0].Sig) != "s0" {
-		t.Fatal("plain signature mangled")
+	if ls := dep.Cert.Sigs[0]; len(ls.Chain) != 1 || ls.Chain[0] != lone[0] || string(ls.Sig) != "s0" {
+		t.Fatal("lone-group signature mangled")
 	}
 	cs := dep.Cert.Sigs[1]
 	if cs.Replica != 2 || len(cs.Chain) != 2 || cs.Chain[0] != chain[0] || cs.Chain[1] != chain[1] {
 		t.Fatal("chain signature mangled")
-	}
-}
-
-// TestCreditCodecRoundTrip covers the single-group CREDIT.
-func TestCreditCodecRoundTrip(t *testing.T) {
-	single := creditMsg{Signer: 3, Group: []types.Payment{pay(1, 1, 2, 10), pay(4, 2, 2, 5)}, Sig: []byte("sig")}
-	enc := encodeCredit(single)
-	if enc[0] != msgCreditSingle {
-		t.Fatal("single kind byte wrong")
-	}
-	gotS, err := decodeCredit(enc[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotS.Signer != 3 || len(gotS.Group) != 2 || gotS.Group[1] != single.Group[1] || string(gotS.Sig) != "sig" {
-		t.Fatalf("single round trip mangled: %+v", gotS)
 	}
 }

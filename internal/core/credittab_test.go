@@ -183,11 +183,7 @@ func TestCreditChannelDropsUnknownSenders(t *testing.T) {
 
 	bobGroup := []types.Payment{pay(1, 1, 2, 40)}
 	tab := c.creditTabFrom(t, 0, []types.Digest{CreditGroupDigest(bobGroup)}, []creditTabGroup{{ChainIdx: 0, Group: bobGroup}})
-	sig, err := c.keys[0].Sign(CreditGroupDigest(bobGroup))
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := encodeCredit(creditMsg{Signer: 0, Group: bobGroup, Sig: sig})
+	single := retiredCredit(t, c.keys[0], 0, bobGroup)
 	r := c.replicas[2]
 	for _, msg := range [][]byte{tab, single} {
 		if err := mux.Send(transport.ReplicaNode(2), transport.ChanCredit, msg); err != nil {
@@ -283,8 +279,9 @@ func (e creditWireEndpoint) Send(to transport.NodeID, p []byte) error {
 }
 
 // TestCreditOneFramePerWaveDestination: on a 4-replica group, 64
-// concurrent credited batches put only CREDITs and CREDITTABs on the
-// credit channel, and each signer sends each destination exactly one
+// concurrent credited batches put only CREDITTABs on the credit channel —
+// a lone credit group too is a wave of one — and each signer sends each
+// destination exactly one
 // frame per signed wave: the CREDITTABs of one (signer, chain) go to
 // distinct destinations, each carrying only groups for its own clients,
 // and together they carry every group of the wave once.
@@ -335,7 +332,6 @@ func TestCreditOneFramePerWaveDestination(t *testing.T) {
 	tabs := 0
 	for _, f := range cw.sent() {
 		switch f.body[0] {
-		case msgCreditSingle:
 		case msgCreditTab:
 			tabs++
 			m, err := decodeCreditTab(f.body[1:])
@@ -441,9 +437,27 @@ func TestHostileCreditTabForgedChain(t *testing.T) {
 	}
 }
 
-// TestHostileCreditTabRetiredKinds: the retired reference kinds — a chain
-// definition (3), a validly signed reference to it naming a group (4) and
-// a NACK (5) — from a registered replica get no reply and create no state.
+// retiredCredit is signer's validly signed CREDIT of group in the retired
+// single-group form (kind 1): signer u32, the group, and a signature over
+// the group's own digest.
+func retiredCredit(t *testing.T, kp *crypto.KeyPair, signer types.ReplicaID, group []types.Payment) []byte {
+	t.Helper()
+	sig, err := kp.Sign(CreditGroupDigest(group))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wire.NewWriter(256)
+	w.U8(1)
+	w.U32(uint32(signer))
+	appendPaymentGroup(w, group)
+	w.Chunk(sig)
+	return w.Bytes()
+}
+
+// TestHostileCreditTabRetiredKinds: the retired kinds — a validly signed
+// single-group CREDIT (1), a chain definition (3), a validly signed
+// reference to it naming a group (4) and a NACK (5) — from a registered
+// replica get no reply and create no state.
 func TestHostileCreditTabRetiredKinds(t *testing.T) {
 	c := newCluster(t, AstroII, 4, func(types.ClientID) types.Amount { return 0 })
 	tap, msgs := c.creditTap(t, 9)
@@ -470,7 +484,7 @@ func TestHostileCreditTabRetiredKinds(t *testing.T) {
 	nack := wire.NewWriter(33)
 	nack.U8(5)
 	nack.Bytes32(cd)
-	for _, frame := range [][]byte{def.Bytes(), ref.Bytes(), nack.Bytes()} {
+	for _, frame := range [][]byte{retiredCredit(t, c.keys[0], 0, bobGroup), def.Bytes(), ref.Bytes(), nack.Bytes()} {
 		if err := tap.Send(transport.ReplicaNode(2), transport.ChanCredit, frame); err != nil {
 			t.Fatal(err)
 		}
@@ -483,19 +497,19 @@ func TestHostileCreditTabRetiredKinds(t *testing.T) {
 
 // TestDepCertInterning: a dependency stored on its own writes each
 // distinct chain once in its table — k signers over one chain cost one
-// table entry — and the round trip preserves every signature's chain
-// content (shared backing on decode) while single-group signatures stay
-// chain-less.
+// table entry, and so do k signers of the group alone, whose chains of
+// one are equal — and the round trip preserves every signature's chain
+// content, with shared backing on decode.
 func TestDepCertInterning(t *testing.T) {
+	group := []types.Payment{pay(9, 1, 3, 5)}
 	chainShared := []types.Digest{types.HashBytes([]byte("g1")), types.HashBytes([]byte("g2"))}
-	chainOther := []types.Digest{types.HashBytes([]byte("g3"))}
 	d := Dependency{
-		Group: []types.Payment{pay(9, 1, 3, 5)},
+		Group: group,
 		Cert: DepCert{Sigs: []DepSig{
 			{Replica: 0, Sig: []byte("s0"), Chain: chainShared},
 			{Replica: 1, Sig: []byte("s1"), Chain: chainShared},
-			{Replica: 2, Sig: []byte("s2"), Chain: chainOther},
-			{Replica: 3, Sig: []byte("s3")},
+			{Replica: 2, Sig: []byte("s2"), Chain: []types.Digest{CreditGroupDigest(group)}},
+			{Replica: 3, Sig: []byte("s3"), Chain: []types.Digest{CreditGroupDigest(group)}},
 		}},
 	}
 
@@ -504,8 +518,9 @@ func TestDepCertInterning(t *testing.T) {
 	if w.Len() != dependencyRecordSize(d) {
 		t.Fatalf("encoded %d bytes, size function says %d", w.Len(), dependencyRecordSize(d))
 	}
-	// The two copies of chainShared are encoded once: table(2 digests + 1
-	// digest), the group, then 4 signature records.
+	// The two copies of chainShared are encoded once, and so are the two
+	// chains of one: table(2 digests + 1 digest), the group, then 4
+	// signature records.
 	want := 4 + wire.DigestListSize(2) + wire.DigestListSize(1) +
 		4 + len(d.Group)*types.PaymentWireSize + 4 + 4*(4+4+2+4)
 	if w.Len() != want {
@@ -521,12 +536,12 @@ func TestDepCertInterning(t *testing.T) {
 	if len(sigs) != 4 {
 		t.Fatalf("cert has %d sigs", len(sigs))
 	}
-	if len(sigs[0].Chain) != 2 || sigs[0].Chain[0] != chainShared[0] || len(sigs[2].Chain) != 1 || sigs[3].Chain != nil {
+	if len(sigs[0].Chain) != 2 || sigs[0].Chain[0] != chainShared[0] || len(sigs[2].Chain) != 1 || sigs[2].Chain[0] != CreditGroupDigest(group) {
 		t.Fatalf("chains mangled: %+v", sigs)
 	}
-	// The table interns: the two shared-chain signatures alias one
+	// The table interns: the signatures naming one chain alias one
 	// backing array after decode.
-	if &sigs[0].Chain[0] != &sigs[1].Chain[0] {
+	if &sigs[0].Chain[0] != &sigs[1].Chain[0] || &sigs[2].Chain[0] != &sigs[3].Chain[0] {
 		t.Fatal("decoded shared chains do not alias one table entry")
 	}
 }

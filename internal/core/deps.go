@@ -24,19 +24,19 @@ import (
 // certificate is attached to the beneficiary's next outgoing payment and
 // materializes into balance when that payment settles.
 //
-// Following the paper's two-level batching (§VI-A), CREDIT messages carry a
-// *group* of payments whose beneficiaries share the same representative,
-// with a single signature over the group digest — one signature per
-// sub-batch rather than per payment. On top of that, a settling replica
-// whose ECDSA is busy collapses the credit groups of a whole settlement
-// wave into ONE signature over a hash chain of group digests (the CREDIT
-// analogue of the BRB ack chains, scheduled by the same
-// verifier.ChainSigner): such a signature endorses a group only if the
-// group's digest appears in its chain, and it rides inside dependency
+// Following the paper's two-level batching (§VI-A), CREDIT messages carry
+// *groups* of payments whose beneficiaries share the same representative
+// — one digest per sub-batch rather than per payment. A settling replica
+// signs the groups pending at its signer with ONE signature over a hash
+// chain of their group digests (the CREDIT analogue of the BRB ack
+// chains, scheduled by the same verifier.ChainSigner); a lone group is a
+// chain of one, and groups of settlement waves that queue while an ECDSA
+// is in flight join the next chain. A signature endorses a group only if
+// the group's digest appears in its chain, and it rides inside dependency
 // certificates as DepSig.Chain.
 
-// CreditGroupDigest computes the digest signed in CREDIT messages: a
-// domain-separated hash over the canonical encoding of the group.
+// CreditGroupDigest computes the digest a credit chain lists for a group:
+// a domain-separated hash over the canonical encoding of the group.
 func CreditGroupDigest(group []types.Payment) types.Digest {
 	w := wire.AcquireWriter(5 + len(group)*types.PaymentWireSize)
 	defer w.Release()
@@ -60,18 +60,16 @@ func CreditChainDigest(chain []types.Digest) types.Digest {
 	return verifier.ChainDigest(CreditChainDomain, chain)
 }
 
-// DepSig is one signature of a dependency certificate. Chain nil means the
-// signature covers the group's own digest (the single-group wire form);
-// otherwise it covers CreditChainDigest(Chain), and it endorses a group
-// only if that group's digest appears in the chain.
+// DepSig is one signature of a dependency certificate. It covers
+// CreditChainDigest(Chain), and it endorses a group only if that group's
+// digest appears in the chain.
 type DepSig struct {
 	Replica types.ReplicaID
 	Sig     []byte
 	Chain   []types.Digest
 }
 
-// DepCert is a set of CREDIT signatures for one group, possibly mixing
-// single-group and chain signatures.
+// DepCert is a set of CREDIT signatures for one group.
 type DepCert struct {
 	Sigs []DepSig
 }
@@ -129,10 +127,11 @@ var (
 // valid signatures from other replicas suffice (none at f = 0), and an
 // explicit origin signature is skipped rather than counted twice. Among an
 // in-shard origin and f other signers at least one is correct. A
-// cross-shard dependency still needs f+1 signatures. A chain signature endorses the group only if
-// the group digest appears in its chain; its ECDSA verifies against the
-// chain digest, so — through ver's memo — the k dependencies of one
-// settlement wave cost one verification per signer, not k.
+// cross-shard dependency still needs f+1 signatures. A signature endorses
+// the group only if the group digest appears in its chain; its ECDSA
+// verifies against the chain digest, so — through ver's memo — the k
+// dependencies of one settlement wave cost one verification per signer,
+// not k.
 //
 // When ver is non-nil the signature checks run through its memo cache,
 // inline on the caller (no pool blocking, so it is safe from worker
@@ -182,13 +181,10 @@ func VerifyDependency(
 		if replicaShard(ps.Replica) != shard {
 			continue // signer outside the spenders' shard: no endorsement
 		}
-		dg := digest
-		if ps.Chain != nil {
-			if !slices.Contains(ps.Chain, digest) {
-				continue // chain does not endorse this group
-			}
-			dg = CreditChainDigest(ps.Chain)
+		if !slices.Contains(ps.Chain, digest) {
+			continue // chain does not endorse this group
 		}
+		dg := CreditChainDigest(ps.Chain)
 		ok := false
 		if ver != nil {
 			ok = ver.VerifyReplica(reg, ps.Replica, dg, ps.Sig)
@@ -210,8 +206,9 @@ func VerifyDependency(
 
 // Dependency wire form: the group, the signature count, then one
 // (replica, sig, chain index) record per signature. The index points into
-// a chain table written ahead of the dependency, or is noChainIdx for a
-// single-group signature. Inside a batch the table is the batch's
+// a chain table written ahead of the dependency; an index past the
+// table's end — the retired single-group marker 2^32-1 among them — is
+// refused, not converted. Inside a batch the table is the batch's
 // (batch.go), so the many dependencies of one settlement wave attached
 // across a batch's entries share one copy of each chain; a dependency
 // stored on its own (recDep, the snapshot's dependency section) writes a
@@ -219,10 +216,8 @@ func VerifyDependency(
 // (postSettle enqueues groups in representative order over
 // replica-deterministic settle results), so when replicas' wave
 // boundaries align the signers of a certificate sign byte-identical
-// chains and the table holds one chain for all of them.
-
-// noChainIdx marks a single-group (chain-less) signature.
-const noChainIdx = ^uint32(0)
+// chains and the table holds one chain for all of them — a lone group's
+// chain of one included.
 
 // compareChains orders chains by their digests, lexicographically, with a
 // fast path for shared backing: the DepSigs one CREDITTAB's groups yield
@@ -244,21 +239,15 @@ type chainTable [][]types.Digest
 // add inserts the certificate's chains that are not in the table yet.
 func (t *chainTable) add(c DepCert) {
 	for _, ps := range c.Sigs {
-		if ps.Chain == nil {
-			continue
-		}
 		if i, found := slices.BinarySearchFunc(*t, ps.Chain, compareChains); !found {
 			*t = slices.Insert(*t, i, ps.Chain)
 		}
 	}
 }
 
-// index returns a signature's chain index (noChainIdx for a single-group
-// signature). The chain must be in the table.
+// index returns a signature's chain index. The chain must be in the
+// table.
 func (t chainTable) index(ps DepSig) uint32 {
-	if ps.Chain == nil {
-		return noChainIdx
-	}
 	i, _ := slices.BinarySearchFunc(t, ps.Chain, compareChains)
 	return uint32(i)
 }
@@ -314,9 +303,6 @@ func readChainTable(r *wire.Reader) (readTable, error) {
 
 // chain resolves a signature's chain index, marking the entry named.
 func (t readTable) chain(ci uint32) ([]types.Digest, error) {
-	if ci == noChainIdx {
-		return nil, nil
-	}
 	if int(ci) >= len(t.chains) {
 		return nil, fmt.Errorf("dependency: chain index %d out of table range %d", ci, len(t.chains))
 	}

@@ -27,7 +27,7 @@ func testImage() replicaImage {
 	dep := Dependency{
 		Group: []types.Payment{pay(1, 3, 7, 25), pay(1, 3, 9, 5)},
 		Cert: DepCert{Sigs: []DepSig{
-			{Replica: 0, Sig: []byte("sig-zero")},
+			{Replica: 0, Sig: []byte("sig-zero"), Chain: []types.Digest{types.HashBytes([]byte("lone"))}},
 			{Replica: 2, Sig: []byte("sig-two"), Chain: []types.Digest{types.HashBytes([]byte("prev"))}},
 		}},
 	}

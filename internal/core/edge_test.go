@@ -72,11 +72,9 @@ func TestByzantineClientCannotWedgeBroadcastQueue(t *testing.T) {
 					EncodeSubmit(types.Payment{Spender: 1, Seq: 0, Beneficiary: 2, Amount: 1}, nil))
 				_ = attack.Send(repNode, transport.ChanPayment,
 					EncodeSubmit(types.Payment{Spender: 1, Seq: 1 << 40, Beneficiary: 2, Amount: 1}, nil))
-				// Hostile CREDITTAB/CREDIT storm from a client node.
+				// Hostile CREDITTAB storm from a client node.
 				_ = attack.Send(repNode, transport.ChanCredit,
 					EncodeCreditTab(rep, []byte("forged"), []types.Payment{settled}))
-				_ = attack.Send(repNode, transport.ChanCredit,
-					EncodeCreditForged(rep, []types.Payment{settled}, []byte("forged")))
 				// Malformed junk.
 				_ = attack.Send(repNode, transport.ChanPayment, []byte{0xee, 0x01})
 				volleys.Add(1)

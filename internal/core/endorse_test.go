@@ -118,11 +118,7 @@ func (d *ringDriver) batch(spender types.ClientID, n int) []BatchEntry {
 	entries[0].Deps, d.owed[spender] = d.owed[spender], nil
 	var cert DepCert
 	for _, signer := range []int{1, 2} { // f+1
-		sig, err := d.c.keys[signer].Sign(CreditGroupDigest(group))
-		if err != nil {
-			d.t.Fatal(err)
-		}
-		cert.Sigs = append(cert.Sigs, DepSig{Replica: types.ReplicaID(signer), Sig: sig})
+		cert.Sigs = append(cert.Sigs, loneDepSig(d.t, d.c.keys[signer], signer, group))
 	}
 	d.owed[to] = append(d.owed[to], Dependency{Group: group, Cert: cert})
 	return entries

@@ -21,25 +21,30 @@ func fuzzDependency() Dependency {
 	return Dependency{
 		Group: fuzzGroup(),
 		Cert: DepCert{Sigs: []DepSig{
-			{Replica: 0, Sig: []byte("sig-0")},
+			{Replica: 0, Sig: []byte("sig-0"), Chain: []types.Digest{CreditGroupDigest(fuzzGroup())}},
 			{Replica: 2, Sig: []byte("sig-2"), Chain: []types.Digest{{0x01}, {0x02}}},
 		}},
 	}
 }
 
 // FuzzDecodeCreditChannel drives the full credit-channel payload decoder
-// set: the single-group CREDIT, the chain-signed CREDITTAB, and the
-// restart-time CREDITREDO and CREDITRESCAN. Invariants: no panic on
-// arbitrary bytes, and a CREDITTAB that decodes is canonical — it
-// re-encodes to the input, and its chain indices are strictly ascending
-// and below the chain's length.
+// set, the kinds onCredit handles: the CREDITTAB, and the restart-time
+// CREDITREDO and CREDITRESCAN. Invariants: no panic on arbitrary bytes,
+// and a CREDITTAB that decodes is canonical — it re-encodes to the input,
+// and its chain indices are strictly ascending and below the chain's
+// length.
 func FuzzDecodeCreditChannel(f *testing.F) {
 	group := fuzzGroup()
-	f.Add(encodeCredit(creditMsg{Signer: 1, Group: group, Sig: []byte("sig")}))
-	// The retired kinds 2–5, in the layouts they had: the inline-chain
-	// credit (2), the chain definition (3), the reference to it (4) and the
-	// NACK demanding it (5). Nothing decodes them — the switch below has
-	// no case for them, nor has the replica's (TestHostileCreditTabRetiredKinds).
+	// The retired kinds 1–5, in the layouts they had: the single-group
+	// CREDIT (1), the inline-chain credit (2), the chain definition (3),
+	// the reference to it (4) and the NACK demanding it (5). They must be
+	// refused: no decoder below takes them, nor does the replica's
+	// (TestHostileCreditTabRetiredKinds).
+	single := wire.NewWriter(128)
+	single.U8(1)
+	single.U32(1)
+	appendPaymentGroup(single, group)
+	single.Chunk([]byte("sig"))
 	chain := []types.Digest{CreditGroupDigest(group)}
 	retired := wire.NewWriter(256)
 	retired.U8(2)
@@ -49,11 +54,9 @@ func FuzzDecodeCreditChannel(f *testing.F) {
 	retired.U32(1)
 	retired.U32(0)
 	appendPaymentGroup(retired, group)
-	f.Add(retired.Bytes())
 	def := wire.NewWriter(64)
 	def.U8(3)
 	wire.AppendDigestList(def, chain)
-	f.Add(def.Bytes())
 	ref := wire.NewWriter(256)
 	ref.U8(4)
 	ref.U32(3)
@@ -62,11 +65,15 @@ func FuzzDecodeCreditChannel(f *testing.F) {
 	ref.U32(1)
 	ref.U32(0)
 	appendPaymentGroup(ref, group)
-	f.Add(ref.Bytes())
 	nack := wire.NewWriter(33)
 	nack.U8(5)
 	nack.Bytes32(CreditChainDigest(chain))
-	f.Add(nack.Bytes())
+	for _, frame := range [][]byte{single.Bytes(), retired.Bytes(), def.Bytes(), ref.Bytes(), nack.Bytes()} {
+		if decodeCreditFrame(frame) {
+			f.Fatalf("retired kind %d decoded", frame[0])
+		}
+		f.Add(frame)
+	}
 	f.Add(encodeCreditRedo([][]types.Payment{group, group[:1]}))
 	f.Add(encodeCreditRescan())
 
@@ -104,12 +111,6 @@ func FuzzDecodeCreditChannel(f *testing.F) {
 		}
 		body := data[1:]
 		switch data[0] {
-		case msgCreditSingle:
-			if m, err := decodeCredit(body); err == nil {
-				if len(m.Group) == 0 || len(m.Group) > maxGroup {
-					t.Fatalf("accepted group size %d", len(m.Group))
-				}
-			}
 		case msgCreditTab:
 			m, err := decodeCreditTab(body)
 			if err != nil {
@@ -138,6 +139,23 @@ func FuzzDecodeCreditChannel(f *testing.F) {
 			decodeCreditRescan(body)
 		}
 	})
+}
+
+// decodeCreditFrame reports whether any decoder of a kind onCredit
+// handles accepts the frame.
+func decodeCreditFrame(frame []byte) bool {
+	body := frame[1:]
+	switch frame[0] {
+	case msgCreditTab:
+		_, err := decodeCreditTab(body)
+		return err == nil
+	case msgCreditRedo:
+		_, err := decodeCreditRedo(body)
+		return err == nil
+	case msgCreditRescan:
+		return decodeCreditRescan(body) == nil
+	}
+	return false
 }
 
 // FuzzDecodeBatch feeds arbitrary bytes to the broadcast-payload decoder.
@@ -208,7 +226,8 @@ func FuzzDecodeDependency(f *testing.F) {
 
 	// The retired forms must be refused: the group first, then a kind byte
 	// selecting single-group signatures only (0) or a chain carried inline
-	// by each signature (1).
+	// by each signature (1); and a single-group signature, which named the
+	// retired marker index 2^32-1 instead of a table entry.
 	for kind := byte(0); kind <= 1; kind++ {
 		old := wire.NewWriter(256)
 		appendPaymentGroup(old, d.Group)
@@ -227,6 +246,17 @@ func FuzzDecodeDependency(f *testing.F) {
 		}
 		f.Add(old.Bytes())
 	}
+	marker := wire.NewWriter(256)
+	marker.U32(0) // an empty chain table
+	appendPaymentGroup(marker, d.Group)
+	marker.U32(1)
+	marker.U32(0)
+	marker.Chunk([]byte("sig-0"))
+	marker.U32(^uint32(0))
+	if _, err := readDependencyRecord(wire.NewReader(marker.Bytes())); err == nil {
+		f.Fatal("single-group signature decoded")
+	}
+	f.Add(marker.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := wire.NewReader(data)

@@ -127,13 +127,11 @@ func encodeSeqResp(c types.ClientID, s types.Seq) []byte {
 	return w.Bytes()
 }
 
-// Message kinds on the credit channel (transport.ChanCredit). Kinds 2, 3,
-// 4 and 5 are retired: no decoder reads them, and a replica drops them
-// without answering.
+// Message kinds on the credit channel (transport.ChanCredit). Kinds 1 (the
+// single-group CREDIT), 2, 3, 4 and 5 are retired: no decoder reads them,
+// and a replica drops them without answering.
 //
 //	kind            direction             body after the kind byte
-//	CREDIT          signer -> rep         signer u32, group, sig chunk: one
-//	                                      signature over the group's digest
 //	CREDITREDO      restarted rep ->      groups to re-sign
 //	                own-shard signers
 //	CREDITRESCAN    restarted rep ->      nothing: rescan the xlogs for rep
@@ -143,8 +141,8 @@ func encodeSeqResp(c types.ClientID, s types.Seq) []byte {
 //	                                      group) for each group of the wave
 //	                                      addressed to rep
 //
-// A settling replica signs a lone credit group as a CREDIT, and a whole
-// settlement wave with one signature over the chain of its group digests,
+// A settling replica signs each settlement wave — a lone credit group is a
+// wave of one — with one signature over the chain of its group digests,
 // sending each destination representative one CREDITTAB: the chain the
 // signature covers, inline, the signature, and the destination's groups
 // with their chain indices. A CREDITTAB is self-contained — it needs no
@@ -152,50 +150,16 @@ func encodeSeqResp(c types.ClientID, s types.Seq) []byte {
 // brb's COMMITTAB, it has one encoding: indices strictly ascending and
 // below the chain's length, so decode → encode reproduces the bytes.
 const (
-	msgCreditSingle byte = 1
 	msgCreditRedo   byte = 6
 	msgCreditRescan byte = 7
 	msgCreditTab    byte = 8
 )
 
-// CREDIT message (transport.ChanCredit): a settling replica's signed
-// endorsement that a group of payments (beneficiaries all represented by
-// the destination replica) settled in its shard (paper §V, Listing 9).
-type creditMsg struct {
-	Signer types.ReplicaID
-	Group  []types.Payment
-	Sig    []byte
-}
-
-func encodeCredit(m creditMsg) []byte {
-	w := wire.NewWriter(13 + len(m.Group)*types.PaymentWireSize + len(m.Sig))
-	w.U8(msgCreditSingle)
-	w.U32(uint32(m.Signer))
-	appendPaymentGroup(w, m.Group)
-	w.Chunk(m.Sig)
-	return w.Bytes()
-}
-
-// decodeCredit parses a CREDIT payload after its kind byte.
-func decodeCredit(payload []byte) (creditMsg, error) {
-	var m creditMsg
-	r := wire.NewReader(payload)
-	m.Signer = types.ReplicaID(r.U32())
-	group, err := decodePaymentGroup(r)
-	if err != nil {
-		return m, err
-	}
-	m.Group = group
-	m.Sig = r.Chunk()
-	if err := r.Finish(); err != nil {
-		return m, err
-	}
-	return m, nil
-}
-
-// creditTabMsg is one signer's CREDITTAB: the chain of group digests its
-// signature covers, and the wave's groups whose beneficiaries this
-// destination represents, each with its index into the chain. The
+// creditTabMsg is one signer's CREDITTAB (paper §V, Listing 9: a settling
+// replica's signed endorsement that groups of payments settled in its
+// shard): the chain of group digests its signature covers, and the wave's
+// groups whose beneficiaries this destination represents, each with its
+// index into the chain. The
 // receiver recomputes each group's digest, matches it against the chain,
 // and verifies the one signature against the chain's digest — so a wave
 // crediting k groups costs the signer one ECDSA, and (through the verifier

@@ -51,11 +51,7 @@ func (fx *depRuleFixture) dep(t *testing.T, signers ...int) Dependency {
 	t.Helper()
 	d := Dependency{Group: fx.group}
 	for _, r := range signers {
-		sig, err := fx.keys[r].Sign(CreditGroupDigest(fx.group))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.Cert.Sigs = append(d.Cert.Sigs, DepSig{Replica: types.ReplicaID(r), Sig: sig})
+		d.Cert.Sigs = append(d.Cert.Sigs, loneDepSig(t, fx.keys[r], r, fx.group))
 	}
 	return d
 }
@@ -112,13 +108,7 @@ func TestScreenStripsForgedDepsIdentically(t *testing.T) {
 	c := newCluster(t, AstroII, 4, genesis100)
 	const origin = types.ReplicaID(1)
 	group := []types.Payment{pay(3, 1, 5, 10)}
-	sign := func(r int) DepSig {
-		sig, err := c.keys[r].Sign(CreditGroupDigest(group))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return DepSig{Replica: types.ReplicaID(r), Sig: sig}
-	}
+	sign := func(r int) DepSig { return loneDepSig(t, c.keys[r], r, group) }
 	forged := sign(2)
 	forged.Sig = slices.Clone(forged.Sig)
 	forged.Sig[5] ^= 0x5a

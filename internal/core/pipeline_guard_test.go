@@ -77,10 +77,11 @@ func TestHotPathPackagesSpawnFree(t *testing.T) {
 // a dropped size precomputation) blows through them.
 func TestHotPathAllocBudget(t *testing.T) {
 	chain := []types.Digest{types.HashBytes([]byte("a")), types.HashBytes([]byte("b"))}
+	lone := []types.Digest{types.HashBytes([]byte("c"))}
 	dep := Dependency{
 		Group: []types.Payment{pay(9, 1, 3, 5)},
 		Cert: DepCert{Sigs: []DepSig{
-			{Replica: 0, Sig: make([]byte, 64)},
+			{Replica: 0, Sig: make([]byte, 64), Chain: lone},
 			{Replica: 2, Sig: make([]byte, 64), Chain: chain},
 			{Replica: 3, Sig: make([]byte, 64), Chain: chain},
 		}},

@@ -92,10 +92,11 @@ type Replica struct {
 	creditMu    sync.Mutex
 	creditAccum map[creditKey][]*creditState
 
-	// creditSigner batches CREDIT signing at the payment layer (Astro II):
-	// while one ECDSA is in flight, the credit groups of pending
-	// settlement waves collapse into a single signature over a hash chain
-	// of group digests — the CREDIT analogue of the BRB ack chains,
+	// creditSigner signs CREDITs at the payment layer (Astro II): the
+	// credit groups pending at each drain share one signature over a hash
+	// chain of group digests, a lone group being a chain of one. Groups of
+	// settlement waves that queue while an ECDSA is in flight join the
+	// next chain. It is the CREDIT analogue of the BRB ack chains,
 	// scheduled by the same verifier.ChainSigner machinery. Signing (and
 	// group hashing) runs pool-side, never on a delivery goroutine.
 	creditSigner *verifier.ChainSigner[creditJob]
@@ -268,7 +269,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 
 	cfg.Mux.Register(transport.ChanPayment, r.onPaymentMsg)
 	if cfg.Version == AstroII {
-		r.creditSigner = verifier.NewChainSigner(cfg.Verifier, creditChainCap, r.sendCreditSingle, r.sendCreditChain)
+		r.creditSigner = verifier.NewChainSigner(cfg.Verifier, creditChainCap, r.sendCreditChain)
 		cfg.Mux.Register(transport.ChanCredit, r.onCredit)
 	}
 	if r.recovered {
@@ -1141,23 +1142,10 @@ func (r *Replica) queueCredit(rep types.ReplicaID, group []types.Payment) {
 	r.creditSigner.Enqueue(creditJob{rep: rep, group: group})
 }
 
-// sendCreditSingle signs and sends one credit group in the single-group
-// wire form (ChainSigner flush callback, pool side).
-func (r *Replica) sendCreditSingle(j creditJob) {
-	digest := CreditGroupDigest(j.group)
-	sig, err := r.creditSigner.Sign(1, func() ([]byte, error) { return r.cfg.Keys.Sign(digest) })
-	if err != nil {
-		return // entropy failure; withholding a CREDIT is always safe
-	}
-	r.cfg.Verifier.PrimeReplica(r.cfg.Self, digest, sig)
-	msg := encodeCredit(creditMsg{Signer: r.cfg.Self, Group: j.group, Sig: sig})
-	_ = r.cfg.Mux.Send(transport.ReplicaNode(j.rep), transport.ChanCredit, msg)
-}
-
-// sendCreditChain signs a whole settlement wave of credit groups with one
-// signature over the chain of group digests, and sends each destination
-// representative one CREDITTAB: the chain, the signature and its groups
-// (ChainSigner flush callback).
+// sendCreditChain signs a settlement wave of credit groups — one or more —
+// with one signature over the chain of group digests, and sends each
+// destination representative one CREDITTAB: the chain, the signature and
+// its groups (ChainSigner flush callback).
 func (r *Replica) sendCreditChain(jobs []creditJob, wave *verifier.Wave) {
 	chain := make([]types.Digest, len(jobs))
 	for i, j := range jobs {
@@ -1181,11 +1169,10 @@ func (r *Replica) sendCreditChain(jobs []creditJob, wave *verifier.Wave) {
 	}
 }
 
-// onCredit routes the credit channel (paper Listing 10): single-group
-// CREDITs and chain-signed CREDITTABs both accumulate into dependency
-// certificates for this replica's clients — f+1 distinct approvals from
-// the spender's shard, this replica's own settlement included, form a
-// dependency.
+// onCredit routes the credit channel (paper Listing 10): CREDITTABs
+// accumulate into dependency certificates for this replica's clients —
+// f+1 distinct approvals from the spender's shard, this replica's own
+// settlement included, form a dependency.
 func (r *Replica) onCredit(from transport.NodeID, payload []byte) {
 	if len(payload) == 0 {
 		return
@@ -1203,28 +1190,6 @@ func (r *Replica) onCredit(from transport.NodeID, payload []byte) {
 		return
 	}
 	switch payload[0] {
-	case msgCreditSingle:
-		m, err := decodeCredit(payload[1:])
-		if err != nil {
-			return
-		}
-		if !r.creditGroupInShard(m.Signer, m.Group) {
-			return
-		}
-		cs := r.lookupCreditState(m.Group)
-		if cs == nil {
-			return // certificate already complete; drop without ECDSA
-		}
-		// The signature check runs on the verifier pool, off the
-		// transport dispatch goroutine; certificate accumulation
-		// re-enters through the completion callback. Accumulation order
-		// across signers is irrelevant — any f+1 endorsements form the
-		// dependency.
-		r.cfg.Verifier.VerifyReplicaDetached(r.cfg.Registry, m.Signer, cs.digest, m.Sig, func(valid bool) {
-			if valid {
-				r.creditVerified(cs, m.Signer, m.Sig, nil)
-			}
-		})
 	case msgCreditTab:
 		m, err := decodeCreditTab(payload[1:])
 		if err != nil {
@@ -1307,9 +1272,12 @@ func (r *Replica) acceptCreditTab(m creditTabMsg) {
 	if len(accepted) == 0 {
 		return
 	}
-	// One ECDSA over the chain digest covers every accepted group; the
+	// One ECDSA over the chain digest covers every accepted group. It
+	// runs on the verifier pool, off the transport dispatch goroutine,
+	// and accumulation re-enters through the completion callback; the
 	// verifier memo collapses re-deliveries and — at this replica — the
-	// same chain arriving for other groups.
+	// same chain arriving for other groups. Accumulation order across
+	// signers is irrelevant: any f+1 endorsements form the dependency.
 	r.cfg.Verifier.VerifyReplicaDetached(r.cfg.Registry, m.Signer, CreditChainDigest(m.Chain), m.Sig, func(valid bool) {
 		if !valid {
 			return
@@ -1362,8 +1330,8 @@ func (r *Replica) lookupCreditState(group []types.Payment) *creditState {
 	return cs
 }
 
-// creditVerified accumulates a verified CREDIT signature (with its chain
-// context, if wave-signed) into the group's certificate. This replica's
+// creditVerified accumulates a verified CREDIT signature, with its chain,
+// into the group's certificate. This replica's
 // own signature is never accumulated: its settlement endorses its own
 // clients' groups (endorseOwnCredit), and counting both would count it
 // twice.

@@ -297,14 +297,16 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 }
 
 func TestBatchV2ChainInterning(t *testing.T) {
-	// Two payments whose certificates cite the same two-signer chain: the
-	// batch's chain table holds it once, however many certificates cite it.
+	// Two payments whose certificates cite the same two-signer chain and
+	// the same lone group's chain of one: the batch's chain table holds
+	// each once, however many certificates cite it.
 	chain := []types.Digest{types.HashBytes([]byte("g1")), types.HashBytes([]byte("g2"))}
+	lone := []types.Digest{types.HashBytes([]byte("g0"))}
 	dep := func() Dependency {
 		return Dependency{
 			Group: []types.Payment{pay(9, 1, 3, 5)},
 			Cert: DepCert{Sigs: []DepSig{
-				{Replica: 0, Sig: []byte("sig-0")},
+				{Replica: 0, Sig: []byte("sig-0"), Chain: lone},
 				{Replica: 2, Sig: []byte("sig-2"), Chain: chain},
 				{Replica: 3, Sig: []byte("sig-3"), Chain: chain},
 			}},
@@ -316,8 +318,8 @@ func TestBatchV2ChainInterning(t *testing.T) {
 	}
 
 	data := EncodeBatch(entries)
-	if n := wire.NewReader(data).U32(); n != 1 {
-		t.Fatalf("chain table of %d entries, want the shared chain once", n)
+	if n := wire.NewReader(data).U32(); n != 2 {
+		t.Fatalf("chain table of %d entries, want each shared chain once", n)
 	}
 	got, err := DecodeBatch(data)
 	if err != nil {
@@ -331,14 +333,15 @@ func TestBatchV2ChainInterning(t *testing.T) {
 	// backing slice — the interning the table exists to transport.
 	a := got[0].Deps[0].Cert.Sigs[1].Chain
 	b := got[1].Deps[0].Cert.Sigs[2].Chain
-	if len(a) == 0 || &a[0] != &b[0] {
+	la, lb := got[0].Deps[0].Cert.Sigs[0].Chain, got[1].Deps[0].Cert.Sigs[0].Chain
+	if len(a) == 0 || &a[0] != &b[0] || len(la) == 0 || &la[0] != &lb[0] {
 		t.Error("decoded certificates do not share the table's chain backing")
 	}
 
-	// A chain-free batch carries an empty table: nothing to intern.
+	// A dependency-free batch carries an empty table: nothing to intern.
 	plain := EncodeBatch([]BatchEntry{{Payment: pay(1, 1, 2, 3)}})
 	if n := wire.NewReader(plain).U32(); n != 0 {
-		t.Errorf("chain-free batch has a table of %d", n)
+		t.Errorf("dependency-free batch has a table of %d", n)
 	}
 }
 

@@ -10,16 +10,15 @@ import (
 	"astro/internal/wire"
 )
 
-// ChainSigner is the reusable scheduling core of batch-level signing,
-// generalized from the BRB ack signer: a single logical signer drains a
-// queue of pending items on the verifier pool, and while one signature is
-// in flight, further items accumulate — the drain then covers them all
-// with ONE signature over a hash chain of their digests, so per-item
+// ChainSigner is the reusable scheduling core of chain signing, shared by
+// the BRB ack signer and the payment layer's CREDIT signer: a single
+// logical signer drains a queue of pending items on the verifier pool,
+// covering everything pending with ONE signature over a hash chain of
+// their digests — a lone item is a chain of one. While one signature is
+// in flight, further items accumulate into the next chain, so per-item
 // signing cost shrinks with load (self-clocked batching). The protocol
-// layer supplies two flush callbacks: flushOne keeps the single-item wire
-// form for a lone pending item, so batching is purely an under-load
-// optimization; flushChain emits one signature covering a whole slice of
-// items.
+// layer supplies one flush callback, which emits one signature covering
+// a slice of one to maxBatch items.
 //
 // Enqueue blocks until the drain task is accepted by the pool — never
 // running the signature on the caller — so protocol handlers on transport
@@ -27,10 +26,9 @@ import (
 // the feeding channel, not the other channels. A ChainSigner is safe for
 // concurrent use.
 type ChainSigner[T any] struct {
-	v          *Verifier
-	maxBatch   int
-	flushOne   func(T)
-	flushChain func([]T, *Wave)
+	v        *Verifier
+	maxBatch int
+	flush    func([]T, *Wave)
 
 	mu      sync.Mutex
 	pending []T
@@ -42,7 +40,7 @@ type ChainSigner[T any] struct {
 	covered atomic.Uint64
 }
 
-// Wave is the per-flush scratch context handed to chain flush callbacks.
+// Wave is the per-flush scratch context handed to the flush callback.
 // A chain flush fans one signature out to several destinations, and the
 // expensive part of that fan-out — serializing the chain — is identical
 // for every destination. Scratch hands the callback pooled writers whose
@@ -75,9 +73,9 @@ func (wv *Wave) release() {
 
 // NewChainSigner creates a chain signer draining on v (nil selects the
 // shared Default pool). maxBatch caps how many items one signature covers.
-// flushChain receives a Wave whose Scratch writers let it build the shared
+// flush receives a Wave whose Scratch writers let it build the shared
 // per-wave encodings once.
-func NewChainSigner[T any](v *Verifier, maxBatch int, flushOne func(T), flushChain func([]T, *Wave)) *ChainSigner[T] {
+func NewChainSigner[T any](v *Verifier, maxBatch int, flush func([]T, *Wave)) *ChainSigner[T] {
 	if v == nil {
 		v = Default()
 	}
@@ -85,16 +83,15 @@ func NewChainSigner[T any](v *Verifier, maxBatch int, flushOne func(T), flushCha
 		maxBatch = 1
 	}
 	return &ChainSigner[T]{
-		v:          v,
-		maxBatch:   maxBatch,
-		flushOne:   flushOne,
-		flushChain: flushChain,
+		v:        v,
+		maxBatch: maxBatch,
+		flush:    flush,
 	}
 }
 
 // Sign runs the protocol layer's signing primitive, charging covered
-// items against one signing operation in the lifetime statistics. Flush
-// callbacks route their signatures through here.
+// items against one signing operation in the lifetime statistics. The
+// flush callback routes its signature through here.
 func (s *ChainSigner[T]) Sign(covered int, sign func() ([]byte, error)) ([]byte, error) {
 	sig, err := sign()
 	if err != nil {
@@ -153,12 +150,8 @@ func (s *ChainSigner[T]) drain() {
 		s.mu.Unlock()
 		for len(batch) > 0 {
 			n := min(len(batch), s.maxBatch)
-			if n == 1 {
-				s.flushOne(batch[0])
-			} else {
-				s.flushChain(batch[:n:n], &wave)
-				wave.release()
-			}
+			s.flush(batch[:n:n], &wave)
+			wave.release()
 			batch = batch[n:]
 		}
 	}

@@ -9,12 +9,11 @@ import (
 	"astro/internal/types"
 )
 
-// collectSigner wires a ChainSigner to counters: flushOne/flushChain
-// record what the drain decided, and a configurable latency inside Sign
-// lets items pile up while a signature is in flight.
+// collectSigner wires a ChainSigner to counters: the flush callback
+// records the chains the drain formed, and a configurable latency inside
+// Sign lets items pile up while a signature is in flight.
 type collectSigner struct {
 	mu      sync.Mutex
-	singles []int
 	chains  [][]int
 	signLat time.Duration
 	cs      *ChainSigner[int]
@@ -30,14 +29,6 @@ func newCollectSigner(t *testing.T, v *Verifier, lat time.Duration) *collectSign
 		return []byte("sig"), nil
 	}
 	c.cs = NewChainSigner(v, 8,
-		func(item int) {
-			if _, err := c.cs.Sign(1, sign); err != nil {
-				t.Error(err)
-			}
-			c.mu.Lock()
-			c.singles = append(c.singles, item)
-			c.mu.Unlock()
-		},
 		func(items []int, wv *Wave) {
 			if _, err := c.cs.Sign(len(items), sign); err != nil {
 				t.Error(err)
@@ -96,9 +87,6 @@ func TestChainSignerBatchesUnderLoad(t *testing.T) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var seen []int
-	for _, s := range c.singles {
-		seen = append(seen, s)
-	}
 	for _, ch := range c.chains {
 		if len(ch) > 8 {
 			t.Fatalf("chain of %d exceeds maxBatch 8", len(ch))
@@ -108,14 +96,16 @@ func TestChainSignerBatchesUnderLoad(t *testing.T) {
 	if len(seen) != n {
 		t.Fatalf("flushed %d items, want %d", len(seen), n)
 	}
-	if len(c.chains) == 0 {
-		t.Fatal("no chain was ever flushed under load")
+	for i, item := range seen {
+		if item != i {
+			t.Fatalf("flushed item %d is %d: chains out of order", i, item)
+		}
 	}
 }
 
-// TestChainSignerLoneItemStaysSingle: an item that finds nothing else
-// pending leaves in the single-item form, whatever the signer costs.
-func TestChainSignerLoneItemStaysSingle(t *testing.T) {
+// TestChainSignerLoneItemIsChainOfOne: an item that finds nothing else
+// pending leaves as a chain of one, through the one flush callback.
+func TestChainSignerLoneItemIsChainOfOne(t *testing.T) {
 	v := New(1)
 	defer v.Close()
 	c := newCollectSigner(t, v, 0)
@@ -124,8 +114,11 @@ func TestChainSignerLoneItemStaysSingle(t *testing.T) {
 	v.Close() // the flush callback has returned once the lane exits
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.singles) != 1 || c.singles[0] != 7 || len(c.chains) != 0 {
-		t.Fatalf("singles %v, chains %v; want one single", c.singles, c.chains)
+	if len(c.chains) != 1 || len(c.chains[0]) != 1 || c.chains[0][0] != 7 {
+		t.Fatalf("chains %v; want one chain of one", c.chains)
+	}
+	if ops, covered := c.cs.Stats(); ops != 1 || covered != 1 {
+		t.Fatalf("stats ops=%d covered=%d, want one signature covering one item", ops, covered)
 	}
 }
 
@@ -138,12 +131,6 @@ func TestChainSignerConcurrentEnqueue(t *testing.T) {
 	var count atomic.Int64
 	var cs *ChainSigner[int]
 	cs = NewChainSigner(v, 16,
-		func(int) {
-			if _, err := cs.Sign(1, func() ([]byte, error) { return nil, nil }); err != nil {
-				t.Error(err)
-			}
-			count.Add(1)
-		},
 		func(items []int, _ *Wave) {
 			if _, err := cs.Sign(len(items), func() ([]byte, error) { return nil, nil }); err != nil {
 				t.Error(err)

@@ -245,40 +245,32 @@ func (b *Equivocate) Outbound(to transport.NodeID, frame []byte, emit Emit) []by
 	return frame
 }
 
-// Inbound harvests the acks for variant B: single-slot ACKs, and the
-// entries of ACKBATCH chains — a peer under load signs its pending acks as
-// one chain, and a chain signature endorses B as well as a plain one.
+// Inbound harvests the acks for variant B: the entries of ACKBATCH chains
+// addressed to this replica — every ack is a chain signature, a lone ack
+// a chain of one, and a chain signature endorses each entry it lists.
 func (b *Equivocate) Inbound(from transport.NodeID, frame []byte, emit Emit) []byte {
 	if frameChan(frame) != transport.ChanBRB {
 		return frame
 	}
-	type harvested struct {
-		slot   uint64
-		digest types.Digest
-		sig    brb.AckSig
+	chain, sig, ok := brb.DecodeAckBatch(frame[1:])
+	if !ok {
+		return frame
 	}
 	signer := types.ReplicaID(from)
-	var acks []harvested
-	if origin, slot, digest, sig, ok := brb.DecodeAck(frame[1:]); ok && origin == b.Self {
-		acks = append(acks, harvested{slot, digest, brb.AckSig{Replica: signer, Sig: sig}})
-	} else if chain, sig, ok := brb.DecodeAckBatch(frame[1:]); ok {
-		for _, e := range chain {
-			if e.Origin == b.Self {
-				acks = append(acks, harvested{e.Slot, e.Digest, brb.AckSig{Replica: signer, Sig: sig, Chain: chain}})
-			}
-		}
-	}
 	var commits [][]byte
 	b.mu.Lock()
-	for _, a := range acks {
-		in := b.insts[brbInstance{b.Self, a.slot}]
-		if in == nil || a.digest != in.digestB || in.committed || in.certB.Has(signer) {
+	for _, e := range chain {
+		if e.Origin != b.Self {
 			continue
 		}
-		in.certB.Sigs = append(in.certB.Sigs, a.sig)
+		in := b.insts[brbInstance{b.Self, e.Slot}]
+		if in == nil || e.Digest != in.digestB || in.committed || in.certB.Has(signer) {
+			continue
+		}
+		in.certB.Sigs = append(in.certB.Sigs, brb.AckSig{Replica: signer, Sig: sig, Chain: chain})
 		if in.certB.Len() >= b.Quorum {
 			in.committed = true
-			commits = append(commits, reframe(transport.ChanBRB, brb.EncodeCommitTab(b.Self, a.slot, in.payloadB, in.certB)))
+			commits = append(commits, reframe(transport.ChanBRB, brb.EncodeCommitTab(b.Self, e.Slot, in.payloadB, in.certB)))
 		}
 	}
 	b.mu.Unlock()
@@ -354,9 +346,11 @@ func (b *WithholdCommits) Outbound(_ transport.NodeID, frame []byte, _ Emit) []b
 
 // ForgeChainRefs corrupts the inline chain of every CREDITTAB this replica
 // sends (core.CorruptCreditTab) so that it is no longer the chain the
-// wave's signature covers. Honest receivers must shrug: the forged chain
-// fails verification, this signer's credit signatures never count, and
-// the other signers complete the certificate.
+// wave's signature covers. Every CREDIT is a CREDITTAB — a lone credit
+// group is a wave of one — so the attack engages on every credit frame
+// the replica sends, whatever the load. Honest receivers must shrug: the
+// forged chain fails verification, this signer's credit signatures never
+// count, and the other signers complete the certificate.
 type ForgeChainRefs struct {
 	NopBehavior
 	Salt byte

@@ -12,9 +12,10 @@ import (
 )
 
 // byzCluster builds a 4-node Astro II deployment for adversarial runs.
-// Sim crypto keeps acks in the single-slot wire form the equivocation
-// harvest reads; forge-refs runs flip realCrypto on so the chain-signed
-// CREDITTABs that behavior attacks actually engage.
+// Whatever the keys, every ack is an ACKBATCH the equivocation harvest
+// reads and every credit a CREDITTAB the forge-refs behavior corrupts;
+// forge-refs runs flip realCrypto on, so its forged chains meet real
+// ECDSA checks.
 func byzCluster(t *testing.T, seed uint64, realCrypto bool, dataDir string) *AstroCluster {
 	t.Helper()
 	c, err := NewAstroCluster(AstroOpts{
@@ -105,7 +106,7 @@ func TestByzantineFaultMatrix(t *testing.T) {
 				}
 			case *ForgeChainRefs:
 				if beh.Corrupted.Load() == 0 {
-					t.Error("no frames corrupted: credit chain wire forms never engaged")
+					t.Error("no CREDITTAB corrupted: attack never engaged")
 				}
 			case *StaleViewReconfig:
 				if beh.Volleys.Load() == 0 {
@@ -202,7 +203,7 @@ func TestEquivocationBreaksAtFPlusOne(t *testing.T) {
 // protocol through.
 func TestWithholdCommitsDropsCommitTab(t *testing.T) {
 	var b WithholdCommits
-	cert := brb.AckCert{Sigs: []brb.AckSig{{Replica: 0, Sig: []byte("sig")}}}
+	cert := brb.AckCert{Sigs: []brb.AckSig{{Replica: 0, Sig: []byte("sig"), Chain: []brb.ChainEntry{{Origin: 1, Slot: 1}}}}}
 	commit := reframe(transport.ChanBRB, brb.EncodeCommitTab(1, 1, []byte("p"), cert))
 	if out := b.Outbound(transport.ReplicaNode(2), commit, nil); out != nil {
 		t.Fatal("COMMITTAB passed the commit-withholding behavior")

@@ -7,7 +7,7 @@ package sim
 // a driver: it seeds genuine settled history under its own identity and
 // then attacks it with forged signatures, double-spends equivocated
 // across representatives, sequence-number races around SyncSeq, replays
-// of settled submissions, and hostile CREDIT/NACK traffic.
+// of settled submissions, and hostile credit-channel traffic.
 //
 // Every attack class maps to a core.EdgeStats counter, so a scenario can
 // assert the attack engaged (counter climbing) while the invariant
@@ -198,13 +198,12 @@ func (h *HostileClient) Replay(settledFrame []byte) {
 }
 
 // CreditStorm aims hostile credit-channel traffic at the representative:
-// a CREDITTAB and a CREDIT claiming a replica signature over settled
-// history, and a re-sign flood over it. All die
-// at the sender-class check (EdgeStats.CreditOutsider) on Astro II; on
-// Astro I the unregistered channel discards them at the mux.
+// a CREDITTAB claiming a replica signature over settled history, and a
+// re-sign flood over it. Both die at the sender-class check
+// (EdgeStats.CreditOutsider) on Astro II; on Astro I the unregistered
+// channel discards them at the mux.
 func (h *HostileClient) CreditStorm(settled types.Payment) {
 	h.send(h.repNode(), transport.ChanCredit, core.EncodeCreditTab(h.rep, []byte("forged"), []types.Payment{settled}))
-	h.send(h.repNode(), transport.ChanCredit, core.EncodeCreditForged(h.rep, []types.Payment{settled}, []byte("forged")))
 	h.send(h.repNode(), transport.ChanCredit, core.EncodeCreditRedoRaw([][]types.Payment{{settled}}))
 }
 
